@@ -26,6 +26,7 @@ from .coeffmod import (
 from .errors import (
     LevelMismatch,
     NotInDecomposition,
+    ParseError,
     PreconditionViolated,
     UnsupportedValuation,
 )
@@ -86,7 +87,7 @@ class Character:
             from .fields import PLACE, _parse_poly
             try:
                 poly = bottom.ff.poly_monic(_parse_poly(bottom, label))
-            except Exception:
+            except ParseError:  # not a polynomial, so no place label
                 poly = None
             if poly is not None:
                 for i, g in enumerate(window.gens):

@@ -13,7 +13,12 @@ import os
 import sys
 
 from .coeffmod import index_m, index_n, level_bound
-from .errors import HypothesisFailed, ParseError, ValdetectError
+from .errors import (
+    HypothesisFailed,
+    ParseError,
+    PreconditionViolated,
+    ValdetectError,
+)
 from .characters import Character, CharacterGroup
 from .cpairs import c_group, c_center, c_pair_direct, c_pair_ktheory
 from .central import (
@@ -42,10 +47,10 @@ from .rigid import MultSubgroup, canonical_valuation, valuative_test
 SCHEMA = "valdetect/1"
 
 
-def emit(payload, args):
+def emit(payload, out=None):
+    """Write the canonical JSON payload to the file `out`, or to stdout."""
     payload = {"schema": SCHEMA, **payload}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -64,7 +69,10 @@ def _window(args, model):
 def _char(window, spec):
     spec = spec.strip()
     if "," in spec or spec.lstrip("-").isdigit():
-        vals = tuple(int(v) for v in spec.split(","))
+        try:
+            vals = tuple(int(v) for v in spec.split(","))
+        except ValueError:
+            raise ParseError(f"bad character values {spec!r}") from None
         return Character(window, vals)
     return Character.dual_by_label(window, spec)
 
@@ -214,7 +222,16 @@ def cmd_canonical_valuation(args):
     return out
 
 
+_DETECT_NEEDS = {"cpair": ("f", "g"), "inertia": ("inertia_gens",),
+                 "classify": ("valuation",)}
+
+
 def cmd_detect(args):
+    missing = [name for name in _DETECT_NEEDS.get(args.mode, ())
+               if getattr(args, name) is None]
+    if missing:
+        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        raise ParseError(f"--mode {args.mode} needs {flags}")
     model = _field(args)
     w = _window(args, model)
     lift = args.lift_level or args.level
@@ -384,16 +401,23 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         sys.stderr.write("jobs must be >= 1\n")
         return 1
+    code = 0
     try:
+        if getattr(args, "height", 0) < 0:
+            raise PreconditionViolated("--height must be >= 0")
         payload = args.func(args)
     except HypothesisFailed as e:
-        emit({"error": e.payload()}, args)
-        return 2
+        payload, code = {"error": e.payload()}, 2
     except ValdetectError as e:
-        emit({"error": e.payload()}, args)
+        payload, code = {"error": e.payload()}, 1
+    try:
+        emit(payload, args.output)
+    except OSError as e:
+        err = PreconditionViolated(
+            f"cannot write --output {args.output!r}: {e.strerror}")
+        emit({"error": err.payload()})
         return 1
-    emit(payload, args)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -8,13 +8,20 @@ run over the (small) triple table instead of the raw stream, with witnesses
 recovered from the stored representatives in stream order.
 
 For rational function fields the table is built by sweeping all
-numerator/denominator pairs per block (vectorized with numpy when the
-constant field is prime and the listed places have degree one).  For Laurent
-levels the stream is c * t^e with c from the residue stream, and the triple
-of such an element is determined exactly by e and the residue data of c, so
-the table derives from the residue table.
+numerator/denominator pairs per block.  When the constant field is prime and
+the listed places have degree one, a numpy kernel does the sweep by table
+lookups: every polynomial of bounded degree gets a packed class key once
+(its place multiplicities and leading-coefficient dlog, in mixed radix), the
+ids of den - num and den + num come from small digit-group tables, and a
+pair's triple is three key gathers; per denominator only the triples not
+seen before in the block are sorted and emitted.  The pure-Python sweep
+stays as its reference and gives the same entries, keys and
+representatives.  For Laurent levels the stream is c * t^e with c from the
+residue stream, and the triple of such an element is determined exactly by
+e and the residue data of c, so the table derives from the residue table.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,174 +220,6 @@ def _ratfunc_rep(model, num, den):
     return lambda: model.from_poly(num, den)
 
 
-FORCE_PURE = False  # set in tests to cross-check the two ratfunc paths
-
-
-def _numpy_eligible(window):
-    if FORCE_PURE:
-        return False
-    model = window.model
-    if model.kind != "ratfunc" or model.ff.base is not None:
-        return False
-    return all(model.ff.poly_deg(g[1]) == 1
-               for g in window.gens if g[0] == PLACE)
-
-
-class _NumpyPolyTable:
-    """Per-window table of all polynomials of degree <= h with class data,
-    indexed by the base-q digit encoding."""
-
-    def __init__(self, window, h):
-        ff = window.model.ff
-        q = ff.p
-        self.q = q
-        self.h = h
-        n = q ** (h + 1)
-        ids = np.arange(n, dtype=np.int64)
-        digits = np.empty((n, h + 1), dtype=np.int64)
-        tmp = ids.copy()
-        for i in range(h + 1):
-            digits[:, i] = tmp % q
-            tmp //= q
-        self.digits = digits
-        nz = digits != 0
-        self.deg = np.where(
-            nz.any(axis=1), h - np.argmax(nz[:, ::-1], axis=1), -1)
-        places, const = _ratfunc_gen_data(window)
-        roots = [(-p[0]) % q for p in places]
-        self.mults = [self._mult_at(digits, self.deg, a, q) for a in roots]
-        lead = digits[np.arange(n), np.clip(self.deg, 0, h)]
-        if const:
-            dlog_tab = np.zeros(q, dtype=np.int64)
-            for c in range(1, q):
-                dlog_tab[c] = ff.dlog(c)
-            self.dlog_lc = dlog_tab[lead]
-        else:
-            self.dlog_lc = None
-        # canonical (c0,..,cd)-lex order within each degree, matching the
-        # pure-python polys_of_degree enumeration
-        self.canon = {}
-        for d in range(h + 1):
-            sel = np.nonzero(self.deg == d)[0]
-            cols = tuple(digits[sel, i] for i in range(d, -1, -1))
-            self.canon[d] = sel[np.lexsort(cols)]
-        scale = window.level.modulus ** len(places)
-        if const:
-            scale *= [o for g, o in zip(window.gens, window.orders)
-                      if g[0] == CONST][0]
-        self.scale = scale
-
-    @staticmethod
-    def _mult_at(digits, deg, a, q):
-        n, w = digits.shape
-        mult = np.zeros(n, dtype=np.int64)
-        cur = digits.copy()
-        alive = deg >= 0
-        for _ in range(w):
-            val = np.zeros(n, dtype=np.int64)
-            for i in range(w - 1, -1, -1):
-                val = (val * a + cur[:, i]) % q
-            divisible = alive & (val == 0)
-            if not divisible.any():
-                break
-            nxt = np.zeros_like(cur)
-            acc = np.zeros(n, dtype=np.int64)
-            for i in range(w - 1, 0, -1):
-                acc = (acc * a + cur[:, i]) % q
-                nxt[:, i - 1] = acc
-            cur = np.where(divisible[:, None], nxt, cur)
-            mult += divisible
-            alive = divisible & (cur.sum(axis=1) > 0)
-        return mult
-
-    def ids_of_degree(self, d):
-        return self.canon[d]
-
-    def ids_up_to_degree(self, d):
-        return np.concatenate([self.canon[i] for i in range(d + 1)])
-
-    def pair_key(self, window, ids, den_id):
-        """Packed window class of f/g for an id array f and a fixed g."""
-        mod = window.level.modulus
-        kx = np.zeros(len(ids), dtype=np.int64)
-        scale = 1
-        for m in self.mults:
-            kx += ((m[ids] - m[den_id]) % mod) * scale
-            scale *= mod
-        if self.dlog_lc is not None:
-            oc = [o for g, o in zip(window.gens, window.orders)
-                  if g[0] == CONST][0]
-            kx += ((self.dlog_lc[ids] - self.dlog_lc[den_id]) % oc) * scale
-        return kx
-
-
-_NP_TABLES = {}
-
-
-def _np_table(window, h):
-    hh = max(h, 4)
-    key = (window, hh)
-    tab = _NP_TABLES.get(key)
-    if tab is None:
-        tab = _NP_TABLES[key] = _NumpyPolyTable(window, hh)
-    return tab
-
-
-def _ratfunc_block_numpy(window, s):
-    model = window.model
-    ff = model.ff
-    tab = _np_table(window, s)
-    q = tab.q
-    dens = [d for deg in range(s + 1) for d in ff.monic_polys(deg)]
-    out = []
-    seen = set()
-    powers = q ** np.arange(tab.h + 1, dtype=np.int64)
-    shift = 2 * tab.scale + 2
-    for di, den in enumerate(dens):
-        den_digits = np.zeros(tab.h + 1, dtype=np.int64)
-        den_digits[: len(den)] = den
-        den_id = int(den_digits @ powers)
-        if ff.poly_deg(den) == s:
-            num_ids = tab.ids_up_to_degree(s)
-        else:
-            num_ids = tab.ids_of_degree(s)
-        nd = tab.digits[num_ids]
-        minus_ids = ((den_digits[None, :] - nd) % q) @ powers
-        plus_ids = ((den_digits[None, :] + nd) % q) @ powers
-        kx = tab.pair_key(window, num_ids, den_id)
-        km = np.where(minus_ids == 0, -1,
-                      tab.pair_key(window, minus_ids, den_id))
-        kp = np.where(plus_ids == 0, -1,
-                      tab.pair_key(window, plus_ids, den_id))
-        full = (kx * shift + (km + 1)) * shift + (kp + 1)
-        uniq, first = np.unique(full, return_index=True)
-        order = np.argsort(first, kind="stable")
-        for u, ni in zip(uniq[order].tolist(), first[order].tolist()):
-            if u in seen:
-                continue
-            seen.add(u)
-            nid = int(num_ids[ni])
-            num = tuple(int(c) for c in tab.digits[nid][: tab.deg[nid] + 1])
-            out.append(_entry_from_polys(window, (s, di, int(ni)), num, den))
-    return out
-
-
-def _entry_from_polys(window, key, num, den):
-    model = window.model
-    ff = model.ff
-    memo = _MEMO.setdefault(window, {})
-    dden = _ratfunc_poly_class(window, memo, den)
-    diff = ff.poly_sub(den, num)
-    sm = ff.poly_add(den, num)
-    cls_x = _ratfunc_assemble(window, _ratfunc_poly_class(window, memo, num),
-                              dden)
-    cls_1mx = None if not diff else _ratfunc_assemble(
-        window, _ratfunc_poly_class(window, memo, diff), dden)
-    cls_1px = None if not sm else _ratfunc_assemble(
-        window, _ratfunc_poly_class(window, memo, sm), dden)
-    return ScanEntry(key, cls_x, cls_1mx, cls_1px, _ratfunc_rep(model, num, den))
-
-
 # ---------------------------------------------------------------------------
 # Laurent levels: derive from the residue table
 # ---------------------------------------------------------------------------
@@ -474,48 +313,267 @@ def _decomp_place_classes(window, place, h):
     return out
 
 
+# ---------------------------------------------------------------------------
+# numpy kernel: packed class keys and table lookups
+# ---------------------------------------------------------------------------
+
+FORCE_PURE = False  # set in tests to cross-check against the pure path
+
+
+def _numpy_eligible(window):
+    if FORCE_PURE:
+        return False
+    model = window.model
+    if model.kind != "ratfunc" or model.ff.base is not None:
+        return False
+    if (math.prod(window.orders) + 1) ** 3 >= 2 ** 63:
+        return False  # packed triple keys would overflow int64
+    return all(model.ff.poly_deg(g[1]) == 1
+               for g in window.gens if g[0] == PLACE)
+
+
+_GROUP_SPAN = 64  # digit groups take at most this many values
+
+
+class _ClassTable:
+    """Packed window class of every polynomial of degree <= h over F_p.
+
+    The polynomial sum c_i u^i has id sum c_i p^i.  key[id] packs, in
+    mixed radix over window.orders, its multiplicity at each listed place
+    mod l^n and the dlog of its leading coefficient mod the const order;
+    the zero polynomial gets the sentinel `size`.  The class of num/den is
+    key[num] minus key[den], component by component (`shift`), and
+    _unpack_class_key reads a packed key back as a class vector.
+
+    Sums and differences are formed on ids through groups of g digits with
+    p^g <= _GROUP_SPAN: add[b, a] and sub[b, a] are the digitwise b + a and
+    b - a of two group values.
+    """
+
+    def __init__(self, window, h):
+        ff = self.ff = window.model.ff
+        p = self.p = ff.p
+        self.h = h
+        self.orders = window.orders
+        self.size = math.prod(self.orders)
+        digits = _digits(np.arange(p ** (h + 1)), p, h + 1)
+        key = np.zeros(len(digits), dtype=np.int64)
+        weight = 1
+        for g, order in zip(window.gens, self.orders):
+            if g[0] == PLACE:
+                part = _root_multiplicity(digits, (-g[1][0]) % p, p)
+            else:  # dlog of the leading coefficient (0 for zero)
+                deg = h - np.argmax(digits[:, ::-1] != 0, axis=1)
+                dlog = np.array([0] + [ff.dlog(c) for c in range(1, p)])
+                part = dlog[digits[np.arange(len(digits)), deg]]
+            key += part % order * weight
+            weight *= order
+        key[0] = self.size
+        self.key = key
+        self.key1 = key * (self.size + 1)
+        g = 1
+        while p ** (g + 1) <= _GROUP_SPAN:
+            g += 1
+        self.g = g
+        gd = _digits(np.arange(p ** g), p, g)
+        place = p ** np.arange(g)
+        self.add = (gd[:, None, :] + gd[None, :, :]) % p @ place
+        self.sub = (gd[:, None, :] - gd[None, :, :]) % p @ place
+        self._grids = {}
+
+    def groups(self, width):
+        """(first digit, digit count) of each group of a width-digit id."""
+        return [(lo, min(self.g, width - lo))
+                for lo in range(0, width, self.g)]
+
+    def group_values(self, poly, width):
+        return [_poly_id(poly[lo:lo + w], self.p)
+                for lo, w in self.groups(width)]
+
+    def shift(self, keys, kd, sign):
+        """keys + sign * kd component by component; the sentinel is fixed."""
+        out = np.zeros_like(keys)
+        weight = 1
+        for order in self.orders:
+            out += (keys // weight + sign * (kd // weight)) % order * weight
+            weight *= order
+        return np.where(keys == self.size, keys, out)
+
+    def grid(self, s, full):
+        got = self._grids.get((s, full))
+        if got is None:
+            got = self._grids[(s, full)] = _NumeratorGrid(self, s, full)
+        return got
+
+
+class _NumeratorGrid:
+    """The numerators of block s, either all polynomials of degree <= s
+    (`full`, with the zero polynomial at position 0) or those of degree
+    exactly s, laid out on the digit groups with the top group slowest:
+    position i holds id base + i.
+
+    sub[j] and add[j] hold, for each value of a denominator's group j, the
+    place-valued group j of den - num and den + num at every group value
+    of the grid; tx is the numerator's key in the top slot of a triple key
+    and ni its index in the canonical numerator order."""
+
+    def __init__(self, tab, s, full):
+        p = tab.p
+        self.base = 0 if full else p ** s
+        ids = np.arange(self.base, p ** (s + 1))
+        self.sub, self.add = [], []
+        for lo, w in tab.groups(s + 1):
+            vals = np.arange(p ** w)
+            if not full and lo + w == s + 1:
+                vals = vals[vals >= p ** (w - 1)]
+            self.sub.append(tab.sub[:, vals] * p ** lo)
+            self.add.append(tab.add[:, vals] * p ** lo)
+        s1 = tab.size + 1
+        self.tx = tab.key[ids] * s1 * s1
+        if full:
+            self.tx[0] = -s1 ** 3  # the zero numerator matches no triple
+        stream = [_poly_id(f, p) - self.base
+                  for d in (range(s + 1) if full else (s,))
+                  for f in tab.ff.polys_of_degree(d)]
+        self.ni = np.zeros(len(ids), dtype=np.int64)
+        self.ni[stream] = np.arange(len(stream))
+
+
+def _digits(ids, p, width):
+    return ids[:, None] // p ** np.arange(width) % p
+
+
+def _root_multiplicity(digits, a, p):
+    """Multiplicity of the root a in each nonzero digit row: the index of
+    the first nonzero coefficient of f(u + a)."""
+    w = digits.shape[1]
+    taylor = np.zeros((w, w), dtype=np.int64)
+    for j in range(w):
+        for i in range(j + 1):
+            taylor[j, i] = math.comb(j, i) * pow(a, j - i, p) % p
+    return np.argmax(digits @ taylor % p != 0, axis=1)
+
+
+def _outer_sum(rows):
+    """All sums r_0[i_0] + ... + r_k[i_k], flattened with i_k slowest."""
+    acc = rows[-1]
+    for r in reversed(rows[:-1]):
+        acc = np.add.outer(acc, r).ravel()
+    return acc
+
+
+_NP_TABLES = {}
+
+
+def _class_table(window, h):
+    tab = _NP_TABLES.get(window)
+    if tab is None or tab.h < h:
+        tab = _NP_TABLES[window] = _ClassTable(window, h)
+    return tab
+
+
+def _ratfunc_block_numpy(window, s):
+    """Block s of the ratfunc table: for each denominator in stream order,
+    the triples not yet emitted in this block, at their first numerator.
+
+    Per denominator the ids of den -+ num come from digit-group gathers and
+    the unreduced triple key (key[num], key[den - num], key[den + num]) from
+    two key gathers.  Instead of reducing every pair by the denominator's
+    class, the (few) emitted triples are moved into each denominator class's
+    frame once, and kept there as a sorted array that later emissions are
+    merged into; membership is then one searchsorted, and only the misses
+    are sorted."""
+    model = window.model
+    ff = model.ff
+    tab = _class_table(window, s)
+    s1 = tab.size + 1
+    end = s1 ** 3
+    emitted = []  # reduced triples, one array per emitting denominator
+    frames = {}   # den class -> (sorted unreduced keys + end, arrays merged)
+    out = []
+    dens = [d for deg in range(s + 1) for d in ff.monic_polys(deg)]
+    for di, den in enumerate(dens):
+        grid = tab.grid(s, ff.poly_deg(den) == s)
+        kd = int(tab.key[_poly_id(den, tab.p)])
+        b = tab.group_values(den, s + 1)
+        minus = _outer_sum([col[bj] for col, bj in zip(grid.sub, b)])
+        plus = _outer_sum([col[bj] for col, bj in zip(grid.add, b)])
+        t = grid.tx + tab.key1[minus] + tab.key[plus]
+        known, merged = frames.get(kd, (np.array([end]), 0))
+        if merged < len(emitted):
+            moved = tab.shift(np.concatenate(emitted[merged:]), kd, 1)
+            moved = (moved[:, 0] * s1 + moved[:, 1]) * s1 + moved[:, 2]
+            known = np.sort(np.concatenate([known, moved]), kind="stable")
+            frames[kd] = known, len(emitted)
+        fresh = np.flatnonzero(known[np.searchsorted(known, t)] != t)
+        if grid.base == 0:
+            fresh = fresh[1:]  # the zero numerator
+        if not fresh.size:
+            continue
+        fresh = fresh[np.argsort(grid.ni[fresh], kind="stable")]
+        _, first = np.unique(t[fresh], return_index=True)
+        fresh = fresh[np.sort(first)]  # first occurrences, in stream order
+        tk = t[fresh]
+        trip = tab.shift(np.stack([tk // (s1 * s1), tk // s1 % s1, tk % s1],
+                                  axis=1), kd, -1)
+        emitted.append(trip)
+        for (kx, km, kp), n, pos in zip(trip.tolist(), grid.ni[fresh].tolist(),
+                                        fresh.tolist()):
+            num = _poly_of_id(grid.base + pos, tab.p)
+            out.append(ScanEntry(
+                (s, di, n), _unpack_class_key(window, kx),
+                None if km == tab.size else _unpack_class_key(window, km),
+                None if kp == tab.size else _unpack_class_key(window, kp),
+                _ratfunc_rep(model, num, den)))
+    return out
+
+
+def _poly_id(poly, p):
+    return sum(c * p ** i for i, c in enumerate(poly))
+
+
+def _poly_of_id(pid, p):
+    out = []
+    while pid:
+        pid, c = divmod(pid, p)
+        out.append(c)
+    return tuple(out)
+
+
 def _decomp_place_classes_numpy(window, place, h):
+    """The ids of b + P*a come from digit-group gathers against the fixed
+    groups of P*a; their keys, reduced by the class of b, are the classes."""
     ff = window.model.ff
-    q = ff.p
-    dp = ff.poly_deg(place)
-    tab = _np_table(window, h + dp)
-    width = tab.h + 1
-    powers = q ** np.arange(width, dtype=np.int64)
-    # digits of P*a for every a of degree <= h
-    a_ids = tab.ids_up_to_degree(h)
-    ad = tab.digits[a_ids]
+    width = h + len(place)  # digits of P*a
+    tab = _class_table(window, width - 1)
+    p = tab.p
+    a_ids = np.arange(1, p ** (h + 1))
+    a_digits = _digits(a_ids, p, h + 1)
     pa = np.zeros((len(a_ids), width), dtype=np.int64)
-    for j, cj in enumerate(place):
-        if cj:
-            pa[:, j:j + width - j] += cj * ad[:, : width - j]
-    pa %= q
-    adeg = tab.deg[a_ids]
+    for j, c in enumerate(place):
+        pa[:, j:j + h + 1] += c * a_digits
+    pa %= p
+    groups = tab.groups(width)
+    pa_groups = [pa[:, lo:lo + w] @ p ** np.arange(w) for lo, w in groups]
+    top = a_ids >= p ** h
     keys = set()
     for bdeg in range(h + 1):
+        cols = pa_groups if bdeg == h else [g[top] for g in pa_groups]
         for b in ff.monic_polys(bdeg):
             if ff.place_multiplicity(b, place) > 0:
                 continue
-            bd = np.zeros(width, dtype=np.int64)
-            bd[: len(b)] = b
-            b_id = int(bd @ powers)
-            sel = (adeg == h) if bdeg < h else (adeg <= h)
-            num_ids = ((bd[None, :] + pa[sel]) % q) @ powers
-            num_ids = num_ids[num_ids != 0]
-            kx = tab.pair_key(window, num_ids, b_id)
-            keys.update(np.unique(kx).tolist())
+            kd = int(tab.key[_poly_id(b, p)])
+            ids = sum(tab.add[bj][col] * p ** lo for bj, col, (lo, _)
+                      in zip(tab.group_values(b, width), cols, groups))
+            got = np.unique(tab.key[ids])
+            keys.update(tab.shift(got[got < tab.size], kd, -1).tolist())
     return {_unpack_class_key(window, k) for k in keys}
 
 
 def _unpack_class_key(window, key):
-    """Inverse of the pair_key packing (places in order, then const)."""
-    mod = window.level.modulus
-    by_index = {}
-    for i, g in enumerate(window.gens):
-        if g[0] == PLACE:
-            by_index[i] = key % mod
-            key //= mod
-    for i, (g, order) in enumerate(zip(window.gens, window.orders)):
-        if g[0] == CONST:
-            by_index[i] = key % order
-            key //= order
-    return tuple(by_index.get(i, 0) for i in range(window.rank))
+    """The class vector of a packed class key (inverse of the packing)."""
+    out = []
+    for order in window.orders:
+        key, c = divmod(key, order)
+        out.append(c)
+    return tuple(out)

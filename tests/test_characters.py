@@ -200,3 +200,24 @@ def test_window_level_mismatch(w_t_c, w_u_u3):
     g = Character.dual(w_u_u3, 0)
     with pytest.raises(LevelMismatch):
         f + g
+
+
+def test_dual_by_label_errors(w_u_u3, monkeypatch):
+    # any representative of a listed place names it
+    assert Character.dual_by_label(w_u_u3, "2*u+1") == \
+        Character.dual_by_label(w_u_u3, "u-3")
+    # labels that are not listed places, or not polynomials at all, get the
+    # documented error
+    for label in ("u-1", "1/u", "v", "u+"):
+        with pytest.raises(PreconditionViolated, match="no window generator"):
+            Character.dual_by_label(w_u_u3, label)
+    # a failure inside the polynomial parser is no longer taken for "not a
+    # place label"
+
+    def broken(model, s):
+        raise RuntimeError("internal failure")
+
+    import valdetect.fields
+    monkeypatch.setattr(valdetect.fields, "_parse_poly", broken)
+    with pytest.raises(RuntimeError, match="internal failure"):
+        Character.dual_by_label(w_u_u3, "u-1")

@@ -1,4 +1,5 @@
 import json
+import os
 
 from valdetect.cli import main
 
@@ -185,7 +186,50 @@ def test_jobs_env_var():
     out = subprocess.run(
         [sys.executable, "-m", "valdetect.cli", "levels", "--ell", "3",
          "--n", "1"],
-        capture_output=True, text=True, env={"VALDETECT_JOBS": "3",
-                                             "PATH": "/usr/bin:/bin"})
+        capture_output=True, text=True,
+        env={**os.environ, "VALDETECT_JOBS": "3"})
     assert out.returncode == 0
     assert json.loads(out.stdout)["N"] == 1
+
+
+def _error_payload(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    return code, json.loads(out)["error"]
+
+
+def test_eval_bad_character_values(capsys):
+    code, err = _error_payload(
+        capsys, "eval", "--field", "ratfunc(gf:7,u)",
+        "--window", "{ell=3,n=1,gens=[u,u-3]}",
+        "--element", "5*u", "--char", "1,x")
+    assert code == 1
+    assert err["code"] == "parse-error"
+
+
+def test_detect_missing_mode_arguments(capsys):
+    code, err = _error_payload(
+        capsys, "detect", "--field", "laurent(gf:7,t)",
+        "--window", "{ell=3,n=1,gens=[t,const]}",
+        "--mode", "cpair", "--level", "1")
+    assert code == 1
+    assert err["code"] == "parse-error"
+    assert "--f" in err["message"] and "--g" in err["message"]
+
+
+def test_unwritable_output(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, err = _error_payload(capsys, "levels", "--ell", "3", "--n", "1",
+                               "--output", str(path))
+    assert code == 1
+    assert err["code"] == "precondition-violated"
+    assert not path.exists()
+
+
+def test_negative_height(capsys):
+    code, err = _error_payload(
+        capsys, "cpair", "--field", "ratfunc(gf:7,u)",
+        "--window", "{ell=3,n=1,gens=[u,u-3]}",
+        "--f", "u", "--g", "u-3", "--height", "-1")
+    assert code == 1
+    assert err["code"] == "precondition-violated"

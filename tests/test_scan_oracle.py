@@ -135,27 +135,66 @@ def test_window_generators_are_dual_basis():
             assert cls == tuple(1 if j == i else 0 for j in range(w.rank))
 
 
-def test_pure_and_vectorized_ratfunc_paths_agree():
+def _table_rows(window, heights, pure):
+    """(key, classes, representative data) of every entry, per height."""
     import valdetect.scans as scans
     from valdetect.scans import ScanIndex
-    model = parse_field("ratfunc(gf:7,u)")
-    w = parse_window(model, "{ell=3,n=1,gens=[u,u-3,const]}")
     try:
-        scans.FORCE_PURE = True
-        pure = [(e.key, e.cls_x, e.cls_1mx, e.cls_1px)
-                for e in ScanIndex(w).ensure(2).entries(2)]
+        scans.FORCE_PURE = pure
+        idx = ScanIndex(window).ensure(max(heights))
+        return [[(e.key, e.cls_x, e.cls_1mx, e.cls_1px, e.element().data)
+                 for e in idx.entries(h)] for h in heights]
     finally:
         scans.FORCE_PURE = False
-    fast = [(e.key, e.cls_x, e.cls_1mx, e.cls_1px)
-            for e in ScanIndex(w).ensure(2).entries(2)]
-    assert pure == fast
+
+
+def test_pure_and_vectorized_ratfunc_paths_agree():
+    # the pure-Python sweep is the reference for the numpy kernel: same
+    # entries, keys, classes and first-in-stream representatives
+    model = parse_field("ratfunc(gf:7,u)")
+    w = parse_window(model, "{ell=3,n=1,gens=[u,u-3,const]}")
+    assert _table_rows(w, (0, 1, 2), True) == _table_rows(w, (0, 1, 2), False)
     # and the decomposition class sweeps agree too
-    place = model.ff.poly_from_ints([0, 1])
-    for h in (0, 1, 2):
+    _assert_decomp_paths_agree(w, model.ff.poly_from_ints([0, 1]), 2)
+
+
+@pytest.mark.parametrize("fspec,wspec,top,places", [
+    ("ratfunc(gf:5,u)", "{ell=2,n=1,gens=[u,u-1,const]}", 3, ()),
+    # decomposition places u - 1 and u^2 + 2, neither listed
+    ("ratfunc(gf:5,u)", "{ell=2,n=2,gens=[u,u-2]}", 3, ([4, 1], [2, 0, 1])),
+    ("ratfunc(gf:3,u)", "{ell=2,n=1,gens=[u,u-1]}", 4, ()),
+])
+def test_pure_and_vectorized_paths_agree_to_top_degree(fspec, wspec, top,
+                                                       places):
+    # every height up to the top table degree, where the kernel's digit
+    # groups and numerator grids are widest
+    model = parse_field(fspec)
+    w = parse_window(model, wspec)
+    heights = range(top + 1)
+    assert _table_rows(w, heights, True) == _table_rows(w, heights, False)
+    for place in places:
+        _assert_decomp_paths_agree(w, model.ff.poly_from_ints(place), 2)
+
+
+def _assert_decomp_paths_agree(window, place, top):
+    import valdetect.scans as scans
+    for h in range(top + 1):
         try:
             scans.FORCE_PURE = True
-            a = scans._decomp_place_classes(w, place, h)
+            pure = scans._decomp_place_classes(window, place, h)
         finally:
             scans.FORCE_PURE = False
-        b = scans._decomp_place_classes(w, place, h)
-        assert a == b
+        assert pure == scans._decomp_place_classes(window, place, h), h
+
+
+def test_packed_keys_fit_int64_or_pure_path():
+    import valdetect.scans as scans
+    model = parse_field("ratfunc(gf:7,u)")
+    small = parse_window(model, "{ell=3,n=2,gens=[u,u-1,u-2,u-3,u-4,u-5]}")
+    big = parse_window(model,
+                       "{ell=3,n=2,gens=[u,u-1,u-2,u-3,u-4,u-5,u-6]}")
+    assert scans._numpy_eligible(small)
+    # 9^7 classes: triple keys past 2^63, so the pure path builds the table
+    assert not scans._numpy_eligible(big)
+    assert index_triples(big, 0) == brute_triples(
+        big, enumerate_elements(model, 0))
