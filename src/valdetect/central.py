@@ -59,9 +59,6 @@ class CentralFrame:
         r = self.rank
         return r * (r - 1) // 2 + r
 
-    def pair_index(self, i, j):
-        return self.pairs.index((i, j))
-
     def pi_index(self, r):
         return len(self.pairs) + r
 

@@ -21,6 +21,7 @@ from .coeffmod import (
     howell_form,
     kernel_mod,
     span_contains,
+    val_mod,
     FinMod,
 )
 from .errors import (
@@ -224,7 +225,7 @@ class CharacterGroup:
         out = [Character.zero(self.window)]
         for row in self._form:
             piv = next(x for x in row if x)
-            order = mod // _gcd_pow(piv, ell, n)
+            order = mod // ell ** val_mod(piv, ell, n)
             new = []
             for mult in range(1, order):
                 vec = tuple(mult * x for x in row)
@@ -298,7 +299,7 @@ class CharacterGroup:
         for i, row in enumerate(self._form):
             col = next(j for j, x in enumerate(row) if x)
             piv = row[col]
-            pv = _gcd_pow(piv, ell, n)
+            pv = ell ** val_mod(piv, ell, n)
             if v[col] % pv:
                 raise PreconditionViolated("vector outside the span")
             q = v[col] // pv
@@ -331,33 +332,15 @@ class CharacterGroup:
             gens.append(Character(self.window, tuple(vec)))
         return CharacterGroup(self.window, gens)
 
-    def add_member(self, char: Character) -> "CharacterGroup":
-        return CharacterGroup(self.window, self.gens + (char,))
-
     def reduce_level(self, n: int) -> "CharacterGroup":
         return CharacterGroup(self.window.at_level(n),
                               tuple(g.reduce_level(n) for g in self.gens))
-
-    def perp_contains_class(self, cls) -> bool:
-        """Whether a window class lies in A-perp (kernel of every member)."""
-        return all(Character(self.window, row).evaluate_class(cls) == 0
-                   for row in self._form)
-
-    def perp_contains(self, x) -> bool:
-        return self.perp_contains_class(self.window.classify(x))
 
     def labels(self):
         return [Character(self.window, row).label() for row in self._form]
 
     def __repr__(self):
         return f"<subgroup {{{', '.join(self.labels())}}} of {self.window.spec()}>"
-
-
-def _gcd_pow(x, ell, n):
-    pv = 1
-    while x % (pv * ell) == 0 and pv * ell <= ell ** n:
-        pv *= ell
-    return pv
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ emit canonical JSON reports.
 Output is byte-identical across runs for identical commands: fixed seeds,
 canonical orderings, sorted keys, and arbitrary-precision integers printed
 in full.  Exit status: 0 on success, 2 when a pipeline reports a hypothesis
-failure, 1 on any other error (with a machine-readable error payload).
+failure, 1 on any other error, argument errors included (with a
+machine-readable error payload).
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .coeffmod import index_m, index_n, level_bound
@@ -291,15 +291,19 @@ def cmd_cl_check(args):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ParseError, so they leave as error payloads;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="valdetect",
         description="Exact mod-l^n character, K2 and valuation-detection "
                     "computations over explicit small fields.")
-    ap.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("VALDETECT_JOBS", "1")),
-                    help="worker cap (scans currently run in-process; the "
-                         "flag bounds any future parallelism)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, window=True, height=True):
@@ -397,12 +401,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        sys.stderr.write("jobs must be >= 1\n")
-        return 1
-    code = 0
+    code, output = 0, None
     try:
+        args = build_parser().parse_args(argv)
+        output = args.output
         if getattr(args, "height", 0) < 0:
             raise PreconditionViolated("--height must be >= 0")
         payload = args.func(args)
@@ -411,10 +413,10 @@ def main(argv=None) -> int:
     except ValdetectError as e:
         payload, code = {"error": e.payload()}, 1
     try:
-        emit(payload, args.output)
+        emit(payload, output)
     except OSError as e:
         err = PreconditionViolated(
-            f"cannot write --output {args.output!r}: {e.strerror}")
+            f"cannot write --output {output!r}: {e.strerror}")
         emit({"error": err.payload()})
         return 1
     return code

@@ -10,7 +10,6 @@ bounds grow like l^(3n), so Coeff values are plain Python integers).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import LevelMismatch, PreconditionViolated
 
@@ -304,15 +303,6 @@ def smith_form(rows, ell: int, e: int, ncols: int):
         for j in range(ncols):
             vinv[src][j] = (vinv[src][j] - c * vinv[dst][j]) % m
 
-    def col_scale(i, u):
-        ui = inv_mod(u, m)
-        for r in a:
-            r[i] = r[i] * u % m
-        for r in vmat:
-            r[i] = r[i] * u % m
-        for j in range(ncols):
-            vinv[i][j] = vinv[i][j] * ui % m
-
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
 
@@ -371,11 +361,6 @@ def kernel_mod(rows, ell: int, e: int, ncols: int):
     return howell_form(gens, ell, e, ncols)
 
 
-def annihilator_mod(rows, ell: int, e: int, ncols: int):
-    """Generators for {x : <r, x> = 0 for every row r} over Z/l^e."""
-    return kernel_mod(rows, ell, e, ncols)
-
-
 @dataclass(frozen=True)
 class FinMod:
     """A finitely generated Z/l^n-module presented by generators and relations.
@@ -426,12 +411,6 @@ class FinMod:
         out.sort(key=lambda t: (-t[1], t[0]))
         return out
 
-    def element_count(self):
-        total = 1
-        for _, order in self.quasi_basis():
-            total *= order
-        return total
-
     def is_cyclic(self):
         return len(self.quasi_basis()) <= 1
 
@@ -462,8 +441,3 @@ def submodule_contains(module: FinMod, gens, x) -> bool:
         list(gens) + list(module.relations), ell, e, module.rank
     )
     return span_contains(form, x, ell, e)
-
-
-@lru_cache(maxsize=None)
-def _binom2(m: int) -> int:
-    return m * (m - 1) // 2

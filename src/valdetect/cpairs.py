@@ -12,7 +12,7 @@ methods must agree wherever both are exact.
 
 from dataclasses import dataclass
 
-from .coeffmod import howell_form, span_contains
+from .coeffmod import howell_form, span_contains, val_mod
 from .errors import (
     LevelMismatch,
     NotQuasiIndependent,
@@ -124,22 +124,12 @@ def _k2_pair_drop(sp, f, g, a, b):
         j = fm // ell ** a
         k = gm // ell ** b
         coeff = (h * k - i * j) % ell ** wedge_exp
-        v = _val(coeff, ell, wedge_exp)
+        v = val_mod(coeff, ell, wedge_exp)
         if v < best:
             best = v
             best_wit = wit
     cval = n - best
     return cval, (best_wit.element() if best_wit is not None else None)
-
-
-def _val(x, ell, cap):
-    if x == 0:
-        return cap
-    v = 0
-    while x % ell == 0:
-        x //= ell
-        v += 1
-    return min(v, cap)
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,6 @@ class FiniteField:
     def one(self):
         return self.from_int(1)
 
-    @property
-    def minus_one(self):
-        return self.from_int(-1)
-
     def elements(self):
         return range(self.q)
 

@@ -794,28 +794,17 @@ def _lift_bottom(model, x):
     return model.elt((((0, inner.data),), None))
 
 
-def lift_residue(model, x):
-    """Lift an element of the residue field one Laurent level up (constant
-    in the uniformizer)."""
-    if model.kind != "laurent":
-        raise UnsupportedValuation("lift_residue expects a Laurent model")
-    if x.model != model.base:
-        raise UnsupportedValuation("element is not in the residue field")
-    if x.is_zero():
-        return model.zero()
-    return model.elt((((0, x.data),), None))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_blocks(model, height):
+def enumerate_blocks(model, height, ratfunc_cap=None):
     """Yield per-height lists: block s holds the elements new at height s.
 
     The concatenation of blocks 0..h is the deterministic, duplicate-free
     enumeration stream at height h; streams at different heights are prefixes
-    of one another.
+    of one another.  With `ratfunc_cap`, rational-function blocks above the
+    cap are empty, at every level of a tower.
     """
     if model.kind == "finite":
         yield [model.elt(c) for c in model.ff.elements()]
@@ -824,41 +813,51 @@ def enumerate_blocks(model, height):
         return
     if model.kind == "ratfunc":
         for s in range(height + 1):
-            yield list(_ratfunc_block(model, s))
+            capped = ratfunc_cap is not None and s > ratfunc_cap
+            yield [] if capped else list(_ratfunc_block(model, s))
         return
     # laurent: x = c * t^e with c from the residue stream, max(|e|, block(c)) = s
     res_blocks = []
-    for s, blk in enumerate(enumerate_blocks(model.base, height)):
+    for s, blk in enumerate(enumerate_blocks(model.base, height, ratfunc_cap)):
         res_blocks.append(blk)
-        out = []
-        if s == 0:
-            out.append(model.zero())
+        out = [model.zero()] if s == 0 else []
         for sc, cblk in enumerate(res_blocks):
+            es = laurent_exponents(s, sc)
             for c in cblk:
-                if c.is_zero():
-                    continue
-                es = range(-s, s + 1) if sc == s else (-s, s)
-                if s == 0:
-                    es = (0,)
-                for e in sorted(es):
-                    out.append(model.elt((((e, c.data),), None)))
+                if not c.is_zero():
+                    out.extend(model.elt((((e, c.data),), None)) for e in es)
         yield out
+
+
+def laurent_exponents(s, sc):
+    """The exponents e, ascending, of the elements c * t^e in Laurent block s
+    for a residue element c first seen in block sc <= s."""
+    if sc < s:
+        return (-s, s)
+    return range(-s, s + 1)
+
+
+def ratfunc_denominators(ff, s):
+    """Denominators of rational-function block s in stream order: the monic
+    polynomials of degree <= s, by degree."""
+    for d in range(s + 1):
+        yield from ff.monic_polys(d)
+
+
+def ratfunc_numerators(ff, s, full):
+    """Nonzero numerators of rational-function block s in stream order, for a
+    denominator of degree s (`full`: every degree <= s) or of lower degree
+    (degree exactly s)."""
+    for d in (range(s + 1) if full else (s,)):
+        yield from ff.polys_of_degree(d)
 
 
 def _ratfunc_block(model, s):
     ff = model.ff
-    dens = []
-    for d in range(0, s + 1):
-        dens.extend(ff.monic_polys(d))
-    for den in dens:
-        dd = ff.poly_deg(den)
-        if dd == s:
-            nums = itertools.chain(
-                ((),) if s == 0 else (),
-                *(ff.polys_of_degree(d) for d in range(0, s + 1)),
-            )
-        else:
-            nums = ff.polys_of_degree(s)
+    for den in ratfunc_denominators(ff, s):
+        nums = ratfunc_numerators(ff, s, ff.poly_deg(den) == s)
+        if s == 0:
+            nums = itertools.chain(((),), nums)
         for num in nums:
             if num and ff.poly_deg(ff.poly_gcd(num, den)) > 0:
                 continue

@@ -8,6 +8,7 @@ to the residue window exactly and yields an unconditional lower bound; when
 the two bounds meet the order is certified.
 """
 
+import math
 from dataclasses import dataclass
 
 from .coeffmod import howell_form, span_contains, val_mod
@@ -54,13 +55,6 @@ class SymbolPresentation:
     def pairs(self):
         r = self.window.rank
         return [(i, j) for i in range(r) for j in range(i + 1, r)]
-
-    def wedge_orders(self):
-        o = self.window.orders
-        return [min(o[i], o[j]) for i, j in self.pairs]
-
-    def relation_rows(self):
-        return [w.wedge for w in self.witnesses]
 
 
 def wedge_of(window, cls_a, cls_b):
@@ -143,21 +137,13 @@ def k2_cyclic_order(sp: SymbolPresentation):
     if w.rank != 2:
         raise RankNotTwo(f"window has rank {w.rank}")
     ell, n = w.level.ell, w.level.n
-    wedge_exp = _exp(min(w.orders), ell)
+    wedge_exp = val_mod(min(w.orders), ell, n)
     best = wedge_exp
     for wit in sp.witnesses:
         v = val_mod(wit.wedge[0], ell, wedge_exp)
         best = min(best, v)
     order = ell ** best
     return order, n - best
-
-
-def _exp(power, ell):
-    e = 0
-    while power > 1:
-        power //= ell
-        e += 1
-    return e
 
 
 def k2_tame_lower_bound(window: Window) -> int:
@@ -226,7 +212,7 @@ def power_class_invariant(x, level):
     mod = level.modulus
     if m.kind == "finite":
         q = m.ff.q
-        d = _gcd(mod, q - 1)
+        d = math.gcd(mod, q - 1)
         return ("dlog", m.ff.dlog(x.data) % d)
     if m.kind == "ratfunc":
         num, den = x.data
@@ -238,7 +224,7 @@ def power_class_invariant(x, level):
             fac[p] = (fac.get(p, 0) - e) % mod
         fac = tuple(sorted((p, e) for p, e in fac.items() if e))
         c = ff.mul(num[-1], ff.inv(den[-1]))
-        d = _gcd(mod, ff.q - 1)
+        d = math.gcd(mod, ff.q - 1)
         return ("ratfunc", fac, ff.dlog(c) % d)
     v, lead = x.laurent_lead()
     return ("laurent", v % mod, power_class_invariant(lead, level))
@@ -250,12 +236,6 @@ def _invariant_trivial(inv):
     if inv[0] == "ratfunc":
         return not inv[1] and inv[2] == 0
     return inv[1] == 0 and _invariant_trivial(inv[2])
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def tame_symbol(f, g, place: ValuationHandle, level) -> TameClass:

@@ -96,39 +96,9 @@ class ValuativeVerdict:
 ELEMENT_RATFUNC_CAP = 1
 
 
-def capped_blocks(model, height, ratfunc_cap=ELEMENT_RATFUNC_CAP):
-    """enumerate_blocks with rational-function levels capped; Laurent
-    exponents still range over the full height."""
-    if model.kind == "finite":
-        yield from enumerate_blocks(model, height)
-        return
-    if model.kind == "ratfunc":
-        capped = min(height, ratfunc_cap)
-        for blk in enumerate_blocks(model, capped):
-            yield blk
-        for _ in range(capped + 1, height + 1):
-            yield []
-        return
-    res_blocks = []
-    for s, blk in enumerate(capped_blocks(model.base, height, ratfunc_cap)):
-        res_blocks.append(blk)
-        out = []
-        if s == 0:
-            out.append(model.zero())
-        for sc, cblk in enumerate(res_blocks):
-            for c in cblk:
-                if c.is_zero():
-                    continue
-                es = (0,) if s == 0 else (
-                    range(-s, s + 1) if sc == s else (-s, s))
-                for e in sorted(es):
-                    out.append(model.elt((((e, c.data),), None)))
-        yield out
-
-
-def capped_stream(model, height, ratfunc_cap=ELEMENT_RATFUNC_CAP):
-    for blk in capped_blocks(model, height, ratfunc_cap):
-        yield from blk
+def capped_stream(model, height):
+    return (x for blk in enumerate_blocks(model, height, ELEMENT_RATFUNC_CAP)
+            for x in blk)
 
 
 def valuative_test(H: MultSubgroup, height: int,

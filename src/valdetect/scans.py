@@ -19,6 +19,11 @@ stays as its reference and gives the same entries, keys and
 representatives.  For Laurent levels the stream is c * t^e with c from the
 residue stream, and the triple of such an element is determined exactly by
 e and the residue data of c, so the table derives from the residue table.
+
+A window's ScanIndex is the one owner of its memos: the triple table, the
+pure path's polynomial class data and the numpy path's class table, which
+the decomposition sweeps below share.  The indexes live for the process in
+one dict keyed by window, so later commands reuse the tables.
 """
 
 import math
@@ -26,7 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CONST, PLACE, UNIF, Window
+from .fields import (
+    CONST,
+    PLACE,
+    UNIF,
+    Window,
+    laurent_exponents,
+    ratfunc_denominators,
+    ratfunc_numerators,
+)
 
 
 @dataclass(frozen=True)
@@ -42,17 +55,20 @@ class ScanEntry:
 
 
 class ScanIndex:
-    """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples."""
+    """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples, and
+    owner of the window's polynomial class memos."""
 
     def __init__(self, window: Window):
         self.window = window
         self.blocks = []      # blocks[s] = new entries at height s
         self._seen = set()
+        self.poly_classes = {}    # pure path: poly -> class data
+        self.class_table = None   # numpy path: _ClassTable
 
     def ensure(self, height):
         while len(self.blocks) <= height:
             s = len(self.blocks)
-            raw = _block_entries(self.window, s)
+            raw = _block_entries(self, s)
             new = []
             for ent in raw:
                 trip = (ent.cls_x, ent.cls_1mx, ent.cls_1px)
@@ -85,10 +101,14 @@ def effective_height(model, height):
 
 
 def scan_index(window: Window, height: int) -> ScanIndex:
+    return _index_of(window).ensure(effective_height(window.model, height))
+
+
+def _index_of(window):
     idx = _INDEX_CACHE.get(window)
     if idx is None:
         idx = _INDEX_CACHE[window] = ScanIndex(window)
-    return idx.ensure(effective_height(window.model, height))
+    return idx
 
 
 def exhaustive_classes(model, height, level) -> bool:
@@ -110,13 +130,13 @@ def exhaustive_classes(model, height, level) -> bool:
     return False
 
 
-def _block_entries(window, s):
-    model = window.model
-    if model.kind == "finite":
-        return _finite_block(window, s)
-    if model.kind == "ratfunc":
-        return _ratfunc_block_entries(window, s)
-    return _laurent_block_entries(window, s)
+def _block_entries(index, s):
+    kind = index.window.model.kind
+    if kind == "finite":
+        return _finite_block(index.window, s)
+    if kind == "ratfunc":
+        return _ratfunc_block_entries(index, s)
+    return _laurent_block_entries(index.window, s)
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +201,17 @@ def _ratfunc_assemble(window, dnum, dden):
     return tuple(out)
 
 
-def _ratfunc_block_entries(window, s):
+def _ratfunc_block_entries(index, s):
+    window = index.window
+    if _numpy_eligible(window):
+        return _ratfunc_block_numpy(index, s)
     model = window.model
     ff = model.ff
-    if _numpy_eligible(window):
-        return _ratfunc_block_numpy(window, s)
-    memo = _MEMO.setdefault(window, {})
+    memo = index.poly_classes
     out = []
-    dens = [d for deg in range(s + 1) for d in ff.monic_polys(deg)]
-    for di, den in enumerate(dens):
+    for di, den in enumerate(ratfunc_denominators(ff, s)):
         dden = _ratfunc_poly_class(window, memo, den)
-        if ff.poly_deg(den) == s:
-            nums = [n for deg in range(s + 1) for n in ff.polys_of_degree(deg)]
-        else:
-            nums = list(ff.polys_of_degree(s))
+        nums = ratfunc_numerators(ff, s, ff.poly_deg(den) == s)
         for ni, num in enumerate(nums):
             if num == den:
                 diff = ()
@@ -211,9 +228,6 @@ def _ratfunc_block_entries(window, s):
                 (s, di, ni), cls_x, cls_1mx, cls_1px,
                 _ratfunc_rep(model, num, den)))
     return out
-
-
-_MEMO = {}
 
 
 def _ratfunc_rep(model, num, den):
@@ -254,30 +268,21 @@ def _laurent_block_entries(window, s):
     out = []
     # residue classes and triples grouped by first-occurrence block
     for sc in range(min(s, res_height) + 1):
-        entries = res_index.blocks[sc]
-        es = list(range(-s, s + 1)) if sc == s else [-s, s]
-        for ent in entries:
+        es = laurent_exponents(s, sc)
+        for ent in res_index.blocks[sc]:
             for e in es:
+                cls_x = embed(ent.cls_x, e)
                 if e > 0:
-                    cls_x = embed(ent.cls_x, e)
-                    out.append(ScanEntry((s, sc) + ent.key + (e,),
-                                         cls_x, window.zero_class(),
-                                         window.zero_class(),
-                                         lift(ent.rep, e)))
+                    cls_1mx = cls_1px = window.zero_class()
                 elif e < 0:
-                    cls_x = embed(ent.cls_x, e)
-                    out.append(ScanEntry((s, sc) + ent.key + (e,),
-                                         cls_x, cls_x, cls_x,
-                                         lift(ent.rep, e)))
+                    cls_1mx = cls_1px = cls_x
                 else:
-                    cls_x = embed(ent.cls_x, 0)
                     cls_1mx = None if ent.cls_1mx is None else \
                         embed(ent.cls_1mx, 0)
                     cls_1px = None if ent.cls_1px is None else \
                         embed(ent.cls_1px, 0)
-                    out.append(ScanEntry((s, sc) + ent.key + (0,),
-                                         cls_x, cls_1mx, cls_1px,
-                                         lift(ent.rep, 0)))
+                out.append(ScanEntry((s, sc) + ent.key + (e,), cls_x,
+                                     cls_1mx, cls_1px, lift(ent.rep, e)))
     return out
 
 
@@ -288,10 +293,11 @@ def _laurent_block_entries(window, s):
 def _decomp_place_classes(window, place, h):
     """Window classes of 1 + P*(a/b) over the block max(deg a, deg b) = h
     with P not dividing b; vectorized when the window is numpy-eligible."""
+    index = _index_of(window)
     if _numpy_eligible(window):
-        return _decomp_place_classes_numpy(window, place, h)
+        return _decomp_place_classes_numpy(index, place, h)
     ff = window.model.ff
-    memo = _MEMO.setdefault(window, {})
+    memo = index.poly_classes
     out = set()
     pa_memo = {}
     for bdeg in range(h + 1):
@@ -433,8 +439,7 @@ class _NumeratorGrid:
         if full:
             self.tx[0] = -s1 ** 3  # the zero numerator matches no triple
         stream = [_poly_id(f, p) - self.base
-                  for d in (range(s + 1) if full else (s,))
-                  for f in tab.ff.polys_of_degree(d)]
+                  for f in ratfunc_numerators(tab.ff, s, full)]
         self.ni = np.zeros(len(ids), dtype=np.int64)
         self.ni[stream] = np.arange(len(stream))
 
@@ -462,17 +467,13 @@ def _outer_sum(rows):
     return acc
 
 
-_NP_TABLES = {}
+def _class_table(index, h):
+    if index.class_table is None or index.class_table.h < h:
+        index.class_table = _ClassTable(index.window, h)
+    return index.class_table
 
 
-def _class_table(window, h):
-    tab = _NP_TABLES.get(window)
-    if tab is None or tab.h < h:
-        tab = _NP_TABLES[window] = _ClassTable(window, h)
-    return tab
-
-
-def _ratfunc_block_numpy(window, s):
+def _ratfunc_block_numpy(index, s):
     """Block s of the ratfunc table: for each denominator in stream order,
     the triples not yet emitted in this block, at their first numerator.
 
@@ -483,16 +484,16 @@ def _ratfunc_block_numpy(window, s):
     frame once, and kept there as a sorted array that later emissions are
     merged into; membership is then one searchsorted, and only the misses
     are sorted."""
+    window = index.window
     model = window.model
     ff = model.ff
-    tab = _class_table(window, s)
+    tab = _class_table(index, s)
     s1 = tab.size + 1
     end = s1 ** 3
     emitted = []  # reduced triples, one array per emitting denominator
     frames = {}   # den class -> (sorted unreduced keys + end, arrays merged)
     out = []
-    dens = [d for deg in range(s + 1) for d in ff.monic_polys(deg)]
-    for di, den in enumerate(dens):
+    for di, den in enumerate(ratfunc_denominators(ff, s)):
         grid = tab.grid(s, ff.poly_deg(den) == s)
         kd = int(tab.key[_poly_id(den, tab.p)])
         b = tab.group_values(den, s + 1)
@@ -540,12 +541,13 @@ def _poly_of_id(pid, p):
     return tuple(out)
 
 
-def _decomp_place_classes_numpy(window, place, h):
+def _decomp_place_classes_numpy(index, place, h):
     """The ids of b + P*a come from digit-group gathers against the fixed
     groups of P*a; their keys, reduced by the class of b, are the classes."""
+    window = index.window
     ff = window.model.ff
     width = h + len(place)  # digits of P*a
-    tab = _class_table(window, width - 1)
+    tab = _class_table(index, width - 1)
     p = tab.p
     a_ids = np.arange(1, p ** (h + 1))
     a_digits = _digits(a_ids, p, h + 1)

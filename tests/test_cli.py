@@ -1,5 +1,6 @@
 import json
-import os
+
+import pytest
 
 from valdetect.cli import main
 
@@ -158,14 +159,6 @@ def test_output_file(tmp_path, capsys):
     assert data["N"] == 1
 
 
-def test_jobs_flag_validation(capsys):
-    code = main(["--jobs", "0", "levels", "--ell", "3", "--n", "1"])
-    assert code == 1
-    code, out = run_cli(capsys, "--jobs", "4", "levels", "--ell", "3",
-                        "--n", "1")
-    assert code == 0
-
-
 def test_cross_process_determinism():
     import subprocess
     import sys
@@ -178,18 +171,6 @@ def test_cross_process_determinism():
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.strip()
-
-
-def test_jobs_env_var():
-    import subprocess
-    import sys
-    out = subprocess.run(
-        [sys.executable, "-m", "valdetect.cli", "levels", "--ell", "3",
-         "--n", "1"],
-        capture_output=True, text=True,
-        env={**os.environ, "VALDETECT_JOBS": "3"})
-    assert out.returncode == 0
-    assert json.loads(out.stdout)["N"] == 1
 
 
 def _error_payload(capsys, *argv):
@@ -224,6 +205,34 @@ def test_unwritable_output(capsys, tmp_path):
     assert code == 1
     assert err["code"] == "precondition-violated"
     assert not path.exists()
+
+
+def test_bad_argument_type_is_parse_error(capsys):
+    code, err = _error_payload(capsys, "levels", "--ell", "x", "--n", "1")
+    assert code == 1
+    assert err["code"] == "parse-error"
+    assert "--ell" in err["message"]
+
+
+def test_unknown_subcommand_is_parse_error(capsys):
+    code, err = _error_payload(capsys, "frobnicate")
+    assert code == 1
+    assert err["code"] == "parse-error"
+    assert "frobnicate" in err["message"]
+
+
+def test_removed_jobs_option_is_parse_error(capsys):
+    code, err = _error_payload(capsys, "--jobs", "4", "levels", "--ell", "3",
+                               "--n", "1")
+    assert code == 1
+    assert err["code"] == "parse-error"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["levels", "--help"])
+    assert exc.value.code == 0
+    assert "--ell" in capsys.readouterr().out
 
 
 def test_negative_height(capsys):

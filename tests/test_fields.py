@@ -14,6 +14,7 @@ from valdetect.ffpoly import FiniteField
 from valdetect.fields import (
     ValuationHandle,
     compose_valuations,
+    enumerate_blocks,
     enumerate_elements,
     format_element,
     parse_element,
@@ -154,6 +155,35 @@ def test_enumeration_counts_and_prefix(F7, F7u, F7t):
     l2 = list(enumerate_elements(F7t, 2))
     assert len(l2) == 31
     assert l2[:1][0].is_zero()
+
+
+@pytest.mark.parametrize("spec,height,cap", [
+    ("gf:7", 2, 0),
+    ("ratfunc(gf:7,u)", 2, 2),
+    ("ratfunc(gf:7,u)", 2, 5),
+    ("ratfunc(gf:7,u)", 2, 1),
+    ("ratfunc(gf:7,u)", 2, 0),
+    ("laurent(ratfunc(gf:3,u),t)", 2, 3),
+    ("laurent(ratfunc(gf:3,u),t)", 3, 1),
+    ("laurent(ratfunc(gf:3,u),t)", 2, 0),
+])
+def test_enumerate_blocks_ratfunc_cap(spec, height, cap):
+    m = parse_field(spec)
+    full = [[format_element(x) for x in blk]
+            for blk in enumerate_blocks(m, height)]
+    capped = [[format_element(x) for x in blk]
+              for blk in enumerate_blocks(m, height, ratfunc_cap=cap)]
+    assert len(capped) == height + 1
+    if cap >= height or m.kind == "finite":
+        assert capped == full
+    elif m.kind == "ratfunc":
+        assert capped[:cap + 1] == full[:cap + 1]
+        assert not any(capped[cap + 1:])
+    else:
+        # an in-order subsequence of the uncapped stream, and a proper one
+        stream = iter(sum(full, []))
+        assert all(x in stream for x in sum(capped, []))
+        assert len(sum(capped, [])) < len(sum(full, []))
 
 
 def test_enumeration_order_reaches_5u_before_2u1(F7u):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from valdetect.errors import MainClaimViolated, NotValuative
@@ -212,3 +214,6 @@ def test_capped_stream_deterministic(w_tuu3):
     a = [format_element(x) for x in capped_stream(w_tuu3.model, 3)]
     b = [format_element(x) for x in capped_stream(w_tuu3.model, 3)]
     assert a == b
+    # the stream itself is pinned, not only its determinism
+    assert hashlib.sha256("\n".join(a).encode()).hexdigest() == (
+        "548d77443126a5d2c1f35c60b9b99b07aadd7e46ebbf555210a7e392508c36ee")

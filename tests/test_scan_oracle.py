@@ -16,7 +16,6 @@ from valdetect.fields import (
     parse_window,
     random_element,
 )
-from valdetect.rigid import capped_stream
 from valdetect.scans import scan_index
 
 
