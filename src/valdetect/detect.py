@@ -4,10 +4,12 @@ valuations by the maximality conditions.
 
 Every report replays its claims: containments are re-verified by evaluating
 characters on scanned elements, cyclic quotients are certified by quasi-bases
-of the quotient module, and all heights and levels used are recorded.
+of the quotient module, and all heights and levels used are recorded.  Each
+re-verification is a capped sample; the report names its size and caps and
+says whether a cap stopped it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .coeffmod import index_m, index_n
 from .errors import (
@@ -42,6 +44,33 @@ from .rigid import (
 
 
 @dataclass
+class VerificationSample:
+    """The sample one containment was re-verified on: `samples` elements
+    checked out of `scanned` stream elements, and whether `max_samples` or
+    `max_scanned` stopped the scan before the end of the stream."""
+
+    max_samples: int
+    max_scanned: int
+    samples: int = 0
+    scanned: int = 0
+    samples_capped: bool = False
+    scanned_capped: bool = False
+
+    def stream(self, model, height):
+        """The capped stream, counted, up to the first cap that is hit; the
+        caller counts the samples it takes."""
+        for x in capped_stream(model, height):
+            if self.scanned == self.max_scanned:
+                self.scanned_capped = True
+                return
+            if self.samples == self.max_samples:
+                self.samples_capped = True
+                return
+            self.scanned += 1
+            yield x
+
+
+@dataclass
 class DetectionReport:
     mode: str
     window: Window
@@ -54,6 +83,7 @@ class DetectionReport:
     quotient_cyclic: bool = False
     branch: str = ""
     containments: dict = field(default_factory=dict)
+    verification: dict = field(default_factory=dict)  # of VerificationSample
     units_height: int = 0
     notes: list = field(default_factory=list)
     units: object = None            # UnitGroupApprox of the found valuation
@@ -74,8 +104,14 @@ class DetectionReport:
             "quotient_cyclic": self.quotient_cyclic,
             "branch": self.branch,
             "containments": self.containments,
+            "verification": {k: asdict(v)
+                             for k, v in self.verification.items()},
             "notes": self.notes,
         }
+
+    def verify(self, what, check):
+        """Record the verdict and the sample of one containment check."""
+        self.containments[what], self.verification[what] = check
 
 
 def _require_level(N, bound, aggressive, what):
@@ -91,15 +127,13 @@ def _require_level(N, bound, aggressive, what):
 def _maximal_ideal_scan(model, units: UnitGroupApprox, height,
                         max_samples=120, max_scanned=4000):
     """Scanned elements of the maximal ideal of the detected valuation:
-    non-units x whose 1+x is a unit.  Capped; the caps bound the
-    verification sample, not the detection itself."""
+    non-units x whose 1+x is a unit, and the VerificationSample of the scan.
+    Capped; the caps bound the verification sample, not the detection
+    itself."""
     one = model.one()
     out = []
-    scanned = 0
-    for x in capped_stream(model, height):
-        scanned += 1
-        if scanned > max_scanned:
-            break
+    sample = VerificationSample(max_samples, max_scanned)
+    for x in sample.stream(model, height):
         if x.is_zero():
             continue
         if units.is_unit(x):
@@ -109,40 +143,39 @@ def _maximal_ideal_scan(model, units: UnitGroupApprox, height,
             continue
         if units.is_unit(opx):
             out.append(x)
-            if len(out) >= max_samples:
-                break
-    return out
+            sample.samples += 1
+    return out, sample
 
 
 def _verify_decomposition(chars, model, units, height):
-    """All characters kill 1+x for scanned x in the maximal ideal."""
+    """All characters kill 1+x for scanned x in the maximal ideal; returns
+    the verdict and the VerificationSample."""
+    w = chars[0].window
     one = model.one()
-    for x in _maximal_ideal_scan(model, units, height):
-        cls = chars[0].window.classify(one + x)
+    ideal, sample = _maximal_ideal_scan(model, units, height)
+    for x in ideal:
+        cls = w.classify_sum(one, x)
         for ch in chars:
             if ch.evaluate_class(cls) != 0:
-                return False
-    return True
+                return False, sample
+    return True, sample
 
 
 def _verify_inertia(group: CharacterGroup, units, height, max_samples=60,
                     max_scanned=4000):
-    """All members kill scanned units."""
+    """All members kill scanned units; returns the verdict and the
+    VerificationSample."""
     w = group.window
-    seen = 0
-    scanned = 0
-    for x in capped_stream(w.model, height):
-        scanned += 1
-        if scanned > max_scanned or seen >= max_samples:
-            break
+    members = [Character(w, r) for r in group.howell()]
+    sample = VerificationSample(max_samples, max_scanned)
+    for x in sample.stream(w.model, height):
         if x.is_zero() or not units.is_unit(x):
             continue
         cls = w.classify(x)
-        if not all(Character(w, r).evaluate_class(cls) == 0
-                   for r in group.howell()):
-            return False
-        seen += 1
-    return True
+        if not all(f.evaluate_class(cls) == 0 for f in members):
+            return False, sample
+        sample.samples += 1
+    return True, sample
 
 
 def detect_from_cpair(fpp: Character, gpp: Character, n: int, height: int,
@@ -184,9 +217,9 @@ def detect_from_cpair(fpp: Character, gpp: Character, n: int, height: int,
         units_height=height,
         notes=notes,
     )
-    report.containments["f,g in D_v"] = _verify_decomposition(
-        (f, g), wn.model, units, height)
-    report.containments["I in I_v"] = _verify_inertia(I, units, height)
+    report.verify("f,g in D_v",
+                  _verify_decomposition((f, g), wn.model, units, height))
+    report.verify("I in I_v", _verify_inertia(I, units, height))
     report.units = units
     report.detected_group = I
     return report
@@ -244,9 +277,10 @@ def detect_from_cgroup(Dpp: CharacterGroup, n: int, height: int,
         notes=notes,
     )
     dbasis = [c for c, _ in D.member_quasi_basis()]
-    report.containments["D in D_v"] = _verify_decomposition(
-        dbasis, D.window.model, units, height) if dbasis else True
-    report.containments["I in I_v"] = _verify_inertia(I, units, height)
+    report.verify("D in D_v", _verify_decomposition(
+        dbasis, D.window.model, units, height) if dbasis
+        else (True, VerificationSample(0, 0)))
+    report.verify("I in I_v", _verify_inertia(I, units, height))
     report.units = units
     report.detected_group = I
     return report
@@ -297,9 +331,10 @@ def detect_inertia(Ipp: CharacterGroup, Dpp: CharacterGroup, n: int,
         notes=notes,
     )
     dbasis = [c for c, _ in D.member_quasi_basis()]
-    report.containments["D in D_v"] = _verify_decomposition(
-        dbasis, D.window.model, units, height) if dbasis else True
-    report.containments["I in I_v"] = _verify_inertia(I, units, height)
+    report.verify("D in D_v", _verify_decomposition(
+        dbasis, D.window.model, units, height) if dbasis
+        else (True, VerificationSample(0, 0)))
+    report.verify("I in I_v", _verify_inertia(I, units, height))
     report.units = units
     report.detected_group = I
     return report

@@ -433,6 +433,42 @@ def decompose(x: Elt):
     return exps, cur
 
 
+def _sum_lead(m, a, b):
+    """decompose() of the element with data a + b, from the leading terms
+    alone; None when the sum is exactly zero.  A rational-function bottom
+    comes back as the unreduced fraction (n_a d_b + n_b d_a) / (d_a d_b)."""
+    if m.kind == "finite":
+        s = m.ff.add(a, b)
+        return ({}, m.elt(s)) if s else None
+    if m.kind == "ratfunc":
+        ff = m.ff
+        num = ff.poly_add(ff.poly_mul(a[0], b[1]), ff.poly_mul(b[0], a[1]))
+        return ({}, m.elt((num, ff.poly_mul(a[1], b[1])))) if num else None
+    (ca, ba), (cb, bb) = a, b
+    bound = _bmin(ba, bb)
+    i = j = 0
+    while i < len(ca) or j < len(cb):
+        ea = ca[i][0] if i < len(ca) else math.inf
+        eb = cb[j][0] if j < len(cb) else math.inf
+        e = min(ea, eb)
+        if bound is not None and e >= bound:
+            break
+        if ea == eb:
+            lead = _sum_lead(m.base, ca[i][1], cb[j][1])
+            if lead is None:  # the coefficients cancel
+                i += 1
+                j += 1
+                continue
+        else:
+            lead = decompose(m.base.elt(ca[i][1] if ea < eb else cb[j][1]))
+        lead[0][m.var] = e
+        return lead
+    if bound is None:
+        return None
+    raise PrecisionExhausted(
+        f"no known coefficient of the sum below O({m.var}^{bound})")
+
+
 def bottom_constant(x: Elt):
     """The canonical constant of a bottom element: itself, or lc(num)/lc(den)."""
     m = x.model
@@ -725,10 +761,29 @@ class Window:
 
     def classify(self, x: Elt):
         """Class vector of x in K^x/T on the window quasi-basis."""
-        if x.model != self.model:
+        if x.model is not self.model and x.model != self.model:
             raise PreconditionViolated("element not in the window's field")
         exps, bot = decompose(x)  # raises ZeroElement / PrecisionExhausted
         return self.classify_decomposed(exps, bot)
+
+    def classify_sum(self, a: Elt, b: Elt):
+        """classify(a + b) without building the sum; None when a + b is
+        exactly zero.
+
+        Only the leading term of the sum is formed: the coefficient lists
+        of each Laurent level are merged up to the first exponent whose
+        summed coefficient is nonzero, and a rational-function bottom is
+        left unreduced, since classes are homomorphic.  Raises
+        PrecisionExhausted when the leading term of the sum is not known.
+        """
+        m = self.model
+        if (a.model is not m and a.model != m) or \
+                (b.model is not m and b.model != m):
+            raise PreconditionViolated("element not in the window's field")
+        lead = _sum_lead(m, a.data, b.data)
+        if lead is None:
+            return None
+        return self.classify_decomposed(*lead)
 
     def classify_decomposed(self, exps, bot):
         mod = self.level.modulus

@@ -5,9 +5,14 @@ character family Psi and a span S of value vectors; this covers both kernels
 of character groups (S = 0) and the subgroup generated by the kernel and
 finitely many classes.  All "for all x" conditions are semi-decided by
 scanning the enumeration stream, and every verdict carries its height.
+
+The tests are class-level: membership in H depends only on the class in the
+window, each H memoises its verdict per class, and the class of a sum such
+as h + x or 1 + x comes from `Window.classify_sum`, which reads the leading
+term of the sum without building it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coeffmod import FinMod, howell_form, span_contains
 from .errors import (
@@ -29,6 +34,9 @@ class MultSubgroup:
     window: Window
     psi: tuple              # of Characters on the window
     span: tuple = ()        # howell rows over (Z/l^n)^len(psi)
+    # membership verdict per class; at most one entry per window class
+    _members: dict = field(default_factory=dict, init=False, compare=False,
+                           hash=False, repr=False)
 
     def __post_init__(self):
         for f in self.psi:
@@ -49,11 +57,13 @@ class MultSubgroup:
         return tuple(f.evaluate_class(cls) for f in self.psi)
 
     def contains_class(self, cls) -> bool:
-        img = self.psi_image(cls)
-        if not any(img):
-            return True
-        ell, n = self.window.level.ell, self.window.level.n
-        return span_contains(self.span, img, ell, n)
+        got = self._members.get(cls)
+        if got is None:
+            img = self.psi_image(cls)
+            ell, n = self.window.level.ell, self.window.level.n
+            got = not any(img) or span_contains(self.span, img, ell, n)
+            self._members[cls] = got
+        return got
 
     def contains(self, x) -> bool:
         return self.contains_class(self.window.classify(x))
@@ -133,19 +143,18 @@ def valuative_test(H: MultSubgroup, height: int,
         for x in capped_stream(w.model, ph):
             if x.is_zero():
                 continue
-            cls = w.classify(x)
-            if H.contains_class(cls):
+            if H.contains_class(w.classify(x)):
                 continue
-            opx = one + x
-            if opx.is_zero() or not H.contains(opx):
+            cls_opx = w.classify_sum(one, x)
+            if cls_opx is None or not H.contains_class(cls_opx):
                 continue
-            qualifying.append((x, opx))
+            qualifying.append((x, one + x))
         for x, _ in qualifying:
             for y, opy in qualifying:
-                probe = one + x * opy
-                if probe.is_zero():
+                cls_probe = w.classify_sum(one, x * opy)
+                if cls_probe is None:
                     continue
-                if not H.contains(probe):
+                if not H.contains_class(cls_probe):
                     return ValuativeVerdict(
                         VIOLATION, height, witness_pair=(x, y),
                         conditions=tuple(conditions))
@@ -159,6 +168,11 @@ class UnitGroupApprox:
     h is accepted iff h lies in H and, for every scanned x outside H,
     (1+x)/(h+x) lies in H; this is the unit-group characterization of the
     canonical valuation, evaluated against the stream at the given height.
+
+    The test is class-level: the first `max_nonmembers` nonmembers x of the
+    stream are kept once with the class of 1+x, and for each h only the
+    class of h+x is formed, by `Window.classify_sum`, from the leading terms
+    of h and x; no sum and no quotient is ever built.
     """
 
     MAX_NONMEMBERS = 400
@@ -169,9 +183,12 @@ class UnitGroupApprox:
         self.height = height
         self.max_nonmembers = max_nonmembers
         self._outside = None
+        self._capped = False
         self._memo = {}
 
     def _nonmembers(self):
+        """The scanned nonmembers x of H, each with the class of 1+x (None
+        for x = -1), up to `max_nonmembers` of them."""
         if self._outside is None:
             w = self.H.window
             one = w.model.one()
@@ -179,13 +196,12 @@ class UnitGroupApprox:
             for x in capped_stream(w.model, self.height):
                 if x.is_zero():
                     continue
-                cls = w.classify(x)
-                if self.H.contains_class(cls):
+                if self.H.contains_class(w.classify(x)):
                     continue
-                opx = one + x
-                out.append((x, None if opx.is_zero() else w.classify(opx)))
-                if len(out) >= self.max_nonmembers:
+                if len(out) == self.max_nonmembers:
+                    self._capped = True  # this nonmember is left out
                     break
+                out.append((x, w.classify_sum(one, x)))
             self._outside = out
         return self._outside
 
@@ -203,17 +219,20 @@ class UnitGroupApprox:
             return False
         # 1+x = h+x mod H, tested on classes (quotients never materialize)
         for x, cls_opx in self._nonmembers():
-            hx = h + x
-            if hx.is_zero() or cls_opx is None:
+            cls_hx = w.classify_sum(h, x)
+            if cls_hx is None or cls_opx is None:
                 continue  # impossible for true units; be permissive here
-            if not self.H.contains_class(
-                    w.class_sub(cls_opx, w.classify(hx))):
+            if not self.H.contains_class(w.class_sub(cls_opx, cls_hx)):
                 return False
         return True
 
     def payload(self):
+        """`nonmembers_capped`: the stream at this height holds more than
+        `max_nonmembers` nonmembers, and the test used only the first ones."""
         return {"height": self.height, "subgroup": self.H.describe(),
-                "scanned_nonmembers": len(self._nonmembers())}
+                "scanned_nonmembers": len(self._nonmembers()),
+                "max_nonmembers": self.max_nonmembers,
+                "nonmembers_capped": self._capped}
 
 
 def canonical_valuation(H: MultSubgroup, height: int) -> UnitGroupApprox:

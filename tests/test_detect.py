@@ -13,6 +13,8 @@ from valdetect.characters import (
 )
 from valdetect.cpairs import c_center, c_group
 from valdetect.detect import (
+    _maximal_ideal_scan,
+    _verify_inertia,
     class_membership,
     detect_from_cgroup,
     detect_from_cpair,
@@ -225,3 +227,43 @@ def test_aggressive_mode_notes(w_t_c):
     f = Character.dual_by_label(w_t_c, "t")
     rep = detect_from_cpair(f, f, 1, 6, aggressive=True)
     assert any("aggressive" in note for note in rep.notes)
+
+
+def test_detection_report_names_verification_samples(w_t_c, w_tsc):
+    f = Character.dual_by_label(w_t_c, "t")
+    g = Character.dual_by_label(w_t_c, "const")
+    p = detect_from_cpair(f, g, 1, 8).payload()
+    assert p["verification"] == {
+        "f,g in D_v": {"max_samples": 120, "max_scanned": 4000,
+                       "samples": 48, "scanned": 103,
+                       "samples_capped": False, "scanned_capped": False},
+        "I in I_v": {"max_samples": 60, "max_scanned": 4000,
+                     "samples": 6, "scanned": 103,
+                     "samples_capped": False, "scanned_capped": False},
+    }
+    rep = detect_from_cgroup(CharacterGroup.full(w_tsc), 1, 8)
+    assert rep.verification.keys() == rep.containments.keys()
+    for sample in rep.verification.values():
+        assert 0 < sample.samples <= sample.scanned <= sample.max_scanned
+
+
+def test_verification_caps_report_whether_hit(w_tsc):
+    rep = detect_from_cgroup(CharacterGroup.full(w_tsc), 1, 8)
+    model, units, I = w_tsc.model, rep.units, rep.detected_group
+    _, sample = _maximal_ideal_scan(model, units, 4, max_samples=3)
+    assert (sample.samples, sample.samples_capped) == (3, True)
+    assert not sample.scanned_capped
+    _, sample = _maximal_ideal_scan(model, units, 4, max_scanned=10)
+    assert (sample.scanned, sample.scanned_capped) == (10, True)
+    assert not sample.samples_capped
+    ideal, sample = _maximal_ideal_scan(model, units, 4, max_samples=10_000,
+                                        max_scanned=10_000)
+    assert not sample.samples_capped and not sample.scanned_capped
+    assert sample.samples == len(ideal) > 0
+    ok, sample = _verify_inertia(I, units, 4, max_samples=2)
+    assert ok and (sample.samples, sample.samples_capped) == (2, True)
+    ok, sample = _verify_inertia(I, units, 4, max_scanned=5)
+    assert ok and (sample.scanned, sample.scanned_capped) == (5, True)
+    ok, sample = _verify_inertia(I, units, 4, max_samples=10_000,
+                                 max_scanned=10_000)
+    assert ok and not sample.samples_capped and not sample.scanned_capped

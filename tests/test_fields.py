@@ -25,6 +25,7 @@ from valdetect.fields import (
     residue_of,
     value_of,
 )
+from valdetect.rigid import capped_stream
 
 
 def test_field_spec_roundtrip():
@@ -271,3 +272,107 @@ def test_window_classify_precision_exhausted(F7t, w_t_c):
     fog = inv - geo  # O(t^24): every known coefficient cancels
     with pytest.raises(PrecisionExhausted):
         w_t_c.classify(fog)
+
+
+# ---------------------------------------------------------------------------
+# Window.classify_sum against the built sum
+# ---------------------------------------------------------------------------
+
+SUM_WINDOWS = [
+    ("gf:7", "{ell=3,n=1,gens=[const]}"),
+    ("gf:9", "{ell=2,n=1,gens=[const]}"),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}"),
+    ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}"),
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}"),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}"),
+]
+
+# streams longer than this are paired against a fixed sample of their
+# elements rather than with every element
+ALL_PAIRS_MAX = 160
+PAIR_SAMPLE = 8
+
+
+def _class_of_built_sum(w, a, b):
+    """The reference: classify the element a + b; None when it is zero."""
+    try:
+        return w.classify(a + b)
+    except ZeroElement:
+        return None
+
+
+@pytest.mark.parametrize("fspec,wspec", SUM_WINDOWS)
+def test_classify_sum_matches_built_sum(fspec, wspec):
+    model = parse_field(fspec)
+    w = parse_window(model, wspec)
+    one = model.one()
+    for height in (1, 2):
+        xs = list(capped_stream(model, height))
+        lefts = xs
+        if len(xs) > ALL_PAIRS_MAX:
+            lefts = random.Random(f"{fspec}:{height}").sample(xs, PAIR_SAMPLE)
+        for a in lefts:
+            for b in xs:
+                assert w.classify_sum(a, b) == _class_of_built_sum(w, a, b)
+        for x in xs:
+            # the 1 + x binomials, exact cancellation x + (-x), and
+            # cancellation of one term of 1 + x, which falls through to the
+            # other term when the two share no exponent
+            assert w.classify_sum(one, x) == _class_of_built_sum(w, one, x)
+            assert w.classify_sum(x, -x) is None
+            opx = one + x
+            for y in (-one, -x):
+                assert w.classify_sum(opx, y) == _class_of_built_sum(w, opx, y)
+
+
+def test_classify_sum_cancellation_cases(F7u, F7t, F7st, w_t_c, w_tsc):
+    w_u = parse_window(F7u, "{ell=3,n=1,gens=[u,u-3,const]}")
+    cases = [
+        # equal exponents cancel at t^0; the lead is the next term, t
+        (w_t_c, "1+t", "-1+t^2", "t+t^2"),
+        # the t^0 coefficients cancel down to their next term, s^2
+        (w_tsc, "s+s^2", "-s+t", "s^2+t"),
+        (w_tsc, "3*s^-1+t", "4*s^-1+2*t", "3*t"),
+        # the unreduced fraction (u-3)^2 / (u-3)^2 has the class of 1
+        (w_u, "u/(u-3)", "-3/(u-3)", "1"),
+    ]
+    for w, a, b, total in cases:
+        m = w.model
+        a, b = parse_element(m, a), parse_element(m, b)
+        assert w.classify_sum(a, b) == w.classify(parse_element(m, total))
+        assert w.classify_sum(a, b) == w.classify(a + b)
+    x = parse_element(F7st, "s*t^-2+3*t")
+    assert w_tsc.classify_sum(x, -x) is None
+    assert w_u.classify_sum(F7u.zero(), F7u.zero()) is None
+    with pytest.raises(PreconditionViolated):
+        w_t_c.classify_sum(F7t.one(), F7st.one())
+
+
+def test_classify_sum_bounded_series(F7t, F7st, w_t_c, w_tsc):
+    # 1/(1-t) = 1 + t + ... + O(t^24), as canonical-valuation
+    # --test-elements can pass it
+    h = parse_element(F7t, "1/(1-t)")
+    for x in capped_stream(F7t, 2):
+        assert w_t_c.classify_sum(h, x) == _class_of_built_sum(w_t_c, h, x)
+    assert w_t_c.classify_sum(h, -F7t.one()) == w_t_c.classify(
+        parse_element(F7t, "t"))
+    # every known coefficient cancels: the leading term is not known
+    tail = parse_element(F7t, "t^30")
+    geo = F7t.from_terms({i: F7t.base.from_int(1) for i in range(24)})
+    for b in (-h, tail - geo):
+        with pytest.raises(PrecisionExhausted):
+            w_t_c.classify(h + b)
+        with pytest.raises(PrecisionExhausted):
+            w_t_c.classify_sum(h, b)
+    # a bounded coefficient inside the tower: 1/(1-s) = 1 + s + ... + O(s^24)
+    g = parse_element(F7st, "1/(1-s)")
+    assert w_tsc.classify_sum(g, -F7st.one()) == w_tsc.classify(g - 1)
+    with pytest.raises(PrecisionExhausted):
+        w_tsc.classify_sum(g + parse_element(F7st, "t"), -g)
+    # the t^1 coefficient of the sum is O(s^24): building the sum raises,
+    # but the leading term 1 is known
+    a = parse_element(F7st, "1+t/(1-s)")
+    b = parse_element(F7st, "-t/(1-s)")
+    with pytest.raises(PrecisionExhausted):
+        a + b
+    assert w_tsc.classify_sum(a, b) == w_tsc.zero_class()

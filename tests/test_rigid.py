@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -21,6 +23,7 @@ from valdetect.fields import (
 )
 from valdetect.rigid import (
     MultSubgroup,
+    UnitGroupApprox,
     canonical_valuation,
     capped_stream,
     comparable,
@@ -217,3 +220,80 @@ def test_capped_stream_deterministic(w_tuu3):
     # the stream itself is pinned, not only its determinism
     assert hashlib.sha256("\n".join(a).encode()).hexdigest() == (
         "548d77443126a5d2c1f35c60b9b99b07aadd7e46ebbf555210a7e392508c36ee")
+
+
+def _is_unit_by_elements(units, h):
+    """The unit test on built elements, the reference for is_unit: classify
+    h + x and 1 + x for every scanned nonmember x."""
+    H = units.H
+    w = H.window
+    if h.is_zero() or not H.contains(h):
+        return False
+    one = w.model.one()
+    for x, _ in units._nonmembers():
+        hx, opx = h + x, one + x
+        if hx.is_zero() or opx.is_zero():
+            continue
+        if not H.contains_class(w.class_sub(w.classify(opx), w.classify(hx))):
+            return False
+    return True
+
+
+# (window fixture, valuation steps, heights, elements sampled per height)
+UNIT_CASES = [
+    ("w_t_c", ["t"], (3, 8), 200),
+    ("w_tsc", ["t"], (2, 4), 100),
+    ("w_tsc", ["t", "s"], (2, 4), 100),
+    ("w_tuu3", ["t"], (1, 2), 30),
+]
+
+
+@pytest.mark.parametrize("wname,steps,heights,sample", UNIT_CASES)
+def test_is_unit_matches_element_reference(request, wname, steps, heights,
+                                           sample):
+    w = request.getfixturevalue(wname)
+    m = w.model
+    H = MultSubgroup.kernel_of(
+        inertia_chars(ValuationHandle.from_steps(m, steps), w))
+    for height in heights:
+        units = UnitGroupApprox(H, height)
+        hs = list(capped_stream(m, height))
+        hs += [m.one() + x for x in hs[1:]]      # binomials, mostly units
+        if len(hs) > sample:
+            hs = random.Random(f"{wname}:{steps}:{height}").sample(hs, sample)
+        verdicts = [units.is_unit(h) for h in hs]
+        assert any(verdicts) and not all(verdicts)
+        assert verdicts == [_is_unit_by_elements(units, h) for h in hs]
+
+
+def test_contains_class_memo_matches_fresh(w_t_c, w_tsc, w_tuu3):
+    ft = Character.dual_by_label(w_t_c, "t")
+    fc = Character.dual_by_label(w_t_c, "const")
+    subgroups = [rigid_complement(ft, fc, 8).subgroup,
+                 _kernel(w_t_c, ["t"]), _kernel(w_tsc, ["t", "s"]),
+                 _kernel(w_tuu3, ["t", "u-3"])]
+    assert subgroups[0].span
+    for H in subgroups:
+        classes = list(itertools.product(*(range(o) for o in H.window.orders)))
+        for _ in range(2):   # the second pass reads the memo
+            for cls in classes:
+                fresh = MultSubgroup(H.window, H.psi, H.span)
+                assert H.contains_class(cls) == fresh.contains_class(cls)
+        assert len(H._members) == len(classes)
+        assert H == MultSubgroup(H.window, H.psi, H.span)
+        assert hash(H) == hash(MultSubgroup(H.window, H.psi, H.span))
+
+
+def test_unit_group_payload_reports_nonmember_cap(w_tsc):
+    H = _kernel(w_tsc, ["t", "s"])
+    small = UnitGroupApprox(H, 4, max_nonmembers=5)
+    p = small.payload()
+    assert (p["scanned_nonmembers"], p["max_nonmembers"]) == (5, 5)
+    assert p["nonmembers_capped"] is True
+    large = UnitGroupApprox(H, 4, max_nonmembers=10_000)
+    p = large.payload()
+    assert p["scanned_nonmembers"] < 10_000
+    assert p["nonmembers_capped"] is False
+    # a cap equal to the number of nonmembers leaves none out
+    exact = UnitGroupApprox(H, 4, max_nonmembers=p["scanned_nonmembers"])
+    assert exact.payload()["nonmembers_capped"] is False
