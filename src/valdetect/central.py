@@ -14,7 +14,7 @@ force in a Heisenberg group before first use at each level.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .coeffmod import Level, howell_form, kernel_mod, span_contains
 from .errors import (
@@ -49,15 +49,14 @@ class CentralFrame:
     def rank(self):
         return len(self.gen_labels)
 
-    @property
+    @cached_property
     def pairs(self):
         r = self.rank
-        return [(i, j) for i in range(r) for j in range(i + 1, r)]
+        return tuple((i, j) for i in range(r) for j in range(i + 1, r))
 
-    @property
+    @cached_property
     def dim(self):
-        r = self.rank
-        return r * (r - 1) // 2 + r
+        return len(self.pairs) + self.rank
 
     def pi_index(self, r):
         return len(self.pairs) + r
@@ -293,7 +292,11 @@ def frame_from_k2(window: Window, sp, omega=None) -> CentralFrame:
     # theta maps the H^2 coordinates (m_ij; s_r) of the free frame onto the
     # K2-quotient: e_ij to the symbol of the generator pair, the Bockstein
     # coordinate s_r through the column B_r = wedge of x_r with omega
-    steinberg = [tuple(wit.wedge) for wit in sp.witnesses]
+    # theta sees the Steinberg columns only through their span, so the
+    # Howell rows of the distinct witness wedges (at most npairs) stand in
+    # for one column per witness
+    steinberg = howell_form(dict.fromkeys(wit.wedge for wit in sp.witnesses),
+                            ell, n, npairs)
     bockstein = []
     for k in range(r):
         vec = [0] * npairs

@@ -525,13 +525,10 @@ def _finite_kernel_is_everything(model, place, window, const_listed,
 
 
 def residue_rank(handle: ValuationHandle, window: Window) -> int:
-    """Rank of the residue window's full character group; a finite residue
-    contributes at most a cyclic group, reported as 1 when the exact induced
-    kernel is not expressible in window form."""
-    try:
-        return residue_window(handle, window).rank
-    except UnsupportedValuation:
-        return 1
+    """Rank of the residue window's full character group; raises
+    UnsupportedValuation when the induced kernel is not expressible in window
+    form."""
+    return residue_window(handle, window).rank
 
 
 def residue_char(f: Character, handle: ValuationHandle, window: Window,

@@ -3,11 +3,18 @@
 The direct method scans the enumeration stream for a witness x with
 f(1-x)g(x) != f(x)g(1-x); it is exact on backends whose class triples are
 exhausted at the height (finite fields and Laurent towers over them) and a
-semi-decision elsewhere.  The K-theoretic method compares the order drop c of
-the wedge generator in the presented K_2-quotient against the order drops
-a, b of the two characters: the pair is a C-pair iff c <= a+b.  A negative
-K-theoretic verdict is always certain and carries a direct witness; the two
-methods must agree wherever both are exact.
+semi-decision elsewhere.  The identity is bilinear: its two sides differ by
+the pairing of f ^ g with the Steinberg wedge cls x ^ cls 1-x, which the
+character values make well defined on the wedge coordinates modulo
+min(o_i, o_j).  So the scan pairs f ^ g with the few distinct wedges of the
+scan table, each represented by its first entry in stream order, and the
+witness is the same stream-minimal x a scan of every entry would find.
+
+The K-theoretic method compares the order drop c of the wedge generator in
+the presented K_2-quotient against the order drops a, b of the two
+characters: the pair is a C-pair iff c <= a+b.  A negative K-theoretic
+verdict is always certain and carries a direct witness; the two methods must
+agree wherever both are exact.
 """
 
 from dataclasses import dataclass
@@ -48,14 +55,14 @@ class CPairVerdict:
         return out
 
 
-def _pair_eq(f, g, cls_x, cls_1mx, mod):
-    lhs = f.evaluate_class(cls_1mx) * g.evaluate_class(cls_x)
-    rhs = f.evaluate_class(cls_x) * g.evaluate_class(cls_1mx)
-    return (lhs - rhs) % mod == 0
-
-
 def c_pair_direct(f: Character, g: Character, height: int) -> CPairVerdict:
-    """Scan x in the stream for f(1-x)g(x) = f(x)g(1-x); witnesses minimal."""
+    """Scan x in the stream for f(1-x)g(x) = f(x)g(1-x); witnesses minimal.
+
+    f(1-x)g(x) - f(x)g(1-x) = -<f ^ g, cls x ^ cls 1-x>, so an entry's
+    verdict depends only on its wedge and the scan pairs f ^ g with the
+    first entry of each distinct wedge.  Those come in stream order, so the
+    first one that pairs nonzero is the first violating entry of the table.
+    """
     if f.window != g.window:
         raise LevelMismatch("characters on different windows")
     w = f.window
@@ -63,10 +70,11 @@ def c_pair_direct(f: Character, g: Character, height: int) -> CPairVerdict:
         # the identity is symmetric under g = c*f, no scan needed
         return CPairVerdict(CPAIR, "direct", height, exact=True)
     mod = w.level.modulus
-    for ent in scan_index(w, height).entries(height):
-        if ent.cls_1mx is None:
-            continue
-        if not _pair_eq(f, g, ent.cls_x, ent.cls_1mx, mod):
+    a, b = f.values, g.values
+    fg = [a[i] * b[j] - a[j] * b[i]
+          for i in range(w.rank) for j in range(i + 1, w.rank)]
+    for wedge, ent in scan_index(w, height).wedge_entries(height):
+        if sum(p * q for p, q in zip(fg, wedge)) % mod:
             return CPairVerdict(NOT_CPAIR, "direct", height,
                                 witness=ent.element(), exact=True)
     if exhaustive_classes(w.model, height, w.level):

@@ -16,6 +16,7 @@ from .errors import (
     HypothesisFailed,
     MainClaimViolated,
     PreconditionViolated,
+    UnsupportedValuation,
 )
 from .characters import (
     Character,
@@ -424,7 +425,16 @@ def class_membership(handle: ValuationHandle, window: Window, n: int,
                 in_w = False
                 witness = wprime.spec()
                 break
-    rr = residue_rank(handle, w)
+    notes = ["value group Z^k lex: no nontrivial l-divisible convex "
+             "subgroups (condition 1 automatic)",
+             "residue characteristic equals the base characteristic, "
+             "away from ell"]
+    try:
+        rr = residue_rank(handle, w)
+    except UnsupportedValuation as exc:
+        # a finite residue field contributes at most a cyclic group
+        rr = 1
+        notes.append(f"residue rank 1 is the fallback bound: {exc}")
     in_v = in_w and rr >= 2
     # level-1 alternative: I_v(1) = C-center of D_v(1), properly inside it
     w1 = window.at_level(1)
@@ -437,8 +447,5 @@ def class_membership(handle: ValuationHandle, window: Window, n: int,
         in_w=in_w, in_v=in_v,
         alt_v=alt_v, alt_v_agrees=(alt_v == in_v),
         refinements=refinements, witness_refinement=witness,
-        notes=["value group Z^k lex: no nontrivial l-divisible convex "
-               "subgroups (condition 1 automatic)",
-               "residue characteristic equals the base characteristic, "
-               "away from ell"],
+        notes=notes,
     )

@@ -27,7 +27,7 @@ from .fields import (
     residue_of,
     value_of,
 )
-from .scans import exhaustive_classes, scan_index
+from .scans import exhaustive_classes, scan_index, wedge_of
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,6 @@ class SymbolPresentation:
     def pairs(self):
         r = self.window.rank
         return [(i, j) for i in range(r) for j in range(i + 1, r)]
-
-
-def wedge_of(window, cls_a, cls_b):
-    """Coordinates of (class a) ^ (class b) on the e_ij basis."""
-    r = window.rank
-    o = window.orders
-    out = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            out.append((cls_a[i] * cls_b[j] - cls_a[j] * cls_b[i])
-                       % min(o[i], o[j]))
-    return tuple(out)
 
 
 def steinberg_scan(window: Window, height: int,

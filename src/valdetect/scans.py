@@ -20,12 +20,22 @@ representatives.  For Laurent levels the stream is c * t^e with c from the
 residue stream, and the triple of such an element is determined exactly by
 e and the residue data of c, so the table derives from the residue table.
 
+Predicates that see x only through the Steinberg wedge cls x ^ cls 1-x,
+such as the bilinear C-pair identity and the K2 relation span, need even
+less: the index also keeps, in stream order, the first entry of each
+distinct nonzero wedge.  A window has few distinct wedges (24 against 796
+triples on F7(u) with [u, u-1, const] at degree 2, and none on F19((t))
+with l^n = 9 and [t, const] at height 9), so those scans run over the
+wedge list.
+
 A window's ScanIndex is the one owner of its memos: the triple table, the
-pure path's polynomial class data and the numpy path's class table, which
-the decomposition sweeps below share.  The indexes live for the process in
-one dict keyed by window, so later commands reuse the tables.
+wedge list, the pure path's polynomial class data and the numpy path's
+class table, which the decomposition sweeps below share.  The indexes live
+for the process in one dict keyed by window, so later commands reuse the
+tables.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,34 +65,62 @@ class ScanEntry:
 
 
 class ScanIndex:
-    """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples, and
+    """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples, the
+    first entry of each distinct nonzero Steinberg wedge cls x ^ cls 1-x, and
     owner of the window's polynomial class memos."""
 
     def __init__(self, window: Window):
         self.window = window
-        self.blocks = []      # blocks[s] = new entries at height s
+        self.blocks = []          # blocks[s] = new entries at height s
+        self.wedge_blocks = []    # wedge_blocks[s] = (wedge, entry), new at s
         self._seen = set()
+        self._wedges = set()
         self.poly_classes = {}    # pure path: poly -> class data
         self.class_table = None   # numpy path: _ClassTable
 
     def ensure(self, height):
         while len(self.blocks) <= height:
             s = len(self.blocks)
-            raw = _block_entries(self, s)
-            new = []
-            for ent in raw:
+            new, new_wedges = [], []
+            for ent in _block_entries(self, s):
                 trip = (ent.cls_x, ent.cls_1mx, ent.cls_1px)
-                if trip not in self._seen:
-                    self._seen.add(trip)
-                    new.append(ent)
+                if trip in self._seen:
+                    continue
+                self._seen.add(trip)
+                new.append(ent)
+                if ent.cls_1mx is None:
+                    continue
+                wedge = wedge_of(self.window, ent.cls_x, ent.cls_1mx)
+                if any(wedge) and wedge not in self._wedges:
+                    self._wedges.add(wedge)
+                    new_wedges.append((wedge, ent))
             self.blocks.append(new)
+            self.wedge_blocks.append(new_wedges)
         return self
 
     def entries(self, height):
+        """Table entries through `height`, in stream order."""
+        return self._through(self.blocks, height)
+
+    def wedge_entries(self, height):
+        """(wedge, entry) for the first entry of each distinct nonzero wedge
+        through `height`, in stream order: a subsequence of entries()."""
+        return self._through(self.wedge_blocks, height)
+
+    def _through(self, blocks, height):
         height = effective_height(self.window.model, height)
         self.ensure(height)
-        for s in range(height + 1):
-            yield from self.blocks[s]
+        return itertools.chain.from_iterable(blocks[:height + 1])
+
+
+def wedge_of(window, cls_a, cls_b):
+    """Coordinates of (class a) ^ (class b) on the e_ij basis (i < j), each
+    modulo min(o_i, o_j)."""
+    r = window.rank
+    o = window.orders
+    return tuple((cls_a[i] * cls_b[j] - cls_a[j] * cls_b[i])
+                 % min(o[i], o[j])
+                 for i in range(r) for j in range(i + 1, r))
 
 
 _INDEX_CACHE = {}

@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from valdetect.coeffmod import Level
+from valdetect.coeffmod import Level, kernel_mod
 from valdetect.errors import FrameMismatch, WrongLevel
 from valdetect.characters import Character, CharacterGroup
 from valdetect.cpairs import c_center, c_pair_direct
 from valdetect.central import (
     AbelianElement,
+    CentralFrame,
     beta_power,
     canonical_omega,
     cl_center,
@@ -21,7 +22,12 @@ from valdetect.central import (
     minimized_identity_check,
     pi_power,
 )
-from valdetect.fields import ValuationHandle, format_element
+from valdetect.fields import (
+    ValuationHandle,
+    format_element,
+    parse_field,
+    parse_window,
+)
 from valdetect.milnor import steinberg_scan
 
 
@@ -135,6 +141,44 @@ def test_frame_from_k2_pinned_ratfunc(w_u_u3):
     fu3 = Character.dual_by_label(w_u_u3, "u-3")
     assert not cl_pair(AbelianElement.from_character(frame, fu),
                        AbelianElement.from_character(frame, fu3))
+
+
+def _frame_one_column_per_witness(window, sp):
+    """Reference frame: the kernel of [I | B | St] with one Steinberg column
+    per witness, projected, then annihilated."""
+    level = window.level
+    ell, n, mod = level.ell, level.n, level.modulus
+    omega_cls = window.classify(canonical_omega(window))
+    r = window.rank
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    ncols = len(pairs) + r
+    big = []
+    for c, (i, j) in enumerate(pairs):
+        row = [0] * ncols
+        row[c] = 1
+        row[len(pairs) + i] = omega_cls[j]
+        row[len(pairs) + j] = -omega_cls[i] % mod
+        big.append(row + [wit.wedge[c] for wit in sp.witnesses])
+    ker = kernel_mod(big, ell, n, len(big[0]))
+    rel = kernel_mod([k[:ncols] for k in ker], ell, n, ncols)
+    labels = tuple(window.gen_label(i) for i in range(r))
+    return CentralFrame(level, labels, tuple(rel), omega_cls, window)
+
+
+@pytest.mark.parametrize("field, window, height", [
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-1,const]}", 2),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3]}", 4),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}", 4),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,const]}", 2),
+    ("laurent(gf:9,t)", "{ell=2,n=2,gens=[t,const]}", 6),
+], ids=["F7u-const", "F7u", "F7ut", "F7ut-const", "F9t-l2"])
+def test_frame_matches_one_column_per_witness(field, window, height):
+    # the Howell rows of the distinct witness wedges span what the witness
+    # columns span, so the relation module comes out identical
+    w = parse_window(parse_field(field), window)
+    sp = steinberg_scan(w, height)
+    ref = _frame_one_column_per_witness(w, sp)
+    assert frame_from_k2(w, sp).relations == ref.relations
 
 
 def test_cl_matches_c_exhaustive_three_windows(w_u_u3, w_t_c, w_tuu3):

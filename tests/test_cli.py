@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,18 @@ def test_cl_check_small_window(capsys):
     assert data["disagreements"] == []
     assert data["pairs_checked"] == 45
     assert data["centers_agree"] is True
+
+
+def test_cl_check_pinned_output(capsys):
+    # a window with non-C-pairs and 570 Steinberg witnesses; the digest was
+    # taken with the C-pair scan over every table entry and one frame
+    # column per witness
+    code, out = run_cli(
+        capsys, "cl-check", "--field", "ratfunc(gf:7,u)",
+        "--window", "{ell=3,n=1,gens=[u,u-3,const]}", "--height", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "71e1f0382909c1a65e1b133df7555aa885c835595aa4c10287282b5b59dc1430"
 
 
 def test_output_file(tmp_path, capsys):

@@ -11,6 +11,10 @@ from valdetect.errors import (
 from valdetect.characters import Character, CharacterGroup, decomp_chars, \
     inertia_chars, residue_char, residue_window
 from valdetect.cpairs import (
+    CPAIR,
+    CPAIR_UP_TO,
+    NOT_CPAIR,
+    CPairVerdict,
     c_center,
     c_group,
     c_pair_direct,
@@ -27,6 +31,39 @@ from valdetect.fields import (
     parse_window,
 )
 from valdetect.milnor import steinberg_scan
+from valdetect.scans import exhaustive_classes, scan_index, wedge_of
+
+
+def _c_pair_by_scan(f, g, height):
+    """Reference C-pair verdict: the identity f(1-x)g(x) = f(x)g(1-x) on
+    every table entry, in stream order."""
+    w = f.window
+    if CharacterGroup(w, (f, g)).is_cyclic():
+        return CPairVerdict(CPAIR, "direct", height, exact=True)
+    mod = w.level.modulus
+    for ent in scan_index(w, height).entries(height):
+        if ent.cls_1mx is None:
+            continue
+        lhs = f.evaluate_class(ent.cls_1mx) * g.evaluate_class(ent.cls_x)
+        rhs = f.evaluate_class(ent.cls_x) * g.evaluate_class(ent.cls_1mx)
+        if (lhs - rhs) % mod:
+            return CPairVerdict(NOT_CPAIR, "direct", height,
+                                witness=ent.element(), exact=True)
+    if exhaustive_classes(w.model, height, w.level):
+        return CPairVerdict(CPAIR, "direct", height, exact=True)
+    return CPairVerdict(CPAIR_UP_TO, "direct", height)
+
+
+# (field, window, heights): mixed generator orders (4, 4, 2) at l = 2,
+# rational functions, Laurent towers over finite fields and over F7(u)
+ORACLE_WINDOWS = [
+    ("ratfunc(gf:5,u)", "{ell=2,n=2,gens=[u,u-1,const]}", (1, 2)),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", (1, 2)),
+    ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", (2, 8)),
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}", (2, 4)),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}", (2, 4)),
+]
+ORACLE_IDS = ["F5u-l2", "F7u-const", "F7t", "F7st", "F7ut"]
 
 
 def test_direct_pinned_ratfunc(w_u_u3):
@@ -40,6 +77,44 @@ def test_direct_pinned_ratfunc(w_u_u3):
     one_minus = w_u_u3.model.one() - z
     assert (f.evaluate(one_minus) * g.evaluate(z)) % 3 != \
         (f.evaluate(z) * g.evaluate(one_minus)) % 3
+
+
+@pytest.mark.parametrize("field, window, heights", ORACLE_WINDOWS,
+                         ids=ORACLE_IDS)
+def test_direct_matches_full_scan(field, window, heights):
+    # the wedge pairing gives the full scan's verdict and minimal witness
+    w = parse_window(parse_field(field), window)
+    chars = CharacterGroup.full(w).elements()
+    for h in heights:
+        negatives = 0
+        for f, g in itertools.combinations_with_replacement(chars, 2):
+            fast, ref = c_pair_direct(f, g, h), _c_pair_by_scan(f, g, h)
+            assert (fast.kind, fast.exact) == (ref.kind, ref.exact)
+            assert fast.payload() == ref.payload()
+            negatives += fast.kind == NOT_CPAIR
+        if "ratfunc" in field:
+            assert negatives > 0
+
+
+@pytest.mark.parametrize("field, window, heights", ORACLE_WINDOWS,
+                         ids=ORACLE_IDS)
+def test_wedge_entries_are_first_occurrences(field, window, heights):
+    w = parse_window(parse_field(field), window)
+    for h in heights:
+        index = scan_index(w, h)
+        expected, seen = [], set()
+        for ent in index.entries(h):
+            if ent.cls_1mx is None:
+                continue
+            wedge = wedge_of(w, ent.cls_x, ent.cls_1mx)
+            if any(wedge) and wedge not in seen:
+                seen.add(wedge)
+                expected.append((wedge, ent))
+        got = list(index.wedge_entries(h))
+        assert [wd for wd, _ in got] == [wd for wd, _ in expected]
+        assert all(a is b for (_, a), (_, b) in zip(got, expected))
+        keys = [ent.key for _, ent in got]
+        assert keys == sorted(keys)
 
 
 def test_direct_trivial_and_laurent(w_t_c):

@@ -4,12 +4,14 @@ from valdetect.errors import (
     HypothesisFailed,
     MainClaimViolated,
     PreconditionViolated,
+    UnsupportedValuation,
 )
 from valdetect.characters import (
     Character,
     CharacterGroup,
     decomp_chars,
     inertia_chars,
+    residue_rank,
 )
 from valdetect.cpairs import c_center, c_group
 from valdetect.detect import (
@@ -172,6 +174,27 @@ def test_class_membership_pinned(w_tuu3, w_tsc):
     comp = ValuationHandle.from_steps(w_tsc.model, ["t", "s"])
     cm3 = class_membership(comp, w_tsc, 1, 8)
     assert cm3.in_w and not cm3.in_v
+
+
+def test_class_membership_names_residue_rank_fallback(w_tuu3):
+    # over GF(4) with l = 3 the cubes are {1}; listing u, every other place
+    # of degree <= 2 whose residue at u is not 1, and the constants leaves a
+    # residue kernel that is not a window kernel, so the residue rank falls
+    # back to its bound 1 and the report says so
+    m = parse_field("ratfunc(gf:4,u)")
+    w = parse_window(m, "{ell=3,n=1,gens=[u,u+z,u+(z+1),u^2+u+z,u^2+z*u+z,"
+                        "u^2+u+(z+1),u^2+(z+1)*u+(z+1),const]}")
+    v = ValuationHandle.from_steps(m, ["u"])
+    with pytest.raises(UnsupportedValuation):
+        residue_rank(v, w)
+    cm = class_membership(v, w, 1, 1)
+    assert not cm.in_v
+    fallback = [s for s in cm.payload()["notes"] if "fallback" in s]
+    assert fallback == ["residue rank 1 is the fallback bound: residue "
+                        "kernel after the place step is not a window kernel"]
+    vt = ValuationHandle.from_steps(w_tuu3.model, ["t"])
+    assert not any("fallback" in s for s in
+                   class_membership(vt, w_tuu3, 1, 4).notes)
 
 
 def test_w_class_closed_under_composition(w_tsc, w_tuu3):
