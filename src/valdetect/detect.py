@@ -40,6 +40,7 @@ from .rigid import (
     capped_stream,
     comparable,
     rigid_complement,
+    valuative_members_mask,
     valuative_test,
 )
 
@@ -228,14 +229,10 @@ def detect_from_cpair(fpp: Character, gpp: Character, n: int, height: int,
 
 def valuative_members(group: CharacterGroup, height: int):
     """The subgroup generated by the individually valuative members."""
-    gens = []
-    for f in group.elements():
-        if f.is_zero():
-            continue
-        H = MultSubgroup.kernel_of(CharacterGroup(group.window, (f,)))
-        if valuative_test(H, height).holds():
-            gens.append(f)
-    return CharacterGroup(group.window, tuple(gens))
+    members = [f for f in group.elements() if not f.is_zero()]
+    mask = valuative_members_mask(members, height)
+    return CharacterGroup(group.window,
+                          tuple(f for f, ok in zip(members, mask) if ok))
 
 
 def detect_from_cgroup(Dpp: CharacterGroup, n: int, height: int,
@@ -311,11 +308,9 @@ def detect_inertia(Ipp: CharacterGroup, Dpp: CharacterGroup, n: int,
         notes.append(f"intermediate level clamped to {M} (lift too shallow "
                      "for the full staircase)")
     Ip = Ipp.reduce_level(M)
-    for f in Ip.elements():
-        if f.is_zero():
-            continue
-        H = MultSubgroup.kernel_of(CharacterGroup(Ip.window, (f,)))
-        if not valuative_test(H, height).holds():
+    members = [f for f in Ip.elements() if not f.is_zero()]
+    for f, ok in zip(members, valuative_members_mask(members, height)):
+        if not ok:
             raise MainClaimViolated(
                 f"member {f.label()} of I' is not valuative")
     I = Ipp.reduce_level(n)

@@ -703,6 +703,9 @@ class Window:
             else:
                 orders.append(self.level.modulus)
         object.__setattr__(self, "_orders", tuple(orders))
+        # read by classify_decomposed on every class, so resolved once
+        object.__setattr__(self, "_bottom", bottom)
+        object.__setattr__(self, "_const_field", self.model.constant_field())
 
     @staticmethod
     def build(model, level, gen_specs):
@@ -788,18 +791,17 @@ class Window:
     def classify_decomposed(self, exps, bot):
         mod = self.level.modulus
         out = []
-        bottom = self.model.bottom()
-        for g, order in zip(self.gens, self.orders):
+        for g, order in zip(self.gens, self._orders):
             if g[0] == UNIF:
                 out.append(exps.get(g[1], 0) % mod)
             elif g[0] == PLACE:
                 num, den = bot.data
-                m = bottom.ff.place_multiplicity(num, g[1]) - \
-                    bottom.ff.place_multiplicity(den, g[1])
+                ff = self._bottom.ff
+                m = ff.place_multiplicity(num, g[1]) - \
+                    ff.place_multiplicity(den, g[1])
                 out.append(m % mod)
             else:
-                c = bottom_constant(bot)
-                out.append(self.model.constant_field().dlog(c) % order)
+                out.append(self._const_field.dlog(bottom_constant(bot)) % order)
         return tuple(out)
 
     def zero_class(self):

@@ -10,9 +10,20 @@ The tests are class-level: membership in H depends only on the class in the
 window, each H memoises its verdict per class, and the class of a sum such
 as h + x or 1 + x comes from `Window.classify_sum`, which reads the leading
 term of the sum without building it.
+
+The unit test of `UnitGroupApprox` skips even that for most pairs, by the
+leading-exponent rule: on a Laurent window, when the top exponents of h and
+an exact x differ and the lower one lies below its precision bound, h + x
+has the leading term of the lower one, so cls(h + x) is cls h or cls x,
+both known already.  This is exact, because a class reads only leading
+terms; only ties go through `Window.classify_sum`.  Valuative tests of the
+cyclic groups <f> for many members f at once are one matrix product over the
+scan table (`valuative_members_mask`).
 """
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .coeffmod import FinMod, howell_form, span_contains
 from .errors import (
@@ -162,6 +173,48 @@ def valuative_test(H: MultSubgroup, height: int,
                             conditions=tuple(conditions))
 
 
+# members per product in valuative_members_mask: bounds the temporaries at
+# MEMBER_CHUNK x (table entries) values, so peak memory does not grow with
+# the group
+MEMBER_CHUNK = 32
+
+
+def valuative_members_mask(chars, height: int) -> list:
+    """valuative_test(MultSubgroup.kernel_of(<f>), height).holds() for each
+    character f of `chars`, all on one window.
+
+    The kernel of <f> is ker f, so the one-variable condition fails for f at
+    a table entry iff f(x) != 0, f(1+x) != 0 and f(1+x) != f(x): this is one
+    product of the member matrix with the entries' cls x and cls 1+x
+    matrices, taken over fixed member chunks.  For l = 2 that product is a
+    filter, and the members that pass it run valuative_test for the
+    two-variable condition.
+    """
+    if not chars:
+        return []
+    w = chars[0].window
+    mod = w.level.modulus
+    ents = [e for e in scan_index(w, height).entries(height)
+            if e.cls_1px is not None]
+    cls_x = np.array([e.cls_x for e in ents], dtype=np.int64).reshape(
+        len(ents), w.rank).T
+    cls_1px = np.array([e.cls_1px for e in ents], dtype=np.int64).reshape(
+        len(ents), w.rank).T
+    out = []
+    for i in range(0, len(chars), MEMBER_CHUNK):
+        vals = np.array([f.values for f in chars[i:i + MEMBER_CHUNK]],
+                        dtype=np.int64)
+        fx = vals @ cls_x % mod
+        fpx = vals @ cls_1px % mod
+        bad = ((fx != 0) & (fpx != 0) & (fx != fpx)).any(axis=1)
+        out.extend(not b for b in bad.tolist())
+    if w.level.ell == 2:
+        out = [ok and valuative_test(MultSubgroup.kernel_of(
+            CharacterGroup(w, (f,))), height).holds()
+            for f, ok in zip(chars, out)]
+    return out
+
+
 class UnitGroupApprox:
     """Membership test for the units of the coarsest valuation below H.
 
@@ -169,10 +222,19 @@ class UnitGroupApprox:
     (1+x)/(h+x) lies in H; this is the unit-group characterization of the
     canonical valuation, evaluated against the stream at the given height.
 
-    The test is class-level: the first `max_nonmembers` nonmembers x of the
-    stream are kept once with the class of 1+x, and for each h only the
-    class of h+x is formed, by `Window.classify_sum`, from the leading terms
-    of h and x; no sum and no quotient is ever built.
+    The test is class-level.  The first `max_nonmembers` nonmembers x of the
+    stream are tabled once, in stream order, with their top Laurent exponent
+    v(x), cls x, cls 1+x and the verdict cls(1+x) - cls(x) in H.  For each h
+    the class of h + x follows from the leading-exponent rule: on a Laurent
+    window with x exact and v(h) below the precision bound of h, the sum
+    h + x leads with x when v(x) < v(h) and with h when v(x) > v(h), so its
+    class is cls x (the stored verdict decides) or cls h (one test per
+    distinct cls 1+x).  This is exact: `Window.classify_sum` reads the same
+    leading term, and it cannot raise for such a pair, since both x and h
+    were classified.  Only ties, inexact x, an h whose leading exponent is
+    not below its bound, and windows that are not Laurent go through
+    `Window.classify_sum`.  Rows are walked in stream order, so the verdicts
+    and the exceptions raised are those of classifying every h + x.
     """
 
     MAX_NONMEMBERS = 400
@@ -182,28 +244,43 @@ class UnitGroupApprox:
         self.H = H
         self.height = height
         self.max_nonmembers = max_nonmembers
-        self._outside = None
+        self._rows = None
         self._capped = False
         self._memo = {}
+
+    def _table(self):
+        """The scanned nonmembers x of H in stream order, up to
+        `max_nonmembers` of them, as rows (x, v(x), cls x, cls 1+x,
+        cls(1+x) - cls(x) in H); v(x) is None unless x is exact on a
+        Laurent window, cls 1+x is None for x = -1."""
+        if self._rows is None:
+            w = self.H.window
+            one = w.model.one()
+            laurent = w.model.kind == "laurent"
+            rows = []
+            for x in capped_stream(w.model, self.height):
+                if x.is_zero():
+                    continue
+                cls_x = w.classify(x)
+                if self.H.contains_class(cls_x):
+                    continue
+                if len(rows) == self.max_nonmembers:
+                    self._capped = True  # this nonmember is left out
+                    break
+                cls_opx = w.classify_sum(one, x)
+                exp = None
+                if laurent and x.data[1] is None:
+                    exp = x.data[0][0][0]
+                ok = cls_opx is None or self.H.contains_class(
+                    w.class_sub(cls_opx, cls_x))
+                rows.append((x, exp, cls_x, cls_opx, ok))
+            self._rows = rows
+        return self._rows
 
     def _nonmembers(self):
         """The scanned nonmembers x of H, each with the class of 1+x (None
         for x = -1), up to `max_nonmembers` of them."""
-        if self._outside is None:
-            w = self.H.window
-            one = w.model.one()
-            out = []
-            for x in capped_stream(w.model, self.height):
-                if x.is_zero():
-                    continue
-                if self.H.contains_class(w.classify(x)):
-                    continue
-                if len(out) == self.max_nonmembers:
-                    self._capped = True  # this nonmember is left out
-                    break
-                out.append((x, w.classify_sum(one, x)))
-            self._outside = out
-        return self._outside
+        return [(x, cls_opx) for x, _, _, cls_opx, _ in self._table()]
 
     def is_unit(self, h) -> bool:
         got = self._memo.get(h.data)
@@ -215,10 +292,31 @@ class UnitGroupApprox:
         if h.is_zero():
             return False
         w = self.H.window
-        if not self.H.contains(h):
+        cls_h = w.classify(h)
+        if not self.H.contains_class(cls_h):
             return False
+        exp_h = None
+        if w.model.kind == "laurent":
+            coeffs, bound = h.data
+            if bound is None or coeffs[0][0] < bound:
+                exp_h = coeffs[0][0]
+        h_leads = {}    # cls 1+x -> cls(1+x) - cls(h) in H
         # 1+x = h+x mod H, tested on classes (quotients never materialize)
-        for x, cls_opx in self._nonmembers():
+        for x, exp, _, cls_opx, ok in self._table():
+            if exp_h is not None and exp is not None and exp != exp_h:
+                if exp < exp_h:       # h + x leads with x
+                    if not ok:
+                        return False
+                    continue
+                if cls_opx is None:   # h + x leads with h
+                    continue
+                got = h_leads.get(cls_opx)
+                if got is None:
+                    got = h_leads[cls_opx] = self.H.contains_class(
+                        w.class_sub(cls_opx, cls_h))
+                if not got:
+                    return False
+                continue
             cls_hx = w.classify_sum(h, x)
             if cls_hx is None or cls_opx is None:
                 continue  # impossible for true units; be permissive here
@@ -230,7 +328,7 @@ class UnitGroupApprox:
         """`nonmembers_capped`: the stream at this height holds more than
         `max_nonmembers` nonmembers, and the test used only the first ones."""
         return {"height": self.height, "subgroup": self.H.describe(),
-                "scanned_nonmembers": len(self._nonmembers()),
+                "scanned_nonmembers": len(self._table()),
                 "max_nonmembers": self.max_nonmembers,
                 "nonmembers_capped": self._capped}
 

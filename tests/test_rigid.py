@@ -1,10 +1,16 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
-from valdetect.errors import MainClaimViolated, NotValuative
+from valdetect.errors import (
+    MainClaimViolated,
+    NotValuative,
+    PrecisionExhausted,
+    ValdetectError,
+)
 from valdetect.characters import (
     Character,
     CharacterGroup,
@@ -28,6 +34,7 @@ from valdetect.rigid import (
     capped_stream,
     comparable,
     rigid_complement,
+    valuative_members_mask,
     valuative_test,
 )
 
@@ -297,3 +304,129 @@ def test_unit_group_payload_reports_nonmember_cap(w_tsc):
     # a cap equal to the number of nonmembers leaves none out
     exact = UnitGroupApprox(H, 4, max_nonmembers=p["scanned_nonmembers"])
     assert exact.payload()["nonmembers_capped"] is False
+
+
+def _outcome(fn, h):
+    """fn(h), or the type and message of the valdetect error it raised."""
+    try:
+        return fn(h)
+    except ValdetectError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _inexact(m, data):
+    """Whether the series is known only to a bound at some Laurent level."""
+    if m.kind != "laurent":
+        return False
+    coeffs, bound = data
+    return bound is not None or any(_inexact(m.base, c) for _, c in coeffs)
+
+
+# (field, window, kernel labels, height, bounded series, exact h and
+# bounded h sampled, whether h in H can tie with a nonmember on the top
+# exponent): every verdict, and every exception, of is_unit equals the
+# element reference.  On ker t of F7((t)) no tie is possible: members have
+# t-exponent 0 mod 3, nonmembers do not.
+LEAD_CASES = [
+    ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", ["t"], 4,
+     ["1/(1-t)", "3/(1-t)", "t^-3/(1+t)"], (120, 40), False),
+    ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", ["const"], 3,
+     ["1/(1-t)", "t/(1+t)"], (100, 30), True),
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}", ["s"], 2,
+     ["1+t/(1-s)", "s^3/(1-s)", "1/(1-t)"], (100, 30), True),
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}",
+     ["t", "s"], 2, ["1+t/(1-s)", "t^3/(1-s)+s^3"], (80, 30), True),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}", ["u"], 1,
+     ["1/(1-t)"], (60, 4), True),
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}",
+     ["t", "s"], 2, ["1/(1-s)", "t^2/(1+s*t)"], (80, 30), True),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", ["u"], 2,
+     [], (120, 0), False),
+]
+
+
+@pytest.mark.parametrize("fspec,wspec,labels,height,series,sample,ties",
+                         LEAD_CASES)
+def test_is_unit_leading_exponent_rule_matches_reference(
+        fspec, wspec, labels, height, series, sample, ties):
+    m = parse_field(fspec)
+    w = parse_window(m, wspec)
+    H = _kernel(w, labels)
+    units = UnitGroupApprox(H, height)
+    stream = list(capped_stream(m, height))
+    rng = random.Random(f"{fspec}:{labels}:{height}")
+    exact = stream + [m.one() + x for x in stream[1:]]
+    series = [parse_element(m, s) for s in series]
+    bounded = [b * y for b in series for y in stream[1:]]
+    hs = (rng.sample(exact, min(sample[0], len(exact))) + series
+          + rng.sample(bounded, min(sample[1], len(bounded))))
+    got = [_outcome(units.is_unit, h) for h in hs]
+    assert got == [_outcome(lambda h: _is_unit_by_elements(units, h), h)
+                   for h in hs]
+    assert True in got and False in got
+    if m.kind != "laurent":
+        return
+    # the sample takes every branch of the rule: x leads, h leads, a tie,
+    # and h known only to a precision bound
+    exps = [x.data[0][0][0] for x, _ in units._nonmembers()]
+    seen = set()
+    for h in hs:
+        if h.is_zero() or not H.contains(h):
+            continue
+        eh = h.data[0][0][0]
+        seen.update((e > eh) - (e < eh) for e in exps)
+        seen.add("bounded" if _inexact(m, h.data) else "exact")
+    assert seen == {-1, 1, "bounded", "exact"} | ({0} if ties else set())
+
+
+def test_is_unit_raises_as_reference(w_t_c, w_tsc):
+    # O(t^24) cannot be decided zero; t * O(s^5) has no leading s-term; a
+    # coefficient at the bound itself leaves h + t unknown, so the rule
+    # must not read its leading exponent
+    cases = [(w_t_c, ["t"], parse_element(w_t_c.model, "1/(1-t)-1/(1-t)")),
+             (w_tsc, ["t", "s"], w_tsc.model.elt((((1, ((), 5)),), None))),
+             (w_t_c, ["t"], w_t_c.model.elt((((0, 1),), 0)))]
+    for w, labels, h in cases:
+        units = UnitGroupApprox(_kernel(w, labels), 2)
+        for fn in (units.is_unit, lambda h: _is_unit_by_elements(units, h)):
+            with pytest.raises(PrecisionExhausted):
+                fn(h)
+
+
+def _valuative_by_member(chars, height):
+    return [valuative_test(MultSubgroup.kernel_of(
+        CharacterGroup(f.window, (f,))), height).holds() for f in chars]
+
+
+MASK_CASES = [
+    ("laurent(laurent(gf:19,s),t)", "{ell=3,n=2,gens=[t,s,const]}", 9),
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", 8),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", 3),
+]
+
+
+@pytest.mark.parametrize("fspec,wspec,height", MASK_CASES)
+def test_valuative_members_mask_matches_per_member(fspec, wspec, height):
+    w = parse_window(parse_field(fspec), wspec)
+    chars = CharacterGroup.full(w).elements()
+    mask = valuative_members_mask(chars, height)
+    assert mask == _valuative_by_member(chars, height)
+    assert True in mask[1:] and False in mask
+    assert valuative_members_mask([], height) == []
+
+
+def test_detect_inertia_names_first_nonvaluative_member(monkeypatch):
+    # with the C-center check bypassed, I'' = D'' holds non-valuative
+    # members; the error names the first one in I'.elements() order
+    from valdetect import detect
+    w = parse_window(parse_field("ratfunc(gf:7,u)"),
+                     "{ell=3,n=1,gens=[u,u-3,const]}")
+    D = CharacterGroup.full(w)
+    members = [f for f in D.elements() if not f.is_zero()]
+    flags = _valuative_by_member(members, 3)
+    first = members[flags.index(False)]
+    assert flags[0]     # a valuative member comes before it
+    monkeypatch.setattr(detect, "c_center", lambda group, height: group)
+    with pytest.raises(MainClaimViolated,
+                       match=f"^member {re.escape(first.label())} of I' "):
+        detect.detect_inertia(D, D, 1, 3, aggressive=True)
