@@ -417,29 +417,15 @@ def _decomp_chars(handle, window, height):
         model = window.model
         if model.kind != "laurent" or model.var != payload:
             raise UnsupportedValuation("chain does not match tower")
-        res_window = Window(model.base, window.level,
-                            tuple(g for g in window.gens
-                                  if g != (UNIF, payload)))
         rest = ValuationHandle(model.base, handle.steps[1:])
-        sub, cert = decomp_chars(rest, res_window, height)
-        gens = [_lift_char(window, res_window, g) for g in sub.gens]
+        sub, cert = decomp_chars(rest, window.base_window(), height)
+        gens = [Character(window, window.from_base(g.values, 0))
+                for g in sub.gens]
         for i, g in enumerate(window.gens):
             if g == (UNIF, payload):
                 gens.append(Character.dual(window, i))
         return CharacterGroup(window, gens), cert
     return _decomp_at_place(handle, window, payload, height)
-
-
-def _lift_char(window, res_window, char):
-    vals = []
-    j = 0
-    for g in window.gens:
-        if j < res_window.rank and res_window.gens[j] == g:
-            vals.append(char.values[j])
-            j += 1
-        else:
-            vals.append(0)
-    return Character(window, tuple(vals))
 
 
 def _decomp_at_place(handle, window, place, height):
@@ -478,8 +464,7 @@ def residue_window(handle: ValuationHandle, window: Window) -> Window:
         if kind == "unif":
             if model.kind != "laurent" or model.var != payload:
                 raise UnsupportedValuation("chain does not match tower")
-            cur = Window(model.base, cur.level,
-                         tuple(g for g in cur.gens if g != (UNIF, payload)))
+            cur = cur.base_window()
         else:
             if idx + 1 != len(handle.steps):
                 raise UnsupportedValuation("places end at finite residues")
@@ -497,8 +482,12 @@ def residue_window(handle: ValuationHandle, window: Window) -> Window:
     return cur
 
 
-def _finite_kernel_is_everything(model, place, window, const_listed,
-                                 degree_bound=2):
+# places tried by _finite_kernel_is_everything go up to this degree, or to
+# the degree of the place itself when that is higher
+RESIDUE_PLACE_DEGREE = 2
+
+
+def _finite_kernel_is_everything(model, place, window, const_listed):
     """Whether residues of unlisted places (plus constants when unlisted and
     the l^n-th powers) already span all of k(P)^x mod the level."""
     ff = model.ff
@@ -508,7 +497,7 @@ def _finite_kernel_is_everything(model, place, window, const_listed,
     if order % 2 == 0:
         span = math.gcd(span, order // 2)          # -1
     listed = {g[1] for g in window.gens if g[0] == PLACE}
-    for d in range(1, max(degree_bound, ff.poly_deg(place)) + 1):
+    for d in range(1, max(RESIDUE_PLACE_DEGREE, ff.poly_deg(place)) + 1):
         for q in ff.monic_polys(d):
             if q == place or q in listed or not ff.poly_is_irreducible(q):
                 continue

@@ -306,10 +306,9 @@ def build_parser():
                     "computations over explicit small fields.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, window=True, height=True):
-        p.add_argument("--field", required=window)
-        if window:
-            p.add_argument("--window", required=True)
+    def common(p, height=True):
+        p.add_argument("--field", required=True)
+        p.add_argument("--window", required=True)
         if height:
             p.add_argument("--height", type=int, default=4)
         p.add_argument("--output", default=None)

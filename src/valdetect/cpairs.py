@@ -207,8 +207,11 @@ def vectors_cyclic(v1, v2, ell, n):
     return span_contains(form2, v1, ell, n)
 
 
-def cyclic_pair_transfer(fp: Character, gp: Character, x, n: int,
-                         verify_height: int = 2) -> bool:
+# height of the C-pair check on the inputs of cyclic_pair_transfer
+TRANSFER_VERIFY_HEIGHT = 2
+
+
+def cyclic_pair_transfer(fp: Character, gp: Character, x, n: int) -> bool:
     """For a C-pair at level M1(n) = 2n-1, the reduced pair Psi = (f_n, g_n)
     has <Psi(1-x), Psi(x)> cyclic; returns that check (true unless the
     inputs were not really a C-pair at the lifted level)."""
@@ -218,7 +221,7 @@ def cyclic_pair_transfer(fp: Character, gp: Character, x, n: int,
     if fp.level.n != index_m(1, n):
         raise LevelMismatch(
             f"inputs must live at level {index_m(1, n)} for target {n}")
-    probe = c_pair_direct(fp, gp, verify_height)
+    probe = c_pair_direct(fp, gp, TRANSFER_VERIFY_HEIGHT)
     if not probe.holds():
         raise PreconditionViolated("inputs are not a C-pair at the lifted level")
     f, g = fp.reduce_level(n), gp.reduce_level(n)

@@ -371,11 +371,14 @@ class ClassMembershipReport:
         }
 
 
-def _refinement_steps(handle: ValuationHandle, window: Window,
-                      degree_bound: int):
+# highest degree of the unlisted places tried as refinements
+REFINEMENT_DEGREE = 2
+
+
+def _refinement_steps(handle: ValuationHandle, window: Window):
     """Native one-step refinements of the handle: the next uniformizer for a
-    Laurent residue, or places of a rational-function residue up to the
-    degree bound (window-listed places first)."""
+    Laurent residue, or places of a rational-function residue up to
+    REFINEMENT_DEGREE (window-listed places first)."""
     res = residue_model(handle)
     if res.kind == "laurent":
         yield ValuationHandle.from_steps(res, [res.var])
@@ -385,7 +388,7 @@ def _refinement_steps(handle: ValuationHandle, window: Window,
         for p in listed:
             seen.add(p)
             yield ValuationHandle.from_steps(res, [p])
-        for d in range(1, degree_bound + 1):
+        for d in range(1, REFINEMENT_DEGREE + 1):
             for p in res.ff.monic_polys(d):
                 if p in seen or not res.ff.poly_is_irreducible(p):
                     continue
@@ -393,8 +396,7 @@ def _refinement_steps(handle: ValuationHandle, window: Window,
 
 
 def class_membership(handle: ValuationHandle, window: Window, n: int,
-                     height: int, refinement_degree: int = 2
-                     ) -> ClassMembershipReport:
+                     height: int) -> ClassMembershipReport:
     """Maximality classification of a native valuation within the window.
 
     Condition (1) holds for every chain (the value group is Z^k with the
@@ -410,7 +412,7 @@ def class_membership(handle: ValuationHandle, window: Window, n: int,
     in_w = True
     witness = None
     refinements = []
-    for step in _refinement_steps(handle, w, refinement_degree):
+    for step in _refinement_steps(handle, w):
         wprime = compose_valuations(handle, step)
         refinements.append(wprime.spec())
         Dw, _ = decomp_chars(wprime, w, height)

@@ -469,15 +469,6 @@ def _sum_lead(m, a, b):
         f"no known coefficient of the sum below O({m.var}^{bound})")
 
 
-def bottom_constant(x: Elt):
-    """The canonical constant of a bottom element: itself, or lc(num)/lc(den)."""
-    m = x.model
-    if m.kind == "finite":
-        return x.data
-    num, den = x.data
-    return m.ff.mul(num[-1], m.ff.inv(den[-1]))
-
-
 # ---------------------------------------------------------------------------
 # valuation handles
 # ---------------------------------------------------------------------------
@@ -659,7 +650,12 @@ def _const_class_order(ff: FiniteField, level: Level) -> int:
 
 @dataclass(frozen=True)
 class Window:
-    """A finite quotient K^x/T presented by labeled generator classes."""
+    """A finite quotient K^x/T presented by labeled generator classes.
+
+    fraction_class is the one rule for the class of a bottom fraction (the
+    numpy scan kernel is a fast path tested against it), and base_window
+    and from_base the one rule for how a window sits over the window on
+    its Laurent base."""
 
     model: FieldModel
     level: Level
@@ -703,9 +699,14 @@ class Window:
             else:
                 orders.append(self.level.modulus)
         object.__setattr__(self, "_orders", tuple(orders))
-        # read by classify_decomposed on every class, so resolved once
-        object.__setattr__(self, "_bottom", bottom)
-        object.__setattr__(self, "_const_field", self.model.constant_field())
+        # read by fraction_class on every class, so resolved once
+        object.__setattr__(self, "_ff", bottom.ff)
+        object.__setattr__(self, "_one", (bottom.ff.one,))
+        object.__setattr__(self, "_poly_memo", {})  # poly -> _poly_class
+        # read by from_base on every Laurent table entry
+        top = (UNIF, self.model.var) if self.model.kind == "laurent" else None
+        object.__setattr__(self, "_top_slot",
+                           self.gens.index(top) if top in self.gens else None)
 
     @staticmethod
     def build(model, level, gen_specs):
@@ -789,20 +790,45 @@ class Window:
         return self.classify_decomposed(*lead)
 
     def classify_decomposed(self, exps, bot):
-        mod = self.level.modulus
+        """Class of prod(t^exps[t]) * bot for a nonzero bottom element bot."""
+        if bot.model.kind == "finite":
+            return self.fraction_class((bot.data,), self._one, exps)
+        return self.fraction_class(*bot.data, exps)
+
+    def fraction_class(self, num, den, exps):
+        """Class of (num / den) * prod(t^exps[t]) for nonzero polynomials
+        num, den over the bottom; they need not be coprime or monic.
+
+        A place coordinate is the multiplicity of the place in num minus
+        that in den, the const coordinate is dlog lc(num) - dlog lc(den),
+        and a uniformizer coordinate is its exponent in `exps` (0 when
+        absent).  The per-polynomial data is memoised on the window."""
+        memo = self._poly_memo
+        dn, dd = memo.get(num), memo.get(den)
+        if dn is None:
+            dn = self._poly_class(num)
+        if dd is None:
+            dd = self._poly_class(den)
         out = []
+        i = 0
         for g, order in zip(self.gens, self._orders):
             if g[0] == UNIF:
-                out.append(exps.get(g[1], 0) % mod)
-            elif g[0] == PLACE:
-                num, den = bot.data
-                ff = self._bottom.ff
-                m = ff.place_multiplicity(num, g[1]) - \
-                    ff.place_multiplicity(den, g[1])
-                out.append(m % mod)
+                out.append(exps.get(g[1], 0) % order)
             else:
-                out.append(self._const_field.dlog(bottom_constant(bot)) % order)
+                out.append((dn[i] - dd[i]) % order)
+                i += 1
         return tuple(out)
+
+    def _poly_class(self, poly):
+        """Per listed place or const, in window order: the multiplicity of
+        the place in poly, or the dlog of its leading coefficient; stored
+        in the memo that fraction_class reads first."""
+        ff = self._ff
+        got = self._poly_memo[poly] = tuple(
+            ff.place_multiplicity(poly, g[1]) if g[0] == PLACE
+            else ff.dlog(poly[-1])
+            for g in self.gens if g[0] != UNIF)
+        return got
 
     def zero_class(self):
         return (0,) * self.rank
@@ -820,6 +846,24 @@ class Window:
 
     def at_level(self, n: int) -> "Window":
         return Window(self.model, Level(self.level.ell, n), self.gens)
+
+    def base_window(self) -> "Window":
+        """The window on the base of a Laurent model: the same level and
+        generators, less the top uniformizer."""
+        if self.model.kind != "laurent":
+            raise PreconditionViolated("no Laurent level to drop")
+        top = (UNIF, self.model.var)
+        return Window(self.model.base, self.level,
+                      tuple(g for g in self.gens if g != top))
+
+    def from_base(self, vec, top_value):
+        """A base_window() vector (a class or character values, as a tuple)
+        as a vector on this window, with top_value in the top uniformizer's
+        slot when the window lists it."""
+        i = self._top_slot
+        if i is None:
+            return vec
+        return vec[:i] + (top_value,) + vec[i:]
 
 
 def _lift_constant(model, ffcode):

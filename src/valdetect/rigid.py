@@ -116,14 +116,16 @@ class ValuativeVerdict:
 # not class tables, so rational-function levels get a lower degree cap
 ELEMENT_RATFUNC_CAP = 1
 
+# height cap of the l = 2 two-variable scan, which walks element pairs
+PAIR_HEIGHT_CAP = 2
+
 
 def capped_stream(model, height):
     return (x for blk in enumerate_blocks(model, height, ELEMENT_RATFUNC_CAP)
             for x in blk)
 
 
-def valuative_test(H: MultSubgroup, height: int,
-                   pair_height: int = None) -> ValuativeVerdict:
+def valuative_test(H: MultSubgroup, height: int) -> ValuativeVerdict:
     """Scan the conditions for H to admit a valuation with O_v^x <= H.
 
     Always checks 1+x in H u xH for scanned x outside H.  For ell = 2 the
@@ -148,10 +150,9 @@ def valuative_test(H: MultSubgroup, height: int,
                                 conditions=tuple(conditions))
     if w.level.ell == 2:
         conditions.append("one_plus_x_one_plus_y")
-        ph = pair_height if pair_height is not None else min(height, 2)
         qualifying = []
         one = w.model.one()
-        for x in capped_stream(w.model, ph):
+        for x in capped_stream(w.model, min(height, PAIR_HEIGHT_CAP)):
             if x.is_zero():
                 continue
             if H.contains_class(w.classify(x)):

@@ -28,11 +28,12 @@ triples on F7(u) with [u, u-1, const] at degree 2, and none on F19((t))
 with l^n = 9 and [t, const] at height 9), so those scans run over the
 wedge list.
 
-A window's ScanIndex is the one owner of its memos: the triple table, the
-wedge list, the pure path's polynomial class data and the numpy path's
-class table, which the decomposition sweeps below share.  The indexes live
-for the process in one dict keyed by window, so later commands reuse the
-tables.
+A window's ScanIndex owns its memos: the triple table, the wedge list and
+the numpy path's class table, which the decomposition sweeps below share.
+The pure paths take every class from the index's Window
+(`Window.fraction_class`), which memoises per-polynomial class data.  The
+indexes live for the process in one dict keyed by window, so later
+commands reuse the tables and that memo.
 """
 
 import itertools
@@ -42,9 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    CONST,
     PLACE,
-    UNIF,
     Window,
     laurent_exponents,
     ratfunc_denominators,
@@ -66,8 +65,7 @@ class ScanEntry:
 
 class ScanIndex:
     """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples, the
-    first entry of each distinct nonzero Steinberg wedge cls x ^ cls 1-x, and
-    owner of the window's polynomial class memos."""
+    first entry of each distinct nonzero Steinberg wedge cls x ^ cls 1-x."""
 
     def __init__(self, window: Window):
         self.window = window
@@ -75,7 +73,6 @@ class ScanIndex:
         self.wedge_blocks = []    # wedge_blocks[s] = (wedge, entry), new at s
         self._seen = set()
         self._wedges = set()
-        self.poly_classes = {}    # pure path: poly -> class data
         self.class_table = None   # numpy path: _ClassTable
 
     def ensure(self, height):
@@ -204,64 +201,21 @@ def _finite_block(window, s):
 # rational function fields
 # ---------------------------------------------------------------------------
 
-def _ratfunc_gen_data(window):
-    """(place polys, const listed, const order) for the class computation."""
-    places = [g[1] for g in window.gens if g[0] == PLACE]
-    const = any(g[0] == CONST for g in window.gens)
-    return places, const
-
-
-def _ratfunc_poly_class(window, memo, poly):
-    """(mult at each listed place ..., dlog lc if const listed)."""
-    got = memo.get(poly)
-    if got is None:
-        ff = window.model.ff
-        places, const = _ratfunc_gen_data(window)
-        data = [ff.place_multiplicity(poly, p) for p in places]
-        if const:
-            data.append(ff.dlog(poly[-1]))
-        got = memo[poly] = tuple(data)
-    return got
-
-
-def _ratfunc_assemble(window, dnum, dden):
-    """Window class from numerator/denominator class data."""
-    out = []
-    i = 0
-    for g, order in zip(window.gens, window.orders):
-        if g[0] == PLACE:
-            out.append((dnum[i] - dden[i]) % window.level.modulus)
-            i += 1
-        elif g[0] == CONST:
-            out.append((dnum[-1] - dden[-1]) % order)
-        else:
-            out.append(0)
-    return tuple(out)
-
-
 def _ratfunc_block_entries(index, s):
     window = index.window
     if _numpy_eligible(window):
         return _ratfunc_block_numpy(index, s)
     model = window.model
     ff = model.ff
-    memo = index.poly_classes
     out = []
     for di, den in enumerate(ratfunc_denominators(ff, s)):
-        dden = _ratfunc_poly_class(window, memo, den)
         nums = ratfunc_numerators(ff, s, ff.poly_deg(den) == s)
         for ni, num in enumerate(nums):
-            if num == den:
-                diff = ()
-            else:
-                diff = ff.poly_sub(den, num)
+            diff = ff.poly_sub(den, num)
             sm = ff.poly_add(den, num)
-            cls_x = _ratfunc_assemble(
-                window, _ratfunc_poly_class(window, memo, num), dden)
-            cls_1mx = None if not diff else _ratfunc_assemble(
-                window, _ratfunc_poly_class(window, memo, diff), dden)
-            cls_1px = None if not sm else _ratfunc_assemble(
-                window, _ratfunc_poly_class(window, memo, sm), dden)
+            cls_x = window.fraction_class(num, den, {})
+            cls_1mx = window.fraction_class(diff, den, {}) if diff else None
+            cls_1px = window.fraction_class(sm, den, {}) if sm else None
             out.append(ScanEntry(
                 (s, di, ni), cls_x, cls_1mx, cls_1px,
                 _ratfunc_rep(model, num, den)))
@@ -278,24 +232,9 @@ def _ratfunc_rep(model, num, den):
 
 def _laurent_block_entries(window, s):
     model = window.model
-    level = window.level
-    mod = level.modulus
-    top = (UNIF, model.var)
-    res_window = Window(model.base, level,
-                        tuple(g for g in window.gens if g != top))
+    mod = window.level.modulus
     res_height = effective_height(model.base, s)
-    res_index = scan_index(res_window, res_height)
-
-    def embed(cls_res, e):
-        out = []
-        j = 0
-        for g in window.gens:
-            if g == top:
-                out.append(e % mod)
-            else:
-                out.append(cls_res[j])
-                j += 1
-        return tuple(out)
+    res_index = scan_index(window.base_window(), res_height)
 
     def lift(rep_res, e):
         def make():
@@ -309,16 +248,16 @@ def _laurent_block_entries(window, s):
         es = laurent_exponents(s, sc)
         for ent in res_index.blocks[sc]:
             for e in es:
-                cls_x = embed(ent.cls_x, e)
+                cls_x = window.from_base(ent.cls_x, e % mod)
                 if e > 0:
                     cls_1mx = cls_1px = window.zero_class()
                 elif e < 0:
                     cls_1mx = cls_1px = cls_x
                 else:
                     cls_1mx = None if ent.cls_1mx is None else \
-                        embed(ent.cls_1mx, 0)
+                        window.from_base(ent.cls_1mx, 0)
                     cls_1px = None if ent.cls_1px is None else \
-                        embed(ent.cls_1px, 0)
+                        window.from_base(ent.cls_1px, 0)
                 out.append(ScanEntry((s, sc) + ent.key + (e,), cls_x,
                                      cls_1mx, cls_1px, lift(ent.rep, e)))
     return out
@@ -334,15 +273,14 @@ def _decomp_place_classes(window, place, h):
     index = _index_of(window)
     if _numpy_eligible(window):
         return _decomp_place_classes_numpy(index, place, h)
+    window = index.window  # owns the polynomial class memo
     ff = window.model.ff
-    memo = index.poly_classes
     out = set()
     pa_memo = {}
     for bdeg in range(h + 1):
         for b in ff.monic_polys(bdeg):
             if ff.place_multiplicity(b, place) > 0:
                 continue
-            db = _ratfunc_poly_class(window, memo, b)
             adegs = range(h + 1) if bdeg == h else (h,)
             for adeg in adegs:
                 for a in ff.polys_of_degree(adeg):
@@ -352,8 +290,7 @@ def _decomp_place_classes(window, place, h):
                     num = ff.poly_add(b, pa)
                     if not num:
                         continue
-                    out.add(_ratfunc_assemble(
-                        window, _ratfunc_poly_class(window, memo, num), db))
+                    out.add(window.fraction_class(num, b, {}))
     return out
 
 

@@ -221,3 +221,65 @@ def test_dual_by_label_errors(w_u_u3, monkeypatch):
     monkeypatch.setattr(valdetect.fields, "_parse_poly", broken)
     with pytest.raises(RuntimeError, match="internal failure"):
         Character.dual_by_label(w_u_u3, "u-1")
+
+
+# windows that omit the top uniformizer or list it away from the front, with
+# the base window each should drop to
+TOP_LAYOUTS = [
+    ("laurent(laurent(gf:7,s),t)", "s,const", "s,const"),
+    ("laurent(laurent(gf:7,s),t)", "const,s,t", "const,s"),
+    ("laurent(laurent(gf:7,s),t)", "s,t", "s"),
+    ("laurent(ratfunc(gf:7,u),t)", "u,t,u-3", "u,u-3"),
+    ("laurent(ratfunc(gf:7,u),t)", "u-3,u", "u-3,u"),
+]
+
+
+def _duals(window, labels):
+    """The duals of those of `labels` that the window lists."""
+    listed = [window.gen_label(i) for i in range(window.rank)]
+    return CharacterGroup(window, [Character.dual_by_label(window, lab)
+                                   for lab in labels if lab in listed])
+
+
+def _one_plus_place_classes(window, place):
+    """Classes of 1 + P*(a/b) + t over deg a <= 1 and monic deg b <= 1 with
+    b(0) != 0, built as elements of the whole tower."""
+    model = window.model
+    base = model.base
+    ff = base.ff
+    out = set()
+    for b in [(ff.one,)] + [(c, ff.one) for c in range(1, ff.q)]:
+        for a in [(c0, c1) for c0 in range(ff.q) for c1 in range(ff.q)]:
+            y = base.from_poly(ff.poly_mul(place, a), b) + base.one()
+            if y.is_zero():
+                continue
+            x = model.from_terms({0: y, 1: base.one()})
+            out.add(window.classify(x))
+    return out
+
+
+@pytest.mark.parametrize("fspec,gens,base_gens", TOP_LAYOUTS)
+def test_valuation_groups_when_top_is_omitted_or_reordered(fspec, gens,
+                                                           base_gens):
+    model = parse_field(fspec)
+    w = parse_window(model, f"{{ell=3,n=1,gens=[{gens}]}}")
+    top = ValuationHandle.from_steps(model, ["t"])
+    assert residue_window(top, w) == parse_window(
+        model.base, f"{{ell=3,n=1,gens=[{base_gens}]}}")
+    assert inertia_chars(top, w) == _duals(w, ["t"])
+    D, cert = decomp_chars(top, w)
+    assert D == CharacterGroup.full(w) and cert.exact
+    lower = "s" if model.base.kind == "laurent" else "u"
+    chain = ValuationHandle.from_steps(model, ["t", lower])
+    assert inertia_chars(chain, w) == _duals(w, ["t", lower])
+    D, cert = decomp_chars(chain, w)
+    if lower == "s":
+        # 1 + m is made of l^n-th powers at both Laurent steps
+        assert D == CharacterGroup.full(w) and cert.exact
+        assert residue_window(chain, w).gens == \
+            (("const",),) * ("const" in gens)
+    else:
+        place = chain.steps[1][1]
+        assert D == CharacterGroup.killing_classes(
+            w, sorted(_one_plus_place_classes(w, place)))
+        assert residue_window(chain, w).rank == 0

@@ -80,6 +80,25 @@ def test_oracle_laurent_over_ratfunc_capped():
             w, enumerate_elements(w.model, h)), h
 
 
+# windows that omit the top uniformizer or list it away from the front: the
+# Laurent table puts residue classes back around the top slot
+TOP_LAYOUT_WINDOWS = [
+    ("laurent(laurent(gf:7,s),t)", "s,const", (0, 2, 4)),
+    ("laurent(laurent(gf:7,s),t)", "const,s,t", (0, 2, 4)),
+    ("laurent(laurent(gf:7,s),t)", "s,t", (0, 2, 4)),
+    ("laurent(ratfunc(gf:7,u),t)", "u,t,u-3", (0, 1)),
+    ("laurent(ratfunc(gf:7,u),t)", "u-3,u", (0, 1)),
+]
+
+
+@pytest.mark.parametrize("fspec,gens,heights", TOP_LAYOUT_WINDOWS)
+def test_oracle_top_uniformizer_omitted_or_reordered(fspec, gens, heights):
+    w = parse_window(parse_field(fspec), f"{{ell=3,n=1,gens=[{gens}]}}")
+    for h in heights:
+        assert index_triples(w, h) == brute_triples(
+            w, enumerate_elements(w.model, h)), h
+
+
 def test_oracle_level_two_laurent():
     w = parse_window(parse_field("laurent(gf:19,t)"),
                      "{ell=3,n=2,gens=[t,const]}")
