@@ -16,7 +16,15 @@ force in a Heisenberg group before first use at each level.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .coeffmod import Level, howell_form, kernel_mod, span_contains
+from .coeffmod import (
+    FinMod,
+    Level,
+    howell_form,
+    kernel_mod,
+    span_contains,
+    span_elements,
+    submodule_contains,
+)
 from .errors import (
     FrameMismatch,
     NoRootsOfUnity,
@@ -58,8 +66,20 @@ class CentralFrame:
     def dim(self):
         return len(self.pairs) + self.rank
 
+    @cached_property
+    def module(self):
+        """The free module on the [i,j] + pi basis modulo R."""
+        return FinMod(tuple(range(self.dim)), self.relations, self.level)
+
     def pi_index(self, r):
         return len(self.pairs) + r
+
+    def span(self, gens):
+        """The members of the span of AbelianElements `gens`, sorted."""
+        ell, n = self.level.ell, self.level.n
+        form = howell_form([g.coeffs for g in gens], ell, n, self.rank)
+        return [AbelianElement(self, v)
+                for v in sorted(span_elements(form, ell, n, self.rank))]
 
     def zero(self):
         return CentralElement(self, (0,) * self.dim)
@@ -171,18 +191,15 @@ def cl_pair(sigma: AbelianElement, tau: AbelianElement) -> bool:
     """[sigma, tau] in <sigma^beta, tau^beta> modulo the frame relations."""
     if sigma.frame != tau.frame:
         raise FrameMismatch("elements of different frames")
-    fr = sigma.frame
-    ell, n = fr.level.ell, fr.level.n
-    rows = [beta_power(sigma).coords, beta_power(tau).coords]
-    rows += list(fr.relations)
-    form = howell_form(rows, ell, n, fr.dim)
-    return span_contains(form, commutator(sigma, tau).coords, ell, n)
+    return submodule_contains(
+        sigma.frame.module, [beta_power(sigma).coords, beta_power(tau).coords],
+        commutator(sigma, tau).coords)
 
 
 def cl_center(gens, frame: CentralFrame):
     """Members sigma of the span of `gens` with cl_pair(sigma, tau) for every
     tau in the span; closure under addition is verified afterwards."""
-    members = _span_elements(frame, gens)
+    members = frame.span(gens)
     center = [s for s in members
               if all(cl_pair(s, t) for t in members)]
     center_set = {c.coeffs for c in center}
@@ -195,25 +212,11 @@ def cl_center(gens, frame: CentralFrame):
     return center
 
 
-def _span_elements(frame, gens):
-    m = frame.level.modulus
-    seen = {(0,) * frame.rank}
-    frontier = [(0,) * frame.rank]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple((a + b) % m for a, b in zip(cur, g.coeffs))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return [AbelianElement(frame, v) for v in sorted(seen)]
-
-
 def ibcl_alt_check(gens, frame: CentralFrame) -> bool:
     """At n = 1, compare the CL-center with {sigma : [sigma, tau] in A^beta}."""
     if frame.level.n != 1:
         raise WrongLevel("the alternative description is a level-1 statement")
-    members = _span_elements(frame, gens)
+    members = frame.span(gens)
     center = {c.coeffs for c in cl_center(gens, frame)}
     ell, n = frame.level.ell, frame.level.n
     beta_rows = [beta_power(t).coords for t in members]

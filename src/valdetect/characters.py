@@ -21,8 +21,9 @@ from .coeffmod import (
     howell_form,
     kernel_mod,
     span_contains,
-    val_mod,
-    FinMod,
+    span_elements,
+    span_intersect,
+    span_quasi_basis,
 )
 from .errors import (
     LevelMismatch,
@@ -221,26 +222,8 @@ class CharacterGroup:
     def elements(self):
         """All members, deterministically ordered; sizes stay window-small."""
         ell, n = self.level.ell, self.level.n
-        mod = self.level.modulus
-        out = [Character.zero(self.window)]
-        for row in self._form:
-            piv = next(x for x in row if x)
-            order = mod // ell ** val_mod(piv, ell, n)
-            new = []
-            for mult in range(1, order):
-                vec = tuple(mult * x for x in row)
-                for old in out:
-                    new.append(Character(
-                        self.window,
-                        tuple(a + b for a, b in zip(old.values, vec))))
-            out.extend(new)
-        # dedupe (order relations can overlap), keep first occurrences
-        seen, uniq = set(), []
-        for c in out:
-            if c.values not in seen:
-                seen.add(c.values)
-                uniq.append(c)
-        return uniq
+        return [Character(self.window, v) for v in
+                span_elements(self._form, ell, n, self.window.rank)]
 
     def size(self):
         return len(self.elements())
@@ -248,21 +231,8 @@ class CharacterGroup:
     def member_quasi_basis(self):
         """[(Character, order)] forming a quasi-basis of the subgroup."""
         ell, n = self.level.ell, self.level.n
-        if not self._form:
-            return []
-        rel = kernel_mod([[row[c] for row in self._form]
-                          for c in range(self.window.rank)], ell, n,
-                         len(self._form))
-        fm = FinMod(tuple(range(len(self._form))), tuple(rel), self.level)
-        out = []
-        mod = self.level.modulus
-        for expr, order in fm.quasi_basis():
-            vec = [0] * self.window.rank
-            for c, row in zip(expr, self._form):
-                for j in range(self.window.rank):
-                    vec[j] = (vec[j] + c * row[j]) % mod
-            out.append((Character(self.window, tuple(vec)), order))
-        return out
+        return [(Character(self.window, v), order)
+                for v, order in span_quasi_basis(self._form, ell, n)]
 
     @property
     def rank(self):
@@ -276,61 +246,19 @@ class CharacterGroup:
         if not sub <= self:
             raise PreconditionViolated("quotient by a non-subgroup")
         ell, n = self.level.ell, self.level.n
-        if not self._form:
-            return []
-        ncols = len(self._form)
-        rel = list(kernel_mod([[row[c] for row in self._form]
-                               for c in range(self.window.rank)],
-                              ell, n, ncols))
-        for srow in sub._form:
-            rel.append(self._coords(srow))
-        fm = FinMod(tuple(range(ncols)), tuple(rel), self.level)
-        return [order for _, order in fm.quasi_basis()]
+        return [order for _, order in
+                span_quasi_basis(self._form, ell, n, sub._form)]
 
     def quotient_is_cyclic(self, sub):
         return len(self.quotient_orders(sub)) <= 1
-
-    def _coords(self, vec):
-        """Coordinates of a member vector over the Howell rows."""
-        ell, n = self.level.ell, self.level.n
-        mod = self.level.modulus
-        v = list(vec)
-        out = [0] * len(self._form)
-        for i, row in enumerate(self._form):
-            col = next(j for j, x in enumerate(row) if x)
-            piv = row[col]
-            pv = ell ** val_mod(piv, ell, n)
-            if v[col] % pv:
-                raise PreconditionViolated("vector outside the span")
-            q = v[col] // pv
-            out[i] = q
-            for j in range(self.window.rank):
-                v[j] = (v[j] - q * row[j]) % mod
-        if any(v):
-            raise PreconditionViolated("vector outside the span")
-        return tuple(out)
 
     def intersect(self, other: "CharacterGroup") -> "CharacterGroup":
         if other.window != self.window:
             raise LevelMismatch("windows differ")
         ell, n = self.level.ell, self.level.n
-        r1, r2 = self._form, other._form
-        if not r1 or not r2:
-            return CharacterGroup.zero(self.window)
-        rows = []
-        for c in range(self.window.rank):
-            rows.append(tuple([row[c] for row in r1] +
-                              [-row[c] % self.level.modulus for row in r2]))
-        sol = kernel_mod(rows, ell, n, len(r1) + len(r2))
-        mod = self.level.modulus
-        gens = []
-        for s in sol:
-            vec = [0] * self.window.rank
-            for coef, row in zip(s[:len(r1)], r1):
-                for j in range(self.window.rank):
-                    vec[j] = (vec[j] + coef * row[j]) % mod
-            gens.append(Character(self.window, tuple(vec)))
-        return CharacterGroup(self.window, gens)
+        return CharacterGroup(self.window, tuple(
+            Character(self.window, v)
+            for v in span_intersect(self._form, other._form, ell, n)))
 
     def reduce_level(self, n: int) -> "CharacterGroup":
         return CharacterGroup(self.window.at_level(n),

@@ -5,6 +5,13 @@ lifting levels, the cancellation rule for products over Z/l^R, and module
 calculus for finitely generated Z/l^n-modules: Howell canonical forms, Smith
 forms with transforms, kernels, span membership and quasi-bases.
 
+This module is the one home of span algebra: every other module hands it
+the Howell rows of a span and gets back members, quasi-bases (of the span or
+of a quotient of spans), coordinates over the rows, intersections, and
+membership with extra generators (submodule_contains).  Cyclicity of a pair
+of vectors uses the chain criterion: the subgroups of a cyclic l-group form
+a chain, so <v1, v2> is cyclic iff v1 lies in <v2> or v2 lies in <v1>.
+
 All computations are exact; moduli may be astronomically large (the level
 bounds grow like l^(3n), so Coeff values are plain Python integers).
 """
@@ -254,23 +261,47 @@ def howell_form(rows, ell: int, e: int, ncols: int):
     return [tuple(piv) for _, _, piv in result]
 
 
-def span_reduce(form, vec, ell: int, e: int):
-    """Canonical coset representative of vec modulo the row span of a Howell
-    form; the residue is zero iff vec lies in the span."""
+def _span_divide(form, vec, ell: int, e: int):
+    """(quotients, remainder) of vec by the Howell rows, pivot by pivot."""
     m = ell ** e
     v = [x % m for x in vec]
+    quotients = []
     for row in form:
         col = next(j for j, x in enumerate(row) if x)
-        pv = ell ** val_mod(row[col], ell, e)
-        q = v[col] // pv
+        q = v[col] // ell ** val_mod(row[col], ell, e)
+        quotients.append(q)
         if q:
             for j in range(col, len(v)):
                 v[j] = (v[j] - q * row[j]) % m
-    return tuple(v)
+    return quotients, tuple(v)
+
+
+def span_reduce(form, vec, ell: int, e: int):
+    """Canonical coset representative of vec modulo the row span of a Howell
+    form; the residue is zero iff vec lies in the span."""
+    return _span_divide(form, vec, ell, e)[1]
 
 
 def span_contains(form, vec, ell: int, e: int) -> bool:
     return not any(span_reduce(form, vec, ell, e))
+
+
+def span_coords(form, vec, ell: int, e: int):
+    """Coefficients c with vec = sum c_i form[i]; vec must lie in the span."""
+    quotients, rest = _span_divide(form, vec, ell, e)
+    if any(rest):
+        raise PreconditionViolated("vector outside the span")
+    return tuple(quotients)
+
+
+def span_combine(form, coeffs, ell: int, e: int, ncols: int):
+    """The vector sum c_i form[i] for coefficients c over the Howell rows."""
+    m = ell ** e
+    vec = [0] * ncols
+    for c, row in zip(coeffs, form):
+        for j, x in enumerate(row):
+            vec[j] = (vec[j] + c * x) % m
+    return tuple(vec)
 
 
 def smith_form(rows, ell: int, e: int, ncols: int):
@@ -411,9 +442,6 @@ class FinMod:
         out.sort(key=lambda t: (-t[1], t[0]))
         return out
 
-    def is_cyclic(self):
-        return len(self.quasi_basis()) <= 1
-
     def span_members(self, gens_vectors):
         """All distinct coset representatives of the span of gens_vectors.
 
@@ -441,3 +469,61 @@ def submodule_contains(module: FinMod, gens, x) -> bool:
         list(gens) + list(module.relations), ell, e, module.rank
     )
     return span_contains(form, x, ell, e)
+
+
+# ---------------------------------------------------------------------------
+# the row span of a Howell form
+# ---------------------------------------------------------------------------
+
+def span_elements(form, ell: int, e: int, ncols: int):
+    """Every member of the row span, each once: zero first, then for each
+    Howell row its multiples 1 .. order-1 added to all members so far."""
+    m = ell ** e
+    out = [(0,) * ncols]
+    for row in form:
+        piv = next(x for x in row if x)
+        order = m // ell ** val_mod(piv, ell, e)
+        out += [tuple((a + k * b) % m for a, b in zip(old, row))
+                for k in range(1, order) for old in out]
+    return list(dict.fromkeys(out))
+
+
+def span_quasi_basis(form, ell: int, e: int, sub=()):
+    """[(vector, order)], a quasi-basis of span(form)/span(sub), sorted by
+    order as FinMod.quasi_basis; the vectors of sub must lie in span(form).
+
+    The span is the free module on the Howell rows modulo the kernel of the
+    transposed form, and sub adds its coordinates over the rows."""
+    if not form:
+        return []
+    k, ncols = len(form), len(form[0])
+    rel = list(kernel_mod([[row[c] for row in form] for c in range(ncols)],
+                          ell, e, k))
+    rel += [span_coords(form, vec, ell, e) for vec in sub]
+    module = FinMod(tuple(range(k)), tuple(rel), Level(ell, e))
+    return [(span_combine(form, expr, ell, e, ncols), order)
+            for expr, order in module.quasi_basis()]
+
+
+def span_intersect(form1, form2, ell: int, e: int):
+    """Generators of span(form1) n span(form2): the first-form halves of the
+    solutions of sum a_i form1[i] = sum b_j form2[j]."""
+    if not form1 or not form2:
+        return []
+    m, ncols = ell ** e, len(form1[0])
+    rows = [tuple([row[c] for row in form1] + [-row[c] % m for row in form2])
+            for c in range(ncols)]
+    sol = kernel_mod(rows, ell, e, len(form1) + len(form2))
+    return [span_combine(form1, s[:len(form1)], ell, e, ncols) for s in sol]
+
+
+def vectors_cyclic(v1, v2, ell: int, n: int) -> bool:
+    """Whether <v1, v2> in (Z/l^n)^k is cyclic, for any width k.
+
+    The subgroups of a cyclic l-group form a chain, so <v1, v2> is cyclic
+    iff it equals <v1> or <v2>, that is iff one vector lies in the span of
+    the other."""
+    width = len(v1)
+    if span_contains(howell_form([v1], ell, n, width), v2, ell, n):
+        return True
+    return span_contains(howell_form([v2], ell, n, width), v1, ell, n)

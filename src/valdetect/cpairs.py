@@ -19,7 +19,7 @@ agree wherever both are exact.
 
 from dataclasses import dataclass
 
-from .coeffmod import howell_form, span_contains, val_mod
+from .coeffmod import val_mod, vectors_cyclic
 from .errors import (
     LevelMismatch,
     NotQuasiIndependent,
@@ -66,7 +66,7 @@ def c_pair_direct(f: Character, g: Character, height: int) -> CPairVerdict:
     if f.window != g.window:
         raise LevelMismatch("characters on different windows")
     w = f.window
-    if CharacterGroup(w, (f, g)).is_cyclic():
+    if vectors_cyclic(f.values, g.values, w.level.ell, w.level.n):
         # the identity is symmetric under g = c*f, no scan needed
         return CPairVerdict(CPAIR, "direct", height, exact=True)
     mod = w.level.modulus
@@ -196,15 +196,6 @@ def c_center(group: CharacterGroup, height: int) -> CharacterGroup:
             raise PreconditionViolated(
                 "C-center failed to close under addition")
     return center
-
-
-def vectors_cyclic(v1, v2, ell, n):
-    """Whether <v1, v2> in (Z/l^n)^2 is cyclic."""
-    form1 = howell_form([v1], ell, n, 2)
-    if span_contains(form1, v2, ell, n):
-        return True
-    form2 = howell_form([v2], ell, n, 2)
-    return span_contains(form2, v1, ell, n)
 
 
 # height of the C-pair check on the inputs of cyclic_pair_transfer

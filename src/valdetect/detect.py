@@ -126,6 +126,15 @@ def _require_level(N, bound, aggressive, what):
     return []
 
 
+def _intermediate_level(n, N, notes):
+    """M1(n), clamped to the lift level N; a clamp is noted."""
+    M = min(index_m(1, n), N)
+    if M < index_m(1, n):
+        notes.append(f"intermediate level clamped to {M} (lift too shallow "
+                     "for the full staircase)")
+    return M
+
+
 def _maximal_ideal_scan(model, units: UnitGroupApprox, height,
                         max_samples=120, max_scanned=4000):
     """Scanned elements of the maximal ideal of the detected valuation:
@@ -180,6 +189,18 @@ def _verify_inertia(group: CharacterGroup, units, height, max_samples=60,
     return True, sample
 
 
+def _verified(report, what, chars, I, units, height):
+    """Re-verify `what` (chars kill 1+m) and "I in I_v" on samples, then
+    attach the units and I to the report; no chars means nothing to check."""
+    report.verify(what, _verify_decomposition(
+        chars, report.window.model, units, height) if chars
+        else (True, VerificationSample(0, 0)))
+    report.verify("I in I_v", _verify_inertia(I, units, height))
+    report.units = units
+    report.detected_group = I
+    return report
+
+
 def detect_from_cpair(fpp: Character, gpp: Character, n: int, height: int,
                       aggressive: bool = False) -> DetectionReport:
     """Recover a valuation from a C-pair lifted to level N >= N(n): the two
@@ -200,11 +221,9 @@ def detect_from_cpair(fpp: Character, gpp: Character, n: int, height: int,
     branch = "H=T" if rc.is_trivial() else "H!=T"
     units = canonical_valuation(rc.subgroup, height)
     D = CharacterGroup(wn, (f, g))
-    members = []
-    for d in D.elements():
-        if all(d.evaluate(x) == 0 for x in rc.qualifying):
-            members.append(d)
-    I = CharacterGroup(wn, tuple(members))
+    # the members of D vanishing on every qualifying element
+    I = D.intersect(CharacterGroup.killing_classes(
+        wn, [wn.classify(x) for x in rc.qualifying]))
     iv = valuative_test(MultSubgroup.kernel_of(I), height)
     if not iv.holds():
         raise MainClaimViolated("detected subgroup failed the valuative scan")
@@ -219,12 +238,7 @@ def detect_from_cpair(fpp: Character, gpp: Character, n: int, height: int,
         units_height=height,
         notes=notes,
     )
-    report.verify("f,g in D_v",
-                  _verify_decomposition((f, g), wn.model, units, height))
-    report.verify("I in I_v", _verify_inertia(I, units, height))
-    report.units = units
-    report.detected_group = I
-    return report
+    return _verified(report, "f,g in D_v", (f, g), I, units, height)
 
 
 def valuative_members(group: CharacterGroup, height: int):
@@ -247,10 +261,7 @@ def detect_from_cgroup(Dpp: CharacterGroup, n: int, height: int,
     probe = c_group(Dpp, height)
     if not probe.holds():
         raise PreconditionViolated("input is not a C-group at its level")
-    M = min(index_m(1, n), N)
-    if M < index_m(1, n):
-        notes.append(f"intermediate level clamped to {M} (lift too shallow "
-                     "for the full staircase)")
+    M = _intermediate_level(n, N, notes)
     Dp = Dpp.reduce_level(M)
     Ip = valuative_members(Dp, height)
     basis = [c for c, _ in Ip.member_quasi_basis()]
@@ -274,14 +285,8 @@ def detect_from_cgroup(Dpp: CharacterGroup, n: int, height: int,
         units_height=height,
         notes=notes,
     )
-    dbasis = [c for c, _ in D.member_quasi_basis()]
-    report.verify("D in D_v", _verify_decomposition(
-        dbasis, D.window.model, units, height) if dbasis
-        else (True, VerificationSample(0, 0)))
-    report.verify("I in I_v", _verify_inertia(I, units, height))
-    report.units = units
-    report.detected_group = I
-    return report
+    return _verified(report, "D in D_v",
+                     [c for c, _ in D.member_quasi_basis()], I, units, height)
 
 
 def detect_inertia(Ipp: CharacterGroup, Dpp: CharacterGroup, n: int,
@@ -303,10 +308,7 @@ def detect_inertia(Ipp: CharacterGroup, Dpp: CharacterGroup, n: int,
     if c_group(D, height).holds():
         raise HypothesisFailed(
             "D is a C-group; inertia detection needs a non-C decomposition")
-    M = min(index_m(1, n), N)
-    if M < index_m(1, n):
-        notes.append(f"intermediate level clamped to {M} (lift too shallow "
-                     "for the full staircase)")
+    M = _intermediate_level(n, N, notes)
     Ip = Ipp.reduce_level(M)
     members = [f for f in Ip.elements() if not f.is_zero()]
     for f, ok in zip(members, valuative_members_mask(members, height)):
@@ -326,14 +328,8 @@ def detect_inertia(Ipp: CharacterGroup, Dpp: CharacterGroup, n: int,
         units_height=height,
         notes=notes,
     )
-    dbasis = [c for c, _ in D.member_quasi_basis()]
-    report.verify("D in D_v", _verify_decomposition(
-        dbasis, D.window.model, units, height) if dbasis
-        else (True, VerificationSample(0, 0)))
-    report.verify("I in I_v", _verify_inertia(I, units, height))
-    report.units = units
-    report.detected_group = I
-    return report
+    return _verified(report, "D in D_v",
+                     [c for c, _ in D.member_quasi_basis()], I, units, height)
 
 
 # ---------------------------------------------------------------------------

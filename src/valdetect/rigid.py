@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffmod import FinMod, howell_form, span_contains
+from .coeffmod import (
+    howell_form,
+    span_contains,
+    span_quasi_basis,
+    vectors_cyclic,
+)
 from .errors import (
     LevelMismatch,
     MainClaimViolated,
@@ -33,7 +38,6 @@ from .errors import (
     PreconditionViolated,
 )
 from .characters import Character, CharacterGroup
-from .cpairs import vectors_cyclic
 from .fields import Window, enumerate_blocks
 from .scans import scan_index
 
@@ -393,7 +397,7 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
             vectors.append(img)
             reps.append(ent.element())
     span = howell_form(vectors, ell, n, 2)
-    basis = _span_quasi_basis(span, ell, n)
+    basis = [v for v, _ in span_quasi_basis(span, ell, n)]
     if len(basis) > 1:
         raise MainClaimViolated(
             "H/T is not cyclic; inputs cannot reduce from a C-pair at the "
@@ -401,25 +405,6 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
     gen = basis[0] if basis else None
     sub = MultSubgroup(w, (f, g), span)
     return RigidComplement((f, g), height, tuple(span), gen, sub, tuple(reps))
-
-
-def _span_quasi_basis(span_rows, ell, n):
-    """Quasi-basis of a span inside (Z/l^n)^2."""
-    if not span_rows:
-        return []
-    from .coeffmod import Level, kernel_mod
-    rel = kernel_mod([[row[c] for row in span_rows] for c in range(2)],
-                     ell, n, len(span_rows))
-    fm = FinMod(tuple(range(len(span_rows))), tuple(rel), Level(ell, n))
-    out = []
-    mod = ell ** n
-    for expr, order in fm.quasi_basis():
-        vec = [0, 0]
-        for c, row in zip(expr, span_rows):
-            vec[0] = (vec[0] + c * row[0]) % mod
-            vec[1] = (vec[1] + c * row[1]) % mod
-        out.append(tuple(vec))
-    return out
 
 
 @dataclass(frozen=True)

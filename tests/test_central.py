@@ -119,6 +119,14 @@ def test_cl_pair_free_frame():
     assert cl_center([s, t], fr) == [AbelianElement(fr, (0, 0))]
 
 
+def test_frame_span_members_are_sorted():
+    # cl_center and ibcl_alt_check walk the members in sorted order
+    fr = free_frame(Level(3, 2), ("a", "b"))
+    gens = [AbelianElement(fr, (1, 3)), AbelianElement(fr, (0, 3))]
+    got = [s.coeffs for s in fr.span(gens)]
+    assert got == [(a, b) for a in range(9) for b in range(9) if b % 3 == 0]
+
+
 def test_frame_from_k2_pinned_laurent(w_t_c):
     sp = steinberg_scan(w_t_c, 8)
     omega = canonical_omega(w_t_c)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,8 +16,14 @@ from valdetect.coeffmod import (
     kernel_mod,
     level_bound,
     smith_form,
+    span_combine,
     span_contains,
+    span_coords,
+    span_elements,
+    span_intersect,
+    span_quasi_basis,
     submodule_contains,
+    vectors_cyclic,
 )
 from valdetect.errors import PreconditionViolated
 
@@ -180,6 +187,92 @@ def test_submodule_contains_matches_enumeration():
         for _ in range(10):
             x = tuple(rng.randrange(9) for _ in range(2))
             assert submodule_contains(m, gens, x) == (m.reduce(x) in members)
+
+
+# (l, n) and widths for the span-algebra checks against enumeration
+SPAN_LEVELS = [(2, 1), (2, 3), (3, 2), (5, 1)]
+SPAN_WIDTHS = (1, 2, 3, 4)
+span_cases = pytest.mark.parametrize(
+    "ell,n,width",
+    [(ell, n, w) for ell, n in SPAN_LEVELS for w in SPAN_WIDTHS])
+
+
+def _random_rows(rng, ell, n, width, count):
+    """Random rows, scaled by random powers of l so that spans with mixed
+    orders come up."""
+    m = ell ** n
+    return [tuple(rng.randrange(m) * ell ** rng.randrange(n) % m
+                  for _ in range(width)) for _ in range(count)]
+
+
+def _enumerated(rows, ell, n, width):
+    """Members of the span of rows by the FinMod.span_members BFS."""
+    return FinMod(tuple(range(width)), (), Level(ell, n)).span_members(rows)
+
+
+@span_cases
+def test_span_elements_match_enumeration(ell, n, width):
+    rng = random.Random(1000 * ell + 10 * n + width)
+    for _ in range(6):
+        rows = _random_rows(rng, ell, n, width, rng.randrange(4))
+        members = span_elements(howell_form(rows, ell, n, width), ell, n,
+                                width)
+        assert members[0] == (0,) * width
+        assert len(members) == len(set(members))
+        assert set(members) == _enumerated(rows, ell, n, width)
+
+
+@span_cases
+def test_span_quasi_basis_size_and_span(ell, n, width):
+    rng = random.Random(2000 * ell + 10 * n + width)
+    for _ in range(6):
+        rows = _random_rows(rng, ell, n, width, rng.randrange(4))
+        form = howell_form(rows, ell, n, width)
+        basis = span_quasi_basis(form, ell, n)
+        size = 1
+        for _, order in basis:
+            size *= order
+        assert size == len(span_elements(form, ell, n, width))
+        assert howell_form([v for v, _ in basis], ell, n, width) == form
+        # quotient by a subspan: the orders multiply to the index
+        sub = howell_form(rows[:1], ell, n, width)
+        quotient = 1
+        for _, order in span_quasi_basis(form, ell, n, sub):
+            quotient *= order
+        assert quotient * len(span_elements(sub, ell, n, width)) == size
+
+
+@span_cases
+def test_vectors_cyclic_is_quasi_basis_rank_one(ell, n, width):
+    rng = random.Random(3000 * ell + 10 * n + width)
+    for _ in range(40):
+        v1, v2 = _random_rows(rng, ell, n, width, 2)
+        form = howell_form([v1, v2], ell, n, width)
+        assert vectors_cyclic(v1, v2, ell, n) == \
+            (len(span_quasi_basis(form, ell, n)) <= 1)
+
+
+@span_cases
+def test_span_coords_and_intersection(ell, n, width):
+    rng = random.Random(4000 * ell + 10 * n + width)
+    m = ell ** n
+    for _ in range(6):
+        form = howell_form(_random_rows(rng, ell, n, width, 2), ell, n,
+                           width)
+        other = howell_form(_random_rows(rng, ell, n, width, 2), ell, n,
+                            width)
+        members = span_elements(form, ell, n, width)
+        for vec in members:
+            coords = span_coords(form, vec, ell, n)
+            assert span_combine(form, coords, ell, n, width) == vec
+        outside = [v for v in itertools.product(range(m), repeat=width)
+                   if not span_contains(form, v, ell, n)]
+        if outside:
+            with pytest.raises(PreconditionViolated):
+                span_coords(form, rng.choice(outside), ell, n)
+        both = howell_form(span_intersect(form, other, ell, n), ell, n, width)
+        assert set(span_elements(both, ell, n, width)) == \
+            set(members) & set(span_elements(other, ell, n, width))
 
 
 def test_howell_canonical_and_membership():

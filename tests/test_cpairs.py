@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from valdetect.coeffmod import vectors_cyclic
 from valdetect.errors import (
     LevelMismatch,
     NotQuasiIndependent,
@@ -21,7 +22,6 @@ from valdetect.cpairs import (
     c_pair_ktheory,
     cyclic_pair_transfer,
     quasi_independent,
-    vectors_cyclic,
 )
 from valdetect.fields import (
     ValuationHandle,

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from valdetect.errors import (
     HypothesisFailed,
     MainClaimViolated,
+    NotValuative,
     PreconditionViolated,
     UnsupportedValuation,
 )
@@ -13,7 +17,7 @@ from valdetect.characters import (
     inertia_chars,
     residue_rank,
 )
-from valdetect.cpairs import c_center, c_group
+from valdetect.cpairs import c_center, c_group, c_pair_direct
 from valdetect.detect import (
     _maximal_ideal_scan,
     _verify_inertia,
@@ -30,6 +34,7 @@ from valdetect.fields import (
     parse_window,
     value_of,
 )
+from valdetect.rigid import rigid_complement
 
 
 def test_detect_from_cpair_laurent(w_t_c):
@@ -67,6 +72,49 @@ def test_detect_from_cpair_rejects_non_cpair(w_u_u3):
     g = Character.dual_by_label(w_u_u3, "u-3")
     with pytest.raises((PreconditionViolated, MainClaimViolated)):
         detect_from_cpair(f, g, 1, 4)
+
+
+def _inertia_by_enumeration(fpp, gpp, n, height):
+    """The members of D = <f, g> at level n that vanish on every qualifying
+    element of the rigid complement, found by evaluating each member."""
+    f, g = fpp.reduce_level(n), gpp.reduce_level(n)
+    qualifying = rigid_complement(f, g, height).qualifying
+    D = CharacterGroup(f.window, (f, g))
+    return CharacterGroup(f.window, tuple(
+        d for d in D.elements()
+        if all(d.evaluate(x) == 0 for x in qualifying)))
+
+
+@pytest.mark.parametrize("field,window,n,height,sample", [
+    ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", 1, 8, None),
+    ("laurent(gf:19,t)", "{ell=3,n=2,gens=[t,const]}", 2, 9, 12),
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", 1, 6,
+     None),
+])
+def test_detect_from_cpair_inertia_matches_enumeration(field, window, n,
+                                                       height, sample):
+    w = parse_window(parse_field(field), window)
+    pairs = list(itertools.combinations(CharacterGroup.full(w).elements(), 2))
+    if sample is not None:
+        pairs = random.Random(8).sample(pairs, sample)
+    checked = split = 0
+    for f, g in pairs:
+        if not c_pair_direct(f, g, height).holds():
+            continue
+        try:
+            rep = detect_from_cpair(f, g, n, height, aggressive=True)
+        except NotValuative:
+            # at l = 2 the pairs with const fail the canonical valuation
+            # scan, before I is formed
+            continue
+        want = _inertia_by_enumeration(f, g, n, height)
+        assert rep.detected_group == want
+        assert rep.inertia_labels == want.labels()
+        checked += 1
+        split += rep.branch == "H!=T"
+    assert checked >= 6
+    if w.level.ell != 2:
+        assert split > 0  # some I is a proper intersection
 
 
 def test_detect_from_cgroup_composite(w_tsc):
