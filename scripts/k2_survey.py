@@ -5,6 +5,7 @@ it applies."""
 
 import sys
 
+from valdetect.errors import UnsupportedValuation
 from valdetect.fields import parse_field, parse_window
 from valdetect.milnor import k2_cyclic_order, k2_tame_lower_bound, \
     steinberg_scan
@@ -33,7 +34,7 @@ def main():
         try:
             lb = k2_tame_lower_bound(w)
             print(f"  tame lower bound: order >= {lb}")
-        except Exception:
+        except UnsupportedValuation:
             pass
     return 0
 

@@ -24,6 +24,8 @@ from .coeffmod import (
     span_contains,
     span_elements,
     submodule_contains,
+    wedge,
+    wedge_pairs,
 )
 from .errors import (
     FrameMismatch,
@@ -59,8 +61,7 @@ class CentralFrame:
 
     @cached_property
     def pairs(self):
-        r = self.rank
-        return tuple((i, j) for i in range(r) for j in range(i + 1, r))
+        return wedge_pairs(self.rank)
 
     @cached_property
     def dim(self):
@@ -157,11 +158,8 @@ def commutator(sigma: AbelianElement, tau: AbelianElement) -> CentralElement:
     if sigma.frame != tau.frame:
         raise FrameMismatch("elements of different frames")
     fr = sigma.frame
-    out = [0] * fr.dim
-    for k, (i, j) in enumerate(fr.pairs):
-        out[k] = sigma.coeffs[i] * tau.coeffs[j] - \
-            sigma.coeffs[j] * tau.coeffs[i]
-    return CentralElement(fr, tuple(out))
+    return CentralElement(
+        fr, wedge(sigma.coeffs, tau.coeffs) + (0,) * fr.rank)
 
 
 def pi_power(sigma: AbelianElement) -> CentralElement:
@@ -286,12 +284,9 @@ def frame_from_k2(window: Window, sp, omega=None) -> CentralFrame:
         # omega is a constant, so only a constant generator can see it
         raise PreconditionViolated("omega class is not constant-supported")
     labels = tuple(window.gen_label(i) for i in range(window.rank))
-    frame0 = free_frame(level, labels)
-    pairs = frame0.pairs
-    npairs = len(pairs)
     r = window.rank
+    npairs = len(wedge_pairs(r))
     ell, n = level.ell, level.n
-    mod = level.modulus
     # theta maps the H^2 coordinates (m_ij; s_r) of the free frame onto the
     # K2-quotient: e_ij to the symbol of the generator pair, the Bockstein
     # coordinate s_r through the column B_r = wedge of x_r with omega
@@ -300,15 +295,8 @@ def frame_from_k2(window: Window, sp, omega=None) -> CentralFrame:
     # for one column per witness
     steinberg = howell_form(dict.fromkeys(wit.wedge for wit in sp.witnesses),
                             ell, n, npairs)
-    bockstein = []
-    for k in range(r):
-        vec = [0] * npairs
-        for idx, (i, j) in enumerate(pairs):
-            if i == k:
-                vec[idx] = omega_cls[j]
-            elif j == k:
-                vec[idx] = -omega_cls[i] % mod
-        bockstein.append(tuple(vec))
+    bockstein = [wedge(tuple(int(i == k) for i in range(r)), omega_cls)
+                 for k in range(r)]
     # ker theta = projections of solutions of m + B s = St u
     ncols = npairs + r
     aux = len(steinberg)

@@ -225,9 +225,6 @@ class CharacterGroup:
         return [Character(self.window, v) for v in
                 span_elements(self._form, ell, n, self.window.rank)]
 
-    def size(self):
-        return len(self.elements())
-
     def member_quasi_basis(self):
         """[(Character, order)] forming a quasi-basis of the subgroup."""
         ell, n = self.level.ell, self.level.n

@@ -12,11 +12,18 @@ membership with extra generators (submodule_contains).  Cyclicity of a pair
 of vectors uses the chain criterion: the subgroups of a cyclic l-group form
 a chain, so <v1, v2> is cyclic iff v1 lies in <v2> or v2 lies in <v1>.
 
+It also fixes the layout of the exterior square: `wedge_pairs(rank)` lists
+the basis e_ij, i < j, row by row, and `wedge(a, b)` gives the coordinates
+of a ^ b on it.  Steinberg wedges, the C-pair pairing f ^ g, commutators in
+a central frame and the Bockstein columns all use this one layout.
+
 All computations are exact; moduli may be astronomically large (the level
 bounds grow like l^(3n), so Coeff values are plain Python integers).
 """
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import LevelMismatch, PreconditionViolated
 
@@ -416,14 +423,17 @@ class FinMod:
     def rank(self):
         return len(self.gens)
 
-    def _howell(self):
+    @cached_property
+    def relation_form(self):
+        """Howell form of the relations, formed once per module."""
         return howell_form(
             self.relations, self.level.ell, self.level.n, self.rank
         )
 
     def reduce(self, vec):
         """Canonical coset representative of vec modulo the relations."""
-        return span_reduce(self._howell(), vec, self.level.ell, self.level.n)
+        return span_reduce(self.relation_form, vec, self.level.ell,
+                           self.level.n)
 
     def quasi_basis(self):
         """[(expression over the generators, additive order)] sorted by order.
@@ -469,6 +479,21 @@ def submodule_contains(module: FinMod, gens, x) -> bool:
         list(gens) + list(module.relations), ell, e, module.rank
     )
     return span_contains(form, x, ell, e)
+
+
+# ---------------------------------------------------------------------------
+# the exterior square
+# ---------------------------------------------------------------------------
+
+def wedge_pairs(rank: int):
+    """The basis e_ij of the exterior square, i < j, row by row."""
+    return tuple(itertools.combinations(range(rank), 2))
+
+
+def wedge(a, b):
+    """Coordinates a_i b_j - a_j b_i of a ^ b on wedge_pairs(len(a)),
+    unreduced."""
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in wedge_pairs(len(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ character values make well defined on the wedge coordinates modulo
 min(o_i, o_j).  So the scan pairs f ^ g with the few distinct wedges of the
 scan table, each represented by its first entry in stream order, and the
 witness is the same stream-minimal x a scan of every entry would find.
+By the same bilinearity the C-center of a group A is linear algebra: the
+members of A that kill one row per quasi-basis element and distinct wedge.
 
 The K-theoretic method compares the order drop c of the wedge generator in
 the presented K_2-quotient against the order drops a, b of the two
@@ -19,7 +21,7 @@ agree wherever both are exact.
 
 from dataclasses import dataclass
 
-from .coeffmod import val_mod, vectors_cyclic
+from .coeffmod import val_mod, vectors_cyclic, wedge, wedge_pairs
 from .errors import (
     LevelMismatch,
     NotQuasiIndependent,
@@ -70,11 +72,9 @@ def c_pair_direct(f: Character, g: Character, height: int) -> CPairVerdict:
         # the identity is symmetric under g = c*f, no scan needed
         return CPairVerdict(CPAIR, "direct", height, exact=True)
     mod = w.level.modulus
-    a, b = f.values, g.values
-    fg = [a[i] * b[j] - a[j] * b[i]
-          for i in range(w.rank) for j in range(i + 1, w.rank)]
-    for wedge, ent in scan_index(w, height).wedge_entries(height):
-        if sum(p * q for p, q in zip(fg, wedge)) % mod:
+    fg = wedge(f.values, g.values)
+    for x, ent in scan_index(w, height).wedge_entries(height):
+        if sum(p * q for p, q in zip(fg, x)) % mod:
             return CPairVerdict(NOT_CPAIR, "direct", height,
                                 witness=ent.element(), exact=True)
     if exhaustive_classes(w.model, height, w.level):
@@ -127,11 +127,9 @@ def _k2_pair_drop(sp, f, g, a, b):
     for wit in sp.witnesses:
         fz, gz = f.evaluate_class(wit.cls_z), g.evaluate_class(wit.cls_z)
         fm, gm = f.evaluate_class(wit.cls_1mz), g.evaluate_class(wit.cls_1mz)
-        h = fz // ell ** a
-        i = gz // ell ** b
-        j = fm // ell ** a
-        k = gm // ell ** b
-        coeff = (h * k - i * j) % ell ** wedge_exp
+        psi_z = (fz // ell ** a, gz // ell ** b)
+        psi_m = (fm // ell ** a, gm // ell ** b)
+        coeff = wedge(psi_z, psi_m)[0] % ell ** wedge_exp
         v = val_mod(coeff, ell, wedge_exp)
         if v < best:
             best = v
@@ -166,36 +164,38 @@ def c_group(group: CharacterGroup, height: int) -> CGroupVerdict:
     """Pairwise C-pair check over a quasi-basis of the subgroup."""
     basis = [c for c, _ in group.member_quasi_basis()]
     exact = True
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            v = c_pair_direct(basis[i], basis[j], height)
-            if not v.holds():
-                return CGroupVerdict("NotCGroup", height,
-                                     pair=(basis[i], basis[j]),
-                                     witness=v.witness, exact=True)
-            exact = exact and v.exact
+    for i, j in wedge_pairs(len(basis)):
+        v = c_pair_direct(basis[i], basis[j], height)
+        if not v.holds():
+            return CGroupVerdict("NotCGroup", height,
+                                 pair=(basis[i], basis[j]),
+                                 witness=v.witness, exact=True)
+        exact = exact and v.exact
     kind = "CGroup" if exact else "CGroupUpToBound"
     return CGroupVerdict(kind, height, exact=exact)
 
 
 def c_center(group: CharacterGroup, height: int) -> CharacterGroup:
-    """{f in A : f forms a C-pair with every quasi-basis element of A}.
+    """{f in A : f forms a C-pair with every quasi-basis element g of A}.
 
-    The defining identity is bilinear, so the result is a subgroup; closure
-    is nevertheless verified.
+    <f ^ g, x> = sum_k f_k <e_k ^ g, x>, so f forms a C-pair with g at this
+    height iff f kills the row (<e_k ^ g, x>)_k of every distinct nonzero
+    Steinberg wedge x of the scan table (cyclic pairs have f ^ g = 0 and
+    pass too).  The center is A intersected with the kernel of all those
+    rows: a subgroup by construction, found without listing A.
     """
-    basis = [c for c, _ in group.member_quasi_basis()]
-    members = []
-    for f in group.elements():
-        if all(c_pair_direct(f, g, height).holds() for g in basis):
-            members.append(f)
-    center = CharacterGroup(group.window, tuple(members))
-    member_set = {m.values for m in members}
-    for c in center.elements():
-        if c.values not in member_set:
-            raise PreconditionViolated(
-                "C-center failed to close under addition")
-    return center
+    w = group.window
+    mod = w.level.modulus
+    wedges = [x for x, _ in scan_index(w, height).wedge_entries(height)]
+    unit_vectors = [tuple(int(i == k) for i in range(w.rank))
+                    for k in range(w.rank)]
+    rows = []
+    for g, _ in group.member_quasi_basis():
+        cols = [wedge(e, g.values) for e in unit_vectors]
+        rows += [tuple(sum(p * q for p, q in zip(col, x)) % mod
+                       for col in cols) for x in wedges]
+    return group.intersect(
+        CharacterGroup.killing_classes(w, dict.fromkeys(rows)))
 
 
 # height of the C-pair check on the inputs of cyclic_pair_transfer

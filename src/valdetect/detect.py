@@ -11,7 +11,7 @@ says whether a cap stopped it.
 
 from dataclasses import asdict, dataclass, field
 
-from .coeffmod import index_m, index_n
+from .coeffmod import index_m, index_n, wedge_pairs
 from .errors import (
     HypothesisFailed,
     MainClaimViolated,
@@ -265,12 +265,10 @@ def detect_from_cgroup(Dpp: CharacterGroup, n: int, height: int,
     Dp = Dpp.reduce_level(M)
     Ip = valuative_members(Dp, height)
     basis = [c for c, _ in Ip.member_quasi_basis()]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            cv = comparable(basis[i], basis[j], height)
-            if not cv.holds():
-                raise MainClaimViolated(
-                    "valuative members with incomparable valuations")
+    for i, j in wedge_pairs(len(basis)):
+        if not comparable(basis[i], basis[j], height).holds():
+            raise MainClaimViolated(
+                "valuative members with incomparable valuations")
     I = Ip.reduce_level(n)
     D = Dpp.reduce_level(n)
     units = canonical_valuation(MultSubgroup.kernel_of(I), height)

@@ -11,7 +11,7 @@ the two bounds meet the order is certified.
 import math
 from dataclasses import dataclass
 
-from .coeffmod import howell_form, span_contains, val_mod
+from .coeffmod import howell_form, span_contains, val_mod, wedge_pairs
 from .errors import (
     LevelMismatch,
     RankNotTwo,
@@ -49,12 +49,6 @@ class SymbolPresentation:
     height: int
     witnesses: tuple
     exhaustive: bool
-    floor_stopped: bool = False
-
-    @property
-    def pairs(self):
-        r = self.window.rank
-        return [(i, j) for i in range(r) for j in range(i + 1, r)]
 
 
 def steinberg_scan(window: Window, height: int,
@@ -65,12 +59,16 @@ def steinberg_scan(window: Window, height: int,
     whole wedge (the presented quotient cannot shrink further); the witness
     list is then a prefix of the full scan's.
     """
-    wedge_full = _wedge_span_full(window)
+    # e_ij has order min(o_i, o_j); scaling by l^n / min(o_i, o_j) embeds
+    # the wedge coordinates into (Z/l^n)^pairs for span computations
+    o = window.orders
+    mod = window.level.modulus
+    scales = [mod // min(o[i], o[j]) for i, j in wedge_pairs(window.rank)]
+    wedge_full = [tuple(s if k == c else 0 for k in range(len(scales)))
+                  for c, s in enumerate(scales)]
     witnesses = []
     span_rows = []
     ell, n = window.level.ell, window.level.n
-    ncols = len(wedge_full)
-    stopped = False
     for ent in scan_index(window, height).entries(height):
         if ent.cls_1mx is None:
             continue
@@ -79,40 +77,14 @@ def steinberg_scan(window: Window, height: int,
             continue
         witnesses.append(SteinbergWitness(ent.cls_x, ent.cls_1mx, vec,
                                           ent.rep))
-        span_rows.append(_embed_wedge(window, vec))
+        span_rows.append(tuple(v * s for v, s in zip(vec, scales)))
         if stop_at_floor:
-            form = howell_form(span_rows, ell, n, ncols)
+            form = howell_form(span_rows, ell, n, len(scales))
             if all(span_contains(form, row, ell, n) for row in wedge_full):
-                stopped = True
                 break
     return SymbolPresentation(
         window, height, tuple(witnesses),
-        exhaustive=exhaustive_classes(window.model, height, window.level),
-        floor_stopped=stopped)
-
-
-def _wedge_span_full(window):
-    """Generators of the full wedge in embedded (mod l^n) coordinates."""
-    o = window.orders
-    mod = window.level.modulus
-    pairs = [(i, j) for i in range(window.rank)
-             for j in range(i + 1, window.rank)]
-    rows = []
-    for k, (i, j) in enumerate(pairs):
-        row = [0] * len(pairs)
-        row[k] = mod // min(o[i], o[j])
-        rows.append(tuple(row))
-    return rows
-
-
-def _embed_wedge(window, vec):
-    """Embed a wedge vector into (Z/l^n)^pairs for span computations."""
-    o = window.orders
-    mod = window.level.modulus
-    pairs = [(i, j) for i in range(window.rank)
-             for j in range(i + 1, window.rank)]
-    return tuple(v * (mod // min(o[i], o[j]))
-                 for v, (i, j) in zip(vec, pairs))
+        exhaustive=exhaustive_classes(window.model, height, window.level))
 
 
 def k2_cyclic_order(sp: SymbolPresentation):

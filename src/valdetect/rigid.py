@@ -428,12 +428,11 @@ def comparable(f: Character, g: Character, height: int) -> ComparabilityVerdict:
     """Whether the canonical valuations of two valuative characters are
     comparable: scans the cyclicity of <Psi(1-x), Psi(x)>."""
     w = f.window
-    for char in (f, g):
-        v = valuative_test(MultSubgroup.kernel_of(
-            CharacterGroup(w, (char,))), height)
-        if not v.holds():
-            raise NotValuative("input character is not valuative at this "
-                               "height")
+    if g.window != w:
+        raise LevelMismatch("characters on different windows")
+    if not all(valuative_members_mask([f, g], height)):
+        raise NotValuative("input character is not valuative at this "
+                           "height")
     ell, n = w.level.ell, w.level.n
     for ent in scan_index(w, height).entries(height):
         if ent.cls_1mx is None:

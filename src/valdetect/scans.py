@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffmod import wedge, wedge_pairs
 from .fields import (
     PLACE,
     Window,
@@ -113,11 +114,9 @@ class ScanIndex:
 def wedge_of(window, cls_a, cls_b):
     """Coordinates of (class a) ^ (class b) on the e_ij basis (i < j), each
     modulo min(o_i, o_j)."""
-    r = window.rank
     o = window.orders
-    return tuple((cls_a[i] * cls_b[j] - cls_a[j] * cls_b[i])
-                 % min(o[i], o[j])
-                 for i in range(r) for j in range(i + 1, r))
+    return tuple(v % min(o[i], o[j]) for v, (i, j) in
+                 zip(wedge(cls_a, cls_b), wedge_pairs(window.rank)))
 
 
 _INDEX_CACHE = {}
@@ -298,12 +297,7 @@ def _decomp_place_classes(window, place, h):
 # numpy kernel: packed class keys and table lookups
 # ---------------------------------------------------------------------------
 
-FORCE_PURE = False  # set in tests to cross-check against the pure path
-
-
 def _numpy_eligible(window):
-    if FORCE_PURE:
-        return False
     model = window.model
     if model.kind != "ratfunc" or model.ff.base is not None:
         return False

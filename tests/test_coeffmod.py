@@ -24,6 +24,8 @@ from valdetect.coeffmod import (
     span_quasi_basis,
     submodule_contains,
     vectors_cyclic,
+    wedge,
+    wedge_pairs,
 )
 from valdetect.errors import PreconditionViolated
 
@@ -187,6 +189,57 @@ def test_submodule_contains_matches_enumeration():
         for _ in range(10):
             x = tuple(rng.randrange(9) for _ in range(2))
             assert submodule_contains(m, gens, x) == (m.reduce(x) in members)
+
+
+def test_reduce_forms_the_relations_once(monkeypatch):
+    import valdetect.coeffmod as coeffmod
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return howell_form(*args)
+
+    monkeypatch.setattr(coeffmod, "howell_form", counted)
+    m = FinMod(tuple(range(4)), ((4, 0, 0, 0),), Level(2, 3))
+    basis = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    assert len(m.span_members(basis)) == 2048
+    assert len(calls) == 1
+
+
+def test_wedge_layout_and_antisymmetry():
+    assert wedge_pairs(0) == wedge_pairs(1) == ()
+    assert wedge_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert wedge((1, 2, 3), (4, 5, 6)) == (1 * 5 - 2 * 4, 1 * 6 - 3 * 4,
+                                            2 * 6 - 3 * 5)
+    rng = random.Random(5)
+    for rank in range(1, 6):
+        for _ in range(20):
+            a = tuple(rng.randrange(-9, 9) for _ in range(rank))
+            b = tuple(rng.randrange(-9, 9) for _ in range(rank))
+            c = rng.randrange(-9, 9)
+            assert len(wedge(a, b)) == rank * (rank - 1) // 2
+            assert wedge(b, a) == tuple(-x for x in wedge(a, b))
+            assert not any(wedge(a, a))
+            assert wedge(a, tuple(c * x for x in a)) == (0,) * len(wedge(a, b))
+
+
+def test_wedge_with_unit_vector_is_the_bockstein_column():
+    # the column of s_k in frame_from_k2: omega_j at e_kj, -omega_i at e_ik
+    rng = random.Random(6)
+    for rank in range(1, 6):
+        mod = 9
+        omega = tuple(rng.randrange(mod) for _ in range(rank))
+        for k in range(rank):
+            old = []
+            for i, j in wedge_pairs(rank):
+                if i == k:
+                    old.append(omega[j])
+                elif j == k:
+                    old.append(-omega[i] % mod)
+                else:
+                    old.append(0)
+            unit = tuple(int(i == k) for i in range(rank))
+            assert tuple(x % mod for x in wedge(unit, omega)) == tuple(old)
 
 
 # (l, n) and widths for the span-algebra checks against enumeration

@@ -224,6 +224,68 @@ def test_c_center_closure_by_bilinearity(w_tuu3):
             assert c_pair_direct(f, g, 4).holds()
 
 
+def _c_center_by_members(group, height):
+    """Reference C-center: the members of A that form a C-pair with every
+    quasi-basis element of A, tested one member at a time."""
+    basis = [c for c, _ in group.member_quasi_basis()]
+    members = [f for f in group.elements()
+               if all(c_pair_direct(f, g, height).holds() for g in basis)]
+    center = CharacterGroup(group.window, tuple(members))
+    # bilinearity makes the members a subgroup
+    assert {c.values for c in center.elements()} == \
+        {f.values for f in members}
+    return center
+
+
+def _test_subgroups(w):
+    """The full group, and <d_i>, <d_i, d_j>, <d_i + d_j> and
+    <d_i + d_j, d_k> for the generator duals d."""
+    d = [Character.dual(w, i) for i in range(w.rank)]
+    yield CharacterGroup.full(w)
+    for x in d:
+        yield CharacterGroup(w, (x,))
+    for x, y in itertools.combinations(d, 2):
+        yield CharacterGroup(w, (x, y))
+        yield CharacterGroup(w, (x + y,))
+    for x, y, z in itertools.combinations(d, 3):
+        yield CharacterGroup(w, (x + y, z))
+
+
+# (field, window, heights): F7(u) at ranks 3 and 4, generator orders
+# (4, 4, 2) at l = 2 over F5(u) and F13(u), Laurent towers over finite
+# fields (n = 2 over F19, l = 2 over F5) and F7(u)((t))
+CENTER_WINDOWS = [
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", (1, 2)),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-1,u-2,const]}", (1, 2)),
+    ("ratfunc(gf:5,u)", "{ell=2,n=2,gens=[u,u-1,const]}", (1, 2)),
+    ("ratfunc(gf:13,u)", "{ell=2,n=2,gens=[u,u-1,const]}", (1, 2)),
+    ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", (2, 8)),
+    ("laurent(gf:19,t)", "{ell=3,n=2,gens=[t,const]}", (4, 9)),
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}", (2, 4)),
+    ("laurent(laurent(gf:19,s),t)", "{ell=3,n=2,gens=[t,s,const]}", (2, 4)),
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", (2, 6)),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}", (2, 4)),
+]
+CENTER_IDS = ["F7u-r3", "F7u-r4", "F5u-l2", "F13u-l2", "F7t", "F19t-n2",
+              "F7st", "F19st-n2", "F5st-l2", "F7ut"]
+
+
+@pytest.mark.parametrize("field,window,heights", CENTER_WINDOWS,
+                         ids=CENTER_IDS)
+def test_c_center_kernel_matches_member_scan(field, window, heights):
+    # the kernel gives the enumerated center's Howell form, hence the same
+    # labels and members, on the full group and on proper subgroups
+    w = parse_window(parse_field(field), window)
+    for h in heights:
+        for group in _test_subgroups(w):
+            ref = _c_center_by_members(group, h)
+            center = c_center(group, h)
+            assert center == ref, (h, group)
+            assert center.labels() == ref.labels()
+            assert [c.values for c in center.elements()] == \
+                [c.values for c in ref.elements()]
+
+
 def test_vectors_cyclic():
     assert vectors_cyclic((2, 4), (1, 2), 3, 2)
     assert vectors_cyclic((0, 0), (1, 5), 3, 2)

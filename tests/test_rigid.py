@@ -194,6 +194,26 @@ def test_comparable_requires_valuative(w_u_u3):
     g = Character.dual_by_label(w_u_u3, "u-3")
     with pytest.raises(NotValuative):
         comparable(f + g, f, 4)
+    with pytest.raises(NotValuative):
+        comparable(f, f + g, 4)
+
+
+def test_comparable_at_two_matches_per_member_test():
+    # l = 2: the product filter plus the pair clause decide valuativity the
+    # way valuative_test does member by member; const is not valuative
+    w = parse_window(parse_field("laurent(laurent(gf:5,s),t)"),
+                     "{ell=2,n=1,gens=[t,s,const]}")
+    members = CharacterGroup.full(w).elements()
+    valuative = {f.values: valuative_test(MultSubgroup.kernel_of(
+        CharacterGroup(w, (f,))), 4).holds() for f in members}
+    assert sorted(f.label() for f in members if valuative[f.values]) == \
+        ["0", "s", "t", "t+s"]
+    for f, g in itertools.product(members, repeat=2):
+        if valuative[f.values] and valuative[g.values]:
+            assert comparable(f, g, 4).holds()
+        else:
+            with pytest.raises(NotValuative):
+                comparable(f, g, 4)
 
 
 def test_cpair_with_valuative_partner_gives_decomposition(w_t_c):

@@ -157,13 +157,12 @@ def _table_rows(window, heights, pure):
     """(key, classes, representative data) of every entry, per height."""
     import valdetect.scans as scans
     from valdetect.scans import ScanIndex
-    try:
-        scans.FORCE_PURE = pure
+    with pytest.MonkeyPatch.context() as mp:
+        if pure:
+            mp.setattr(scans, "_numpy_eligible", lambda window: False)
         idx = ScanIndex(window).ensure(max(heights))
         return [[(e.key, e.cls_x, e.cls_1mx, e.cls_1px, e.element().data)
                  for e in idx.entries(h)] for h in heights]
-    finally:
-        scans.FORCE_PURE = False
 
 
 def test_pure_and_vectorized_ratfunc_paths_agree():
@@ -197,11 +196,9 @@ def test_pure_and_vectorized_paths_agree_to_top_degree(fspec, wspec, top,
 def _assert_decomp_paths_agree(window, place, top):
     import valdetect.scans as scans
     for h in range(top + 1):
-        try:
-            scans.FORCE_PURE = True
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scans, "_numpy_eligible", lambda window: False)
             pure = scans._decomp_place_classes(window, place, h)
-        finally:
-            scans.FORCE_PURE = False
         assert pure == scans._decomp_place_classes(window, place, h), h
 
 
