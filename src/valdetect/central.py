@@ -11,16 +11,27 @@ fixed root of unity omega.
 The only formula the construction needs beyond bilinearity is the power
 identity for products in a class-2 group; it is validated against brute
 force in a Heisenberg group before first use at each level.
+
+CL-pairs and CL-centers are decided in the quotient Q = M/R of the frame's
+module M, through the linear map q of one Smith form of R that the module
+caches (coeffmod.FinMod.quotient_matrix).  beta = 2 pi is linear in sigma for
+every l, since 2 C(l^n, 2) = l^n (l^n - 1) vanishes mod l^n, and the
+commutator is bilinear; so cl_center tabulates q(sigma^beta) and
+q[sigma, tau] by matrix products and tests every member in one pass.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .coeffmod import (
     FinMod,
     Level,
     howell_form,
     kernel_mod,
+    quotient_span,
     span_contains,
     span_elements,
     submodule_contains,
@@ -186,7 +197,8 @@ def beta_power(sigma: AbelianElement) -> CentralElement:
 
 
 def cl_pair(sigma: AbelianElement, tau: AbelianElement) -> bool:
-    """[sigma, tau] in <sigma^beta, tau^beta> modulo the frame relations."""
+    """[sigma, tau] in <sigma^beta, tau^beta> modulo the frame relations,
+    decided in the quotient Q = M/R through the frame module's map q."""
     if sigma.frame != tau.frame:
         raise FrameMismatch("elements of different frames")
     return submodule_contains(
@@ -194,34 +206,88 @@ def cl_pair(sigma: AbelianElement, tau: AbelianElement) -> bool:
         commutator(sigma, tau).coords)
 
 
+# rows of the center summed against the whole center per closure step, so
+# peak memory grows with the center, not with its square
+CLOSURE_CHUNK = 64
+
+
 def cl_center(gens, frame: CentralFrame):
     """Members sigma of the span of `gens` with cl_pair(sigma, tau) for every
-    tau in the span; closure under addition is verified afterwards."""
+    tau in the span, in the sorted order of frame.span(gens); closure under
+    addition is verified afterwards.
+
+    All members are tested in one batched pass over Q (_cl_center_mask)."""
     members = frame.span(gens)
-    center = [s for s in members
-              if all(cl_pair(s, t) for t in members)]
-    center_set = {c.coeffs for c in center}
-    for a in center:
-        for b in center:
-            summed = tuple((x + y) for x, y in zip(a.coeffs, b.coeffs))
-            if AbelianElement(frame, summed).coeffs not in center_set:
-                raise PreconditionViolated(
-                    "CL-center failed to close under addition")
-    return center
+    m = frame.level.modulus
+    # int64 when every key and product stays below 2^63, else exact ints
+    bound = max(m ** frame.rank, m * m * (frame.dim + 1))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    vecs = np.array([s.coeffs for s in members], dtype=dtype)
+    keep = _cl_center_mask(frame, vecs)
+    center = vecs[keep]
+    radix = np.array([m ** i for i in range(frame.rank)], dtype=dtype)
+    keys = center @ radix
+    for i in range(0, len(center), CLOSURE_CHUNK):
+        sums = (center[i:i + CLOSURE_CHUNK, None, :] + center) % m @ radix
+        if not np.isin(sums, keys).all():
+            raise PreconditionViolated(
+                "CL-center failed to close under addition")
+    return [s for s, kept in zip(members, keep) if kept]
+
+
+def _cl_center_mask(frame, vecs):
+    """For each row sigma of `vecs` (every member of a subgroup A), whether
+    cl_pair(sigma, tau) holds for every row tau.
+
+    beta = 2 pi is linear (2 C(l^n, 2) = l^n (l^n - 1) vanishes mod l^n), so
+    q(tau^beta) is one row of one product, and q[sigma, tau] is bilinear.
+    For each sigma, pass on to Q / <q sigma^beta> through the quotient map
+    of a FinMod with that one relation; there [sigma, tau] must be b times
+    the image of tau^beta for some b modulo the exponent of A, which kills
+    every such image."""
+    m = frame.level.modulus
+    module = frame.module
+    k = module.quotient_width
+    q = np.array(module.quotient_matrix, dtype=vecs.dtype).reshape(
+        frame.dim, k)
+    npairs = len(frame.pairs)
+    beta = vecs @ (2 * q[npairs:] % m) % m
+    # q[sigma, tau] = tau . (sigma @ bracket) with bracket[j, i] = q[i,j]
+    # and bracket[i, j] = -q[i,j]
+    bracket = np.zeros((frame.rank, frame.rank, k), dtype=vecs.dtype)
+    for p, (i, j) in enumerate(frame.pairs):
+        bracket[i, j] = q[p]
+        bracket[j, i] = -q[p] % m
+    exponent = m // math.gcd(m, *(int(x) for x in vecs.ravel()))
+    scalars = np.arange(exponent).astype(vecs.dtype)[:, None, None]
+    keep = np.zeros(len(vecs), dtype=bool)
+    for idx, (sigma, b) in enumerate(zip(vecs, beta)):
+        sub = FinMod(tuple(range(k)), (tuple(int(x) for x in b),),
+                     frame.level)
+        proj = np.array(sub.quotient_matrix, dtype=vecs.dtype).reshape(
+            k, sub.quotient_width)
+        z = vecs @ (np.tensordot(sigma, bracket, 1) % m @ proj % m) % m
+        w = beta @ proj % m
+        keep[idx] = (scalars * w % m == z).all(axis=2).any(axis=0).all()
+    return keep
 
 
 def ibcl_alt_check(gens, frame: CentralFrame) -> bool:
-    """At n = 1, compare the CL-center with {sigma : [sigma, tau] in A^beta}."""
+    """At n = 1, compare the CL-center with {sigma : [sigma, tau] in A^beta}.
+
+    beta is linear, so <A^beta> + R is the span of the beta rows of `gens`
+    and R; membership is tested in Q through the frame module's map q."""
     if frame.level.n != 1:
         raise WrongLevel("the alternative description is a level-1 statement")
     members = frame.span(gens)
     center = {c.coeffs for c in cl_center(gens, frame)}
     ell, n = frame.level.ell, frame.level.n
-    beta_rows = [beta_power(t).coords for t in members]
-    form = howell_form(beta_rows + list(frame.relations), ell, n, frame.dim)
+    module = frame.module
+    form = quotient_span(module, [beta_power(g).coords for g in gens])
     alt = {
         s.coeffs for s in members
-        if all(span_contains(form, commutator(s, t).coords, ell, n)
+        if all(span_contains(form, module.quotient(commutator(s, t).coords),
+                             ell, n)
                for t in members)
     }
     return center == alt

@@ -8,7 +8,10 @@ forms with transforms, kernels, span membership and quasi-bases.
 This module is the one home of span algebra: every other module hands it
 the Howell rows of a span and gets back members, quasi-bases (of the span or
 of a quotient of spans), coordinates over the rows, intersections, and
-membership with extra generators (submodule_contains).  Cyclicity of a pair
+membership with extra generators (submodule_contains).  A presented module
+FinMod takes one Smith form of its relations R; it gives a linear map q onto
+(Z/l^n)^k with kernel exactly R, so membership modulo R is a Howell form of
+the q-images of the generators alone.  Cyclicity of a pair
 of vectors uses the chain criterion: the subgroups of a cyclic l-group form
 a chain, so <v1, v2> is cyclic iff v1 lies in <v2> or v2 lies in <v1>.
 
@@ -435,14 +438,49 @@ class FinMod:
         return span_reduce(self.relation_form, vec, self.level.ell,
                            self.level.n)
 
+    @cached_property
+    def smith(self):
+        """smith_form of the relations, taken once per module."""
+        return smith_form(self.relations, self.level.ell, self.level.n,
+                          self.rank)
+
+    @cached_property
+    def quotient_matrix(self):
+        """The matrix of q: M -> (Z/l^n)^k, one row per generator.
+
+        The Smith form splits Q = M/R into summands Z/l^d_j with d_j > 0;
+        q takes x to its new coordinates (xV)_j embedded by c -> c l^(n-d_j),
+        so q is linear with kernel exactly R.  k is the number of summands,
+        possibly zero."""
+        ell, e = self.level.ell, self.level.n
+        diag, vmat, _ = self.smith
+        kept = [(j, ell ** (e - d)) for j, d in enumerate(diag) if d > 0]
+        return tuple(tuple(row[j] * scale % ell ** e for j, scale in kept)
+                     for row in vmat)
+
+    @cached_property
+    def quotient_width(self):
+        """k, the number of cyclic summands of M/R."""
+        return sum(1 for d in self.smith[0] if d > 0)
+
+    def quotient(self, vec):
+        """q(vec) in (Z/l^n)^k; q(x) = q(y) iff x - y lies in R."""
+        m = self.level.modulus
+        out = [0] * self.quotient_width
+        for x, row in zip(vec, self.quotient_matrix):
+            if x:
+                for j, c in enumerate(row):
+                    out[j] += x * c
+        return tuple(c % m for c in out)
+
     def quasi_basis(self):
         """[(expression over the generators, additive order)] sorted by order.
 
         The family generates, any vanishing combination vanishes termwise, and
         its length equals dim over Z/l of M/l.
         """
-        ell, e = self.level.ell, self.level.n
-        diag, _, vinv = smith_form(self.relations, ell, e, self.rank)
+        ell = self.level.ell
+        diag, _, vinv = self.smith
         out = []
         for j in range(self.rank):
             # diagonal l^v means the j-th transformed generator has order l^v
@@ -470,15 +508,22 @@ class FinMod:
         return seen
 
 
-def submodule_contains(module: FinMod, gens, x) -> bool:
-    """Exact membership of x in the span of gens inside the presented module."""
-    if len(x) != module.rank or any(len(g) != module.rank for g in gens):
+def quotient_span(module: FinMod, gens):
+    """Howell form, in the quotient M/R through q, of the span of gens + R."""
+    if any(len(g) != module.rank for g in gens):
         raise LevelMismatch("vector width does not match module rank")
-    ell, e = module.level.ell, module.level.n
-    form = howell_form(
-        list(gens) + list(module.relations), ell, e, module.rank
-    )
-    return span_contains(form, x, ell, e)
+    return howell_form([module.quotient(g) for g in gens], module.level.ell,
+                       module.level.n, module.quotient_width)
+
+
+def submodule_contains(module: FinMod, gens, x) -> bool:
+    """Exact membership of x in the span of gens inside the presented module:
+    q(x) against the Howell form of the q-images of gens, so the relations
+    enter only through the module's cached Smith data."""
+    if len(x) != module.rank:
+        raise LevelMismatch("vector width does not match module rank")
+    return span_contains(quotient_span(module, gens), module.quotient(x),
+                         module.level.ell, module.level.n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
-from valdetect.coeffmod import Level, kernel_mod
-from valdetect.errors import FrameMismatch, WrongLevel
+import valdetect.central as central
+from valdetect.coeffmod import Level, howell_form, kernel_mod, span_contains
+from valdetect.errors import FrameMismatch, PreconditionViolated, WrongLevel
 from valdetect.characters import Character, CharacterGroup
 from valdetect.cpairs import c_center, c_pair_direct
 from valdetect.central import (
@@ -257,3 +259,175 @@ def test_frame_mismatch_guard():
     fr2 = free_frame(Level(3, 1), ("x", "y"))
     with pytest.raises(FrameMismatch):
         commutator(AbelianElement(fr1, (1, 0)), AbelianElement(fr2, (0, 1)))
+
+
+def _cl_center_by_pairs(gens, frame):
+    """Reference CL-center: cl_pair on every pair of members, then the
+    closure check, member by member."""
+    members = frame.span(gens)
+    center = [s for s in members if all(cl_pair(s, t) for t in members)]
+    center_set = {c.coeffs for c in center}
+    for a in center:
+        for b in center:
+            summed = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+            if AbelianElement(frame, summed).coeffs not in center_set:
+                raise PreconditionViolated(
+                    "CL-center failed to close under addition")
+    return center
+
+
+def _frame_subgroups(frame):
+    """Generator lists of the full group, <e_i>, <e_i, e_j>, <e_i + e_j>,
+    <e_i + e_j, e_k> and <l e_0, e_1, ...>."""
+    r, ell = frame.rank, frame.level.ell
+    e = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    subs = [e]
+    subs += [[x] for x in e]
+    for x, y in itertools.combinations(e, 2):
+        subs += [[x, y], [tuple(a + b for a, b in zip(x, y))]]
+    for x, y, z in itertools.combinations(e, 3):
+        subs.append([tuple(a + b for a, b in zip(x, y)), z])
+    subs.append([tuple(ell * a for a in e[0])] + e[1:])
+    return [[AbelianElement(frame, v) for v in sub] for sub in subs]
+
+
+# (field, window, heights): frames with R = 0 (F7(u)), with nonempty R
+# (the Laurent towers and F7(u)((t))), at n = 2 (F19((t))) and at l = 2
+CL_CENTER_WINDOWS = [
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", (1, 3)),
+    ("laurent(gf:19,t)", "{ell=3,n=2,gens=[t,const]}", (4, 9)),
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", (2, 6)),
+    ("laurent(gf:9,t)", "{ell=2,n=2,gens=[t,const]}", (6,)),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,const]}", (2,)),
+]
+
+
+@pytest.mark.parametrize("field, window, heights", CL_CENTER_WINDOWS,
+                         ids=["F7u", "F19t-n2", "F5st-l2", "F9t-l2",
+                              "F7ut-const"])
+def test_cl_center_batched_matches_pairwise(field, window, heights):
+    # the quotient pass keeps exactly the members the pairwise scan keeps,
+    # in the same sorted order, on the full group and on proper subgroups
+    w = parse_window(parse_field(field), window)
+    for h in heights:
+        frame = frame_from_k2(w, steinberg_scan(w, h))
+        for gens in _frame_subgroups(frame):
+            ref = _cl_center_by_pairs(gens, frame)
+            assert cl_center(gens, frame) == ref, (h, gens)
+
+
+def _random_frame(rng, ell, n, rank):
+    """A frame whose relations tie [i,j] l^v to random pi coordinates, the
+    shape of the tame relations, on a random set of pairs."""
+    m, npairs = ell ** n, rank * (rank - 1) // 2
+    rels = []
+    for p in rng.sample(range(npairs), rng.randrange(1, npairs + 1)):
+        row = [0] * npairs + [rng.randrange(m) for _ in range(rank)]
+        row[p] = ell ** rng.randrange(n)
+        rels.append(tuple(row))
+    return CentralFrame(Level(ell, n), tuple("abcd"[:rank]), tuple(rels))
+
+
+def test_cl_center_batched_on_random_and_hand_frames():
+    # seeded frames at l = 2, 3, 5 and n = 1, 2, 3; relations with mixed
+    # valuations, R killing all of Q (k = 0), and a level whose products
+    # overflow int64
+    rng = random.Random(5)
+    for ell, n, rank in ((2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 1, 3)):
+        for _ in range(2):
+            frame = _random_frame(rng, ell, n, rank)
+            for gens in _frame_subgroups(frame):
+                assert cl_center(gens, frame) == \
+                    _cl_center_by_pairs(gens, frame)
+    lv = Level(3, 2)
+    mixed = CentralFrame(lv, ("a", "b"), ((3, 0, 6), (0, 0, 3)))
+    assert mixed.module.quotient_width == 3
+    dead = CentralFrame(lv, ("a", "b"), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert dead.module.quotient_width == 0
+    big = CentralFrame(Level(3, 25), ("a", "b"), ((3 ** 24, 0, 3 ** 23),))
+    for frame in (mixed, dead, big):
+        for gens in _frame_subgroups(frame):
+            if frame is big:
+                gens = [AbelianElement(frame, tuple(3 ** 23 * c
+                                                    for c in g.coeffs))
+                        for g in gens]
+            assert cl_center(gens, frame) == _cl_center_by_pairs(gens, frame)
+    assert len(cl_center([AbelianElement(dead, (1, 0)),
+                          AbelianElement(dead, (0, 1))], dead)) == 81
+
+
+def test_cl_center_does_not_call_cl_pair(monkeypatch, w_t_c):
+    frame = frame_from_k2(w_t_c, steinberg_scan(w_t_c, 8))
+    gens = [AbelianElement(frame, (1, 0)), AbelianElement(frame, (0, 1))]
+    ref = _cl_center_by_pairs(gens, frame)
+
+    def refuse(*args):
+        raise AssertionError("cl_center called cl_pair")
+    monkeypatch.setattr(central, "cl_pair", refuse)
+    assert cl_center(gens, frame) == ref
+
+
+def test_cl_center_closure_check_raises(monkeypatch):
+    # a kernel that keeps {0, a} in (Z/3)^2 keeps a set not closed under
+    # addition, since a + a is missing
+    fr = free_frame(Level(3, 1), ("a", "b"))
+    gens = [AbelianElement(fr, (1, 0)), AbelianElement(fr, (0, 1))]
+
+    def not_closed(frame, vecs):
+        return [tuple(v) in ((0, 0), (1, 0)) for v in vecs.tolist()]
+    monkeypatch.setattr(central, "_cl_center_mask", not_closed)
+    with pytest.raises(PreconditionViolated):
+        cl_center(gens, fr)
+
+
+def test_cl_center_729_members_equals_c_center():
+    # laurent(laurent(gf:19,s),t) at n = 2: the whole group is central
+    w = parse_window(parse_field("laurent(laurent(gf:19,s),t)"),
+                     "{ell=3,n=2,gens=[t,s,const]}")
+    frame = frame_from_k2(w, steinberg_scan(w, 9))
+    full = CharacterGroup.full(w)
+    center = cl_center(
+        [AbelianElement.from_character(frame, c) for c in full.gens], frame)
+    assert len(center) == 729
+    assert {a.coeffs for a in center} == \
+        {c.values for c in c_center(full, 9).elements()}
+
+
+def _ibcl_alt_by_members(gens, frame):
+    """Reference alternative description: <beta rows of every member> + R
+    as one Howell form over the full [i,j] + pi basis."""
+    members = frame.span(gens)
+    ell, n = frame.level.ell, frame.level.n
+    form = howell_form([beta_power(t).coords for t in members]
+                       + list(frame.relations), ell, n, frame.dim)
+    alt = {s.coeffs for s in members
+           if all(span_contains(form, commutator(s, t).coords, ell, n)
+                  for t in members)}
+    return alt == {c.coeffs for c in _cl_center_by_pairs(gens, frame)}
+
+
+@pytest.mark.parametrize("field, window, height", [
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", 2),
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", 6),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,const]}", 2),
+], ids=["F7u", "F5st-l2", "F7ut-const"])
+def test_ibcl_alt_check_matches_member_rows(field, window, height):
+    w = parse_window(parse_field(field), window)
+    frame = frame_from_k2(w, steinberg_scan(w, height))
+    for gens in _frame_subgroups(frame):
+        assert ibcl_alt_check(gens, frame) == \
+            _ibcl_alt_by_members(gens, frame), gens
+
+
+def test_ibcl_alt_check_matches_member_rows_on_random_frames():
+    # seeded level-1 frames, where the alternative description can fail
+    rng = random.Random(5)
+    verdicts = set()
+    for ell, rank in ((2, 3), (3, 3), (5, 2)):
+        for _ in range(3):
+            frame = _random_frame(rng, ell, 1, rank)
+            for gens in _frame_subgroups(frame):
+                got = ibcl_alt_check(gens, frame)
+                assert got == _ibcl_alt_by_members(gens, frame), gens
+                verdicts.add(got)
+    assert verdicts == {True, False}

@@ -363,3 +363,103 @@ def test_level_validation():
         Level(4, 1)
     with pytest.raises(PreconditionViolated):
         Level(3, 0)
+
+
+def _submodule_contains_with_relations(module, gens, x):
+    """Reference membership: one Howell form of gens plus every relation
+    row, then span_contains."""
+    ell, e = module.level.ell, module.level.n
+    form = howell_form(list(gens) + list(module.relations), ell, e,
+                       module.rank)
+    return span_contains(form, x, ell, e)
+
+
+def _relation_cases(rng, ell, n, width):
+    """R = 0, random rows with mixed valuations, and rows that kill the
+    whole module (quotient width 0)."""
+    m = ell ** n
+    yield ()
+    for count in (1, 2, width + 1):
+        yield tuple(_random_rows(rng, ell, n, width, count))
+    unit = [rng.randrange(1, m) for _ in range(width)]
+    unit = [u if u % ell else u + 1 for u in unit]
+    # unit diagonal, zero below it: invertible, so R is everything
+    yield tuple(tuple(unit[i] if i == k else rng.randrange(m) * (i > k)
+                      for i in range(width)) for k in range(width))
+
+
+@pytest.mark.parametrize("ell,n", list(itertools.product((2, 3), (1, 2, 3))))
+def test_submodule_contains_matches_relation_rows(ell, n):
+    # q through the cached Smith data decides exactly what the Howell form
+    # of gens + R decides, members and non-members alike
+    rng = random.Random(7000 * ell + n)
+    m = ell ** n
+    verdicts, widths = set(), set()
+    for width in (1, 2, 3, 4):
+        for rel in _relation_cases(rng, ell, n, width):
+            module = FinMod(tuple(range(width)), rel, Level(ell, n))
+            widths.add(module.quotient_width)
+            for _ in range(12):
+                gens = _random_rows(rng, ell, n, width, rng.randrange(3))
+                # one probe in gens + R by construction, one at random
+                inside = [0] * width
+                for g in gens + list(rel):
+                    c = rng.randrange(m)
+                    inside = [(a + c * b) % m for a, b in zip(inside, g)]
+                for x in (tuple(inside),
+                          _random_rows(rng, ell, n, width, 1)[0]):
+                    got = submodule_contains(module, gens, x)
+                    assert got == _submodule_contains_with_relations(
+                        module, gens, x), (rel, gens, x)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+    assert widths == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("ell,n", [(2, 3), (3, 2)])
+def test_quotient_map_kernel_is_the_relations(ell, n):
+    rng = random.Random(8000 * ell + n)
+    m = ell ** n
+    for width in (1, 2, 3):
+        for rel in _relation_cases(rng, ell, n, width):
+            module = FinMod(tuple(range(width)), rel, Level(ell, n))
+            size = 1
+            for _, order in module.quasi_basis():
+                size *= order
+            images = {module.quotient(x) for x in
+                      itertools.product(range(m), repeat=width)}
+            assert len(images) == size
+            for x, y in zip(_random_rows(rng, ell, n, width, 8),
+                            _random_rows(rng, ell, n, width, 8)):
+                summed = tuple(a + b for a, b in zip(x, y))
+                assert module.quotient(summed) == tuple(
+                    (a + b) % m for a, b in zip(module.quotient(x),
+                                                module.quotient(y)))
+                assert (not any(module.quotient(x))) == span_contains(
+                    module.relation_form, x, ell, n)
+
+
+def test_module_takes_one_smith_form_and_no_relation_rows(monkeypatch):
+    import valdetect.coeffmod as coeffmod
+    smith_calls, howell_shapes = [], []
+
+    def smith_counted(*args):
+        smith_calls.append(args)
+        return smith_form(*args)
+
+    def howell_counted(rows, ell, e, ncols):
+        rows = list(rows)
+        howell_shapes.append((len(rows), ncols))
+        return howell_form(rows, ell, e, ncols)
+
+    monkeypatch.setattr(coeffmod, "smith_form", smith_counted)
+    monkeypatch.setattr(coeffmod, "howell_form", howell_counted)
+    m = FinMod(tuple(range(3)), ((3, 0, 0), (0, 9, 0), (0, 0, 1)),
+               Level(3, 3))
+    assert m.quasi_basis() == [((0, 1, 0), 9), ((1, 0, 0), 3)]
+    assert m.quotient_width == 2
+    assert submodule_contains(m, [(1, 0, 0)], (2, 0, 5))
+    assert not submodule_contains(m, [(1, 0, 0), (0, 3, 1)], (0, 1, 0))
+    assert len(smith_calls) == 1
+    # only the generators enter a Howell form, at the quotient's width
+    assert howell_shapes == [(1, 2), (2, 2)]
