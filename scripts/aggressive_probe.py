@@ -3,10 +3,11 @@
 forced down to N = n (far below the proven staircase bound) and report
 whether the recovered valuation still matches the native one.
 
-The proven bound is astronomically larger (N(M1(2)) has hundreds of digits of
-exponent); the staircase bound is not expected to be sharp, and on these
-concrete towers detection already succeeds with no headroom at all.  Nothing
-here feeds the acceptance suite."""
+The proven bound N(M1(n)), printed as proven_bound, is far larger once
+n > 1: 52,473 at l = 3, n = 2, against a lift level of 2 here.  The staircase
+bound is not expected to be sharp, and on these concrete towers detection
+already succeeds with no headroom at all.  Nothing here feeds the acceptance
+suite."""
 
 import json
 import sys

@@ -13,12 +13,19 @@ the listed places have degree one, a numpy kernel does the sweep by table
 lookups: every polynomial of bounded degree gets a packed class key once
 (its place multiplicities and leading-coefficient dlog, in mixed radix), the
 ids of den - num and den + num come from small digit-group tables, and a
-pair's triple is three key gathers; per denominator only the triples not
-seen before in the block are sorted and emitted.  The pure-Python sweep
-stays as its reference and gives the same entries, keys and
-representatives.  For Laurent levels the stream is c * t^e with c from the
-residue stream, and the triple of such an element is determined exactly by
-e and the residue data of c, so the table derives from the residue table.
+pair's triple is three key gathers.  Per denominator only the triples not
+seen before in the block are emitted: the block's emitted triples sit in
+one frame per denominator class, a boolean table over the (size + 1)^3
+unreduced triple keys while that is at most 2^16 (so a block holds at most
+40 frames of 64 KB), else a sorted key array searched by bisection.  Each
+numerator's place in the canonical stream is computed from its digits
+(by degree, then the low coefficients in lex order with c0 most
+significant, then the leading coefficient), not by walking the stream.
+The pure-Python sweep stays as the reference and gives the same entries,
+keys and representatives.  For Laurent levels the stream is c * t^e with c
+from the residue stream, and the triple of such an element is determined
+exactly by e and the residue data of c, so the table derives from the
+residue table.
 
 Predicates that see x only through the Steinberg wedge cls x ^ cls 1-x,
 such as the bilinear C-pair identity and the K2 relation span, need even
@@ -407,10 +414,27 @@ class _NumeratorGrid:
         self.tx = tab.key[ids] * s1 * s1
         if full:
             self.tx[0] = -s1 ** 3  # the zero numerator matches no triple
-        stream = [_poly_id(f, p) - self.base
-                  for f in ratfunc_numerators(tab.ff, s, full)]
         self.ni = np.zeros(len(ids), dtype=np.int64)
-        self.ni[stream] = np.arange(len(stream))
+        for d in range(s + 1) if full else (s,):
+            # after the p^d - 1 nonzero polynomials of lower degree
+            lower = p ** d - 1 if full else 0
+            self.ni[p ** d - self.base:p ** (d + 1) - self.base] = \
+                _degree_positions(p, d) + lower
+
+
+def _degree_positions(p, d):
+    """Index of each polynomial of degree d over F_p, in id order, within
+    `FiniteField.polys_of_degree(d)`: by the low coefficients in lex order
+    with c0 most significant, then by the leading coefficient.  Id order
+    has the leading coefficient slowest, so the indexes form a
+    (p - 1) x p^d grid over (lead, low id); the low rank is the low id with
+    its d digits reversed, built one digit at a time."""
+    low = np.arange(p ** d)
+    rank = np.zeros_like(low)
+    for _ in range(d):
+        low, c = np.divmod(low, p)
+        rank = rank * p + c
+    return (rank * (p - 1) + np.arange(p - 1)[:, None]).ravel()
 
 
 def _digits(ids, p, width):
@@ -442,6 +466,39 @@ def _class_table(index, h):
     return index.class_table
 
 
+# A frame's dense membership table has (size + 1)^3 booleans; past this
+# many, a sorted key array and a binary search take its place.  The bound
+# caps a block's frames, at most one per denominator class, at 40 x 64 KB.
+_DENSE_FRAME_LIMIT = 2 ** 16
+
+
+class _Frame:
+    """The emitted triples of a block, moved into one denominator class's
+    frame as unreduced keys in [0, end): a boolean table over every key when
+    end <= _DENSE_FRAME_LIMIT, else a sorted array ending in the sentinel
+    end.  `merged` counts the emitted arrays marked so far."""
+
+    def __init__(self, end):
+        self.dense = end <= _DENSE_FRAME_LIMIT
+        self.known = (np.zeros(end, dtype=bool) if self.dense
+                      else np.array([end]))
+        self.merged = 0
+
+    def mark(self, keys):
+        if self.dense:
+            self.known[keys] = True
+        else:
+            self.known = np.sort(np.concatenate([self.known, keys]))
+
+    def misses(self, keys):
+        """Positions of the keys not marked; every key must lie in [0, end),
+        since numpy reads a negative index from the back."""
+        if self.dense:
+            return np.flatnonzero(~self.known[keys])
+        known = self.known
+        return np.flatnonzero(known[np.searchsorted(known, keys)] != keys)
+
+
 def _ratfunc_block_numpy(index, s):
     """Block s of the ratfunc table: for each denominator in stream order,
     the triples not yet emitted in this block, at their first numerator.
@@ -450,9 +507,11 @@ def _ratfunc_block_numpy(index, s):
     the unreduced triple key (key[num], key[den - num], key[den + num]) from
     two key gathers.  Instead of reducing every pair by the denominator's
     class, the (few) emitted triples are moved into each denominator class's
-    frame once, and kept there as a sorted array that later emissions are
-    merged into; membership is then one searchsorted, and only the misses
-    are sorted."""
+    frame once and marked there.  A frame is a boolean table indexed by the
+    unreduced key when the window has (size + 1)^3 <= _DENSE_FRAME_LIMIT
+    keys, so membership is one gather; on larger windows it is a sorted key
+    array, and membership is one searchsorted.  Only the misses are sorted,
+    by their numerator's stream index."""
     window = index.window
     model = window.model
     ff = model.ff
@@ -460,7 +519,7 @@ def _ratfunc_block_numpy(index, s):
     s1 = tab.size + 1
     end = s1 ** 3
     emitted = []  # reduced triples, one array per emitting denominator
-    frames = {}   # den class -> (sorted unreduced keys + end, arrays merged)
+    frames = {}   # den class -> _Frame
     out = []
     for di, den in enumerate(ratfunc_denominators(ff, s)):
         grid = tab.grid(s, ff.poly_deg(den) == s)
@@ -469,15 +528,15 @@ def _ratfunc_block_numpy(index, s):
         minus = _outer_sum([col[bj] for col, bj in zip(grid.sub, b)])
         plus = _outer_sum([col[bj] for col, bj in zip(grid.add, b)])
         t = grid.tx + tab.key1[minus] + tab.key[plus]
-        known, merged = frames.get(kd, (np.array([end]), 0))
-        if merged < len(emitted):
-            moved = tab.shift(np.concatenate(emitted[merged:]), kd, 1)
-            moved = (moved[:, 0] * s1 + moved[:, 1]) * s1 + moved[:, 2]
-            known = np.sort(np.concatenate([known, moved]), kind="stable")
-            frames[kd] = known, len(emitted)
-        fresh = np.flatnonzero(known[np.searchsorted(known, t)] != t)
-        if grid.base == 0:
-            fresh = fresh[1:]  # the zero numerator
+        frame = frames.get(kd)
+        if frame is None:
+            frame = frames[kd] = _Frame(end)
+        if frame.merged < len(emitted):
+            moved = tab.shift(np.concatenate(emitted[frame.merged:]), kd, 1)
+            frame.mark((moved[:, 0] * s1 + moved[:, 1]) * s1 + moved[:, 2])
+            frame.merged = len(emitted)
+        lo = int(grid.base == 0)  # position 0 is the zero numerator
+        fresh = frame.misses(t[lo:]) + lo
         if not fresh.size:
             continue
         fresh = fresh[np.argsort(grid.ni[fresh], kind="stable")]

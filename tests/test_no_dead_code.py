@@ -1,9 +1,13 @@
 """Every function, method and class defined in src/valdetect has a use.
 
-A use is a name, an attribute or an identifier inside a string constant
-(such as "UnitGroupApprox.is_unit", split at its dots) anywhere in src,
-tests, scripts or bench, outside the definition's own body.  Dunders are
-called by Python itself and are skipped.
+A use of a function or class is a name, an attribute or an identifier
+inside a string constant anywhere in src, tests, scripts or bench, outside
+the definition's own body.  A method is used only through a call `.name(`
+(any attribute `.name` for a property) or a dotted string constant (such as
+"UnitGroupApprox.is_unit", split at its dots), so neither a local of the
+same name nor an unrelated attribute such as numpy's `.size` hides it.  A
+method that overrides an attribute of a base class is used by that base.
+Dunders are called by Python itself and are skipped.
 
 Every name a module of src/valdetect imports is used in that module, as a
 name or inside a string constant (an annotation or an __all__ entry), and
@@ -18,37 +22,80 @@ from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "scripts", "bench")
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = FUNCS + (ast.ClassDef,)
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
+
+# which reference kinds count as a use of each kind of definition
+_USED_BY = {"function": {"name", "attribute", "call", "string", "dotted"},
+            "property": {"attribute", "call", "dotted"},
+            "method": {"call", "dotted"}}
 
 
 def _references(tree):
+    """(kind, name) of every name, attribute, called attribute and
+    identifier inside a (dotted or plain) string constant."""
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield "name", node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield ("call" if id(node) in called else "attribute"), node.attr
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and _DOTTED.match(node.value)):
-            yield from node.value.split(".")
+            kind = "dotted" if "." in node.value else "string"
+            yield from ((kind, part) for part in node.value.split("."))
+
+
+def _definitions(tree):
+    """(node, kind, owning class or None) of every definition."""
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            owner.update((id(item), node) for item in node.body
+                         if isinstance(item, FUNCS))
+    for node in ast.walk(tree):
+        if not isinstance(node, DEFS) or node.name.startswith("__"):
+            continue
+        cls = owner.get(id(node))
+        if cls is None:
+            kind = "function"
+        elif any("property" in ast.unparse(d) for d in node.decorator_list):
+            kind = "property"
+        else:
+            kind = "method"
+        yield node, kind, cls
+
+
+def _overrides(module, cls_node, name):
+    cls = getattr(importlib.import_module(f"valdetect.{module}"),
+                  cls_node.name, None)
+    return isinstance(cls, type) and any(
+        hasattr(base, name) for base in cls.__mro__[1:])
+
+
+def _count(refs, name, kind):
+    return sum(refs[use, name] for use in _USED_BY[kind])
 
 
 def unused_definitions():
-    uses, own, where = Counter(), Counter(), {}
+    refs, own, where = Counter(), Counter(), {}
     package = ROOT / "src" / "valdetect"
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
-            uses.update(_references(tree))
+            refs.update(_references(tree))
             if package not in path.parents:
                 continue
-            for node in ast.walk(tree):
-                if isinstance(node, DEFS) and not node.name.startswith("__"):
-                    where.setdefault(node.name, f"{path.name}:{node.lineno}")
-                    own[node.name] += sum(r == node.name
-                                          for r in _references(node))
-    return sorted(f"{where[name]} {name}" for name in where
-                  if uses[name] == own[name])
+            for node, kind, cls in _definitions(tree):
+                if cls is not None and _overrides(path.stem, cls, node.name):
+                    continue
+                key = (node.name, kind)
+                where.setdefault(key, f"{path.name}:{node.lineno}")
+                own[key] += _count(Counter(_references(node)), *key)
+    return sorted(f"{where[key]} {key[0]}" for key in where
+                  if _count(refs, *key) == own[key])
 
 
 def test_every_definition_is_used():

@@ -5,6 +5,7 @@ The scan layer never walks raw streams on towers; it derives the distinct
 recompute the triples the slow way, with plain element arithmetic over the
 very streams the tables claim to summarize, and compare sets."""
 
+import math
 import random
 
 import pytest
@@ -180,6 +181,9 @@ def test_pure_and_vectorized_ratfunc_paths_agree():
     # decomposition places u - 1 and u^2 + 2, neither listed
     ("ratfunc(gf:5,u)", "{ell=2,n=2,gens=[u,u-2]}", 3, ([4, 1], [2, 0, 1])),
     ("ratfunc(gf:3,u)", "{ell=2,n=1,gens=[u,u-1]}", 4, ()),
+    # 64 classes: frames past the dense-table bound take the sorted lookup;
+    # decomposition place u - 3
+    ("ratfunc(gf:5,u)", "{ell=2,n=2,gens=[u,u-1,u-2]}", 2, ([2, 1],)),
 ])
 def test_pure_and_vectorized_paths_agree_to_top_degree(fspec, wspec, top,
                                                        places):
@@ -191,6 +195,35 @@ def test_pure_and_vectorized_paths_agree_to_top_degree(fspec, wspec, top,
     assert _table_rows(w, heights, True) == _table_rows(w, heights, False)
     for place in places:
         _assert_decomp_paths_agree(w, model.ff.poly_from_ints(place), 2)
+
+
+def test_frame_lookup_sides_of_the_dense_bound():
+    # the windows above cover both frame lookups of the numpy kernel
+    import valdetect.scans as scans
+    model = parse_field("ratfunc(gf:5,u)")
+    for wspec, dense in (("{ell=2,n=2,gens=[u,u-2]}", True),
+                         ("{ell=2,n=2,gens=[u,u-1,u-2]}", False)):
+        size = math.prod(parse_window(model, wspec).orders)
+        assert scans._Frame((size + 1) ** 3).dense == dense
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_numerator_positions_follow_the_stream(p):
+    # the grid computes each numerator's stream index from its digits; the
+    # stream itself is the oracle, at every degree the tables reach
+    import valdetect.scans as scans
+    from valdetect.fields import ratfunc_numerators
+    window = parse_window(parse_field(f"ratfunc(gf:{p},u)"),
+                          "{ell=2,n=1,gens=[u]}")
+    top = scans.RATFUNC_DEGREE_CAP
+    tab = scans._ClassTable(window, top)
+    for s in range(top + 1):
+        for full in (True, False):
+            grid = scans._NumeratorGrid(tab, s, full)
+            stream = list(ratfunc_numerators(tab.ff, s, full))
+            got = [int(grid.ni[scans._poly_id(f, p) - grid.base])
+                   for f in stream]
+            assert got == list(range(len(stream))), (s, full)
 
 
 def _assert_decomp_paths_agree(window, place, top):
