@@ -16,11 +16,15 @@ CL-pairs and CL-centers are decided in the quotient Q = M/R of the frame's
 module M, through the linear map q of one Smith form of R that the module
 caches (coeffmod.FinMod.quotient_matrix).  beta = 2 pi is linear in sigma for
 every l, since 2 C(l^n, 2) = l^n (l^n - 1) vanishes mod l^n, and the
-commutator is bilinear; so cl_center tabulates q(sigma^beta) and
-q[sigma, tau] by matrix products and tests every member in one pass.
+commutator is bilinear.  So for a fixed sigma both q[sigma, tau] and
+q(tau^beta), carried on to Q / <q sigma^beta>, are linear in tau: the frame
+keeps their two matrices per sigma (CentralFrame.sigma_maps).  cl_pair is
+two vector-matrix products and one cyclic-membership test, and cl_center
+applies the same matrices to every member at once.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -29,12 +33,12 @@ import numpy as np
 from .coeffmod import (
     FinMod,
     Level,
+    cyclic_contains,
     howell_form,
     kernel_mod,
     quotient_span,
     span_contains,
     span_elements,
-    submodule_contains,
     wedge,
     wedge_pairs,
 )
@@ -51,7 +55,11 @@ from .fields import CONST, Window
 @dataclass(frozen=True)
 class CentralFrame:
     """Generators gamma_i, the free basis {[i,j]: i<j} u {pi_r}, and the
-    relation submodule R in that basis."""
+    relation submodule R in that basis.
+
+    The frame memoises, per coefficient tuple sigma, the two matrices of
+    sigma_maps; there are at most l^(n rank) of them, and they live and die
+    with the frame."""
 
     level: Level
     gen_labels: tuple
@@ -99,6 +107,48 @@ class CentralFrame:
     def contains_relation(self, vec):
         ell, n = self.level.ell, self.level.n
         return span_contains(self.relations, vec, ell, n)
+
+    @cached_property
+    def _sigma_maps(self):
+        return {}
+
+    def sigma_maps(self, sigma):
+        """(M_sigma, P_sigma): the rank x k' matrices, over exact ints, that
+        take tau to the images of q[sigma, tau] and of q(tau^beta) in
+        Q / <q sigma^beta> = (Z/l^n)^k'.
+
+        q[sigma, tau] = sum (sigma_a tau_b - sigma_b tau_a) q[a,b] over the
+        pairs a < b, so its row for tau_b gains sigma_a q[a,b] and its row
+        for tau_a loses sigma_b q[a,b]; q(tau^beta) = tau . 2 q[pi rows].
+        Both are then carried on by the quotient map of the one-relation
+        module on q(sigma^beta)."""
+        maps = self._sigma_maps.get(sigma)
+        if maps is not None:
+            return maps
+        m = self.level.modulus
+        module = self.module
+        k = module.quotient_width
+        q = module.quotient_matrix
+        npairs = len(self.pairs)
+        beta = [tuple(2 * x % m for x in q[npairs + r])
+                for r in range(self.rank)]
+        bracket = [[0] * k for _ in range(self.rank)]
+        for p, (a, b) in enumerate(self.pairs):
+            for c, x in enumerate(q[p]):
+                bracket[b][c] += sigma[a] * x
+                bracket[a][c] -= sigma[b] * x
+        image = tuple(sum(s * row[c] for s, row in zip(sigma, beta)) % m
+                      for c in range(k))
+        sub = FinMod(tuple(range(k)), (image,), self.level)
+        proj, width = sub.quotient_matrix, sub.quotient_width
+
+        def carried(mat):
+            return tuple(
+                tuple(sum(x * row[c] for x, row in zip(vec, proj)) % m
+                      for c in range(width)) for vec in mat)
+        maps = carried(bracket), carried(beta)
+        self._sigma_maps[sigma] = maps
+        return maps
 
 
 @dataclass(frozen=True)
@@ -197,13 +247,27 @@ def beta_power(sigma: AbelianElement) -> CentralElement:
 
 
 def cl_pair(sigma: AbelianElement, tau: AbelianElement) -> bool:
-    """[sigma, tau] in <sigma^beta, tau^beta> modulo the frame relations,
-    decided in the quotient Q = M/R through the frame module's map q."""
+    """[sigma, tau] in <sigma^beta, tau^beta> modulo the frame relations.
+
+    Decided in Q = M/R through the frame module's map q: the membership
+    holds iff the image of q[sigma, tau] in Q / <q sigma^beta> lies in the
+    cyclic span of the image of q(tau^beta).  Both images are tau times the
+    matrices of frame.sigma_maps(sigma), and the cyclic test is exact
+    (coeffmod.cyclic_contains).  [tau, sigma] = -[sigma, tau], so the
+    verdict is symmetric, and tau's maps serve when only they are cached."""
     if sigma.frame != tau.frame:
         raise FrameMismatch("elements of different frames")
-    return submodule_contains(
-        sigma.frame.module, [beta_power(sigma).coords, beta_power(tau).coords],
-        commutator(sigma, tau).coords)
+    frame = sigma.frame
+    cached = frame._sigma_maps
+    if sigma.coeffs not in cached and tau.coeffs in cached:
+        sigma, tau = tau, sigma
+    bracket, beta = frame.sigma_maps(sigma.coeffs)
+    ell, n, m = frame.level.ell, frame.level.n, frame.level.modulus
+    t = tau.coeffs
+    return cyclic_contains(
+        [sum(map(operator.mul, t, col)) % m for col in zip(*beta)],
+        [sum(map(operator.mul, t, col)) % m for col in zip(*bracket)],
+        ell, n)
 
 
 # rows of the center summed against the whole center per closure step, so
@@ -239,35 +303,19 @@ def _cl_center_mask(frame, vecs):
     """For each row sigma of `vecs` (every member of a subgroup A), whether
     cl_pair(sigma, tau) holds for every row tau.
 
-    beta = 2 pi is linear (2 C(l^n, 2) = l^n (l^n - 1) vanishes mod l^n), so
-    q(tau^beta) is one row of one product, and q[sigma, tau] is bilinear.
-    For each sigma, pass on to Q / <q sigma^beta> through the quotient map
-    of a FinMod with that one relation; there [sigma, tau] must be b times
-    the image of tau^beta for some b modulo the exponent of A, which kills
-    every such image."""
+    sigma's two matrices (frame.sigma_maps) take every tau at once to the
+    images of q[sigma, tau] and q(tau^beta) in Q / <q sigma^beta>; there
+    [sigma, tau] must be b times the image of tau^beta for some b modulo the
+    exponent of A, which kills every such image."""
     m = frame.level.modulus
-    module = frame.module
-    k = module.quotient_width
-    q = np.array(module.quotient_matrix, dtype=vecs.dtype).reshape(
-        frame.dim, k)
-    npairs = len(frame.pairs)
-    beta = vecs @ (2 * q[npairs:] % m) % m
-    # q[sigma, tau] = tau . (sigma @ bracket) with bracket[j, i] = q[i,j]
-    # and bracket[i, j] = -q[i,j]
-    bracket = np.zeros((frame.rank, frame.rank, k), dtype=vecs.dtype)
-    for p, (i, j) in enumerate(frame.pairs):
-        bracket[i, j] = q[p]
-        bracket[j, i] = -q[p] % m
     exponent = m // math.gcd(m, *(int(x) for x in vecs.ravel()))
     scalars = np.arange(exponent).astype(vecs.dtype)[:, None, None]
     keep = np.zeros(len(vecs), dtype=bool)
-    for idx, (sigma, b) in enumerate(zip(vecs, beta)):
-        sub = FinMod(tuple(range(k)), (tuple(int(x) for x in b),),
-                     frame.level)
-        proj = np.array(sub.quotient_matrix, dtype=vecs.dtype).reshape(
-            k, sub.quotient_width)
-        z = vecs @ (np.tensordot(sigma, bracket, 1) % m @ proj % m) % m
-        w = beta @ proj % m
+    for idx, sigma in enumerate(vecs.tolist()):
+        bracket, beta = (np.array(mat, dtype=vecs.dtype)
+                         for mat in frame.sigma_maps(tuple(sigma)))
+        z = vecs @ bracket % m
+        w = vecs @ beta % m
         keep[idx] = (scalars * w % m == z).all(axis=2).any(axis=0).all()
     return keep
 

@@ -7,13 +7,15 @@ forms with transforms, kernels, span membership and quasi-bases.
 
 This module is the one home of span algebra: every other module hands it
 the Howell rows of a span and gets back members, quasi-bases (of the span or
-of a quotient of spans), coordinates over the rows, intersections, and
-membership with extra generators (submodule_contains).  A presented module
-FinMod takes one Smith form of its relations R; it gives a linear map q onto
-(Z/l^n)^k with kernel exactly R, so membership modulo R is a Howell form of
-the q-images of the generators alone.  Cyclicity of a pair
-of vectors uses the chain criterion: the subgroups of a cyclic l-group form
-a chain, so <v1, v2> is cyclic iff v1 lies in <v2> or v2 lies in <v1>.
+of a quotient of spans), coordinates over the rows and intersections.  A
+presented module FinMod takes one Smith form of its relations R; it gives a
+linear map q onto (Z/l^n)^k with kernel exactly R, so membership modulo R
+is a question about the q-images alone (quotient_span).  Membership in a
+cyclic span <v> needs no Howell form at all: cyclic_contains checks the one
+candidate multiple that a coordinate of least valuation allows.  Cyclicity
+of a pair of vectors uses the chain criterion: the subgroups of a cyclic
+l-group form a chain, so <v1, v2> is cyclic iff v1 lies in <v2> or v2 lies
+in <v1>.
 
 It also fixes the layout of the exterior square: `wedge_pairs(rank)` lists
 the basis e_ij, i < j, row by row, and `wedge(a, b)` gives the coordinates
@@ -25,6 +27,7 @@ bounds grow like l^(3n), so Coeff values are plain Python integers).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -516,16 +519,6 @@ def quotient_span(module: FinMod, gens):
                        module.level.n, module.quotient_width)
 
 
-def submodule_contains(module: FinMod, gens, x) -> bool:
-    """Exact membership of x in the span of gens inside the presented module:
-    q(x) against the Howell form of the q-images of gens, so the relations
-    enter only through the module's cached Smith data."""
-    if len(x) != module.rank:
-        raise LevelMismatch("vector width does not match module rank")
-    return span_contains(quotient_span(module, gens), module.quotient(x),
-                         module.level.ell, module.level.n)
-
-
 # ---------------------------------------------------------------------------
 # the exterior square
 # ---------------------------------------------------------------------------
@@ -587,13 +580,29 @@ def span_intersect(form1, form2, ell: int, e: int):
     return [span_combine(form1, s[:len(form1)], ell, e, ncols) for s in sol]
 
 
+def cyclic_contains(v, x, ell: int, n: int) -> bool:
+    """Whether x lies in the cyclic span <v> in (Z/l^n)^k, for any width k.
+
+    Let l^b be the gcd of l^n and every v_j, and i a coordinate where
+    v_i = l^b u with u a unit.  If x = c v, then x_i = c u l^b, so l^b
+    divides x_i and c is (x_i / l^b) u^-1 modulo l^(n-b); since l^b divides
+    every v_j, every such c gives the same c v.  So x lies in <v> iff that
+    one candidate c satisfies x = c v on every coordinate."""
+    m = ell ** n
+    low = math.gcd(m, *v)
+    if low == m:
+        return not any(a % m for a in x)
+    i = next(j for j, a in enumerate(v) if a % (low * ell))
+    if x[i] % low:
+        return False
+    c = x[i] // low * pow(v[i] // low, -1, m)
+    return not any((c * a - b) % m for a, b in zip(v, x))
+
+
 def vectors_cyclic(v1, v2, ell: int, n: int) -> bool:
     """Whether <v1, v2> in (Z/l^n)^k is cyclic, for any width k.
 
     The subgroups of a cyclic l-group form a chain, so <v1, v2> is cyclic
     iff it equals <v1> or <v2>, that is iff one vector lies in the span of
-    the other."""
-    width = len(v1)
-    if span_contains(howell_form([v1], ell, n, width), v2, ell, n):
-        return True
-    return span_contains(howell_form([v2], ell, n, width), v1, ell, n)
+    the other; each membership is one candidate scalar (cyclic_contains)."""
+    return cyclic_contains(v1, v2, ell, n) or cyclic_contains(v2, v1, ell, n)

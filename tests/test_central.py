@@ -32,6 +32,8 @@ from valdetect.fields import (
 )
 from valdetect.milnor import steinberg_scan
 
+from oracles import submodule_contains
+
 
 def test_commutator_basis_cases():
     fr = free_frame(Level(3, 1), ("g1", "g2"))
@@ -431,3 +433,106 @@ def test_ibcl_alt_check_matches_member_rows_on_random_frames():
                 assert got == _ibcl_alt_by_members(gens, frame), gens
                 verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _cl_pair_by_oracle(sigma, tau):
+    """[sigma, tau] in <sigma^beta, tau^beta> + R through the Howell form of
+    the q-images of the two beta rows."""
+    return submodule_contains(
+        sigma.frame.module, [beta_power(sigma).coords, beta_power(tau).coords],
+        commutator(sigma, tau).coords)
+
+
+def _assert_cl_pair_matches_oracle(members):
+    verdicts = set()
+    for s, t in itertools.product(members, repeat=2):
+        got = cl_pair(s, t)
+        assert got == _cl_pair_by_oracle(s, t), (s.coeffs, t.coeffs)
+        verdicts.add(got)
+    return verdicts
+
+
+def _hand_frames():
+    """(frame, generators): two relations of mixed valuation, R killing all
+    of Q (k = 0), and a level-3^25 frame on a subgroup of 81 members."""
+    lv = Level(3, 2)
+    mixed = CentralFrame(lv, ("a", "b"), ((3, 0, 6), (0, 0, 3)))
+    dead = CentralFrame(lv, ("a", "b"), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    big = CentralFrame(Level(3, 25), ("a", "b"), ((3 ** 24, 0, 3 ** 23),))
+    out = [(fr, [AbelianElement(fr, (1, 0)), AbelianElement(fr, (0, 1))])
+           for fr in (mixed, dead)]
+    out.append((big, [AbelianElement(big, (3 ** 23, 0)),
+                      AbelianElement(big, (0, 3 ** 23))]))
+    return out
+
+
+@pytest.mark.parametrize("field, window, heights", CL_CENTER_WINDOWS,
+                         ids=["F7u", "F19t-n2", "F5st-l2", "F9t-l2",
+                              "F7ut-const"])
+def test_cl_pair_matches_oracle_on_windows(field, window, heights):
+    # every ordered pair of members of the full group, at two heights
+    w = parse_window(parse_field(field), window)
+    for h in heights if len(heights) > 1 else (1,) + heights:
+        frame = frame_from_k2(w, steinberg_scan(w, h))
+        members = frame.span([AbelianElement.from_character(frame, c)
+                              for c in CharacterGroup.full(w).gens])
+        _assert_cl_pair_matches_oracle(members)
+
+
+def test_cl_pair_matches_oracle_on_random_and_hand_frames():
+    rng = random.Random(12)
+    verdicts = set()
+    for ell, n, rank in ((2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 1, 3)):
+        frame = _random_frame(rng, ell, n, rank)
+        e = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+        members = frame.span([AbelianElement(frame, v) for v in e])
+        verdicts |= _assert_cl_pair_matches_oracle(members)
+    assert verdicts == {True, False}
+    for frame, gens in _hand_frames():
+        members = frame.span(gens)
+        assert len(members) == 81
+        _assert_cl_pair_matches_oracle(members)
+
+
+def test_cl_pair_verdict_does_not_depend_on_cache_order():
+    # warm sigma's maps, tau's maps or neither on a fresh frame; cl_pair
+    # then reads whichever maps are cached and gives the same verdict
+    rng = random.Random(3)
+    frames = [_random_frame(rng, 3, 2, 2), _random_frame(rng, 2, 2, 3)]
+    frames += [fr for fr, _ in _hand_frames()[:2]]
+    for frame in frames:
+        members = [s.coeffs for s in frame.span(
+            [AbelianElement(frame, tuple(int(i == k)
+                                         for i in range(frame.rank)))
+             for k in range(frame.rank)])]
+        for s, t in rng.sample(list(itertools.product(members, repeat=2)),
+                               60):
+            ref = _cl_pair_by_oracle(AbelianElement(frame, s),
+                                     AbelianElement(frame, t))
+            for warm in ((), (s,), (t,), (s, t), (t, s)):
+                fresh = CentralFrame(frame.level, frame.gen_labels,
+                                     frame.relations)
+                for v in warm:
+                    fresh.sigma_maps(v)
+                sigma, tau = (AbelianElement(fresh, v) for v in (s, t))
+                assert cl_pair(sigma, tau) == ref, (s, t, warm)
+                assert cl_pair(tau, sigma) == ref, (s, t, warm)
+                # a cached tau serves both orders; no map is built for sigma
+                if warm == (t,) and s != t:
+                    assert s not in fresh._sigma_maps
+
+
+def test_cl_pair_forms_no_howell_form(monkeypatch, w_tuu3):
+    import valdetect.coeffmod as coeffmod
+    frame = frame_from_k2(w_tuu3, steinberg_scan(w_tuu3, 4))
+    members = frame.span([AbelianElement.from_character(frame, c)
+                          for c in CharacterGroup.full(w_tuu3).gens])
+    pairs = list(itertools.product(members, repeat=2))
+    expected = [_cl_pair_by_oracle(s, t) for s, t in pairs]
+    assert frame.module.quotient_matrix
+
+    def refuse(*args):
+        raise AssertionError("cl_pair formed a Howell form")
+    monkeypatch.setattr(central, "howell_form", refuse)
+    monkeypatch.setattr(coeffmod, "howell_form", refuse)
+    assert [cl_pair(s, t) for s, t in pairs] == expected

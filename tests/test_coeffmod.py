@@ -10,6 +10,7 @@ from valdetect.coeffmod import (
     Level,
     cancellation_conclusion,
     cancellation_holds,
+    cyclic_contains,
     howell_form,
     index_m,
     index_n,
@@ -22,12 +23,13 @@ from valdetect.coeffmod import (
     span_elements,
     span_intersect,
     span_quasi_basis,
-    submodule_contains,
     vectors_cyclic,
     wedge,
     wedge_pairs,
 )
 from valdetect.errors import PreconditionViolated
+
+from oracles import cyclic_contains_by_howell, submodule_contains
 
 
 def test_index_functions_fix_one():
@@ -303,6 +305,47 @@ def test_vectors_cyclic_is_quasi_basis_rank_one(ell, n, width):
         form = howell_form([v1, v2], ell, n, width)
         assert vectors_cyclic(v1, v2, ell, n) == \
             (len(span_quasi_basis(form, ell, n)) <= 1)
+
+
+def _cyclic_probes(rng, ell, n, width):
+    """(v, x) pairs: zero vectors, vectors with mixed valuations, multiples
+    c v (members), and unreduced representatives."""
+    m = ell ** n
+    zero = (0,) * width
+    for _ in range(30):
+        v, x = _random_rows(rng, ell, n, width, 2)
+        c = rng.randrange(m)
+        member = tuple(c * a % m for a in v)
+        lifted = tuple(a + m * rng.randrange(-2, 3) for a in member)
+        yield from ((v, x), (x, v), (v, member), (v, lifted), (zero, x),
+                    (v, zero), (zero, zero))
+
+
+@pytest.mark.parametrize("ell,n", list(itertools.product((2, 3, 5),
+                                                         (1, 2, 3))))
+def test_cyclic_contains_matches_howell(ell, n):
+    rng = random.Random(9000 * ell + n)
+    verdicts = set()
+    for width in range(5):
+        for v, x in _cyclic_probes(rng, ell, n, width):
+            got = cyclic_contains(v, x, ell, n)
+            assert got == cyclic_contains_by_howell(v, x, ell, n), (v, x)
+            assert vectors_cyclic(v, x, ell, n) == (
+                got or cyclic_contains_by_howell(x, v, ell, n)), (v, x)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("ell,n,width", [(2, 2, 2), (3, 2, 2)])
+def test_cyclic_contains_every_pair(ell, n, width):
+    vectors = list(itertools.product(range(ell ** n), repeat=width))
+    inside = {v: {x for x in vectors
+                  if cyclic_contains_by_howell(v, x, ell, n)}
+              for v in vectors}
+    for v, x in itertools.product(vectors, repeat=2):
+        assert cyclic_contains(v, x, ell, n) == (x in inside[v]), (v, x)
+        assert vectors_cyclic(v, x, ell, n) == (
+            x in inside[v] or v in inside[x]), (v, x)
 
 
 @span_cases
