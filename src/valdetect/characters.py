@@ -36,7 +36,6 @@ from .fields import (
     CONST,
     PLACE,
     UNIF,
-    FFModel,
     ValuationHandle,
     Window,
     _place_residue,
@@ -272,17 +271,6 @@ class CharacterGroup:
 # inertia and decomposition
 # ---------------------------------------------------------------------------
 
-def _chain_gens(handle: ValuationHandle):
-    """Window-generator specs consumed by the chain."""
-    out = set()
-    for kind, payload in handle.steps:
-        if kind == "unif":
-            out.add((UNIF, payload))
-        else:
-            out.add((PLACE, payload))
-    return out
-
-
 def inertia_chars(handle: ValuationHandle, window: Window) -> CharacterGroup:
     """Hom(K^x / O_v^x, R_n) cut down to the window; exact for native chains.
 
@@ -293,7 +281,7 @@ def inertia_chars(handle: ValuationHandle, window: Window) -> CharacterGroup:
     """
     if handle.model != window.model:
         raise UnsupportedValuation("handle on a different field")
-    chain = _chain_gens(handle)
+    chain = set(handle.steps)
     gens = [Character.dual(window, i)
             for i, g in enumerate(window.gens) if g in chain]
     return CharacterGroup(window, gens)
@@ -338,11 +326,8 @@ def _decomp_chars(handle, window, height):
     if handle.is_trivial():
         return CharacterGroup.full(window), Certificate(exact=True)
     kind, payload = handle.steps[0]
-    if kind == "unif":
-        model = window.model
-        if model.kind != "laurent" or model.var != payload:
-            raise UnsupportedValuation("chain does not match tower")
-        rest = ValuationHandle(model.base, handle.steps[1:])
+    if kind == UNIF:
+        rest = ValuationHandle(handle.models[1], handle.steps[1:])
         sub, cert = decomp_chars(rest, window.base_window(), height)
         gens = [Character(window, window.from_base(g.values, 0))
                 for g in sub.gens]
@@ -350,17 +335,12 @@ def _decomp_chars(handle, window, height):
             if g == (UNIF, payload):
                 gens.append(Character.dual(window, i))
         return CharacterGroup(window, gens), cert
-    return _decomp_at_place(handle, window, payload, height)
+    return _decomp_at_place(window, payload, height)
 
 
-def _decomp_at_place(handle, window, place, height):
+def _decomp_at_place(window, place, height):
     """Stabilized kernel of the classes of 1 + P*(a/b) over a, b of bounded
     degree with P not dividing b; works on raw polynomial pairs."""
-    model = window.model
-    if model.kind != "ratfunc":
-        raise UnsupportedValuation("place step off a rational function field")
-    if len(handle.steps) > 1:
-        raise UnsupportedValuation("no places below a finite residue field")
     from .scans import _decomp_place_classes
     classes = set()
     history = []
@@ -383,25 +363,22 @@ def residue_window(handle: ValuationHandle, window: Window) -> Window:
     when it is everything (rank-0 window), which is verified by computing the
     span of the residues of the unlisted places and constants.
     """
+    if handle.model != window.model:
+        raise UnsupportedValuation("handle on a different field")
     cur = window
-    for idx, (kind, payload) in enumerate(handle.steps):
+    for kind, payload in handle.steps:
         model = cur.model
-        if kind == "unif":
-            if model.kind != "laurent" or model.var != payload:
-                raise UnsupportedValuation("chain does not match tower")
+        if kind == UNIF:
             cur = cur.base_window()
         else:
-            if idx + 1 != len(handle.steps):
-                raise UnsupportedValuation("places end at finite residues")
-            kres = residue_field_of_place(model, payload)
             const_listed = any(g[0] == CONST for g in cur.gens)
             if _finite_kernel_is_everything(model, payload, cur,
                                             const_listed=const_listed):
                 # every leftover generator class dies in the full kernel
-                return Window(FFModel(kres), cur.level, ())
+                return Window(handle.models[-1], cur.level, ())
             if not const_listed and model.ff.poly_deg(payload) == 1:
                 # constants alone surject onto the degree-one residue field
-                return Window(FFModel(kres), cur.level, ())
+                return Window(handle.models[-1], cur.level, ())
             raise UnsupportedValuation(
                 "residue kernel after the place step is not a window kernel")
     return cur

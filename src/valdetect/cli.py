@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .coeffmod import index_m, index_n, level_bound
+from .coeffmod import Level, index_m, index_n, level_bound
 from .errors import (
     HypothesisFailed,
     ParseError,
@@ -89,6 +89,7 @@ def _context(args, window):
 
 
 def cmd_levels(args):
+    Level(args.ell, args.n)  # rejects a non-prime ell and n < 1
     nprime, nbig = index_n(args.ell, args.n)
     return {
         "ell": args.ell, "n": args.n,
@@ -186,7 +187,6 @@ def cmd_tame(args):
     place = ValuationHandle.from_steps(model, args.place.split(","))
     f = parse_element(model, args.f)
     g = parse_element(model, args.g)
-    from .coeffmod import Level
     level = Level(args.ell, args.n)
     out = {"field": model.spec(), "ell": args.ell, "n": args.n,
            "place": place.spec(), "f": format_element(f),
@@ -234,7 +234,7 @@ def cmd_detect(args):
         raise ParseError(f"--mode {args.mode} needs {flags}")
     model = _field(args)
     w = _window(args, model)
-    lift = args.lift_level or args.level
+    lift = args.level if args.lift_level is None else args.lift_level
     wl = w.at_level(lift)
     if args.mode == "cpair":
         f, g = _char(wl, args.f), _char(wl, args.g)
@@ -267,13 +267,13 @@ def cmd_cl_check(args):
     frame = frame_from_k2(w, sp, omega)
     full = CharacterGroup.full(w)
     chars = full.elements()
+    elems = [AbelianElement.from_character(frame, f) for f in chars]
     pairs_checked = 0
     disagreements = []
-    for i, f in enumerate(chars):
-        for g in chars[i:]:
+    for i, (f, a) in enumerate(zip(chars, elems)):
+        for g, b in zip(chars[i:], elems[i:]):
             direct = c_pair_direct(f, g, args.height).holds()
-            clv = cl_pair(AbelianElement.from_character(frame, f),
-                          AbelianElement.from_character(frame, g))
+            clv = cl_pair(a, b)
             pairs_checked += 1
             if direct != clv:
                 disagreements.append({"f": f.label(), "g": g.label(),

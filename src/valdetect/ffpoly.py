@@ -51,11 +51,9 @@ class FiniteField:
     @lru_cache(maxsize=None)
     def of_order(q, symbol="z"):
         """The field with q elements, built over its prime field."""
-        p = None
-        for c in range(2, q + 1):
-            if q % c == 0:
-                p = c
-                break
+        if q < 2:
+            raise PreconditionViolated(f"{q} is not a prime power")
+        p = next(c for c in range(2, q + 1) if q % c == 0)
         k = 0
         qq = q
         while qq % p == 0:

@@ -14,7 +14,10 @@ guessing; a series with bound None is exactly known.
 A ValuationHandle is a chain of native places (uniformizers of successive
 Laurent levels, optionally ending in a monic-irreducible place of a rational
 function bottom); its value group is Z^k ordered lexicographically, which
-never has non-trivial l-divisible convex subgroups.
+never has non-trivial l-divisible convex subgroups.  The handle's
+constructor is the single check of a chain against its tower: it rejects
+every other chain and records the field each step acts on, so value_of,
+residue_of, residue_model and the character groups only read that record.
 
 A Window fixes a level (l, n) and a finite list of generators (uniformizer
 classes, place classes, and optionally the constant-field generator class);
@@ -473,12 +476,46 @@ def _sum_lead(m, a, b):
 # valuation handles
 # ---------------------------------------------------------------------------
 
+UNIF, PLACE, CONST = "unif", "place", "const"
+
+
 @dataclass(frozen=True)
 class ValuationHandle:
-    """A composition chain of native places; () is the trivial valuation."""
+    """A composition chain of native places; () is the trivial valuation.
+
+    A step is (UNIF, var), which consumes the top Laurent level, or
+    (PLACE, poly) with poly monic irreducible over a rational-function
+    level, which ends the chain at a finite residue field.  The constructor
+    is the one check of a chain against the tower: any other chain raises
+    UnsupportedValuation there.  It records in `models` the field each step
+    acts on, followed by the residue field k(v), and every walker reads
+    those instead of walking the tower again."""
 
     model: FieldModel
     steps: tuple
+
+    def __post_init__(self):
+        models = [self.model]
+        for kind, payload in self.steps:
+            cur = models[-1]
+            if cur.kind == "finite":
+                raise UnsupportedValuation("finite fields have no native places")
+            want = UNIF if cur.kind == "laurent" else PLACE
+            if kind != want:
+                raise UnsupportedValuation(
+                    f"a {kind} step on {cur.spec()}, which takes a {want} step")
+            if kind == UNIF:
+                if payload != cur.var:
+                    raise UnsupportedValuation(
+                        f"expected uniformizer {cur.var!r}, got {payload!r}")
+                models.append(cur.base)
+            else:
+                if not cur.ff.poly_is_irreducible(payload):
+                    raise UnsupportedValuation("place polynomial is reducible")
+                if payload[-1] != cur.ff.one:
+                    raise UnsupportedValuation("place polynomial is not monic")
+                models.append(FFModel(residue_field_of_place(cur, payload)))
+        object.__setattr__(self, "models", tuple(models))
 
     @staticmethod
     def trivial(model):
@@ -486,28 +523,19 @@ class ValuationHandle:
 
     @staticmethod
     def from_steps(model, steps):
-        """steps: list of uniformizer var names or place polynomial Elts/strings."""
-        cur = model
-        norm = []
+        """steps: uniformizer names, then optionally a place over a
+        rational-function level, as a polynomial string or coefficient
+        tuple (made monic here)."""
+        handle = ValuationHandle(model, ())
         for s in steps:
-            if cur.kind == "laurent":
-                if not isinstance(s, str) or s != cur.var:
-                    raise UnsupportedValuation(
-                        f"expected uniformizer {cur.var!r}, got {s!r}")
-                norm.append(("unif", cur.var))
-                cur = cur.base
-            elif cur.kind == "ratfunc":
-                poly = s
-                if isinstance(s, str):
-                    poly = _parse_poly(cur, s)
-                poly = cur.ff.poly_monic(poly)
-                if not cur.ff.poly_is_irreducible(poly):
-                    raise UnsupportedValuation("place polynomial is reducible")
-                norm.append(("place", poly))
-                cur = FFModel(residue_field_of_place(cur, poly))
+            cur = handle.models[-1]
+            if cur.kind == "ratfunc":
+                poly = _parse_poly(cur, s) if isinstance(s, str) else s
+                step = (PLACE, cur.ff.poly_monic(poly))
             else:
-                raise UnsupportedValuation("finite fields have no native places")
-        return ValuationHandle(model, tuple(norm))
+                step = (UNIF, s)
+            handle = ValuationHandle(model, handle.steps + (step,))
+        return handle
 
     @property
     def rank(self):
@@ -517,16 +545,9 @@ class ValuationHandle:
         return not self.steps
 
     def spec(self):
-        out = []
-        cur = self.model
-        for kind, payload in self.steps:
-            if kind == "unif":
-                out.append(payload)
-                cur = cur.base
-            else:
-                out.append(cur.ff.poly_fmt(payload, cur.var))
-                cur = FFModel(residue_field_of_place(cur, payload))
-        return ",".join(out)
+        return ",".join(
+            payload if kind == UNIF else m.ff.poly_fmt(payload, m.var)
+            for (kind, payload), m in zip(self.steps, self.models))
 
 
 def residue_field_of_place(model: RatFuncModel, place):
@@ -547,37 +568,23 @@ def _ext_field(ff, place, symbol):
     return _EXT_FIELDS[key]
 
 
-def residue_model(handle: ValuationHandle, model=None) -> FieldModel:
+def residue_model(handle: ValuationHandle) -> FieldModel:
     """Backend of the residue field k(v) after the whole chain."""
-    cur = model or handle.model
-    for kind, payload in handle.steps:
-        if kind == "unif":
-            if cur.kind != "laurent" or cur.var != payload:
-                raise UnsupportedValuation("chain does not match tower")
-            cur = cur.base
-        else:
-            if cur.kind != "ratfunc":
-                raise UnsupportedValuation("chain does not match tower")
-            cur = FFModel(residue_field_of_place(cur, payload))
-    return cur
+    return handle.models[-1]
 
 
 def compose_valuations(v: ValuationHandle, w: ValuationHandle) -> ValuationHandle:
     """The composite valuation v followed by w on the residue field of v."""
-    if w.is_trivial():
-        return v
-    if v.is_trivial():
-        if w.model != v.model:
-            raise UnsupportedValuation("trivial base of a different field")
-        return w
     if residue_model(v) != w.model:
         raise UnsupportedValuation(
             "second valuation does not live on the residue field of the first")
     return ValuationHandle(v.model, v.steps + w.steps)
 
 
-def value_of(handle: ValuationHandle, x: Elt):
-    """Image of x in the value group Z^rank, lexicographically ordered."""
+def _walk(handle: ValuationHandle, x: Elt):
+    """(image of x in Z^rank, residue in k(v) of x's unit part): each step
+    takes off the leading exponent or the place multiplicity and passes the
+    unit part down."""
     if x.model != handle.model:
         raise UnsupportedValuation("element not in the handle's field")
     if x.is_zero():
@@ -585,17 +592,21 @@ def value_of(handle: ValuationHandle, x: Elt):
     out = []
     cur = x
     for kind, payload in handle.steps:
-        if kind == "unif":
+        if kind == UNIF:
             v, cur = cur.laurent_lead()
-            out.append(v)
         else:
             m = cur.model
             num, den = cur.data
             v = m.ff.place_multiplicity(num, payload) - \
                 m.ff.place_multiplicity(den, payload)
-            out.append(v)
             cur = _place_residue(m, payload, num, den, v)
-    return tuple(out)
+        out.append(v)
+    return tuple(out), cur
+
+
+def value_of(handle: ValuationHandle, x: Elt):
+    """Image of x in the value group Z^rank, lexicographically ordered."""
+    return _walk(handle, x)[0]
 
 
 def _place_residue(m: RatFuncModel, place, num, den, v):
@@ -619,25 +630,15 @@ def _place_residue(m: RatFuncModel, place, num, den, v):
 
 def residue_of(handle: ValuationHandle, x: Elt) -> Elt:
     """Residue of a v-unit x in k(v)."""
-    if any(c != 0 for c in value_of(handle, x)):
+    values, res = _walk(handle, x)
+    if any(c != 0 for c in values):
         raise UnsupportedValuation("residue of a non-unit")
-    cur = x
-    for kind, payload in handle.steps:
-        if kind == "unif":
-            _, cur = cur.laurent_lead()
-        else:
-            m = cur.model
-            num, den = cur.data
-            cur = _place_residue(m, payload, num, den, 0)
-    return cur
+    return res
 
 
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
-
-UNIF, PLACE, CONST = "unif", "place", "const"
-
 
 def _const_class_order(ff: FiniteField, level: Level) -> int:
     """Order of the constant generator class in F_q^x / (+-1, l^n-th powers)."""
@@ -1028,18 +1029,18 @@ def _parse_field_expr(toks, pos, spec):
         if not isinstance(inner, FFModel):
             raise ParseError("ratfunc base must be a finite field", pos)
         _expect(toks, p, ",", spec)
-        var = toks[p + 1]
+        var = _variable(toks, p + 1, spec)
         _expect(toks, p + 2, ")", spec)
         return RatFuncModel(inner.ff, var), p + 3
     if t == "laurent":
         _expect(toks, pos + 1, "(", spec)
         inner, p = _parse_field_expr(toks, pos + 2, spec)
         _expect(toks, p, ",", spec)
-        var = toks[p + 1]
+        var = _variable(toks, p + 1, spec)
         p += 2
         prec = LaurentModel.DEFAULT_PREC
-        if toks[p] == ",":
-            if not toks[p + 1].startswith("prec="):
+        if p < len(toks) and toks[p] == ",":
+            if p + 1 >= len(toks) or not toks[p + 1].startswith("prec="):
                 raise ParseError("expected prec=<int>", p + 1)
             prec = int(toks[p + 1][5:])
             p += 2
@@ -1051,6 +1052,12 @@ def _parse_field_expr(toks, pos, spec):
 def _expect(toks, pos, want, spec):
     if pos >= len(toks) or toks[pos] != want:
         raise ParseError(f"expected {want!r} in {spec!r}", pos)
+
+
+def _variable(toks, pos, spec):
+    if pos >= len(toks) or not toks[pos].isidentifier():
+        raise ParseError(f"expected a variable name in {spec!r}", pos)
+    return toks[pos]
 
 
 _WINDOW_RE = re.compile(
@@ -1069,12 +1076,16 @@ def parse_window(model: FieldModel, spec: str) -> Window:
     rest = body[:gm.start()] + body[gm.end():]
     kv = dict(
         (k.strip(), v.strip())
-        for k, v in (item.split("=") for item in rest.split(",") if "=" in item)
+        for k, v in (item.split("=", 1) for item in rest.split(",")
+                     if "=" in item)
     )
     if "ell" not in kv or not ({"n", "level"} & kv.keys()):
         raise ParseError("window spec needs ell=, n= (or level=), gens=[..]")
-    level = Level(int(kv["ell"]), int(kv.get("n", kv.get("level"))))
-    return Window.build(model, level, gens)
+    try:
+        ell, n = int(kv["ell"]), int(kv.get("n", kv.get("level")))
+    except ValueError:
+        raise ParseError(f"ell and n must be integers in {spec!r}") from None
+    return Window.build(model, Level(ell, n), gens)
 
 
 _ELT_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\*\*|[-+*/^()])")

@@ -255,3 +255,41 @@ def test_negative_height(capsys):
         "--f", "u", "--g", "u-3", "--height", "-1")
     assert code == 1
     assert err["code"] == "precondition-violated"
+
+
+_WINDOW_ARGS = ("--window", "{ell=3,n=1,gens=[const]}")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("window", "--field", "laurent(gf:7,t") + _WINDOW_ARGS, "parse-error"),
+    (("window", "--field", "laurent(gf:7,") + _WINDOW_ARGS, "parse-error"),
+    (("window", "--field", "ratfunc(gf:7,") + _WINDOW_ARGS, "parse-error"),
+    (("window", "--field", "ratfunc(gf:7,,)") + _WINDOW_ARGS, "parse-error"),
+    (("window", "--field", "laurent(gf:7,t,") + _WINDOW_ARGS, "parse-error"),
+    (("window", "--field", "gf:0") + _WINDOW_ARGS, "precondition-violated"),
+    (("window", "--field", "gf:1") + _WINDOW_ARGS, "precondition-violated"),
+    (("window", "--field", "gf:7", "--window", "{ell=x,n=1,gens=[const]}"),
+     "parse-error"),
+    (("window", "--field", "gf:7", "--window", "{ell=3,n=1=2,gens=[const]}"),
+     "parse-error"),
+    (("levels", "--ell", "4", "--n", "1"), "precondition-violated"),
+    (("levels", "--ell", "1", "--n", "1"), "precondition-violated"),
+    (("detect", "--field", "laurent(gf:7,t)",
+      "--window", "{ell=3,n=1,gens=[t,const]}", "--mode", "cgroup",
+      "--level", "1", "--lift-level", "0"), "precondition-violated"),
+])
+def test_malformed_input_is_an_error_payload(capsys, argv, code):
+    exit_code, err = _error_payload(capsys, *argv)
+    assert exit_code == 1
+    assert err["code"] == code
+
+
+def test_malformed_spec_leaves_stderr_empty():
+    import subprocess
+    import sys
+    cmd = [sys.executable, "-m", "valdetect.cli", "window",
+           "--field", "laurent(gf:7,t", *_WINDOW_ARGS]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr == ""
+    assert json.loads(run.stdout)["error"]["code"] == "parse-error"
