@@ -355,25 +355,11 @@ def canonical_omega(window: Window):
             f"constant field GF({ff.q}) has no primitive {mod}-th root")
     if window.level.ell == 2 and (ff.q - 1) % (2 * mod):
         raise NoRootsOfUnity("need the 2l^n-th roots of unity when l = 2")
-    g = ff.generator()
-    step = (ff.q - 1) // mod
-    best = None
-    x = ff.pow(g, step)
-    cur = x
-    for k in range(1, mod):
-        if _mult_order(ff, cur, mod) == mod and (best is None or cur < best):
-            best = cur
-        cur = ff.mul(cur, x)
+    # x has order l^n, so x^k is primitive exactly when l does not divide k
+    x = ff.pow(ff.generator(), (ff.q - 1) // mod)
+    best = min(ff.pow(x, k) for k in range(1, mod) if k % window.level.ell)
     from .fields import _lift_constant
     return _lift_constant(window.model, best)
-
-
-def _mult_order(ff, x, cap):
-    o, cur = 1, x
-    while cur != ff.one and o <= cap:
-        cur = ff.mul(cur, x)
-        o += 1
-    return o
 
 
 def frame_from_k2(window: Window, sp, omega=None) -> CentralFrame:

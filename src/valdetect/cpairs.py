@@ -125,8 +125,8 @@ def _k2_pair_drop(sp, f, g, a, b):
     best = wedge_exp
     best_wit = None
     for wit in sp.witnesses:
-        fz, gz = f.evaluate_class(wit.cls_z), g.evaluate_class(wit.cls_z)
-        fm, gm = f.evaluate_class(wit.cls_1mz), g.evaluate_class(wit.cls_1mz)
+        fz, gz = f.evaluate_class(wit.cls_x), g.evaluate_class(wit.cls_x)
+        fm, gm = f.evaluate_class(wit.cls_1mx), g.evaluate_class(wit.cls_1mx)
         psi_z = (fz // ell ** a, gz // ell ** b)
         psi_m = (fm // ell ** a, gm // ell ** b)
         coeff = wedge(psi_z, psi_m)[0] % ell ** wedge_exp

@@ -6,7 +6,9 @@ Every report replays its claims: containments are re-verified by evaluating
 characters on scanned elements, cyclic quotients are certified by quasi-bases
 of the quotient module, and all heights and levels used are recorded.  Each
 re-verification is a capped sample; the report names its size and caps and
-says whether a cap stopped it.
+says whether a cap stopped it.  The three pipelines end in one call that
+reads the window, level, inertia labels and quotient orders off the detected
+pair I <= D and runs both sample checks.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -86,7 +88,6 @@ class DetectionReport:
     branch: str = ""
     containments: dict = field(default_factory=dict)
     verification: dict = field(default_factory=dict)  # of VerificationSample
-    units_height: int = 0
     notes: list = field(default_factory=list)
     units: object = None            # UnitGroupApprox of the found valuation
     detected_group: object = None   # the valuative subgroup I
@@ -110,10 +111,6 @@ class DetectionReport:
                              for k, v in self.verification.items()},
             "notes": self.notes,
         }
-
-    def verify(self, what, check):
-        """Record the verdict and the sample of one containment check."""
-        self.containments[what], self.verification[what] = check
 
 
 def _require_level(N, bound, aggressive, what):
@@ -189,15 +186,24 @@ def _verify_inertia(group: CharacterGroup, units, height, max_samples=60,
     return True, sample
 
 
-def _verified(report, what, chars, I, units, height):
-    """Re-verify `what` (chars kill 1+m) and "I in I_v" on samples, then
-    attach the units and I to the report; no chars means nothing to check."""
-    report.verify(what, _verify_decomposition(
-        chars, report.window.model, units, height) if chars
-        else (True, VerificationSample(0, 0)))
-    report.verify("I in I_v", _verify_inertia(I, units, height))
-    report.units = units
-    report.detected_group = I
+def _report(mode, inputs, D, I, units, N, height, notes, what, chars,
+            branch=""):
+    """The report of I <= D at the level of D: the window, level, inertia
+    labels and quotient orders come from D and I, and `what` (chars kill
+    1+m) and "I in I_v" are re-verified on samples against the units of the
+    found valuation; no chars means nothing to check."""
+    w = D.window
+    orders = D.quotient_orders(I)
+    report = DetectionReport(
+        mode=mode, window=w, level_n=w.level.n, level_lift=N, height=height,
+        inputs=inputs, inertia_labels=I.labels(), quotient_orders=orders,
+        quotient_cyclic=len(orders) <= 1, branch=branch, notes=notes,
+        units=units, detected_group=I)
+    checks = {what: _verify_decomposition(chars, w.model, units, height)
+              if chars else (True, VerificationSample(0, 0)),
+              "I in I_v": _verify_inertia(I, units, height)}
+    for key, (ok, sample) in checks.items():
+        report.containments[key], report.verification[key] = ok, sample
     return report
 
 
@@ -227,18 +233,8 @@ def detect_from_cpair(fpp: Character, gpp: Character, n: int, height: int,
     iv = valuative_test(MultSubgroup.kernel_of(I), height)
     if not iv.holds():
         raise MainClaimViolated("detected subgroup failed the valuative scan")
-    orders = D.quotient_orders(I)
-    report = DetectionReport(
-        mode="cpair", window=wn, level_n=n, level_lift=N, height=height,
-        inputs=[fpp.label(), gpp.label()],
-        inertia_labels=I.labels(),
-        quotient_orders=orders,
-        quotient_cyclic=len(orders) <= 1,
-        branch=branch,
-        units_height=height,
-        notes=notes,
-    )
-    return _verified(report, "f,g in D_v", (f, g), I, units, height)
+    return _report("cpair", [fpp.label(), gpp.label()], D, I, units, N,
+                   height, notes, "f,g in D_v", (f, g), branch)
 
 
 def valuative_members(group: CharacterGroup, height: int):
@@ -272,19 +268,8 @@ def detect_from_cgroup(Dpp: CharacterGroup, n: int, height: int,
     I = Ip.reduce_level(n)
     D = Dpp.reduce_level(n)
     units = canonical_valuation(MultSubgroup.kernel_of(I), height)
-    orders = D.quotient_orders(I)
-    report = DetectionReport(
-        mode="cgroup", window=D.window, level_n=n, level_lift=N,
-        height=height,
-        inputs=Dpp.labels(),
-        inertia_labels=I.labels(),
-        quotient_orders=orders,
-        quotient_cyclic=len(orders) <= 1,
-        units_height=height,
-        notes=notes,
-    )
-    return _verified(report, "D in D_v",
-                     [c for c, _ in D.member_quasi_basis()], I, units, height)
+    return _report("cgroup", Dpp.labels(), D, I, units, N, height, notes,
+                   "D in D_v", [c for c, _ in D.member_quasi_basis()])
 
 
 def detect_inertia(Ipp: CharacterGroup, Dpp: CharacterGroup, n: int,
@@ -315,19 +300,9 @@ def detect_inertia(Ipp: CharacterGroup, Dpp: CharacterGroup, n: int,
                 f"member {f.label()} of I' is not valuative")
     I = Ipp.reduce_level(n)
     units = canonical_valuation(MultSubgroup.kernel_of(I), height)
-    orders = D.quotient_orders(I) if I <= D else []
-    report = DetectionReport(
-        mode="inertia", window=D.window, level_n=n, level_lift=N,
-        height=height,
-        inputs=[Ipp.labels(), Dpp.labels()],
-        inertia_labels=I.labels(),
-        quotient_orders=orders,
-        quotient_cyclic=len(orders) <= 1,
-        units_height=height,
-        notes=notes,
-    )
-    return _verified(report, "D in D_v",
-                     [c for c, _ in D.member_quasi_basis()], I, units, height)
+    return _report("inertia", [Ipp.labels(), Dpp.labels()], D, I, units, N,
+                   height, notes, "D in D_v",
+                   [c for c, _ in D.member_quasi_basis()])
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +317,6 @@ class ClassMembershipReport:
     height: int
     in_w: bool
     in_v: bool
-    alt_v: bool
     alt_v_agrees: bool
     refinements: list
     witness_refinement: str = None
@@ -435,8 +409,7 @@ def class_membership(handle: ValuationHandle, window: Window, n: int,
     alt_v = (I1 == center1) and (center1 != D1)
     return ClassMembershipReport(
         handle=handle, window=w, level_n=n, height=height,
-        in_w=in_w, in_v=in_v,
-        alt_v=alt_v, alt_v_agrees=(alt_v == in_v),
+        in_w=in_w, in_v=in_v, alt_v_agrees=(alt_v == in_v),
         refinements=refinements, witness_refinement=witness,
         notes=notes,
     )

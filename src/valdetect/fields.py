@@ -160,6 +160,8 @@ class LaurentModel(FieldModel):
             isinstance(base.bottom(), RatFuncModel) and base.bottom().var == var
         ):
             raise PreconditionViolated(f"variable {var} already used in tower")
+        if prec < 1:
+            raise PreconditionViolated(f"Laurent precision {prec} is below 1")
         self.base = base
         self.var = var
         self.prec = prec

@@ -6,6 +6,11 @@ so scanned orders are upper bounds; reports carry the height.  On Laurent
 windows listing the top uniformizer, the tame symbol at that place descends
 to the residue window exactly and yields an unconditional lower bound; when
 the two bounds meet the order is certified.
+
+The Steinberg relations come straight from the scan table: each ScanEntry
+carries its wedge cls x ^ cls 1-x, computed once when the table is built, and
+the witnesses of a presentation are the entries whose wedge is nonzero.
+`wedge_of` is re-exported here for callers that replay a witness.
 """
 
 import math
@@ -29,21 +34,17 @@ from .fields import (
 )
 from .scans import exhaustive_classes, scan_index, wedge_of
 
-
-@dataclass(frozen=True)
-class SteinbergWitness:
-    cls_z: tuple
-    cls_1mz: tuple
-    wedge: tuple       # coordinates on e_ij, i < j
-    rep: object
-
-    def element(self):
-        return self.rep() if callable(self.rep) else self.rep
+__all__ = [
+    "SymbolPresentation", "TameClass", "k2_cyclic_order",
+    "k2_tame_lower_bound", "power_class_invariant", "steinberg_scan",
+    "tame_symbol", "wedge_of",
+]
 
 
 @dataclass(frozen=True)
 class SymbolPresentation:
-    """wedge^2(K^x/T) modulo the relations z ^ (1-z) collected by scanning."""
+    """wedge^2(K^x/T) modulo the relations z ^ (1-z) collected by scanning;
+    the witnesses are the scan entries with a nonzero wedge."""
 
     window: Window
     height: int
@@ -70,14 +71,10 @@ def steinberg_scan(window: Window, height: int,
     span_rows = []
     ell, n = window.level.ell, window.level.n
     for ent in scan_index(window, height).entries(height):
-        if ent.cls_1mx is None:
+        if ent.wedge is None or not any(ent.wedge):
             continue
-        vec = wedge_of(window, ent.cls_x, ent.cls_1mx)
-        if not any(vec):
-            continue
-        witnesses.append(SteinbergWitness(ent.cls_x, ent.cls_1mx, vec,
-                                          ent.rep))
-        span_rows.append(tuple(v * s for v, s in zip(vec, scales)))
+        witnesses.append(ent)
+        span_rows.append(tuple(v * s for v, s in zip(ent.wedge, scales)))
         if stop_at_floor:
             form = howell_form(span_rows, ell, n, len(scales))
             if all(span_contains(form, row, ell, n) for row in wedge_full):

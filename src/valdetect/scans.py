@@ -29,11 +29,13 @@ residue table.
 
 Predicates that see x only through the Steinberg wedge cls x ^ cls 1-x,
 such as the bilinear C-pair identity and the K2 relation span, need even
-less: the index also keeps, in stream order, the first entry of each
-distinct nonzero wedge.  A window has few distinct wedges (24 against 796
-triples on F7(u) with [u, u-1, const] at degree 2, and none on F19((t))
-with l^n = 9 and [t, const] at height 9), so those scans run over the
-wedge list.
+less.  The index computes each tabled entry's wedge once, when the entry
+enters the table, and stores it on the entry (None when x = 1); the K2
+presentation's Steinberg witnesses are these entries.  The index also
+keeps, in stream order, the first entry of each distinct nonzero wedge.
+A window has few distinct wedges (24 against 796 triples on F7(u) with
+[u, u-1, const] at degree 2, and none on F19((t)) with l^n = 9 and
+[t, const] at height 9), so those scans run over the wedge list.
 
 A window's ScanIndex owns its memos: the triple table, the wedge list and
 the numpy path's class table, which the decomposition sweeps below share.
@@ -59,21 +61,23 @@ from .fields import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # tables hold thousands of entries
 class ScanEntry:
     key: tuple        # increases along the canonical stream
     cls_x: tuple
     cls_1mx: tuple    # None when x = 1
     cls_1px: tuple    # None when x = -1
     rep: object       # element factory closure or Elt
+    wedge: tuple = None  # cls x ^ cls 1-x, set by ScanIndex; None when x = 1
 
     def element(self):
         return self.rep() if callable(self.rep) else self.rep
 
 
 class ScanIndex:
-    """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples, the
-    first entry of each distinct nonzero Steinberg wedge cls x ^ cls 1-x."""
+    """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples, each
+    entry carrying its Steinberg wedge cls x ^ cls 1-x, and the first entry
+    of each distinct nonzero wedge."""
 
     def __init__(self, window: Window):
         self.window = window
@@ -96,6 +100,7 @@ class ScanIndex:
                 if ent.cls_1mx is None:
                     continue
                 wedge = wedge_of(self.window, ent.cls_x, ent.cls_1mx)
+                object.__setattr__(ent, "wedge", wedge)
                 if any(wedge) and wedge not in self._wedges:
                     self._wedges.add(wedge)
                     new_wedges.append((wedge, ent))

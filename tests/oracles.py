@@ -11,6 +11,7 @@ from valdetect.coeffmod import (
     howell_form,
     quotient_span,
     span_contains,
+    wedge_pairs,
 )
 from valdetect.errors import LevelMismatch, UnsupportedValuation, ZeroElement
 from valdetect.fields import (
@@ -22,7 +23,7 @@ from valdetect.fields import (
     _place_residue,
     residue_field_of_place,
 )
-from valdetect.scans import _decomp_place_classes
+from valdetect.scans import _decomp_place_classes, scan_index, wedge_of
 
 
 def submodule_contains(module, gens, x) -> bool:
@@ -176,3 +177,55 @@ def residue_window_by_walk(handle, window):
             raise UnsupportedValuation(
                 "residue kernel after the place step is not a window kernel")
     return cur
+
+
+# ---------------------------------------------------------------------------
+# Steinberg witnesses and roots of unity, as computed before scan entries
+# carried their wedge and before the order rule
+# ---------------------------------------------------------------------------
+
+def steinberg_witnesses_by_wedge_of(window, height, stop_at_floor=False):
+    """(cls z, cls 1-z, wedge, element) of each witness: the scan entries
+    through `height` whose wedge, computed afresh by wedge_of, is nonzero,
+    stopping once the relations span the whole wedge when stop_at_floor."""
+    o = window.orders
+    ell, n = window.level.ell, window.level.n
+    mod = window.level.modulus
+    scales = [mod // min(o[i], o[j]) for i, j in wedge_pairs(window.rank)]
+    wedge_full = [tuple(s if k == c else 0 for k in range(len(scales)))
+                  for c, s in enumerate(scales)]
+    out, span_rows = [], []
+    for ent in scan_index(window, height).entries(height):
+        if ent.cls_1mx is None:
+            continue
+        vec = wedge_of(window, ent.cls_x, ent.cls_1mx)
+        if not any(vec):
+            continue
+        out.append((ent.cls_x, ent.cls_1mx, vec, ent.element()))
+        span_rows.append(tuple(v * s for v, s in zip(vec, scales)))
+        if stop_at_floor:
+            form = howell_form(span_rows, ell, n, len(scales))
+            if all(span_contains(form, row, ell, n) for row in wedge_full):
+                break
+    return out
+
+
+def canonical_omega_code_by_order_loop(ff, ell, n):
+    """Least code among the elements of order exactly l^n in the powers of
+    g^((q-1)/l^n), each order found by repeated multiplication."""
+    mod = ell ** n
+
+    def mult_order(x):
+        o, cur = 1, x
+        while cur != ff.one and o <= mod:
+            cur = ff.mul(cur, x)
+            o += 1
+        return o
+
+    x = ff.pow(ff.generator(), (ff.q - 1) // mod)
+    best, cur = None, x
+    for _ in range(1, mod):
+        if mult_order(cur) == mod and (best is None or cur < best):
+            best = cur
+        cur = ff.mul(cur, x)
+    return best

@@ -32,7 +32,7 @@ from valdetect.fields import (
 )
 from valdetect.milnor import steinberg_scan
 
-from oracles import submodule_contains
+from oracles import canonical_omega_code_by_order_loop, submodule_contains
 
 
 def test_commutator_basis_cases():
@@ -536,3 +536,27 @@ def test_cl_pair_forms_no_howell_form(monkeypatch, w_tuu3):
     monkeypatch.setattr(central, "howell_form", refuse)
     monkeypatch.setattr(coeffmod, "howell_form", refuse)
     assert [cl_pair(s, t) for s, t in pairs] == expected
+
+
+def _omega_cases():
+    """(q, l, n) over small prime and prime-power fields with the l^n-th
+    roots of unity (the 2l^n-th when l = 2) and l prime to q."""
+    for q in (5, 7, 9, 13, 17, 19, 25, 27, 29, 37, 41, 49, 73, 81, 97, 109,
+              163):
+        for ell in (2, 3, 5, 7, 13):
+            n = 1
+            while (q - 1) % ell ** n == 0 and (
+                    ell != 2 or (q - 1) % (2 * ell ** n) == 0):
+                if q % ell:
+                    yield q, ell, n
+                n += 1
+
+
+def test_canonical_omega_matches_the_order_loop():
+    cases = list(_omega_cases())
+    assert len(cases) >= 30
+    for q, ell, n in cases:
+        model = parse_field(f"gf:{q}")
+        w = parse_window(model, f"{{ell={ell},n={n},gens=[const]}}")
+        code = canonical_omega_code_by_order_loop(model.ff, ell, n)
+        assert canonical_omega(w) == model.elt(code), (q, ell, n)

@@ -268,6 +268,8 @@ _WINDOW_ARGS = ("--window", "{ell=3,n=1,gens=[const]}")
     (("window", "--field", "laurent(gf:7,t,") + _WINDOW_ARGS, "parse-error"),
     (("window", "--field", "gf:0") + _WINDOW_ARGS, "precondition-violated"),
     (("window", "--field", "gf:1") + _WINDOW_ARGS, "precondition-violated"),
+    (("window", "--field", "laurent(gf:7,t,prec=0)") + _WINDOW_ARGS,
+     "precondition-violated"),
     (("window", "--field", "gf:7", "--window", "{ell=x,n=1,gens=[const]}"),
      "parse-error"),
     (("window", "--field", "gf:7", "--window", "{ell=3,n=1=2,gens=[const]}"),

@@ -1,0 +1,80 @@
+"""The README's CLI examples and `scripts/run_detection_demo.py` print the
+same bytes as when their hashes were pinned.
+
+Each `valdetect ...` command of the README's `sh` blocks runs through
+`cli.main` in-process; the demo's `main()` runs the same way.  The sha256
+of stdout is compared with the pinned hash, so any change to a payload,
+a witness or the JSON layout shows here.  A deliberate output change must
+re-pin the hash and list the difference in CHANGES.md.
+"""
+
+import hashlib
+import pathlib
+import re
+import runpy
+import shlex
+
+import pytest
+
+from valdetect.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# (subcommand, sha256 of stdout), in README order
+README_DIGESTS = [
+    ("levels",
+     "7f50a4ea86b06feafcae621d80caeb23fb6675f95fe5355c62646bd28dcc8383"),
+    ("eval",
+     "8f329e54034e8106679ec329e9bcaa25daf2745354fcc1e0fb91735f86806676"),
+    ("cpair",
+     "202802f9b24c0e0aab9fafdb97c9d9e3033fac827fbef8f4388ea1840e003ac9"),
+    ("k2",
+     "e7b7a7517f177beb39f34b7e1b4a96d47f78a57c3a97af66537e53cd8991b53f"),
+    ("tame",
+     "2e9ec3e1cb83cbc6731aba32a9c8337562152ed3bc66e0afeec4b021c4506e78"),
+    ("detect",
+     "a60dd3ca4006a95485ed9716cb801356026879597b2b823612b97843effbaab3"),
+    ("detect",
+     "57e94e77f8058fba9210fc913d1983dd0e096ff24fea8067ef6c4c32e30f1f47"),
+    ("cl-check",
+     "04c12c5656bf0934e11a5e80fa621ca9a621b1328a16c9a41d7645cf1e27f577"),
+]
+DEMO_DIGEST = \
+    "6e9b5af154202b80ee66326a709ed3558b0e42b0d579d2100f39da8d2b945f87"
+
+
+def readme_commands():
+    """argv of every `valdetect ...` line of the README's sh blocks, with
+    backslash continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("valdetect "):
+                out.append(shlex.split(line)[1:])
+    return out
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_readme_command_is_pinned():
+    assert [argv[0] for argv in readme_commands()] == \
+        [name for name, _ in README_DIGESTS]
+
+
+@pytest.mark.parametrize("index", range(len(README_DIGESTS)),
+                         ids=[f"{i}-{name}" for i, (name, _)
+                              in enumerate(README_DIGESTS)])
+def test_readme_example_output_is_pinned(capsys, index):
+    argv = readme_commands()[index]
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == README_DIGESTS[index][1]
+
+
+def test_detection_demo_output_is_pinned(capsys):
+    demo = runpy.run_path(str(ROOT / "scripts" / "run_detection_demo.py"),
+                          run_name="demo")
+    assert demo["main"]() == 0
+    assert _sha256(capsys.readouterr().out) == DEMO_DIGEST
