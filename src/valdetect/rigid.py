@@ -11,14 +11,15 @@ window, each H memoises its verdict per class, and the class of a sum such
 as h + x or 1 + x comes from `Window.classify_sum`, which reads the leading
 term of the sum without building it.
 
-The unit test of `UnitGroupApprox` skips even that for most pairs, by the
-leading-exponent rule: on a Laurent window, when the top exponents of h and
-an exact x differ and the lower one lies below its precision bound, h + x
-has the leading term of the lower one, so cls(h + x) is cls h or cls x,
-both known already.  This is exact, because a class reads only leading
-terms; only ties go through `Window.classify_sum`.  Valuative tests of the
-cyclic groups <f> for many members f at once are one matrix product over the
-scan table (`valuative_members_mask`).
+The unit test of `UnitGroupApprox` decides h from its leading term c*t^e
+on a Laurent window, where e lies below the precision bound of h: for an
+exact monomial x, h + x leads with x, with h, or with (c + c_x)*t^e, so
+its class reads c*t^e and never the rest of h, unless x = -c*t^e.  A
+verdict is therefore computed once per leading term, and only a row whose
+coefficient cancels the lead of h is classified for each element.  This is
+exact, because a class reads only leading terms.  Valuative tests of the
+cyclic groups <f> for many members f at once are one matrix product over
+the scan table (`valuative_members_mask`).
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from .errors import (
     LevelMismatch,
     MainClaimViolated,
     NotValuative,
+    PrecisionExhausted,
     PreconditionViolated,
 )
 from .characters import Character, CharacterGroup
@@ -229,17 +231,26 @@ class UnitGroupApprox:
 
     The test is class-level.  The first `max_nonmembers` nonmembers x of the
     stream are tabled once, in stream order, with their top Laurent exponent
-    v(x), cls x, cls 1+x and the verdict cls(1+x) - cls(x) in H.  For each h
-    the class of h + x follows from the leading-exponent rule: on a Laurent
-    window with x exact and v(h) below the precision bound of h, the sum
-    h + x leads with x when v(x) < v(h) and with h when v(x) > v(h), so its
-    class is cls x (the stored verdict decides) or cls h (one test per
-    distinct cls 1+x).  This is exact: `Window.classify_sum` reads the same
-    leading term, and it cannot raise for such a pair, since both x and h
-    were classified.  Only ties, inexact x, an h whose leading exponent is
-    not below its bound, and windows that are not Laurent go through
-    `Window.classify_sum`.  Rows are walked in stream order, so the verdicts
-    and the exceptions raised are those of classifying every h + x.
+    v(x), cls x, cls 1+x and the verdict cls(1+x) - cls(x) in H.  On a
+    Laurent window whose rows are exact monomials (stream elements always
+    are), an h with leading term c*t^e, e below its precision bound, is
+    decided once per leading term (e, c), by walking the rows with the
+    monomial h0 = c*t^e:
+    - a row with v(x) < e leads h + x, so its stored verdict decides; a row
+      with v(x) > e leaves h in the lead, so cls(h + x) = cls h, and
+      cls(1+x) - cls h lies in H iff cls 1+x does, as h lies in H.  The
+      first of these rows that fails thus depends on e alone; it is
+      memoised per e, with the rows v(x) = e before it.
+    - a tie x = c_x*t^e with c + c_x != 0 gives h + x the leading term
+      (c + c_x)*t^e, the same as h0 + x.
+    This is exact, because a class reads only leading terms.  Only a row
+    with c_x = -c reads h past its lead, so it alone is classified for each
+    h.  A table of the stream holds no such row, since windows kill -1:
+    -c*t^e has the class of h, so it lies in H with h.  When the walk of h0
+    raises, and for an h whose leading exponent is not below its bound or a
+    window that is not Laurent, every row goes through `Window.classify_sum`
+    with h.  Rows are walked in stream order, so the verdicts and the
+    exceptions raised are those of classifying every h + x.
     """
 
     MAX_NONMEMBERS = 400
@@ -250,14 +261,17 @@ class UnitGroupApprox:
         self.height = height
         self.max_nonmembers = max_nonmembers
         self._rows = None
+        self._lead_rule = False     # every row is an exact Laurent monomial
         self._capped = False
-        self._memo = {}
+        self._memo = {}     # h.data -> verdict
+        self._leads = {}    # (e, c) -> (verdict, cancel rows)
+        self._stops = {}    # e -> (first failing row v(x) != e, tie rows)
 
     def _table(self):
         """The scanned nonmembers x of H in stream order, up to
         `max_nonmembers` of them, as rows (x, v(x), cls x, cls 1+x,
-        cls(1+x) - cls(x) in H); v(x) is None unless x is exact on a
-        Laurent window, cls 1+x is None for x = -1."""
+        cls(1+x) - cls(x) in H); v(x) is None unless x is an exact monomial
+        on a Laurent window, cls 1+x is None for x = -1."""
         if self._rows is None:
             w = self.H.window
             one = w.model.one()
@@ -274,18 +288,14 @@ class UnitGroupApprox:
                     break
                 cls_opx = w.classify_sum(one, x)
                 exp = None
-                if laurent and x.data[1] is None:
+                if laurent and x.data[1] is None and len(x.data[0]) == 1:
                     exp = x.data[0][0][0]
                 ok = cls_opx is None or self.H.contains_class(
                     w.class_sub(cls_opx, cls_x))
                 rows.append((x, exp, cls_x, cls_opx, ok))
             self._rows = rows
+            self._lead_rule = laurent and all(r[1] is not None for r in rows)
         return self._rows
-
-    def _nonmembers(self):
-        """The scanned nonmembers x of H, each with the class of 1+x (None
-        for x = -1), up to `max_nonmembers` of them."""
-        return [(x, cls_opx) for x, _, _, cls_opx, _ in self._table()]
 
     def is_unit(self, h) -> bool:
         got = self._memo.get(h.data)
@@ -294,40 +304,76 @@ class UnitGroupApprox:
         return got
 
     def _is_unit(self, h) -> bool:
+        rows = self._table()
+        if self._lead_rule:
+            coeffs, bound = h.data
+            if coeffs and (bound is None or coeffs[0][0] < bound):
+                got = self._leads.get(coeffs[0])
+                if got is None:
+                    try:
+                        got = self._leads[coeffs[0]] = self._by_lead(
+                            *coeffs[0])
+                    except PrecisionExhausted:
+                        got = None  # walk the rows with h itself
+                if got is not None:
+                    unit, cancels = got
+                    return self._first_failure(h, cancels) is None and unit
         if h.is_zero():
             return False
-        w = self.H.window
-        cls_h = w.classify(h)
-        if not self.H.contains_class(cls_h):
+        if not self.H.contains_class(self.H.window.classify(h)):
             return False
-        exp_h = None
-        if w.model.kind == "laurent":
-            coeffs, bound = h.data
-            if bound is None or coeffs[0][0] < bound:
-                exp_h = coeffs[0][0]
-        h_leads = {}    # cls 1+x -> cls(1+x) - cls(h) in H
-        # 1+x = h+x mod H, tested on classes (quotients never materialize)
-        for x, exp, _, cls_opx, ok in self._table():
-            if exp_h is not None and exp is not None and exp != exp_h:
-                if exp < exp_h:       # h + x leads with x
-                    if not ok:
-                        return False
-                    continue
-                if cls_opx is None:   # h + x leads with h
-                    continue
-                got = h_leads.get(cls_opx)
-                if got is None:
-                    got = h_leads[cls_opx] = self.H.contains_class(
-                        w.class_sub(cls_opx, cls_h))
-                if not got:
-                    return False
-                continue
+        return self._first_failure(h, range(len(rows))) is None
+
+    def _by_lead(self, e, c):
+        """(verdict, cancel rows) shared by every h with leading term c*t^e
+        below its bound: the verdict of the monomial h0 = c*t^e, and the rows
+        before the first one it fails at where h0 + x = 0."""
+        w = self.H.window
+        h0 = w.model.elt((((e, c),), None))
+        if not self.H.contains_class(w.classify(h0)):
+            return False, ()
+        got = self._stops.get(e)
+        if got is None:
+            got = self._stops[e] = self._nontie_stop(e)
+        stop, ties = got
+        cancels = []
+        failed = self._first_failure(h0, ties, cancels)
+        return failed is None and stop == len(self._rows), tuple(cancels)
+
+    def _nontie_stop(self, e):
+        """(index of the first row with v(x) != e that fails for an h in H
+        of leading exponent e, or the number of rows; the rows before it
+        with v(x) = e)."""
+        ties = []
+        for i, (_, exp, _, cls_opx, ok) in enumerate(self._rows):
+            if exp < e:             # h + x leads with x
+                if not ok:
+                    return i, ties
+            elif exp == e:
+                ties.append(i)
+            elif cls_opx is not None:   # h + x leads with h
+                if not self.H.contains_class(cls_opx):
+                    return i, ties
+        return len(self._rows), ties
+
+    def _first_failure(self, h, indices, cancels=None):
+        """The first of the row indices (ascending) whose x has
+        cls(1+x) - cls(h+x) outside H, or None; the rows before it where
+        h + x = 0 are appended to `cancels`."""
+        w = self.H.window
+        for i in indices:
+            x, _, _, cls_opx, _ = self._rows[i]
             cls_hx = w.classify_sum(h, x)
-            if cls_hx is None or cls_opx is None:
+            if cls_hx is None:
+                if cancels is not None:
+                    cancels.append(i)
+                continue
+            if cls_opx is None:
                 continue  # impossible for true units; be permissive here
+            # 1+x = h+x mod H, tested on classes (quotients never materialize)
             if not self.H.contains_class(w.class_sub(cls_opx, cls_hx)):
-                return False
-        return True
+                return i
+        return None
 
     def payload(self):
         """`nonmembers_capped`: the stream at this height holds more than

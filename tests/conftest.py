@@ -54,5 +54,23 @@ def w_tsc(F7st):
 
 
 @pytest.fixture(scope="session")
+def w19_t_c():
+    return parse_window(parse_field("laurent(gf:19,t)"),
+                        "{ell=3,n=2,gens=[t,const]}")
+
+
+@pytest.fixture(scope="session")
+def w19_tsc():
+    return parse_window(parse_field("laurent(laurent(gf:19,s),t)"),
+                        "{ell=3,n=2,gens=[t,s,const]}")
+
+
+@pytest.fixture(scope="session")
+def w5_tsc():
+    return parse_window(parse_field("laurent(laurent(gf:5,s),t)"),
+                        "{ell=2,n=1,gens=[t,s,const]}")
+
+
+@pytest.fixture(scope="session")
 def level31():
     return Level(3, 1)

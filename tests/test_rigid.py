@@ -20,6 +20,7 @@ from valdetect.characters import (
 from valdetect.cpairs import c_pair_direct
 from valdetect.fields import (
     ValuationHandle,
+    Window,
     enumerate_elements,
     format_element,
     parse_element,
@@ -257,7 +258,7 @@ def _is_unit_by_elements(units, h):
     if h.is_zero() or not H.contains(h):
         return False
     one = w.model.one()
-    for x, _ in units._nonmembers():
+    for x, *_ in units._table():
         hx, opx = h + x, one + x
         if hx.is_zero() or opx.is_zero():
             continue
@@ -272,6 +273,9 @@ UNIT_CASES = [
     ("w_tsc", ["t"], (2, 4), 100),
     ("w_tsc", ["t", "s"], (2, 4), 100),
     ("w_tuu3", ["t"], (1, 2), 30),
+    ("w19_t_c", ["t"], (3, 8), 200),
+    ("w19_tsc", ["t", "s"], (1, 2), 100),
+    ("w5_tsc", ["t", "s"], (2, 4), 100),
 ]
 
 
@@ -388,7 +392,7 @@ def test_is_unit_leading_exponent_rule_matches_reference(
         return
     # the sample takes every branch of the rule: x leads, h leads, a tie,
     # and h known only to a precision bound
-    exps = [x.data[0][0][0] for x, _ in units._nonmembers()]
+    exps = [exp for _, exp, *_ in units._table()]
     seen = set()
     for h in hs:
         if h.is_zero() or not H.contains(h):
@@ -411,6 +415,77 @@ def test_is_unit_raises_as_reference(w_t_c, w_tsc):
         for fn in (units.is_unit, lambda h: _is_unit_by_elements(units, h)):
             with pytest.raises(PrecisionExhausted):
                 fn(h)
+
+
+def _put_rows_first(units, xs):
+    """Put table rows for the exact monomials xs ahead of the table, in the
+    layout `_table` gives them."""
+    w, H = units.H.window, units.H
+    one = w.model.one()
+    rows = []
+    for x in xs:
+        cls_x, cls_opx = w.classify(x), w.classify_sum(one, x)
+        rows.append((x, x.data[0][0][0], cls_x, cls_opx,
+                     H.contains_class(w.class_sub(cls_opx, cls_x))))
+    units._table()[:0] = rows
+
+
+def _kinds(outcomes):
+    """Each verdict, or the type name of the error raised in its place."""
+    return [o if o in (True, False) else o[0] for o in outcomes]
+
+
+def test_is_unit_cancel_row_as_reference(w_t_c, w_tsc):
+    # a row x = 1 cancels the lead of 6 + t and of 6 + O(t^2): h + 1 is read
+    # past the lead of h, so it is classified for each h (t, outside H, and
+    # O(t^2), which raises), not from the monomial 6.  Windows kill -1, so
+    # no table of the stream holds such a row.  The reference raises from
+    # Elt.is_zero, with its own message.
+    m = w_t_c.model
+    units = UnitGroupApprox(_kernel(w_t_c, ["t"]), 2)
+    _put_rows_first(units, [m.one()])
+    hs = [parse_element(m, "6+t"), m.elt((((0, 6),), 2)),
+          parse_element(m, "6")]
+    got = [_outcome(units.is_unit, h) for h in hs]
+    ref = [_outcome(lambda h: _is_unit_by_elements(units, h), h) for h in hs]
+    assert _kinds(got) == _kinds(ref) == [False, "PrecisionExhausted", True]
+    assert units._leads[0, 6] == (True, (0,))   # the cancel branch
+    # on F7((s))((t)), the walk of the monomial 6 raises at the row
+    # (1 + O(s^2))*t^0, after the cancel row 1, so 6 + t is walked with
+    # itself and fails at that cancel row first, as the reference does
+    m = w_tsc.model
+    units = UnitGroupApprox(_kernel(w_tsc, ["t"]), 1)
+    _put_rows_first(units, [m.one(), m.elt((((0, (((0, 1),), 2)),), None))])
+    h = parse_element(m, "6+t")
+    assert units.is_unit(h) is False
+    assert _is_unit_by_elements(units, h) is False
+    assert h.data[0][0] not in units._leads
+
+
+def test_is_unit_walks_ties_once_per_leading_term(w_tsc, monkeypatch):
+    # 1 + c*t^e with e > 0 all lead with 1: after the first, each classifies
+    # at most its cancel row, not every tie on t^0
+    m = w_tsc.model
+    units = UnitGroupApprox(_kernel(w_tsc, ["t", "s"]), 3)
+    units._table()
+    cs = [c for c in capped_stream(m.base, 2) if not c.is_zero()]
+    t = parse_element(m, "t")
+    hs = [m.one() + m.elt((((0, c.data),), None)) * t ** e
+          for c in cs for e in (1, 2)]
+    calls = []
+    classify_sum = Window.classify_sum
+
+    def counting(self, a, b):
+        calls.append(a)
+        return classify_sum(self, a, b)
+
+    monkeypatch.setattr(Window, "classify_sum", counting)
+    first = units.is_unit(hs[0])
+    assert calls
+    for h in hs[1:]:
+        calls.clear()
+        assert units.is_unit(h) == first
+        assert len(calls) <= 1
 
 
 def _valuative_by_member(chars, height):
