@@ -27,6 +27,20 @@ from the residue stream, and the triple of such an element is determined
 exactly by e and the residue data of c, so the table derives from the
 residue table.
 
+Both rational-function sweeps yield their entries one at a time, and the
+sweep stops once the table holds every triple the window allows.  In odd
+characteristic the triple of an x other than 0 and +-1 lies in a product of
+local sets, one per generator (`local_triple_sets`): at a place, v(x) > 0
+makes 1 +- x units, v(x) < 0 gives v(1 +- x) = v(x), and for v(x) = 0 at
+most one of 1 +- x is a non-unit, since their sum 2 is a unit; the const
+slot follows the leading coefficients.  When the table holds as many such
+triples as the product has, with those of x = +-1, nothing later in the
+stream is new, so the rest of the block and every later block are skipped
+and the entries are the ones the full sweep tables.  F7(u) with [u, u-a]
+at l = 3 reaches its 81 triples within the first 433 of the 2,801
+denominators of block 4.  The `exhaustive` and `exact` flags do not read
+the stop.
+
 Predicates that see x only through the Steinberg wedge cls x ^ cls 1-x,
 such as the bilinear C-pair identity and the K2 relation span, need even
 less.  The index computes each tabled entry's wedge once, when the entry
@@ -53,6 +67,7 @@ import numpy as np
 
 from .coeffmod import wedge, wedge_pairs
 from .fields import (
+    CONST,
     PLACE,
     Window,
     laurent_exponents,
@@ -77,7 +92,17 @@ class ScanEntry:
 class ScanIndex:
     """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples, each
     entry carrying its Steinberg wedge cls x ^ cls 1-x, and the first entry
-    of each distinct nonzero wedge."""
+    of each distinct nonzero wedge.
+
+    On a rational-function window of odd characteristic, `bound` is the
+    number of triples that an x other than 0 and +-1 can have at all (the
+    size of the product of `local_triple_sets`).  Once the table holds that
+    many, with the triples of x = 1 and x = -1 from block 0, no element of
+    K has a triple outside it: `ensure` stops the sweep at that entry, even
+    inside a block, and every later block is empty without a sweep.  Every
+    entry, key, representative and wedge is the one the full sweep gives.
+    The `exhaustive` and `exact` flags do not change: a saturated table is
+    exhaustive for all of K, but `exhaustive_classes` does not use that."""
 
     def __init__(self, window: Window):
         self.window = window
@@ -86,24 +111,31 @@ class ScanIndex:
         self._seen = set()
         self._wedges = set()
         self.class_table = None   # numpy path: _ClassTable
+        sets = local_triple_sets(window)
+        self.bound = None if sets is None else math.prod(map(len, sets))
+
+    def saturated(self):
+        """Whether the table holds every triple that K realizes."""
+        return self.bound is not None and len(self._seen) == self.bound + 2
 
     def ensure(self, height):
         while len(self.blocks) <= height:
             s = len(self.blocks)
             new, new_wedges = [], []
-            for ent in _block_entries(self, s):
+            for ent in () if self.saturated() else _block_entries(self, s):
                 trip = (ent.cls_x, ent.cls_1mx, ent.cls_1px)
                 if trip in self._seen:
                     continue
                 self._seen.add(trip)
                 new.append(ent)
-                if ent.cls_1mx is None:
-                    continue
-                wedge = wedge_of(self.window, ent.cls_x, ent.cls_1mx)
-                object.__setattr__(ent, "wedge", wedge)
-                if any(wedge) and wedge not in self._wedges:
-                    self._wedges.add(wedge)
-                    new_wedges.append((wedge, ent))
+                if ent.cls_1mx is not None:
+                    wedge = wedge_of(self.window, ent.cls_x, ent.cls_1mx)
+                    object.__setattr__(ent, "wedge", wedge)
+                    if any(wedge) and wedge not in self._wedges:
+                        self._wedges.add(wedge)
+                        new_wedges.append((wedge, ent))
+                if self.saturated():
+                    break
             self.blocks.append(new)
             self.wedge_blocks.append(new_wedges)
         return self
@@ -176,11 +208,51 @@ def exhaustive_classes(model, height, level) -> bool:
     return False
 
 
+def local_triple_sets(window):
+    """Per generator of a rational-function window of odd characteristic,
+    the set of (cls x, cls 1-x, cls 1+x) components in its slot that any x
+    other than 0 and +-1 can have; every triple of K lies in their product.
+    None on other fields and in characteristic 2, where 1 + x = 1 - x.
+
+    At a place P with m classes: v(x) > 0 makes 1 +- x units, (a, 0, 0);
+    v(x) < 0 gives v(1 +- x) = v(x), (a, a, a); and for v(x) = 0 at most one
+    of 1 +- x has positive valuation, since their sum 2 is a unit, so
+    (0, b, 0) or (0, 0, b).  That is 4m - 3 components."""
+    model = window.model
+    if model.kind != "ratfunc" or model.ff.p == 2:
+        return None
+    return [_const_triples(model.ff, m) if g[0] == CONST else
+            {t for a in range(m)
+             for t in ((a, 0, 0), (a, a, a), (0, a, 0), (0, 0, a))}
+            for g, m in zip(window.gens, window.orders)]
+
+
+def _const_triples(ff, m):
+    """The const components: dlogs mod m of the leading coefficients of
+    x, 1 - x and 1 + x.  Windows kill -1, so a sign does not move a dlog.
+    With deg num > deg den all three leads are +-lc(x), (c, c, c); with
+    deg num < deg den, (c, 0, 0).  With equal degrees and lead ratio c, the
+    dlogs of (c, 1 - c, 1 + c) for c other than +-1, and (0, any, dl 2)
+    for c = 1 or (0, dl 2, any) for c = -1."""
+    def dl(c):
+        return ff.dlog(c) % m
+    two = dl(ff.add(ff.one, ff.one))
+    out = {t for a in range(m)
+           for t in ((a, a, a), (a, 0, 0), (0, a, two), (0, two, a))}
+    for c in ff.elements():
+        om, op = ff.sub(ff.one, c), ff.add(ff.one, c)
+        if c and om and op:
+            out.add((dl(c), dl(om), dl(op)))
+    return out
+
+
 def _block_entries(index, s):
     kind = index.window.model.kind
     if kind == "finite":
         return _finite_block(index.window, s)
     if kind == "ratfunc":
+        if _numpy_eligible(index.window):
+            return _ratfunc_block_numpy(index, s)
         return _ratfunc_block_entries(index, s)
     return _laurent_block_entries(index.window, s)
 
@@ -191,10 +263,9 @@ def _block_entries(index, s):
 
 def _finite_block(window, s):
     if s > 0:
-        return []
+        return
     model = window.model
     ff = model.ff
-    out = []
     for i, code in enumerate(ff.elements()):
         if code == 0:
             continue
@@ -204,8 +275,7 @@ def _finite_block(window, s):
         op = ff.add(ff.one, code)
         cls_1mx = window.classify(model.elt(om)) if om else None
         cls_1px = window.classify(model.elt(op)) if op else None
-        out.append(ScanEntry((0, i), cls_x, cls_1mx, cls_1px, x))
-    return out
+        yield ScanEntry((0, i), cls_x, cls_1mx, cls_1px, x)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +283,11 @@ def _finite_block(window, s):
 # ---------------------------------------------------------------------------
 
 def _ratfunc_block_entries(index, s):
+    """Block s of the ratfunc table by the pure sweep: every (num, den)
+    pair in stream order, yielded one at a time."""
     window = index.window
-    if _numpy_eligible(window):
-        return _ratfunc_block_numpy(index, s)
     model = window.model
     ff = model.ff
-    out = []
     for di, den in enumerate(ratfunc_denominators(ff, s)):
         nums = ratfunc_numerators(ff, s, ff.poly_deg(den) == s)
         for ni, num in enumerate(nums):
@@ -227,10 +296,8 @@ def _ratfunc_block_entries(index, s):
             cls_x = window.fraction_class(num, den, {})
             cls_1mx = window.fraction_class(diff, den, {}) if diff else None
             cls_1px = window.fraction_class(sm, den, {}) if sm else None
-            out.append(ScanEntry(
-                (s, di, ni), cls_x, cls_1mx, cls_1px,
-                _ratfunc_rep(model, num, den)))
-    return out
+            yield ScanEntry((s, di, ni), cls_x, cls_1mx, cls_1px,
+                            _ratfunc_rep(model, num, den))
 
 
 def _ratfunc_rep(model, num, den):
@@ -253,7 +320,6 @@ def _laurent_block_entries(window, s):
             return model.elt((((e, c.data),), None))
         return make
 
-    out = []
     # residue classes and triples grouped by first-occurrence block
     for sc in range(min(s, res_height) + 1):
         es = laurent_exponents(s, sc)
@@ -269,9 +335,8 @@ def _laurent_block_entries(window, s):
                         window.from_base(ent.cls_1mx, 0)
                     cls_1px = None if ent.cls_1px is None else \
                         window.from_base(ent.cls_1px, 0)
-                out.append(ScanEntry((s, sc) + ent.key + (e,), cls_x,
-                                     cls_1mx, cls_1px, lift(ent.rep, e)))
-    return out
+                yield ScanEntry((s, sc) + ent.key + (e,), cls_x,
+                                cls_1mx, cls_1px, lift(ent.rep, e))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +571,8 @@ class _Frame:
 
 def _ratfunc_block_numpy(index, s):
     """Block s of the ratfunc table: for each denominator in stream order,
-    the triples not yet emitted in this block, at their first numerator.
+    the triples not yet emitted in this block, at their first numerator,
+    yielded as each denominator is done.
 
     Per denominator the ids of den -+ num come from digit-group gathers and
     the unreduced triple key (key[num], key[den - num], key[den + num]) from
@@ -525,7 +591,6 @@ def _ratfunc_block_numpy(index, s):
     end = s1 ** 3
     emitted = []  # reduced triples, one array per emitting denominator
     frames = {}   # den class -> _Frame
-    out = []
     for di, den in enumerate(ratfunc_denominators(ff, s)):
         grid = tab.grid(s, ff.poly_deg(den) == s)
         kd = int(tab.key[_poly_id(den, tab.p)])
@@ -554,12 +619,11 @@ def _ratfunc_block_numpy(index, s):
         for (kx, km, kp), n, pos in zip(trip.tolist(), grid.ni[fresh].tolist(),
                                         fresh.tolist()):
             num = _poly_of_id(grid.base + pos, tab.p)
-            out.append(ScanEntry(
+            yield ScanEntry(
                 (s, di, n), _unpack_class_key(window, kx),
                 None if km == tab.size else _unpack_class_key(window, km),
                 None if kp == tab.size else _unpack_class_key(window, kp),
-                _ratfunc_rep(model, num, den)))
-    return out
+                _ratfunc_rep(model, num, den))
 
 
 def _poly_id(poly, p):

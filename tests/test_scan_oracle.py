@@ -7,10 +7,12 @@ very streams the tables claim to summarize, and compare sets."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from valdetect.fields import (
+    PLACE,
     enumerate_elements,
     parse_element,
     parse_field,
@@ -154,16 +156,25 @@ def test_window_generators_are_dual_basis():
             assert cls == tuple(1 if j == i else 0 for j in range(w.rank))
 
 
-def _table_rows(window, heights, pure):
-    """(key, classes, representative data) of every entry, per height."""
+def _table_rows(window, heights, pure, stop=True):
+    """(key, classes, representative data) of every entry, per height;
+    with stop=False the sweep runs to the end of every block."""
     import valdetect.scans as scans
     from valdetect.scans import ScanIndex
     with pytest.MonkeyPatch.context() as mp:
         if pure:
             mp.setattr(scans, "_numpy_eligible", lambda window: False)
+        if not stop:
+            mp.setattr(scans, "local_triple_sets", lambda window: None)
         idx = ScanIndex(window).ensure(max(heights))
         return [[(e.key, e.cls_x, e.cls_1mx, e.cls_1px, e.element().data)
                  for e in idx.entries(h)] for h in heights]
+
+
+def _free_count(rows):
+    """Triples of x other than +-1 among the rows of one height."""
+    return sum(1 for _, _, om, op, _ in rows
+               if om is not None and op is not None)
 
 
 def test_pure_and_vectorized_ratfunc_paths_agree():
@@ -246,3 +257,92 @@ def test_packed_keys_fit_int64_or_pure_path():
     assert not scans._numpy_eligible(big)
     assert index_triples(big, 0) == brute_triples(
         big, enumerate_elements(model, 0))
+
+
+# windows whose tables reach their bound at or below `top`, each compared at
+# every height up to it; the unstopped degree-4 sweep of gf:13 would walk
+# about 10^10 pairs, so that window stops at degree 3
+SATURATING_WINDOWS = [
+    *[("ratfunc(gf:7,u)", f"{{ell=3,n=1,gens=[u,u-{a}]}}", 4, False)
+      for a in range(1, 7)],
+    ("ratfunc(gf:3,u)", "{ell=2,n=1,gens=[u,u-1]}", 4, False),
+    ("ratfunc(gf:13,u)", "{ell=2,n=1,gens=[u,u-1]}", 3, False),
+    ("ratfunc(gf:5,u)", "{ell=2,n=1,gens=[u,u-1,const]}", 4, False),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[const]}", 4, False),
+    ("ratfunc(gf:9,u)", "{ell=2,n=1,gens=[u,u-1]}", 2, True),
+]
+
+
+@pytest.mark.parametrize("fspec,wspec,top,pure", SATURATING_WINDOWS)
+def test_stopped_sweep_matches_the_full_sweep(fspec, wspec, top, pure):
+    # the full sweep is the reference for the stop: same rows at every
+    # height, and its table never holds more triples than the bound
+    import valdetect.scans as scans
+    w = parse_window(parse_field(fspec), wspec)
+    assert scans._numpy_eligible(w) != pure
+    heights = range(top + 1)
+    stopped = _table_rows(w, heights, pure)
+    full = _table_rows(w, heights, pure, stop=False)
+    assert stopped == full
+    idx = scans.ScanIndex(w).ensure(top)
+    assert idx.saturated() and _free_count(full[-1]) == idx.bound
+
+
+# a degree-two place, a const slot of order 4 (l = 2, n = 2 on gf:9), and
+# a non-prime constant field with place and const slots together
+BOUND_WINDOWS = [
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u^2+1,u]}", 2),
+    ("ratfunc(gf:9,u)", "{ell=2,n=2,gens=[u-1,const]}", 1),
+    ("ratfunc(gf:9,u)", "{ell=2,n=1,gens=[u,u-1,const]}", 1),
+]
+
+
+@pytest.mark.parametrize("fspec,wspec,height", BOUND_WINDOWS)
+def test_every_triple_lies_in_the_local_sets(fspec, wspec, height):
+    import valdetect.scans as scans
+    w = parse_window(parse_field(fspec), wspec)
+    sets = scans.local_triple_sets(w)
+    for g, m, local in zip(w.gens, w.orders, sets):
+        if g[0] == PLACE:
+            assert len(local) == 4 * m - 3
+    bound = math.prod(map(len, sets))
+    assert scans.ScanIndex(w).bound == bound
+    brute = brute_triples(w, enumerate_elements(w.model, height))
+    free = [t for t in brute if None not in t]
+    assert len(brute) == len(free) + 2  # x = 1 and x = -1
+    for cls_x, cls_1mx, cls_1px in free:
+        assert all(comp in local for comp, local in
+                   zip(zip(cls_x, cls_1mx, cls_1px), sets))
+    rows = _table_rows(w, range(height + 1), False, stop=False)
+    assert all(_free_count(r) <= bound for r in rows)
+
+
+def test_even_characteristic_has_no_bound():
+    import valdetect.scans as scans
+    w = parse_window(parse_field("ratfunc(gf:4,u)"),
+                     "{ell=3,n=1,gens=[u,u+1]}")
+    assert scans.local_triple_sets(w) is None
+    assert scans.ScanIndex(w).bound is None
+
+
+def test_saturated_block_reads_few_denominators(monkeypatch):
+    # work counted from the outside: the denominators block 4 draws from
+    # the stream before its table is full
+    import valdetect.scans as scans
+    real = scans.ratfunc_denominators
+    drawn = Counter()
+
+    def counted(ff, s):
+        for den in real(ff, s):
+            drawn[s] += 1
+            yield den
+
+    monkeypatch.setattr(scans, "ratfunc_denominators", counted)
+    w = parse_window(parse_field("ratfunc(gf:7,u)"),
+                     "{ell=3,n=1,gens=[u,u-3]}")
+    idx = scans.ScanIndex(w).ensure(4)
+    assert idx.saturated()
+    assert sum(1 for _ in real(w.model.ff, 4)) == 2801
+    assert 0 < drawn[4] < 500
+    idx.ensure(5)
+    assert idx.blocks[5] == [] and 5 not in drawn
