@@ -14,10 +14,10 @@ term of the sum without building it.
 The unit test of `UnitGroupApprox` decides h from its leading term c*t^e
 on a Laurent window, where e lies below the precision bound of h: for an
 exact monomial x, h + x leads with x, with h, or with (c + c_x)*t^e, so
-its class reads c*t^e and never the rest of h, unless x = -c*t^e.  A
-verdict is therefore computed once per leading term, and only a row whose
-coefficient cancels the lead of h is classified for each element.  This is
-exact, because a class reads only leading terms.  Valuative tests of the
+its class reads c*t^e and never the rest of h.  No x outside H cancels the
+lead of an h in H, since windows kill -1: -c*t^e has the class of h.  A
+verdict is therefore computed once per leading term, and is exact,
+because a class reads only leading terms.  Valuative tests of the
 cyclic groups <f> for many members f at once are one matrix product over
 the scan table (`valuative_members_mask`).
 """
@@ -36,7 +36,6 @@ from .errors import (
     LevelMismatch,
     MainClaimViolated,
     NotValuative,
-    PrecisionExhausted,
     PreconditionViolated,
 )
 from .characters import Character, CharacterGroup
@@ -146,8 +145,6 @@ def valuative_test(H: MultSubgroup, height: int) -> ValuativeVerdict:
     for ent in scan_index(w, height).entries(height):
         if H.contains_class(ent.cls_x):
             continue
-        if ent.cls_1px is None:
-            continue  # x = -1 sits in H, unreachable given the skip above
         if H.contains_class(ent.cls_1px):
             continue
         if H.contains_class(w.class_sub(ent.cls_1px, ent.cls_x)):
@@ -230,27 +227,26 @@ class UnitGroupApprox:
     canonical valuation, evaluated against the stream at the given height.
 
     The test is class-level.  The first `max_nonmembers` nonmembers x of the
-    stream are tabled once, in stream order, with their top Laurent exponent
-    v(x), cls x, cls 1+x and the verdict cls(1+x) - cls(x) in H.  On a
-    Laurent window whose rows are exact monomials (stream elements always
-    are), an h with leading term c*t^e, e below its precision bound, is
-    decided once per leading term (e, c), by walking the rows with the
-    monomial h0 = c*t^e:
+    stream are tabled once, in stream order, with cls x, cls 1+x, the
+    verdict cls(1+x) - cls(x) in H, and on a Laurent window the exponent
+    v(x) of x, an exact monomial c_x*t^v(x) like every stream element.
+    There an h with leading term c*t^e, e below its precision bound, takes
+    the verdict of its leading term (e, c), computed once with the monomial
+    h0 = c*t^e:
     - a row with v(x) < e leads h + x, so its stored verdict decides; a row
       with v(x) > e leaves h in the lead, so cls(h + x) = cls h, and
       cls(1+x) - cls h lies in H iff cls 1+x does, as h lies in H.  The
       first of these rows that fails thus depends on e alone; it is
       memoised per e, with the rows v(x) = e before it.
-    - a tie x = c_x*t^e with c + c_x != 0 gives h + x the leading term
-      (c + c_x)*t^e, the same as h0 + x.
-    This is exact, because a class reads only leading terms.  Only a row
-    with c_x = -c reads h past its lead, so it alone is classified for each
-    h.  A table of the stream holds no such row, since windows kill -1:
-    -c*t^e has the class of h, so it lies in H with h.  When the walk of h0
-    raises, and for an h whose leading exponent is not below its bound or a
-    window that is not Laurent, every row goes through `Window.classify_sum`
-    with h.  Rows are walked in stream order, so the verdicts and the
-    exceptions raised are those of classifying every h + x.
+    - a tie x = c_x*t^e gives h + x the leading term (c + c_x)*t^e, the
+      same as h0 + x.  No row cancels the lead of an h in H: windows kill
+      -1, so an x whose lead cancels that of h has the class of -h, which
+      is the class of h, and x lies in H with h.
+    This is exact, because a class reads only leading terms.  Every other h,
+    on a window that is not Laurent or with its leading exponent not below
+    its bound, goes through `Window.classify_sum` with every row.  Rows are
+    walked in stream order, so the verdicts and the exceptions raised are
+    those of classifying every h + x.
     """
 
     MAX_NONMEMBERS = 400
@@ -261,17 +257,18 @@ class UnitGroupApprox:
         self.height = height
         self.max_nonmembers = max_nonmembers
         self._rows = None
-        self._lead_rule = False     # every row is an exact Laurent monomial
         self._capped = False
-        self._memo = {}     # h.data -> verdict
-        self._leads = {}    # (e, c) -> (verdict, cancel rows)
+        # verdict per leading term (e, c) of an h the lead rule decides, and
+        # per h.data of any other h; an exponent e is never a tuple, so the
+        # two kinds of key never meet
+        self._memo = {}
         self._stops = {}    # e -> (first failing row v(x) != e, tie rows)
 
     def _table(self):
         """The scanned nonmembers x of H in stream order, up to
         `max_nonmembers` of them, as rows (x, v(x), cls x, cls 1+x,
-        cls(1+x) - cls(x) in H); v(x) is None unless x is an exact monomial
-        on a Laurent window, cls 1+x is None for x = -1."""
+        cls(1+x) - cls(x) in H); v(x) is None off a Laurent window.  The
+        zero class lies in H, so x = -1 is never a row."""
         if self._rows is None:
             w = self.H.window
             one = w.model.one()
@@ -287,90 +284,68 @@ class UnitGroupApprox:
                     self._capped = True  # this nonmember is left out
                     break
                 cls_opx = w.classify_sum(one, x)
-                exp = None
-                if laurent and x.data[1] is None and len(x.data[0]) == 1:
-                    exp = x.data[0][0][0]
-                ok = cls_opx is None or self.H.contains_class(
-                    w.class_sub(cls_opx, cls_x))
-                rows.append((x, exp, cls_x, cls_opx, ok))
+                ok = self.H.contains_class(w.class_sub(cls_opx, cls_x))
+                rows.append((x, x.data[0][0][0] if laurent else None,
+                             cls_x, cls_opx, ok))
             self._rows = rows
-            self._lead_rule = laurent and all(r[1] is not None for r in rows)
         return self._rows
 
     def is_unit(self, h) -> bool:
-        got = self._memo.get(h.data)
-        if got is None:
-            got = self._memo[h.data] = self._is_unit(h)
-        return got
-
-    def _is_unit(self, h) -> bool:
-        rows = self._table()
-        if self._lead_rule:
+        lead = None
+        if self.H.window.model.kind == "laurent":
             coeffs, bound = h.data
             if coeffs and (bound is None or coeffs[0][0] < bound):
-                got = self._leads.get(coeffs[0])
-                if got is None:
-                    try:
-                        got = self._leads[coeffs[0]] = self._by_lead(
-                            *coeffs[0])
-                    except PrecisionExhausted:
-                        got = None  # walk the rows with h itself
-                if got is not None:
-                    unit, cancels = got
-                    return self._first_failure(h, cancels) is None and unit
-        if h.is_zero():
-            return False
-        if not self.H.contains_class(self.H.window.classify(h)):
-            return False
-        return self._first_failure(h, range(len(rows))) is None
+                lead = coeffs[0]
+        key = h.data if lead is None else lead
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = (self._by_walk(h) if lead is None
+                                     else self._by_lead(*lead))
+        return got
 
-    def _by_lead(self, e, c):
-        """(verdict, cancel rows) shared by every h with leading term c*t^e
-        below its bound: the verdict of the monomial h0 = c*t^e, and the rows
-        before the first one it fails at where h0 + x = 0."""
+    def _by_walk(self, h) -> bool:
+        """The verdict of h from classifying h + x for every row x."""
+        if h.is_zero() or not self.H.contains(h):
+            return False
+        return self._first_failure(h, range(len(self._table()))) is None
+
+    def _by_lead(self, e, c) -> bool:
+        """The verdict shared by every h with leading term c*t^e below its
+        bound: that of the monomial h0 = c*t^e."""
         w = self.H.window
         h0 = w.model.elt((((e, c),), None))
-        if not self.H.contains_class(w.classify(h0)):
-            return False, ()
+        if not self.H.contains(h0):
+            return False
         got = self._stops.get(e)
         if got is None:
             got = self._stops[e] = self._nontie_stop(e)
         stop, ties = got
-        cancels = []
-        failed = self._first_failure(h0, ties, cancels)
-        return failed is None and stop == len(self._rows), tuple(cancels)
+        return (stop == len(self._table())
+                and self._first_failure(h0, ties) is None)
 
     def _nontie_stop(self, e):
         """(index of the first row with v(x) != e that fails for an h in H
         of leading exponent e, or the number of rows; the rows before it
         with v(x) = e)."""
         ties = []
-        for i, (_, exp, _, cls_opx, ok) in enumerate(self._rows):
+        for i, (_, exp, _, cls_opx, ok) in enumerate(self._table()):
             if exp < e:             # h + x leads with x
                 if not ok:
                     return i, ties
             elif exp == e:
                 ties.append(i)
-            elif cls_opx is not None:   # h + x leads with h
-                if not self.H.contains_class(cls_opx):
-                    return i, ties
+            elif not self.H.contains_class(cls_opx):   # h + x leads with h
+                return i, ties
         return len(self._rows), ties
 
-    def _first_failure(self, h, indices, cancels=None):
+    def _first_failure(self, h, indices):
         """The first of the row indices (ascending) whose x has
-        cls(1+x) - cls(h+x) outside H, or None; the rows before it where
-        h + x = 0 are appended to `cancels`."""
+        cls(1+x) - cls(h+x) outside H, or None."""
         w = self.H.window
         for i in indices:
             x, _, _, cls_opx, _ = self._rows[i]
-            cls_hx = w.classify_sum(h, x)
-            if cls_hx is None:
-                if cancels is not None:
-                    cancels.append(i)
-                continue
-            if cls_opx is None:
-                continue  # impossible for true units; be permissive here
             # 1+x = h+x mod H, tested on classes (quotients never materialize)
+            cls_hx = w.classify_sum(h, x)
             if not self.H.contains_class(w.class_sub(cls_opx, cls_hx)):
                 return i
         return None
@@ -431,8 +406,6 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
     for ent in scan_index(w, height).entries(height):
         img = (f.evaluate_class(ent.cls_x), g.evaluate_class(ent.cls_x))
         if not any(img):
-            continue
-        if ent.cls_1px is None:
             continue
         q = (f.evaluate_class(ent.cls_1px), g.evaluate_class(ent.cls_1px))
         if not any(q):

@@ -388,6 +388,10 @@ def test_is_unit_leading_exponent_rule_matches_reference(
     assert got == [_outcome(lambda h: _is_unit_by_elements(units, h), h)
                    for h in hs]
     assert True in got and False in got
+    # windows kill -1, so -1 is never a row, and -x has the class of x: no
+    # row cancels the lead of an h in H
+    assert w.classify(-m.one()) == w.zero_class()
+    assert all(w.classify(-x) == cls_x for x, _, cls_x, *_ in units._table())
     if m.kind != "laurent":
         return
     # the sample takes every branch of the rule: x leads, h leads, a tie,
@@ -417,54 +421,30 @@ def test_is_unit_raises_as_reference(w_t_c, w_tsc):
                 fn(h)
 
 
-def _put_rows_first(units, xs):
-    """Put table rows for the exact monomials xs ahead of the table, in the
-    layout `_table` gives them."""
-    w, H = units.H.window, units.H
-    one = w.model.one()
-    rows = []
-    for x in xs:
-        cls_x, cls_opx = w.classify(x), w.classify_sum(one, x)
-        rows.append((x, x.data[0][0][0], cls_x, cls_opx,
-                     H.contains_class(w.class_sub(cls_opx, cls_x))))
-    units._table()[:0] = rows
-
-
-def _kinds(outcomes):
-    """Each verdict, or the type name of the error raised in its place."""
-    return [o if o in (True, False) else o[0] for o in outcomes]
-
-
 def test_is_unit_cancel_row_as_reference(w_t_c, w_tsc):
-    # a row x = 1 cancels the lead of 6 + t and of 6 + O(t^2): h + 1 is read
-    # past the lead of h, so it is classified for each h (t, outside H, and
-    # O(t^2), which raises), not from the monomial 6.  Windows kill -1, so
-    # no table of the stream holds such a row.  The reference raises from
-    # Elt.is_zero, with its own message.
-    m = w_t_c.model
-    units = UnitGroupApprox(_kernel(w_t_c, ["t"]), 2)
-    _put_rows_first(units, [m.one()])
-    hs = [parse_element(m, "6+t"), m.elt((((0, 6),), 2)),
-          parse_element(m, "6")]
-    got = [_outcome(units.is_unit, h) for h in hs]
-    ref = [_outcome(lambda h: _is_unit_by_elements(units, h), h) for h in hs]
-    assert _kinds(got) == _kinds(ref) == [False, "PrecisionExhausted", True]
-    assert units._leads[0, 6] == (True, (0,))   # the cancel branch
-    # on F7((s))((t)), the walk of the monomial 6 raises at the row
-    # (1 + O(s^2))*t^0, after the cancel row 1, so 6 + t is walked with
-    # itself and fails at that cancel row first, as the reference does
-    m = w_tsc.model
-    units = UnitGroupApprox(_kernel(w_tsc, ["t"]), 1)
-    _put_rows_first(units, [m.one(), m.elt((((0, (((0, 1),), 2)),), None))])
-    h = parse_element(m, "6+t")
-    assert units.is_unit(h) is False
-    assert _is_unit_by_elements(units, h) is False
-    assert h.data[0][0] not in units._leads
+    # an h whose leading term cancels that of a row x, exact (-x*(1+t)) or
+    # known to a bound (-x/(1-t)), has the class of -x, which is that of x:
+    # it lies outside H, so the lead rule and the element reference both
+    # reject it, and no row is read past the lead of h
+    for w, labels in ((w_t_c, ["t"]), (w_tsc, ["t"]), (w_tsc, ["t", "s"])):
+        m = w.model
+        units = UnitGroupApprox(_kernel(w, labels), 2)
+        rows = units._table()
+        assert rows
+        tails = [parse_element(m, "1+t"), parse_element(m, "1/(1-t)")]
+        pairs = [(x, -x * y) for x, *_ in rows for y in tails]
+        assert all(h.data[0][0][0] == x.data[0][0][0] for x, h in pairs)
+        hs = [h for _, h in pairs]
+        got = [_outcome(units.is_unit, h) for h in hs]
+        ref = [_outcome(lambda h: _is_unit_by_elements(units, h), h)
+               for h in hs]
+        assert got == ref == [False] * len(hs)
+        assert all(units._memo[h.data[0][0]] is False for h in hs)
 
 
 def test_is_unit_walks_ties_once_per_leading_term(w_tsc, monkeypatch):
-    # 1 + c*t^e with e > 0 all lead with 1: after the first, each classifies
-    # at most its cancel row, not every tie on t^0
+    # 1 + c*t^e with e > 0 all lead with 1: after the first, each takes the
+    # verdict of that leading term and classifies no sum
     m = w_tsc.model
     units = UnitGroupApprox(_kernel(w_tsc, ["t", "s"]), 3)
     units._table()
@@ -485,7 +465,7 @@ def test_is_unit_walks_ties_once_per_leading_term(w_tsc, monkeypatch):
     for h in hs[1:]:
         calls.clear()
         assert units.is_unit(h) == first
-        assert len(calls) <= 1
+        assert not calls
 
 
 def _valuative_by_member(chars, height):
