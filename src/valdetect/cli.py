@@ -201,7 +201,7 @@ def cmd_valuative(args):
     grp = _group(w, args.chars)
     out = _context(args, w)
     out["characters"] = grp.labels()
-    out.update(valuative_test(MultSubgroup.kernel_of(grp),
+    out.update(valuative_test(MultSubgroup(grp),
                               args.height).payload())
     return out
 
@@ -210,7 +210,7 @@ def cmd_canonical_valuation(args):
     model = _field(args)
     w = _window(args, model)
     grp = _group(w, args.chars)
-    units = canonical_valuation(MultSubgroup.kernel_of(grp), args.height)
+    units = canonical_valuation(MultSubgroup(grp), args.height)
     out = _context(args, w)
     out["characters"] = grp.labels()
     out["units"] = units.payload()

@@ -43,7 +43,6 @@ from .rigid import (
     comparable,
     rigid_complement,
     valuative_members_mask,
-    valuative_test,
 )
 
 
@@ -227,12 +226,8 @@ def detect_from_cpair(fpp: Character, gpp: Character, n: int, height: int,
     branch = "H=T" if rc.is_trivial() else "H!=T"
     units = canonical_valuation(rc.subgroup, height)
     D = CharacterGroup(wn, (f, g))
-    # the members of D vanishing on every qualifying element
-    I = D.intersect(CharacterGroup.killing_classes(
-        wn, [wn.classify(x) for x in rc.qualifying]))
-    iv = valuative_test(MultSubgroup.kernel_of(I), height)
-    if not iv.holds():
-        raise MainClaimViolated("detected subgroup failed the valuative scan")
+    # the members of D vanishing on the rigid complement, whose kernel it is
+    I = rc.subgroup.group
     return _report("cpair", [fpp.label(), gpp.label()], D, I, units, N,
                    height, notes, "f,g in D_v", (f, g), branch)
 
@@ -267,7 +262,7 @@ def detect_from_cgroup(Dpp: CharacterGroup, n: int, height: int,
                 "valuative members with incomparable valuations")
     I = Ip.reduce_level(n)
     D = Dpp.reduce_level(n)
-    units = canonical_valuation(MultSubgroup.kernel_of(I), height)
+    units = canonical_valuation(MultSubgroup(I), height)
     return _report("cgroup", Dpp.labels(), D, I, units, N, height, notes,
                    "D in D_v", [c for c, _ in D.member_quasi_basis()])
 
@@ -299,7 +294,7 @@ def detect_inertia(Ipp: CharacterGroup, Dpp: CharacterGroup, n: int,
             raise MainClaimViolated(
                 f"member {f.label()} of I' is not valuative")
     I = Ipp.reduce_level(n)
-    units = canonical_valuation(MultSubgroup.kernel_of(I), height)
+    units = canonical_valuation(MultSubgroup(I), height)
     return _report("inertia", [Ipp.labels(), Dpp.labels()], D, I, units, N,
                    height, notes, "D in D_v",
                    [c for c, _ in D.member_quasi_basis()])

@@ -1,10 +1,11 @@
 """Valuative subgroups, canonical valuations, and the rigid complement.
 
-A multiplicative subgroup H <= K^x enters as {x : Psi(x) in S} for a finite
-character family Psi and a span S of value vectors; this covers both kernels
-of character groups (S = 0) and the subgroup generated by the kernel and
-finitely many classes.  All "for all x" conditions are semi-decided by
-scanning the enumeration stream, and every verdict carries its height.
+A multiplicative subgroup H <= K^x enters as the kernel of a character
+group: x lies in H when every Howell row of the group kills the class of x.
+The rigid complement <T, x : Psi(1+x) not in {Psi(1), Psi(x)}> is such a
+kernel too, since {x : Psi(x) in S} is the kernel of {lambda.Psi : lambda
+orthogonal to S}.  All "for all x" conditions are semi-decided by scanning
+the enumeration stream, and every verdict carries its height.
 
 The tests are class-level: membership in H depends only on the class in the
 window, each H memoises its verdict per class, and the class of a sum such
@@ -17,9 +18,10 @@ exact monomial x, h + x leads with x, with h, or with (c + c_x)*t^e, so
 its class reads c*t^e and never the rest of h.  No x outside H cancels the
 lead of an h in H, since windows kill -1: -c*t^e has the class of h.  A
 verdict is therefore computed once per leading term, and is exact,
-because a class reads only leading terms.  Valuative tests of the
-cyclic groups <f> for many members f at once are one matrix product over
-the scan table (`valuative_members_mask`).
+because a class reads only leading terms.  The one-variable valuative
+condition is one matrix product of kernel rows with the scan table, shared
+by a single subgroup (`valuative_test`) and by the cyclic groups <f> of
+many members f at once (`valuative_members_mask`).
 """
 
 from dataclasses import dataclass, field
@@ -28,16 +30,11 @@ import numpy as np
 
 from .coeffmod import (
     howell_form,
-    span_contains,
+    kernel_mod,
     span_quasi_basis,
     vectors_cyclic,
 )
-from .errors import (
-    LevelMismatch,
-    MainClaimViolated,
-    NotValuative,
-    PreconditionViolated,
-)
+from .errors import LevelMismatch, MainClaimViolated, NotValuative
 from .characters import Character, CharacterGroup
 from .fields import Window, enumerate_blocks
 from .scans import scan_index
@@ -45,49 +42,34 @@ from .scans import scan_index
 
 @dataclass(frozen=True)
 class MultSubgroup:
-    """{x in K^x : Psi(x) lies in the span}; span () means the plain kernel."""
+    """The kernel of a character group: the x in K^x that it kills."""
 
-    window: Window
-    psi: tuple              # of Characters on the window
-    span: tuple = ()        # howell rows over (Z/l^n)^len(psi)
+    group: CharacterGroup
     # membership verdict per class; at most one entry per window class
     _members: dict = field(default_factory=dict, init=False, compare=False,
                            hash=False, repr=False)
 
-    def __post_init__(self):
-        for f in self.psi:
-            if f.window != self.window:
-                raise LevelMismatch("character on a different window")
-        ell, n = self.window.level.ell, self.window.level.n
-        object.__setattr__(
-            self, "span",
-            tuple(howell_form(self.span, ell, n, len(self.psi))))
-
-    @staticmethod
-    def kernel_of(group: CharacterGroup):
-        return MultSubgroup(group.window,
-                            tuple(Character(group.window, r)
-                                  for r in group.howell()))
-
-    def psi_image(self, cls):
-        return tuple(f.evaluate_class(cls) for f in self.psi)
+    @property
+    def window(self) -> Window:
+        return self.group.window
 
     def contains_class(self, cls) -> bool:
         got = self._members.get(cls)
         if got is None:
-            img = self.psi_image(cls)
-            ell, n = self.window.level.ell, self.window.level.n
-            got = not any(img) or span_contains(self.span, img, ell, n)
-            self._members[cls] = got
+            mod = self.window.level.modulus
+            got = self._members[cls] = not any(
+                sum(a * c for a, c in zip(row, cls)) % mod
+                for row in self.group.howell())
         return got
 
     def contains(self, x) -> bool:
         return self.contains_class(self.window.classify(x))
 
     def describe(self):
+        # a kernel adds no span; the empty key keeps the payload layout
         return {"window": self.window.spec(),
-                "characters": [f.label() for f in self.psi],
-                "extra_span": [list(r) for r in self.span]}
+                "characters": self.group.labels(),
+                "extra_span": []}
 
 
 NO_VIOLATION = "NoViolationUpTo"
@@ -130,6 +112,62 @@ def capped_stream(model, height):
             for x in blk)
 
 
+# kernels per product in _first_failures: bounds the temporaries at
+# MEMBER_CHUNK x rank x (table entries) values
+MEMBER_CHUNK = 32
+
+
+def _first_failures(w: Window, kernels, height: int) -> list:
+    """For each kernel, given by character value rows on w, the first scan
+    entry x through `height`, in stream order, with x, 1+x and (1+x)/x all
+    outside the kernel, or None: some row is nonzero on cls x, some on
+    cls 1+x, and some row tells the two apart.  One product per chunk of
+    kernels, each padded with zero rows, which change none of the tests.
+    x = -1 has the zero class, so it is left out."""
+    mod = w.level.modulus
+    ents = [e for e in scan_index(w, height).entries(height)
+            if e.cls_1px is not None]
+    cls_x = np.array([e.cls_x for e in ents], dtype=np.int64).T
+    cls_1px = np.array([e.cls_1px for e in ents], dtype=np.int64).T
+    out = []
+    for i in range(0, len(kernels), MEMBER_CHUNK):
+        chunk = kernels[i:i + MEMBER_CHUNK]
+        depth = max(1, *map(len, chunk))
+        rows = np.array([[*k] + [(0,) * w.rank] * (depth - len(k))
+                         for k in chunk], dtype=np.int64)
+        fx = rows @ cls_x % mod
+        fpx = rows @ cls_1px % mod
+        bad = ((fx != 0).any(axis=1) & (fpx != 0).any(axis=1)
+               & (fx != fpx).any(axis=1))
+        out.extend(ents[k] if b else None
+                   for b, k in zip(bad.any(axis=1).tolist(),
+                                   bad.argmax(axis=1).tolist()))
+    return out
+
+
+def _pair_failure(H: MultSubgroup, height: int):
+    """The first (x, y) over the capped stream, x and y outside H with 1+x
+    and 1+y in H, that has 1+x(1+y) outside H, or None (l = 2 only)."""
+    w = H.window
+    one = w.model.one()
+    qualifying = []
+    for x in capped_stream(w.model, min(height, PAIR_HEIGHT_CAP)):
+        if x.is_zero():
+            continue
+        if H.contains_class(w.classify(x)):
+            continue
+        cls_opx = w.classify_sum(one, x)
+        if cls_opx is None or not H.contains_class(cls_opx):
+            continue
+        qualifying.append((x, one + x))
+    for x, _ in qualifying:
+        for y, opy in qualifying:
+            cls_probe = w.classify_sum(one, x * opy)
+            if cls_probe is not None and not H.contains_class(cls_probe):
+                return x, y
+    return None
+
+
 def valuative_test(H: MultSubgroup, height: int) -> ValuativeVerdict:
     """Scan the conditions for H to admit a valuation with O_v^x <= H.
 
@@ -139,83 +177,39 @@ def valuative_test(H: MultSubgroup, height: int) -> ValuativeVerdict:
     l^n-th powers lie in H.
     """
     w = H.window
-    conditions = ["one_plus_x"]
-    if not H.contains_class(w.zero_class()):
-        raise PreconditionViolated("-1 (trivial class) must lie in H")
-    for ent in scan_index(w, height).entries(height):
-        if H.contains_class(ent.cls_x):
-            continue
-        if H.contains_class(ent.cls_1px):
-            continue
-        if H.contains_class(w.class_sub(ent.cls_1px, ent.cls_x)):
-            continue
+    conditions = ("one_plus_x",)
+    ent, = _first_failures(w, [H.group.howell()], height)
+    if ent is not None:
         return ValuativeVerdict(VIOLATION, height, witness=ent.element(),
-                                conditions=tuple(conditions))
+                                conditions=conditions)
     if w.level.ell == 2:
-        conditions.append("one_plus_x_one_plus_y")
-        qualifying = []
-        one = w.model.one()
-        for x in capped_stream(w.model, min(height, PAIR_HEIGHT_CAP)):
-            if x.is_zero():
-                continue
-            if H.contains_class(w.classify(x)):
-                continue
-            cls_opx = w.classify_sum(one, x)
-            if cls_opx is None or not H.contains_class(cls_opx):
-                continue
-            qualifying.append((x, one + x))
-        for x, _ in qualifying:
-            for y, opy in qualifying:
-                cls_probe = w.classify_sum(one, x * opy)
-                if cls_probe is None:
-                    continue
-                if not H.contains_class(cls_probe):
-                    return ValuativeVerdict(
-                        VIOLATION, height, witness_pair=(x, y),
-                        conditions=tuple(conditions))
-    return ValuativeVerdict(NO_VIOLATION, height,
-                            conditions=tuple(conditions))
-
-
-# members per product in valuative_members_mask: bounds the temporaries at
-# MEMBER_CHUNK x (table entries) values, so peak memory does not grow with
-# the group
-MEMBER_CHUNK = 32
+        conditions += ("one_plus_x_one_plus_y",)
+        pair = _pair_failure(H, height)
+        if pair is not None:
+            return ValuativeVerdict(VIOLATION, height, witness_pair=pair,
+                                    conditions=conditions)
+    return ValuativeVerdict(NO_VIOLATION, height, conditions=conditions)
 
 
 def valuative_members_mask(chars, height: int) -> list:
-    """valuative_test(MultSubgroup.kernel_of(<f>), height).holds() for each
-    character f of `chars`, all on one window.
+    """valuative_test(MultSubgroup(<f>), height).holds() for each character
+    f of `chars`, all on one window.
 
-    The kernel of <f> is ker f, so the one-variable condition fails for f at
-    a table entry iff f(x) != 0, f(1+x) != 0 and f(1+x) != f(x): this is one
-    product of the member matrix with the entries' cls x and cls 1+x
-    matrices, taken over fixed member chunks.  For l = 2 that product is a
-    filter, and the members that pass it run valuative_test for the
-    two-variable condition.
+    The kernel of <f> is ker f, so the one-variable condition of every f is
+    one `_first_failures` call with the rows (f,).  For l = 2 the members
+    that pass it run the two-variable condition alone.
     """
     if not chars:
         return []
     w = chars[0].window
-    mod = w.level.modulus
-    ents = [e for e in scan_index(w, height).entries(height)
-            if e.cls_1px is not None]
-    cls_x = np.array([e.cls_x for e in ents], dtype=np.int64).reshape(
-        len(ents), w.rank).T
-    cls_1px = np.array([e.cls_1px for e in ents], dtype=np.int64).reshape(
-        len(ents), w.rank).T
-    out = []
-    for i in range(0, len(chars), MEMBER_CHUNK):
-        vals = np.array([f.values for f in chars[i:i + MEMBER_CHUNK]],
-                        dtype=np.int64)
-        fx = vals @ cls_x % mod
-        fpx = vals @ cls_1px % mod
-        bad = ((fx != 0) & (fpx != 0) & (fx != fpx)).any(axis=1)
-        out.extend(not b for b in bad.tolist())
+    if any(f.window != w for f in chars):
+        raise LevelMismatch("characters on different windows")
+    out = [ent is None for ent in
+           _first_failures(w, [(f.values,) for f in chars], height)]
     if w.level.ell == 2:
-        out = [ok and valuative_test(MultSubgroup.kernel_of(
-            CharacterGroup(w, (f,))), height).holds()
-            for f, ok in zip(chars, out)]
+        out = [ok and _pair_failure(MultSubgroup(CharacterGroup(w, (f,))),
+                                    height) is None
+               for f, ok in zip(chars, out)]
     return out
 
 
@@ -372,11 +366,10 @@ class RigidComplement:
     """H = <T, x with Psi(1+x) differing from Psi(1) and Psi(x)>, plus the
     cyclicity certificate for H/T."""
 
-    psi: tuple
     height: int
-    span: tuple
+    span: tuple                 # howell rows of the Psi-images of H
     generator: tuple            # psi-image generating H/T, or None
-    subgroup: MultSubgroup
+    subgroup: MultSubgroup      # H, the kernel of the characters of <f, g>
     qualifying: tuple           # representative elements found
 
     def is_trivial(self):
@@ -393,6 +386,9 @@ class RigidComplement:
 def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement:
     """Scan for the subgroup H generated by T = ker(f) n ker(g) and all x with
     Psi(1+x) distinct from Psi(1) and Psi(x); asserts H/T cyclic.
+
+    H = {x : Psi(x) in S}, for the span S of the qualifying Psi-images, is
+    the kernel of I = {a*f + b*g : (a, b) orthogonal to S}.
 
     A non-cyclic H/T falsifies the preconditions (the pair did not come from
     a C-pair at the required lifted level) and raises MainClaimViolated.
@@ -422,8 +418,10 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
             "H/T is not cyclic; inputs cannot reduce from a C-pair at the "
             "required level")
     gen = basis[0] if basis else None
-    sub = MultSubgroup(w, (f, g), span)
-    return RigidComplement((f, g), height, tuple(span), gen, sub, tuple(reps))
+    I = CharacterGroup(w, tuple(f.scale(a) + g.scale(b)
+                                for a, b in kernel_mod(span, ell, n, 2)))
+    return RigidComplement(height, tuple(span), gen, MultSubgroup(I),
+                           tuple(reps))
 
 
 @dataclass(frozen=True)

@@ -229,3 +229,41 @@ def canonical_omega_code_by_order_loop(ff, ell, n):
             best = cur
         cur = ff.mul(cur, x)
     return best
+
+
+# ---------------------------------------------------------------------------
+# valuative subgroups as {x : Psi(x) in S}, the representation that the
+# kernel of a character group replaced
+# ---------------------------------------------------------------------------
+
+def psi_span_contains(psi, span, cls) -> bool:
+    """Whether a class lies in {x : Psi(x) in S}: the Psi-image of the class
+    against the Howell form of the span S of value vectors; S = () is the
+    plain kernel of the characters psi."""
+    w = psi[0].window
+    ell, n = w.level.ell, w.level.n
+    img = tuple(f.evaluate_class(cls) for f in psi)
+    form = howell_form(span, ell, n, len(psi))
+    return not any(img) or span_contains(form, img, ell, n)
+
+
+def one_variable_witness(contains_class, window, height):
+    """The first scan entry x through `height`, in stream order, with x,
+    1+x and (1+x)/x all outside H, walked entry by entry with the class
+    predicate of H; the element, or None."""
+    for ent in scan_index(window, height).entries(height):
+        if contains_class(ent.cls_x) or contains_class(ent.cls_1px):
+            continue
+        if contains_class(window.class_sub(ent.cls_1px, ent.cls_x)):
+            continue
+        return ent.element()
+    return None
+
+
+def cpair_inertia(f, g, qualifying):
+    """The members of D = <f, g> that vanish on the classes of the
+    qualifying elements of the rigid complement, by intersecting D with
+    the group that kills those classes."""
+    w = f.window
+    return CharacterGroup(w, (f, g)).intersect(CharacterGroup.killing_classes(
+        w, [w.classify(x) for x in qualifying]))

@@ -57,7 +57,7 @@ def test_k2_at_two(w92):
 
 def test_valuative_with_pair_clause_level_two(w92):
     ft = Character.dual_by_label(w92, "t")
-    H = MultSubgroup.kernel_of(CharacterGroup(w92, (ft,)))
+    H = MultSubgroup(CharacterGroup(w92, (ft,)))
     verdict = valuative_test(H, 4)
     assert verdict.holds()
     assert "one_plus_x_one_plus_y" in verdict.conditions

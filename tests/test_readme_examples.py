@@ -1,5 +1,6 @@
-"""The README's CLI examples and `scripts/run_detection_demo.py` print the
-same bytes as when their hashes were pinned.
+"""The README's CLI examples, `scripts/run_detection_demo.py` and a few
+valuative-subgroup commands print the same bytes as when their hashes were
+pinned.
 
 Each `valdetect ...` command of the README's `sh` blocks runs through
 `cli.main` in-process; the demo's `main()` runs the same way.  The sha256
@@ -42,6 +43,27 @@ README_DIGESTS = [
 DEMO_DIGEST = \
     "6e9b5af154202b80ee66326a709ed3558b0e42b0d579d2100f39da8d2b945f87"
 
+F7T = ["--field", "laurent(gf:7,t)", "--window", "{ell=3,n=1,gens=[t,const]}"]
+F5ST = ["--field", "laurent(laurent(gf:5,s),t)",
+        "--window", "{ell=2,n=1,gens=[t,s,const]}"]
+F7ST = ["--field", "laurent(laurent(gf:7,s),t)",
+        "--window", "{ell=3,n=1,gens=[t,s,const]}"]
+
+# (argv, sha256 of stdout) of the valuative-subgroup payloads outside the
+# README: a verdict that holds, an l = 2 pair-clause Violation with its
+# witness_pair, an l = 2 verdict that holds, and a unit-group payload
+SUBGROUP_DIGESTS = [
+    (["valuative", *F7T, "--chars", "t"],
+     "6183d23216ab8d4e275dca20d9c17d6af77424641563a90496050dfc9866b6dc"),
+    (["valuative", *F5ST, "--chars", "const", "--height", "4"],
+     "65e8e1b5bc00bb7d36aff93cdcaf088e00fa2c09c5b89fa4906a554670aaf49d"),
+    (["valuative", *F5ST, "--chars", "t;s", "--height", "4"],
+     "aff204a0e020234009d998a93ee2dbc324c1f6ea31f91a22a9c3a275852e6810"),
+    (["canonical-valuation", *F7ST, "--chars", "t;s", "--height", "4",
+      "--test-elements", "s;t;1+t;3"],
+     "ff0f1167eec43acebfdf35f02a80712aff1fd9e0afbc976307eb2b99c34bffce"),
+]
+
 
 def readme_commands():
     """argv of every `valdetect ...` line of the README's sh blocks, with
@@ -78,3 +100,11 @@ def test_detection_demo_output_is_pinned(capsys):
                           run_name="demo")
     assert demo["main"]() == 0
     assert _sha256(capsys.readouterr().out) == DEMO_DIGEST
+
+
+@pytest.mark.parametrize("argv,digest", SUBGROUP_DIGESTS,
+                         ids=[f"{i}-{argv[0]}" for i, (argv, _)
+                              in enumerate(SUBGROUP_DIGESTS)])
+def test_subgroup_command_output_is_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from valdetect.errors import (
+    LevelMismatch,
     MainClaimViolated,
     NotValuative,
     PrecisionExhausted,
@@ -39,10 +40,12 @@ from valdetect.rigid import (
     valuative_test,
 )
 
+from oracles import cpair_inertia, one_variable_witness, psi_span_contains
+
 
 def _kernel(window, labels):
     gens = tuple(Character.dual_by_label(window, s) for s in labels)
-    return MultSubgroup.kernel_of(CharacterGroup(window, gens))
+    return MultSubgroup(CharacterGroup(window, gens))
 
 
 def test_valuative_pinned(w_t_c, w_u_u3):
@@ -50,7 +53,7 @@ def test_valuative_pinned(w_t_c, w_u_u3):
     assert valuative_test(_kernel(w_u_u3, ["u"]), 4).holds()
     f = Character.dual_by_label(w_u_u3, "u")
     g = Character.dual_by_label(w_u_u3, "u-3")
-    H = MultSubgroup.kernel_of(CharacterGroup(w_u_u3, (f + g,)))
+    H = MultSubgroup(CharacterGroup(w_u_u3, (f + g,)))
     verdict = valuative_test(H, 4)
     assert not verdict.holds()
     assert format_element(verdict.witness) == "3*u^2"
@@ -67,7 +70,7 @@ def test_valuative_soundness_native_chains(w_t_c, w_tuu3, w_tsc):
     for w, steps in cases:
         v = ValuationHandle.from_steps(w.model, steps)
         I = inertia_chars(v, w)
-        assert valuative_test(MultSubgroup.kernel_of(I), 6).holds()
+        assert valuative_test(MultSubgroup(I), 6).holds()
 
 
 def test_valuative_pair_condition_at_two():
@@ -93,7 +96,7 @@ def test_canonical_valuation_units(w_t_c):
 
 def test_canonical_valuation_full_group_is_trivial(w_t_c):
     # H = K^x: the trivial valuation accepts everything
-    H = MultSubgroup.kernel_of(CharacterGroup.zero(w_t_c))
+    H = MultSubgroup(CharacterGroup.zero(w_t_c))
     units = canonical_valuation(H, 4)
     for x in list(enumerate_elements(w_t_c.model, 2))[1:10]:
         assert units.is_unit(x)
@@ -102,7 +105,7 @@ def test_canonical_valuation_full_group_is_trivial(w_t_c):
 def test_canonical_valuation_composite(w_tsc):
     ft = Character.dual_by_label(w_tsc, "t")
     fs = Character.dual_by_label(w_tsc, "s")
-    H = MultSubgroup.kernel_of(CharacterGroup(w_tsc, (ft, fs)))
+    H = MultSubgroup(CharacterGroup(w_tsc, (ft, fs)))
     units = canonical_valuation(H, 6)
     v = ValuationHandle.from_steps(w_tsc.model, ["t", "s"])
     for x in enumerate_elements(w_tsc.model, 4):
@@ -114,7 +117,7 @@ def test_canonical_valuation_composite(w_tsc):
 def test_canonical_valuation_rejects_nonvaluative(w_u_u3):
     f = Character.dual_by_label(w_u_u3, "u")
     g = Character.dual_by_label(w_u_u3, "u-3")
-    H = MultSubgroup.kernel_of(CharacterGroup(w_u_u3, (f + g,)))
+    H = MultSubgroup(CharacterGroup(w_u_u3, (f + g,)))
     with pytest.raises(NotValuative):
         canonical_valuation(H, 4)
 
@@ -205,7 +208,7 @@ def test_comparable_at_two_matches_per_member_test():
     w = parse_window(parse_field("laurent(laurent(gf:5,s),t)"),
                      "{ell=2,n=1,gens=[t,s,const]}")
     members = CharacterGroup.full(w).elements()
-    valuative = {f.values: valuative_test(MultSubgroup.kernel_of(
+    valuative = {f.values: valuative_test(MultSubgroup(
         CharacterGroup(w, (f,))), 4).holds() for f in members}
     assert sorted(f.label() for f in members if valuative[f.values]) == \
         ["0", "s", "t", "t+s"]
@@ -284,7 +287,7 @@ def test_is_unit_matches_element_reference(request, wname, steps, heights,
                                            sample):
     w = request.getfixturevalue(wname)
     m = w.model
-    H = MultSubgroup.kernel_of(
+    H = MultSubgroup(
         inertia_chars(ValuationHandle.from_steps(m, steps), w))
     for height in heights:
         units = UnitGroupApprox(H, height)
@@ -300,19 +303,24 @@ def test_is_unit_matches_element_reference(request, wname, steps, heights,
 def test_contains_class_memo_matches_fresh(w_t_c, w_tsc, w_tuu3):
     ft = Character.dual_by_label(w_t_c, "t")
     fc = Character.dual_by_label(w_t_c, "const")
-    subgroups = [rigid_complement(ft, fc, 8).subgroup,
+    rc = rigid_complement(ft, fc, 8)
+    subgroups = [rc.subgroup,
                  _kernel(w_t_c, ["t"]), _kernel(w_tsc, ["t", "s"]),
                  _kernel(w_tuu3, ["t", "u-3"])]
-    assert subgroups[0].span
+    assert rc.span
     for H in subgroups:
-        classes = list(itertools.product(*(range(o) for o in H.window.orders)))
+        w = H.window
+        classes = list(itertools.product(*(range(o) for o in w.orders)))
+        # the same group from other generators: its Howell rows
+        rows = CharacterGroup(w, tuple(Character(w, r)
+                                       for r in H.group.howell()))
         for _ in range(2):   # the second pass reads the memo
             for cls in classes:
-                fresh = MultSubgroup(H.window, H.psi, H.span)
+                fresh = MultSubgroup(rows)
                 assert H.contains_class(cls) == fresh.contains_class(cls)
         assert len(H._members) == len(classes)
-        assert H == MultSubgroup(H.window, H.psi, H.span)
-        assert hash(H) == hash(MultSubgroup(H.window, H.psi, H.span))
+        assert H == MultSubgroup(rows)
+        assert hash(H) == hash(MultSubgroup(rows))
 
 
 def test_unit_group_payload_reports_nonmember_cap(w_tsc):
@@ -469,7 +477,7 @@ def test_is_unit_walks_ties_once_per_leading_term(w_tsc, monkeypatch):
 
 
 def _valuative_by_member(chars, height):
-    return [valuative_test(MultSubgroup.kernel_of(
+    return [valuative_test(MultSubgroup(
         CharacterGroup(f.window, (f,))), height).holds() for f in chars]
 
 
@@ -488,6 +496,84 @@ def test_valuative_members_mask_matches_per_member(fspec, wspec, height):
     assert mask == _valuative_by_member(chars, height)
     assert True in mask[1:] and False in mask
     assert valuative_members_mask([], height) == []
+
+
+def test_valuative_members_mask_rejects_mixed_windows(w_t_c, w_u_u3):
+    # each of u+4 and 2*u+4 is valuative alone; after a character of
+    # another window the mask must refuse, not read them on its table
+    fc = Character.dual_by_label(w_t_c, "const")
+    for label in ("u+4", "2*u+4"):
+        f, = (f for f in CharacterGroup.full(w_u_u3).elements()
+              if f.label() == label)
+        assert valuative_members_mask([f], 4) == [True]
+        with pytest.raises(LevelMismatch):
+            valuative_members_mask([fc, f], 4)
+
+
+# (field, window, height, pairs sampled or None for every ordered pair)
+KERNEL_ORACLE_CASES = [
+    ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", 8, None),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}", 4, None),
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}", 4, None),
+    ("laurent(gf:19,t)", "{ell=3,n=2,gens=[t,const]}", 9, 150),
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", 4, 24),
+]
+
+
+def _verdict_matches_oracle(H, height, contains_class):
+    """valuative_test(H) against the entry-by-entry one-variable loop, which
+    decides membership with `contains_class`; at l = 2 the verdict may also
+    fail on the pair clause."""
+    w = H.window
+    verdict = valuative_test(H, height)
+    want = one_variable_witness(contains_class, w, height)
+    got = verdict.witness
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert format_element(got) == format_element(want)
+    if w.level.ell != 2:
+        assert verdict.holds() == (want is None)
+    return verdict
+
+
+@pytest.mark.parametrize("fspec,wspec,height,sample", KERNEL_ORACLE_CASES)
+def test_kernel_rules_match_span_rule_oracles(fspec, wspec, height, sample):
+    # a kernel of characters against the {x : Psi(x) in S} rule it replaced:
+    # membership on every class, the rigid complement's group against the
+    # intersection that C-pair detection used to form, and the valuative
+    # verdict and witness against the per-entry loop
+    w = parse_window(parse_field(fspec), wspec)
+    chars = CharacterGroup.full(w).elements()
+    classes = list(itertools.product(*(range(o) for o in w.orders)))
+    pairs = list(itertools.product(chars, repeat=2))
+    if sample is not None:
+        pairs = random.Random(fspec).sample(pairs, sample)
+    split = 0
+    for f, g in pairs:
+        H = MultSubgroup(CharacterGroup(w, (f, g)))
+        assert [H.contains_class(c) for c in classes] == \
+            [psi_span_contains((f, g), (), c) for c in classes]
+        try:
+            rc = rigid_complement(f, g, height)
+        except MainClaimViolated:
+            continue
+        H = rc.subgroup
+        assert [H.contains_class(c) for c in classes] == \
+            [psi_span_contains((f, g), rc.span, c) for c in classes]
+        assert H == MultSubgroup(cpair_inertia(f, g, rc.qualifying))
+        _verdict_matches_oracle(
+            H, height, lambda c: psi_span_contains((f, g), rc.span, c))
+        split += not rc.is_trivial()
+    if w.level.ell != 2:    # at l = 2, n = 1 no x qualifies: H = T
+        assert split > 0
+    # the mask against member-by-member verdicts, and those against the loop
+    mask = valuative_members_mask(chars, height)
+    by_member = [_verdict_matches_oracle(
+        MultSubgroup(CharacterGroup(w, (f,))), height,
+        lambda c, f=f: psi_span_contains((f,), (), c)).holds()
+        for f in chars]
+    assert mask == by_member
+    assert True in mask[1:] and False in mask
 
 
 def test_detect_inertia_names_first_nonvaluative_member(monkeypatch):
