@@ -17,9 +17,11 @@ the presented K_2-quotient against the order drops a, b of the two
 characters: the pair is a C-pair iff c <= a+b.  A negative K-theoretic
 verdict is always certain and carries a direct witness; the two methods must
 agree wherever both are exact.
-"""
 
-from dataclasses import dataclass
+Both methods and the C-group check return a `scans.Verdict`, which fails
+exactly when it carries a witness x, a replayable violation of the
+identity; `exact` says whether a verdict that holds covers all of K.
+"""
 
 from .coeffmod import val_mod, vectors_cyclic, wedge, wedge_pairs
 from .errors import (
@@ -29,35 +31,14 @@ from .errors import (
     RankNotTwo,
 )
 from .characters import Character, CharacterGroup
-from .scans import exhaustive_classes, scan_index
+from .scans import Verdict, exhaustive_classes, scan_index
 
 CPAIR = "CPair"
 NOT_CPAIR = "NotCPair"
 CPAIR_UP_TO = "CPairUpToBound"
 
 
-@dataclass(frozen=True)
-class CPairVerdict:
-    kind: str
-    method: str
-    height: int
-    witness: object = None      # element with a replayable violation
-    exact: bool = False
-
-    def holds(self):
-        """True unless a violation was found (up-to-bound counts as holding)."""
-        return self.kind != NOT_CPAIR
-
-    def payload(self):
-        out = {"result": self.kind, "method": self.method,
-               "height": self.height, "exact": self.exact}
-        if self.witness is not None:
-            from .fields import format_element
-            out["witness"] = format_element(self.witness)
-        return out
-
-
-def c_pair_direct(f: Character, g: Character, height: int) -> CPairVerdict:
+def c_pair_direct(f: Character, g: Character, height: int) -> Verdict:
     """Scan x in the stream for f(1-x)g(x) = f(x)g(1-x); witnesses minimal.
 
     f(1-x)g(x) - f(x)g(1-x) = -<f ^ g, cls x ^ cls 1-x>, so an entry's
@@ -70,16 +51,16 @@ def c_pair_direct(f: Character, g: Character, height: int) -> CPairVerdict:
     w = f.window
     if vectors_cyclic(f.values, g.values, w.level.ell, w.level.n):
         # the identity is symmetric under g = c*f, no scan needed
-        return CPairVerdict(CPAIR, "direct", height, exact=True)
+        return Verdict(CPAIR, height, method="direct", exact=True)
     mod = w.level.modulus
     fg = wedge(f.values, g.values)
     for x, ent in scan_index(w, height).wedge_entries(height):
         if sum(p * q for p, q in zip(fg, x)) % mod:
-            return CPairVerdict(NOT_CPAIR, "direct", height,
-                                witness=ent.element(), exact=True)
+            return Verdict(NOT_CPAIR, height, witness=ent.element(),
+                           method="direct", exact=True)
     if exhaustive_classes(w.model, height, w.level):
-        return CPairVerdict(CPAIR, "direct", height, exact=True)
-    return CPairVerdict(CPAIR_UP_TO, "direct", height)
+        return Verdict(CPAIR, height, method="direct", exact=True)
+    return Verdict(CPAIR_UP_TO, height, method="direct", exact=False)
 
 
 def order_drop(f: Character) -> int:
@@ -96,7 +77,7 @@ def quasi_independent(f: Character, g: Character) -> bool:
     return size == ell ** (f.order_exponent() + g.order_exponent())
 
 
-def c_pair_ktheory(f: Character, g: Character, sp) -> CPairVerdict:
+def c_pair_ktheory(f: Character, g: Character, sp) -> Verdict:
     """Order-drop criterion c <= a+b on the presented K2-quotient."""
     if f.window != g.window or f.window != sp.window:
         raise LevelMismatch("characters and presentation do not match")
@@ -111,9 +92,9 @@ def c_pair_ktheory(f: Character, g: Character, sp) -> CPairVerdict:
     cval, wit = _k2_pair_drop(sp, f, g, a, b)
     if cval <= a + b:
         kind = CPAIR if sp.exhaustive else CPAIR_UP_TO
-        return CPairVerdict(kind, "ktheory", sp.height, exact=sp.exhaustive)
-    return CPairVerdict(NOT_CPAIR, "ktheory", sp.height, witness=wit,
-                        exact=True)
+        return Verdict(kind, sp.height, method="ktheory", exact=sp.exhaustive)
+    return Verdict(NOT_CPAIR, sp.height, witness=wit, method="ktheory",
+                   exact=True)
 
 
 def _k2_pair_drop(sp, f, g, a, b):
@@ -138,41 +119,18 @@ def _k2_pair_drop(sp, f, g, a, b):
     return cval, (best_wit.element() if best_wit is not None else None)
 
 
-@dataclass(frozen=True)
-class CGroupVerdict:
-    kind: str                   # CGroup | NotCGroup | CGroupUpToBound
-    height: int
-    pair: tuple = None          # offending generator pair
-    witness: object = None
-    exact: bool = False
-
-    def holds(self):
-        return self.kind != "NotCGroup"
-
-    def payload(self):
-        out = {"result": self.kind, "height": self.height,
-               "exact": self.exact}
-        if self.pair is not None:
-            out["pair"] = [c.label() for c in self.pair]
-        if self.witness is not None:
-            from .fields import format_element
-            out["witness"] = format_element(self.witness)
-        return out
-
-
-def c_group(group: CharacterGroup, height: int) -> CGroupVerdict:
+def c_group(group: CharacterGroup, height: int) -> Verdict:
     """Pairwise C-pair check over a quasi-basis of the subgroup."""
     basis = [c for c, _ in group.member_quasi_basis()]
     exact = True
     for i, j in wedge_pairs(len(basis)):
         v = c_pair_direct(basis[i], basis[j], height)
         if not v.holds():
-            return CGroupVerdict("NotCGroup", height,
-                                 pair=(basis[i], basis[j]),
-                                 witness=v.witness, exact=True)
+            return Verdict("NotCGroup", height, witness=v.witness,
+                           exact=True, pair=(basis[i], basis[j]))
         exact = exact and v.exact
     kind = "CGroup" if exact else "CGroupUpToBound"
-    return CGroupVerdict(kind, height, exact=exact)
+    return Verdict(kind, height, exact=exact)
 
 
 def c_center(group: CharacterGroup, height: int) -> CharacterGroup:

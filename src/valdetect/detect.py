@@ -131,15 +131,14 @@ def _intermediate_level(n, N, notes):
     return M
 
 
-def _maximal_ideal_scan(model, units: UnitGroupApprox, height,
-                        max_samples=120, max_scanned=4000):
+def _maximal_ideal_scan(model, units: UnitGroupApprox, height):
     """Scanned elements of the maximal ideal of the detected valuation:
     non-units x whose 1+x is a unit, and the VerificationSample of the scan.
     Capped; the caps bound the verification sample, not the detection
     itself."""
     one = model.one()
     out = []
-    sample = VerificationSample(max_samples, max_scanned)
+    sample = VerificationSample(IDEAL_SAMPLES, MAX_SCANNED)
     for x in sample.stream(model, height):
         if x.is_zero():
             continue
@@ -168,13 +167,12 @@ def _verify_decomposition(chars, model, units, height):
     return True, sample
 
 
-def _verify_inertia(group: CharacterGroup, units, height, max_samples=60,
-                    max_scanned=4000):
+def _verify_inertia(group: CharacterGroup, units, height):
     """All members kill scanned units; returns the verdict and the
     VerificationSample."""
     w = group.window
     members = [Character(w, r) for r in group.howell()]
-    sample = VerificationSample(max_samples, max_scanned)
+    sample = VerificationSample(INERTIA_SAMPLES, MAX_SCANNED)
     for x in sample.stream(w.model, height):
         if x.is_zero() or not units.is_unit(x):
             continue
@@ -333,6 +331,13 @@ class ClassMembershipReport:
             "notes": self.notes or [],
         }
 
+
+# caps of the verification samples: elements of the maximal ideal checked
+# by `_maximal_ideal_scan`, units checked by `_verify_inertia`, and stream
+# elements either one scans
+IDEAL_SAMPLES = 120
+INERTIA_SAMPLES = 60
+MAX_SCANNED = 4000
 
 # highest degree of the unlisted places tried as refinements
 REFINEMENT_DEGREE = 2

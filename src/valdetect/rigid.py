@@ -5,7 +5,9 @@ group: x lies in H when every Howell row of the group kills the class of x.
 The rigid complement <T, x : Psi(1+x) not in {Psi(1), Psi(x)}> is such a
 kernel too, since {x : Psi(x) in S} is the kernel of {lambda.Psi : lambda
 orthogonal to S}.  All "for all x" conditions are semi-decided by scanning
-the enumeration stream, and every verdict carries its height.
+the enumeration stream.  The valuative and comparability scans return a
+`scans.Verdict` with its height, which fails exactly when it carries a
+witness x, or a witness pair (x, y) for the l = 2 two-variable condition.
 
 The tests are class-level: membership in H depends only on the class in the
 window, each H memoises its verdict per class, and the class of a sum such
@@ -37,7 +39,7 @@ from .coeffmod import (
 from .errors import LevelMismatch, MainClaimViolated, NotValuative
 from .characters import Character, CharacterGroup
 from .fields import Window, enumerate_blocks
-from .scans import scan_index
+from .scans import Verdict, exhaustive_classes, scan_index
 
 
 @dataclass(frozen=True)
@@ -74,29 +76,6 @@ class MultSubgroup:
 
 NO_VIOLATION = "NoViolationUpTo"
 VIOLATION = "Violation"
-
-
-@dataclass(frozen=True)
-class ValuativeVerdict:
-    kind: str
-    height: int
-    witness: object = None          # single element x
-    witness_pair: tuple = None      # (x, y) for the two-variable condition
-    conditions: tuple = ()
-
-    def holds(self):
-        return self.kind == NO_VIOLATION
-
-    def payload(self):
-        from .fields import format_element
-        out = {"result": self.kind, "height": self.height,
-               "conditions": list(self.conditions)}
-        if self.witness is not None:
-            out["witness"] = format_element(self.witness)
-        if self.witness_pair is not None:
-            out["witness_pair"] = [format_element(e)
-                                   for e in self.witness_pair]
-        return out
 
 
 # element-level scans (unit predicates, pair conditions) walk real elements,
@@ -168,7 +147,7 @@ def _pair_failure(H: MultSubgroup, height: int):
     return None
 
 
-def valuative_test(H: MultSubgroup, height: int) -> ValuativeVerdict:
+def valuative_test(H: MultSubgroup, height: int) -> Verdict:
     """Scan the conditions for H to admit a valuation with O_v^x <= H.
 
     Always checks 1+x in H u xH for scanned x outside H.  For ell = 2 the
@@ -180,15 +159,15 @@ def valuative_test(H: MultSubgroup, height: int) -> ValuativeVerdict:
     conditions = ("one_plus_x",)
     ent, = _first_failures(w, [H.group.howell()], height)
     if ent is not None:
-        return ValuativeVerdict(VIOLATION, height, witness=ent.element(),
-                                conditions=conditions)
+        return Verdict(VIOLATION, height, witness=ent.element(),
+                       conditions=conditions)
     if w.level.ell == 2:
         conditions += ("one_plus_x_one_plus_y",)
         pair = _pair_failure(H, height)
         if pair is not None:
-            return ValuativeVerdict(VIOLATION, height, witness_pair=pair,
-                                    conditions=conditions)
-    return ValuativeVerdict(NO_VIOLATION, height, conditions=conditions)
+            return Verdict(VIOLATION, height, witness_pair=pair,
+                           conditions=conditions)
+    return Verdict(NO_VIOLATION, height, conditions=conditions)
 
 
 def valuative_members_mask(chars, height: int) -> list:
@@ -375,13 +354,6 @@ class RigidComplement:
     def is_trivial(self):
         return not self.span
 
-    def payload(self):
-        from .fields import format_element
-        return {"height": self.height,
-                "quotient_generator": list(self.generator)
-                if self.generator else None,
-                "qualifying": [format_element(x) for x in self.qualifying]}
-
 
 def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement:
     """Scan for the subgroup H generated by T = ker(f) n ker(g) and all x with
@@ -424,24 +396,7 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
                            tuple(reps))
 
 
-@dataclass(frozen=True)
-class ComparabilityVerdict:
-    kind: str         # Comparable | NotComparable | ComparableUpToBound
-    height: int
-    witness: object = None
-
-    def holds(self):
-        return self.kind != "NotComparable"
-
-    def payload(self):
-        from .fields import format_element
-        out = {"result": self.kind, "height": self.height}
-        if self.witness is not None:
-            out["witness"] = format_element(self.witness)
-        return out
-
-
-def comparable(f: Character, g: Character, height: int) -> ComparabilityVerdict:
+def comparable(f: Character, g: Character, height: int) -> Verdict:
     """Whether the canonical valuations of two valuative characters are
     comparable: scans the cyclicity of <Psi(1-x), Psi(x)>."""
     w = f.window
@@ -457,9 +412,7 @@ def comparable(f: Character, g: Character, height: int) -> ComparabilityVerdict:
         psi_x = (f.evaluate_class(ent.cls_x), g.evaluate_class(ent.cls_x))
         psi_m = (f.evaluate_class(ent.cls_1mx), g.evaluate_class(ent.cls_1mx))
         if not vectors_cyclic(psi_m, psi_x, ell, n):
-            return ComparabilityVerdict("NotComparable", height,
-                                        witness=ent.element())
-    from .scans import exhaustive_classes
+            return Verdict("NotComparable", height, witness=ent.element())
     if exhaustive_classes(w.model, height, w.level):
-        return ComparabilityVerdict("Comparable", height)
-    return ComparabilityVerdict("ComparableUpToBound", height)
+        return Verdict("Comparable", height)
+    return Verdict("ComparableUpToBound", height)

@@ -70,6 +70,7 @@ from .fields import (
     CONST,
     PLACE,
     Window,
+    format_element,
     laurent_exponents,
     ratfunc_denominators,
     ratfunc_numerators,
@@ -206,6 +207,48 @@ def exhaustive_classes(model, height, level) -> bool:
         return (height >= level.modulus
                 and exhaustive_classes(model.base, height, level))
     return False
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The outcome of a "for every x" scan at a height: the C-pair and
+    C-group identities, the valuative conditions, comparability.
+
+    One x refutes such a condition, or a pair (x, y) for the l = 2
+    two-variable valuative clause, so a verdict fails exactly when it
+    carries a witness or a witness pair, each replayable.  `exact` (C-pair
+    and C-group scans only) says a verdict that holds covers all of K;
+    `pair` is the offending generator pair of a C-group, `conditions` the
+    valuative conditions scanned."""
+
+    kind: str
+    height: int
+    witness: object = None
+    exact: bool = None
+    method: str = None
+    pair: tuple = None
+    witness_pair: tuple = None
+    conditions: tuple = None
+
+    def holds(self):
+        return self.witness is None and self.witness_pair is None
+
+    def payload(self):
+        out = {"result": self.kind, "height": self.height}
+        if self.witness is not None:
+            out["witness"] = format_element(self.witness)
+        if self.witness_pair is not None:
+            out["witness_pair"] = [format_element(e)
+                                   for e in self.witness_pair]
+        if self.pair is not None:
+            out["pair"] = [c.label() for c in self.pair]
+        if self.conditions is not None:
+            out["conditions"] = list(self.conditions)
+        if self.method is not None:
+            out["method"] = self.method
+        if self.exact is not None:
+            out["exact"] = self.exact
+        return out
 
 
 def local_triple_sets(window):

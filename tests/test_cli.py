@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from valdetect.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -172,15 +178,20 @@ def test_output_file(tmp_path, capsys):
     assert data["N"] == 1
 
 
+def run_module(*argv):
+    """`python -m valdetect.cli argv` in a subprocess that imports the
+    package from this checkout's src, whether or not it is installed."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "valdetect.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_cross_process_determinism():
-    import subprocess
-    import sys
-    cmd = [sys.executable, "-m", "valdetect.cli", "k2",
-           "--field", "ratfunc(gf:7,u)",
-           "--window", "{ell=3,n=1,gens=[u,u-3]}",
-           "--height", "2", "--floor"]
-    runs = [subprocess.run(cmd, capture_output=True, text=True)
-            for _ in range(2)]
+    argv = ("k2", "--field", "ratfunc(gf:7,u)",
+            "--window", "{ell=3,n=1,gens=[u,u-3]}",
+            "--height", "2", "--floor")
+    runs = [run_module(*argv) for _ in range(2)]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.strip()
@@ -287,11 +298,7 @@ def test_malformed_input_is_an_error_payload(capsys, argv, code):
 
 
 def test_malformed_spec_leaves_stderr_empty():
-    import subprocess
-    import sys
-    cmd = [sys.executable, "-m", "valdetect.cli", "window",
-           "--field", "laurent(gf:7,t", *_WINDOW_ARGS]
-    run = subprocess.run(cmd, capture_output=True, text=True)
+    run = run_module("window", "--field", "laurent(gf:7,t", *_WINDOW_ARGS)
     assert run.returncode == 1
     assert run.stderr == ""
     assert json.loads(run.stdout)["error"]["code"] == "parse-error"

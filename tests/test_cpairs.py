@@ -15,7 +15,6 @@ from valdetect.cpairs import (
     CPAIR,
     CPAIR_UP_TO,
     NOT_CPAIR,
-    CPairVerdict,
     c_center,
     c_group,
     c_pair_direct,
@@ -31,7 +30,12 @@ from valdetect.fields import (
     parse_window,
 )
 from valdetect.milnor import steinberg_scan
-from valdetect.scans import exhaustive_classes, scan_index, wedge_of
+from valdetect.scans import (
+    Verdict,
+    exhaustive_classes,
+    scan_index,
+    wedge_of,
+)
 
 
 def _c_pair_by_scan(f, g, height):
@@ -39,7 +43,7 @@ def _c_pair_by_scan(f, g, height):
     every table entry, in stream order."""
     w = f.window
     if CharacterGroup(w, (f, g)).is_cyclic():
-        return CPairVerdict(CPAIR, "direct", height, exact=True)
+        return Verdict(CPAIR, height, method="direct", exact=True)
     mod = w.level.modulus
     for ent in scan_index(w, height).entries(height):
         if ent.cls_1mx is None:
@@ -47,11 +51,11 @@ def _c_pair_by_scan(f, g, height):
         lhs = f.evaluate_class(ent.cls_1mx) * g.evaluate_class(ent.cls_x)
         rhs = f.evaluate_class(ent.cls_x) * g.evaluate_class(ent.cls_1mx)
         if (lhs - rhs) % mod:
-            return CPairVerdict(NOT_CPAIR, "direct", height,
-                                witness=ent.element(), exact=True)
+            return Verdict(NOT_CPAIR, height, witness=ent.element(),
+                           method="direct", exact=True)
     if exhaustive_classes(w.model, height, w.level):
-        return CPairVerdict(CPAIR, "direct", height, exact=True)
-    return CPairVerdict(CPAIR_UP_TO, "direct", height)
+        return Verdict(CPAIR, height, method="direct", exact=True)
+    return Verdict(CPAIR_UP_TO, height, method="direct", exact=False)
 
 
 # (field, window, heights): mixed generator orders (4, 4, 2) at l = 2,

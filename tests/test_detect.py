@@ -17,6 +17,7 @@ from valdetect.characters import (
     inertia_chars,
     residue_rank,
 )
+from valdetect import detect
 from valdetect.cpairs import c_center, c_group, c_pair_direct
 from valdetect.detect import (
     _maximal_ideal_scan,
@@ -318,23 +319,35 @@ def test_detection_report_names_verification_samples(w_t_c, w_tsc):
         assert 0 < sample.samples <= sample.scanned <= sample.max_scanned
 
 
-def test_verification_caps_report_whether_hit(w_tsc):
+def _capped(monkeypatch, scan, *args, **caps):
+    """scan(*args) with the detect module's sample caps set to `caps`."""
+    with monkeypatch.context() as m:
+        for name, value in caps.items():
+            m.setattr(detect, name, value)
+        return scan(*args)
+
+
+def test_verification_caps_report_whether_hit(w_tsc, monkeypatch):
     rep = detect_from_cgroup(CharacterGroup.full(w_tsc), 1, 8)
     model, units, I = w_tsc.model, rep.units, rep.detected_group
-    _, sample = _maximal_ideal_scan(model, units, 4, max_samples=3)
+    _, sample = _capped(monkeypatch, _maximal_ideal_scan, model, units, 4,
+                        IDEAL_SAMPLES=3)
     assert (sample.samples, sample.samples_capped) == (3, True)
     assert not sample.scanned_capped
-    _, sample = _maximal_ideal_scan(model, units, 4, max_scanned=10)
+    _, sample = _capped(monkeypatch, _maximal_ideal_scan, model, units, 4,
+                        MAX_SCANNED=10)
     assert (sample.scanned, sample.scanned_capped) == (10, True)
     assert not sample.samples_capped
-    ideal, sample = _maximal_ideal_scan(model, units, 4, max_samples=10_000,
-                                        max_scanned=10_000)
+    ideal, sample = _capped(monkeypatch, _maximal_ideal_scan, model, units,
+                            4, IDEAL_SAMPLES=10_000, MAX_SCANNED=10_000)
     assert not sample.samples_capped and not sample.scanned_capped
     assert sample.samples == len(ideal) > 0
-    ok, sample = _verify_inertia(I, units, 4, max_samples=2)
+    ok, sample = _capped(monkeypatch, _verify_inertia, I, units, 4,
+                         INERTIA_SAMPLES=2)
     assert ok and (sample.samples, sample.samples_capped) == (2, True)
-    ok, sample = _verify_inertia(I, units, 4, max_scanned=5)
+    ok, sample = _capped(monkeypatch, _verify_inertia, I, units, 4,
+                         MAX_SCANNED=5)
     assert ok and (sample.scanned, sample.scanned_capped) == (5, True)
-    ok, sample = _verify_inertia(I, units, 4, max_samples=10_000,
-                                 max_scanned=10_000)
+    ok, sample = _capped(monkeypatch, _verify_inertia, I, units, 4,
+                         INERTIA_SAMPLES=10_000, MAX_SCANNED=10_000)
     assert ok and not sample.samples_capped and not sample.scanned_capped

@@ -1,6 +1,6 @@
-"""The README's CLI examples, `scripts/run_detection_demo.py` and a few
-valuative-subgroup commands print the same bytes as when their hashes were
-pinned.
+"""The README's CLI examples, `scripts/run_detection_demo.py`, a few
+valuative-subgroup commands and one command per C-pair and C-group verdict
+shape print the same bytes as when their hashes were pinned.
 
 Each `valdetect ...` command of the README's `sh` blocks runs through
 `cli.main` in-process; the demo's `main()` runs the same way.  The sha256
@@ -64,6 +64,34 @@ SUBGROUP_DIGESTS = [
      "ff0f1167eec43acebfdf35f02a80712aff1fd9e0afbc976307eb2b99c34bffce"),
 ]
 
+F7UT = "laurent(ratfunc(gf:7,u),t)"
+
+# (argv, sha256 of stdout) of one command per verdict payload shape:
+# CPairUpToBound ("exact": false) and an exact CPair from both methods, a
+# K-theoretic NotCPair with its witness, CGroupUpToBound, NotCGroup with
+# its pair and witness, and an exact CGroup
+VERDICT_DIGESTS = [
+    (["cpair", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u]}",
+      "--f", "t", "--g", "u", "--height", "3", "--method", "both"],
+     "d7589ea7ef617a7ec4620f41bb96e6454fd4022795b742cb499ab6c462d11722"),
+    (["cpair", *F7T, "--f", "t", "--g", "const", "--height", "8",
+      "--method", "both"],
+     "ad22404cf9c33db88c930c41dd5289b04c3d0cd299eec3b62d55dbe684038662"),
+    (["cpair", "--field", "ratfunc(gf:7,u)",
+      "--window", "{ell=3,n=1,gens=[u,u-3]}", "--f", "u", "--g", "u-3",
+      "--height", "4", "--method", "ktheory"],
+     "1d3897a97dcfc59e1fae2c535a369c7ca94304bf5890fbe37d2c75dafbb57c55"),
+    (["cgroup", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u,u-3]}",
+      "--gens", "t;u", "--height", "3"],
+     "a61d6bb093ac2bef3c55535f1815b1f7a3e5360cc0556af8979e8d2a280c9559"),
+    (["cgroup", "--field", "ratfunc(gf:7,u)",
+      "--window", "{ell=3,n=1,gens=[u,u-3,const]}", "--gens", "u;u-3",
+      "--height", "2"],
+     "a101d06935204d3c6bc9eb3481b9514989080a661c2c9b35a06cab7ad33a9605"),
+    (["cgroup", *F7ST, "--gens", "t;s;const", "--height", "8"],
+     "6aee6f531ada0cd355bf848c58ede7c41e1c2d3355f218c21cdaef6cdea6280f"),
+]
+
 
 def readme_commands():
     """argv of every `valdetect ...` line of the README's sh blocks, with
@@ -106,5 +134,13 @@ def test_detection_demo_output_is_pinned(capsys):
                          ids=[f"{i}-{argv[0]}" for i, (argv, _)
                               in enumerate(SUBGROUP_DIGESTS)])
 def test_subgroup_command_output_is_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("argv,digest", VERDICT_DIGESTS,
+                         ids=[f"{i}-{argv[0]}" for i, (argv, _)
+                              in enumerate(VERDICT_DIGESTS)])
+def test_verdict_command_output_is_pinned(capsys, argv, digest):
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == digest
