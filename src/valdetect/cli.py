@@ -9,6 +9,7 @@ machine-readable error payload).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -299,6 +300,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache  # one parser per process: building it takes milliseconds
 def build_parser():
     ap = _Parser(
         prog="valdetect",

@@ -23,7 +23,7 @@ exactly when it carries a witness x, a replayable violation of the
 identity; `exact` says whether a verdict that holds covers all of K.
 """
 
-from .coeffmod import val_mod, vectors_cyclic, wedge, wedge_pairs
+from .coeffmod import index_m, val_mod, vectors_cyclic, wedge, wedge_pairs
 from .errors import (
     LevelMismatch,
     NotQuasiIndependent,
@@ -164,7 +164,6 @@ def cyclic_pair_transfer(fp: Character, gp: Character, x, n: int) -> bool:
     """For a C-pair at level M1(n) = 2n-1, the reduced pair Psi = (f_n, g_n)
     has <Psi(1-x), Psi(x)> cyclic; returns that check (true unless the
     inputs were not really a C-pair at the lifted level)."""
-    from .coeffmod import index_m
     if fp.window != gp.window:
         raise LevelMismatch("characters on different windows")
     if fp.level.n != index_m(1, n):

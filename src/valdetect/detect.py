@@ -9,6 +9,12 @@ re-verification is a capped sample; the report names its size and caps and
 says whether a cap stopped it.  The three pipelines end in one call that
 reads the window, level, inertia labels and quotient orders off the detected
 pair I <= D and runs both sample checks.
+
+Both samples walk `rigid.classified_stream`, the one classified element
+stream of the window, which the unit table of the found valuation and the
+l = 2 pair clause also read: each element comes with cls x and cls 1+x,
+classified once per window.  A unit lies in H, so `is_unit` is asked only
+of an element whose class lies in H.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -39,7 +45,7 @@ from .rigid import (
     MultSubgroup,
     UnitGroupApprox,
     canonical_valuation,
-    capped_stream,
+    classified_stream,
     comparable,
     rigid_complement,
     valuative_members_mask,
@@ -59,10 +65,11 @@ class VerificationSample:
     samples_capped: bool = False
     scanned_capped: bool = False
 
-    def stream(self, model, height):
-        """The capped stream, counted, up to the first cap that is hit; the
-        caller counts the samples it takes."""
-        for x in capped_stream(model, height):
+    def stream(self, window, height):
+        """`rigid.classified_stream` rows (x, cls x, cls 1+x), counted,
+        up to the first cap that is hit; the caller counts the samples it
+        takes."""
+        for row in classified_stream(window, height):
             if self.scanned == self.max_scanned:
                 self.scanned_capped = True
                 return
@@ -70,7 +77,7 @@ class VerificationSample:
                 self.samples_capped = True
                 return
             self.scanned += 1
-            yield x
+            yield row
 
 
 @dataclass
@@ -133,22 +140,28 @@ def _intermediate_level(n, N, notes):
 
 def _maximal_ideal_scan(model, units: UnitGroupApprox, height):
     """Scanned elements of the maximal ideal of the detected valuation:
-    non-units x whose 1+x is a unit, and the VerificationSample of the scan.
-    Capped; the caps bound the verification sample, not the detection
-    itself."""
+    non-units x whose 1+x is a unit, each as (x, cls 1+x), and the
+    VerificationSample of the scan.  Capped; the caps bound the
+    verification sample, not the detection itself.
+
+    A unit lies in H, so is_unit is asked only of an h whose class lies in
+    H.  The stream is that of the window of units.H, whose field `model`
+    must be."""
+    H = units.H
     one = model.one()
     out = []
     sample = VerificationSample(IDEAL_SAMPLES, MAX_SCANNED)
-    for x in sample.stream(model, height):
-        if x.is_zero():
+    for x, cls_x, cls_opx in sample.stream(H.window, height):
+        # skip x = 0, x = -1 (1+x = 0) and the units x
+        if cls_x is None or cls_opx is None:
             continue
-        if units.is_unit(x):
+        if H.contains_class(cls_x) and units.is_unit(x):
+            continue
+        if not H.contains_class(cls_opx):
             continue
         opx = one + x
-        if opx.is_zero():
-            continue
         if units.is_unit(opx):
-            out.append(x)
+            out.append((x, cls_opx))
             sample.samples += 1
     return out, sample
 
@@ -156,11 +169,8 @@ def _maximal_ideal_scan(model, units: UnitGroupApprox, height):
 def _verify_decomposition(chars, model, units, height):
     """All characters kill 1+x for scanned x in the maximal ideal; returns
     the verdict and the VerificationSample."""
-    w = chars[0].window
-    one = model.one()
     ideal, sample = _maximal_ideal_scan(model, units, height)
-    for x in ideal:
-        cls = w.classify_sum(one, x)
+    for _, cls in ideal:
         for ch in chars:
             if ch.evaluate_class(cls) != 0:
                 return False, sample
@@ -173,10 +183,10 @@ def _verify_inertia(group: CharacterGroup, units, height):
     w = group.window
     members = [Character(w, r) for r in group.howell()]
     sample = VerificationSample(INERTIA_SAMPLES, MAX_SCANNED)
-    for x in sample.stream(w.model, height):
-        if x.is_zero() or not units.is_unit(x):
+    for x, cls, _ in sample.stream(w, height):
+        if cls is None or not units.H.contains_class(cls) \
+                or not units.is_unit(x):
             continue
-        cls = w.classify(x)
         if not all(f.evaluate_class(cls) == 0 for f in members):
             return False, sample
         sample.samples += 1

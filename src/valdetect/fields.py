@@ -792,6 +792,20 @@ class Window:
             return None
         return self.classify_decomposed(*lead)
 
+    def classify_one_plus(self, x: Elt, cls_x):
+        """classify_sum(1, x) for a nonzero x of class cls_x.
+
+        On a Laurent window x leads with c*t^e, and a class reads only
+        leading terms: 1 + x leads with 1 for e > 0, so its class is zero,
+        and with c*t^e for e < 0, so its class is cls_x."""
+        if self.model.kind == "laurent":
+            e = x.data[0][0][0]
+            if e > 0:
+                return self.zero_class()
+            if e < 0:
+                return cls_x
+        return self.classify_sum(self.model.one(), x)
+
     def classify_decomposed(self, exps, bot):
         """Class of prod(t^exps[t]) * bot for a nonzero bottom element bot."""
         if bot.model.kind == "finite":

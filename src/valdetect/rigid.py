@@ -10,9 +10,16 @@ the enumeration stream.  The valuative and comparability scans return a
 witness x, or a witness pair (x, y) for the l = 2 two-variable condition.
 
 The tests are class-level: membership in H depends only on the class in the
-window, each H memoises its verdict per class, and the class of a sum such
-as h + x or 1 + x comes from `Window.classify_sum`, which reads the leading
-term of the sum without building it.
+window, and each H memoises its verdict per class.  Every element walk (the
+unit table of `UnitGroupApprox`, the l = 2 pair clause, and both
+verification samples of `detect`) reads one classified stream,
+`classified_stream`: the capped element stream zipped with the class list
+that the window's ScanIndex keeps, cls x and cls 1+x per position.  A
+position is classified once per window, for every height and every
+subgroup, and the pair clause's cls(1 + x_i(1 + x_j)) is kept there per
+position pair.  Other sums, such as h + x, are classified by
+`Window.classify_sum`, which reads the leading term of the sum without
+building it.
 
 The unit test of `UnitGroupApprox` decides h from its leading term c*t^e
 on a Laurent window, where e lies below the precision bound of h: for an
@@ -39,7 +46,7 @@ from .coeffmod import (
 from .errors import LevelMismatch, MainClaimViolated, NotValuative
 from .characters import Character, CharacterGroup
 from .fields import Window, enumerate_blocks
-from .scans import Verdict, exhaustive_classes, scan_index
+from .scans import Verdict, exhaustive_classes, index_of, scan_index
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,16 @@ def capped_stream(model, height):
             for x in blk)
 
 
+def classified_stream(w: Window, height: int):
+    """(x, cls x, cls 1+x) for the elements x of
+    capped_stream(w.model, height); cls x is None for x = 0, cls 1+x for
+    x = -1.  The classes come from the list on the window's ScanIndex,
+    which classifies each position once for walks at every height."""
+    index = index_of(w)
+    for i, x in enumerate(capped_stream(w.model, height)):
+        yield (x, *index.stream_row(i, x))
+
+
 # kernels per product in _first_failures: bounds the temporaries at
 # MEMBER_CHUNK x rank x (table entries) values
 MEMBER_CHUNK = 32
@@ -126,22 +143,20 @@ def _first_failures(w: Window, kernels, height: int) -> list:
 
 def _pair_failure(H: MultSubgroup, height: int):
     """The first (x, y) over the capped stream, x and y outside H with 1+x
-    and 1+y in H, that has 1+x(1+y) outside H, or None (l = 2 only)."""
+    and 1+y in H, that has 1+x(1+y) outside H, or None (l = 2 only).
+
+    The class of 1+x_i(1+x_j) does not depend on H, so the window's
+    ScanIndex keeps it per position pair (i, j), and the product is built
+    once per pair for every subgroup of the window."""
     w = H.window
-    one = w.model.one()
-    qualifying = []
-    for x in capped_stream(w.model, min(height, PAIR_HEIGHT_CAP)):
-        if x.is_zero():
-            continue
-        if H.contains_class(w.classify(x)):
-            continue
-        cls_opx = w.classify_sum(one, x)
-        if cls_opx is None or not H.contains_class(cls_opx):
-            continue
-        qualifying.append((x, one + x))
-    for x, _ in qualifying:
-        for y, opy in qualifying:
-            cls_probe = w.classify_sum(one, x * opy)
+    qualifying = [(i, x) for i, (x, cls_x, cls_opx) in enumerate(
+                      classified_stream(w, min(height, PAIR_HEIGHT_CAP)))
+                  if cls_x is not None and not H.contains_class(cls_x)
+                  and cls_opx is not None and H.contains_class(cls_opx)]
+    index = index_of(w)
+    for i, x in qualifying:
+        for j, y in qualifying:
+            cls_probe = index.pair_class(i, j, x, y)
             if cls_probe is not None and not H.contains_class(cls_probe):
                 return x, y
     return None
@@ -200,9 +215,10 @@ class UnitGroupApprox:
     canonical valuation, evaluated against the stream at the given height.
 
     The test is class-level.  The first `max_nonmembers` nonmembers x of the
-    stream are tabled once, in stream order, with cls x, cls 1+x, the
-    verdict cls(1+x) - cls(x) in H, and on a Laurent window the exponent
-    v(x) of x, an exact monomial c_x*t^v(x) like every stream element.
+    classified stream are tabled once, in stream order, with cls x, cls 1+x,
+    the verdict cls(1+x) - cls(x) in H, and on a Laurent window the
+    exponent v(x) of x, an exact monomial c_x*t^v(x) like every stream
+    element.
     There an h with leading term c*t^e, e below its precision bound, takes
     the verdict of its leading term (e, c), computed once with the monomial
     h0 = c*t^e:
@@ -244,19 +260,14 @@ class UnitGroupApprox:
         zero class lies in H, so x = -1 is never a row."""
         if self._rows is None:
             w = self.H.window
-            one = w.model.one()
             laurent = w.model.kind == "laurent"
             rows = []
-            for x in capped_stream(w.model, self.height):
-                if x.is_zero():
-                    continue
-                cls_x = w.classify(x)
-                if self.H.contains_class(cls_x):
+            for x, cls_x, cls_opx in classified_stream(w, self.height):
+                if cls_x is None or self.H.contains_class(cls_x):
                     continue
                 if len(rows) == self.max_nonmembers:
                     self._capped = True  # this nonmember is left out
                     break
-                cls_opx = w.classify_sum(one, x)
                 ok = self.H.contains_class(w.class_sub(cls_opx, cls_x))
                 rows.append((x, x.data[0][0][0] if laurent else None,
                              cls_x, cls_opx, ok))

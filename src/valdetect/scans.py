@@ -51,8 +51,10 @@ A window has few distinct wedges (24 against 796 triples on F7(u) with
 [u, u-1, const] at degree 2, and none on F19((t)) with l^n = 9 and
 [t, const] at height 9), so those scans run over the wedge list.
 
-A window's ScanIndex owns its memos: the triple table, the wedge list and
-the numpy path's class table, which the decomposition sweeps below share.
+A window's ScanIndex owns its memos: the triple table, the wedge list,
+the numpy path's class table, which the decomposition sweeps below share,
+and the classes of the element stream that the rigid and detect walks
+read (`rigid.classified_stream`).
 The pure paths take every class from the index's Window
 (`Window.fraction_class`), which memoises per-polynomial class data.  The
 indexes live for the process in one dict keyed by window, so later
@@ -114,6 +116,44 @@ class ScanIndex:
         self.class_table = None   # numpy path: _ClassTable
         sets = local_triple_sets(window)
         self.bound = None if sets is None else math.prod(map(len, sets))
+        # the element stream of rigid.capped_stream, classes only: one
+        # (cls x, cls 1+x) per position, and cls(1 + x_i(1 + x_j)) per
+        # position pair (i, j) of the l = 2 clause; each class is one
+        # interned tuple, and only stream_row and pair_class write them
+        self.stream_classes = []
+        self.pair_classes = {}
+        self._interned = {}
+
+    def _intern(self, cls):
+        return None if cls is None else self._interned.setdefault(cls, cls)
+
+    def stream_row(self, i, x):
+        """(cls x, cls 1+x) of the element x at position i of the capped
+        stream, classified when i is the first unclassified position; cls x
+        is None for x = 0, cls 1+x for x = -1.  The capped stream at a
+        height is a prefix of the stream at every larger one, so the list
+        serves walks at every height."""
+        rows = self.stream_classes
+        if i == len(rows):
+            w = self.window
+            if x.is_zero():
+                row = None, w.zero_class()
+            else:
+                cls_x = w.classify(x)
+                row = cls_x, w.classify_one_plus(x, cls_x)
+            rows.append(tuple(map(self._intern, row)))
+        return rows[i]
+
+    def pair_class(self, i, j, x, y):
+        """cls(1 + x(1 + y)) of the stream elements x and y at positions
+        i and j, or None when the sum is zero; the product is built once
+        per position pair."""
+        probes = self.pair_classes
+        if (i, j) not in probes:
+            one = self.window.model.one()
+            probes[i, j] = self._intern(
+                self.window.classify_sum(one, x * (one + y)))
+        return probes[i, j]
 
     def saturated(self):
         """Whether the table holds every triple that K realizes."""
@@ -180,10 +220,12 @@ def effective_height(model, height):
 
 
 def scan_index(window: Window, height: int) -> ScanIndex:
-    return _index_of(window).ensure(effective_height(window.model, height))
+    return index_of(window).ensure(effective_height(window.model, height))
 
 
-def _index_of(window):
+def index_of(window) -> ScanIndex:
+    """The window's ScanIndex, made on first use and kept for the
+    process."""
     idx = _INDEX_CACHE.get(window)
     if idx is None:
         idx = _INDEX_CACHE[window] = ScanIndex(window)
@@ -389,7 +431,7 @@ def _laurent_block_entries(window, s):
 def _decomp_place_classes(window, place, h):
     """Window classes of 1 + P*(a/b) over the block max(deg a, deg b) = h
     with P not dividing b; vectorized when the window is numpy-eligible."""
-    index = _index_of(window)
+    index = index_of(window)
     if _numpy_eligible(window):
         return _decomp_place_classes_numpy(index, place, h)
     window = index.window  # owns the polynomial class memo

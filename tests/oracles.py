@@ -23,6 +23,8 @@ from valdetect.fields import (
     _place_residue,
     residue_field_of_place,
 )
+from valdetect import detect
+from valdetect.rigid import PAIR_HEIGHT_CAP, capped_stream
 from valdetect.scans import _decomp_place_classes, scan_index, wedge_of
 
 
@@ -267,3 +269,59 @@ def cpair_inertia(f, g, qualifying):
     w = f.window
     return CharacterGroup(w, (f, g)).intersect(CharacterGroup.killing_classes(
         w, [w.classify(x) for x in qualifying]))
+
+
+# ---------------------------------------------------------------------------
+# element walks that classify each element themselves, as they did before
+# the walks read one shared class list per window
+# ---------------------------------------------------------------------------
+
+def pair_failure_by_products(H, height):
+    """The first (x, y) over the capped stream, x and y outside H with 1+x
+    and 1+y in H, that has 1+x(1+y) outside H, or None: every element and
+    every product x(1+y) is built and classified."""
+    w = H.window
+    one = w.model.one()
+    qualifying = []
+    for x in capped_stream(w.model, min(height, PAIR_HEIGHT_CAP)):
+        if x.is_zero():
+            continue
+        if H.contains_class(w.classify(x)):
+            continue
+        cls_opx = w.classify_sum(one, x)
+        if cls_opx is None or not H.contains_class(cls_opx):
+            continue
+        qualifying.append((x, one + x))
+    for x, _ in qualifying:
+        for y, opy in qualifying:
+            cls_probe = w.classify_sum(one, x * opy)
+            if cls_probe is not None and not H.contains_class(cls_probe):
+                return x, y
+    return None
+
+
+def maximal_ideal_scan_by_elements(model, units, height):
+    """detect._maximal_ideal_scan with is_unit asked of every nonzero x and
+    of the built 1+x: the ideal elements x and the VerificationSample,
+    under the same caps."""
+    one = model.one()
+    out = []
+    sample = detect.VerificationSample(detect.IDEAL_SAMPLES,
+                                       detect.MAX_SCANNED)
+    for x in capped_stream(model, height):
+        if sample.scanned == sample.max_scanned:
+            sample.scanned_capped = True
+            break
+        if sample.samples == sample.max_samples:
+            sample.samples_capped = True
+            break
+        sample.scanned += 1
+        if x.is_zero() or units.is_unit(x):
+            continue
+        opx = one + x
+        if opx.is_zero():
+            continue
+        if units.is_unit(opx):
+            out.append(x)
+            sample.samples += 1
+    return out, sample

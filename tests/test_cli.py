@@ -146,6 +146,23 @@ def test_exit_code_parse_error(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("bad", [
+    ("levels", "--ell", "3"),
+    ("levels", "--ell", "3", "--n", "2", "--bogus", "1"),
+    ("nosuch",),
+])
+def test_parse_error_leaves_the_next_call_clean(capsys, bad):
+    # one parser serves every call in a process, so an argument error in
+    # one call must leave nothing behind for the next
+    code, out = run_cli(capsys, *bad)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "parse-error"
+    code, out = run_cli(capsys, "levels", "--ell", "3", "--n", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert "error" not in data and data["N"] == 965
+
+
 def test_cl_check_small_window(capsys):
     code, out = run_cli(
         capsys, "cl-check", "--field", "laurent(gf:7,t)",
