@@ -9,8 +9,9 @@ The two valuation-attached subgroups are computed here: inertia_chars(v, w)
 is the group of characters killing every v-unit class (structural and exact
 for native chains), and decomp_chars(v, w) is the group killing the classes
 of 1 + m_v.  The latter is exact on Laurent steps (1 + m is contained in the
-l^n-th powers when the residue characteristic is prime to l) and is a
-bounded, stabilization-certified intersection at rational-function places.
+l^n-th powers when the residue characteristic is prime to l) and at
+rational-function places, where the approximation theorem gives it in closed
+form.
 """
 
 import math
@@ -302,25 +303,16 @@ class Certificate:
         return f"bounded-certified({tag} at height {self.height})"
 
 
-_DECOMP_CACHE = {}
-
-
 def decomp_chars(handle: ValuationHandle, window: Window, height: int = 4):
     """(CharacterGroup, Certificate) for Hom(K^x / +-(1+m_v), R_n) on the window.
 
     Laurent chain steps contribute nothing (1+m is made of l^n-th powers), so
-    the computation recurses into the residue window and is exact until a
-    rational-function place is hit; there the group is the stabilized kernel
-    of the classes of enumerated 1 + P*y.
+    the computation recurses into the residue window until a
+    rational-function place is hit, where the group has a closed form
+    (`_decomp_at_place`).  Every step is exact and cheap, so nothing is
+    memoised and `height` does not change the result; it stays in the
+    signature for callers that scan at one.
     """
-    key = (handle, window, height)
-    got = _DECOMP_CACHE.get(key)
-    if got is None:
-        got = _DECOMP_CACHE[key] = _decomp_chars(handle, window, height)
-    return got
-
-
-def _decomp_chars(handle, window, height):
     if handle.model != window.model:
         raise UnsupportedValuation("handle on a different field")
     if handle.is_trivial():
@@ -335,23 +327,20 @@ def _decomp_chars(handle, window, height):
             if g == (UNIF, payload):
                 gens.append(Character.dual(window, i))
         return CharacterGroup(window, gens), cert
-    return _decomp_at_place(window, payload, height)
+    return _decomp_at_place(window, payload)
 
 
-def _decomp_at_place(window, place, height):
-    """Stabilized kernel of the classes of 1 + P*(a/b) over a, b of bounded
-    degree with P not dividing b; works on raw polynomial pairs."""
-    from .scans import _decomp_place_classes
-    classes = set()
-    history = []
-    group = CharacterGroup.full(window)
-    for h in range(height + 1):
-        classes |= _decomp_place_classes(window, place, h)
-        group = CharacterGroup.killing_classes(window, sorted(classes))
-        history.append(group)
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return group, Certificate(exact=False, height=h, stabilized=True)
-    return group, Certificate(exact=False, height=height, stabilized=False)
+def _decomp_at_place(window, place):
+    """The characters killing the classes of 1 + P*O_P: <chi_P>, the dual
+    of P, or the trivial group when P is not listed; exact.
+
+    By the approximation theorem those classes are exactly the ones with
+    P coordinate 0: by CRT, an x = 1 mod P takes any valuation at the other
+    listed places and, with the degree of x free, any leading coefficient.
+    """
+    return CharacterGroup(window, tuple(
+        Character.dual(window, i) for i, g in enumerate(window.gens)
+        if g == (PLACE, place))), Certificate(exact=True)
 
 
 def residue_window(handle: ValuationHandle, window: Window) -> Window:
@@ -423,7 +412,7 @@ def residue_rank(handle: ValuationHandle, window: Window) -> int:
 
 
 def residue_char(f: Character, handle: ValuationHandle, window: Window,
-                 decomp=None, height: int = 4) -> Character:
+                 decomp=None) -> Character:
     """Image of f in the residue window; defined for f in decomp_chars.
 
     Along uniformizer chains it is the projection that drops the consumed
@@ -433,7 +422,7 @@ def residue_char(f: Character, handle: ValuationHandle, window: Window,
     if f.window != window:
         raise LevelMismatch("character on a different window")
     if decomp is None:
-        decomp, _ = decomp_chars(handle, window, height)
+        decomp, _ = decomp_chars(handle, window)
     if not decomp.contains(f):
         raise NotInDecomposition("character does not kill 1+m_v classes")
     res = residue_window(handle, window)

@@ -58,7 +58,7 @@ def c_pair_direct(f: Character, g: Character, height: int) -> Verdict:
         if sum(p * q for p, q in zip(fg, x)) % mod:
             return Verdict(NOT_CPAIR, height, witness=ent.element(),
                            method="direct", exact=True)
-    if exhaustive_classes(w.model, height, w.level):
+    if exhaustive_classes(w, height):
         return Verdict(CPAIR, height, method="direct", exact=True)
     return Verdict(CPAIR_UP_TO, height, method="direct", exact=False)
 

@@ -155,12 +155,12 @@ def _maximal_ideal_scan(model, units: UnitGroupApprox, height):
         # skip x = 0, x = -1 (1+x = 0) and the units x
         if cls_x is None or cls_opx is None:
             continue
-        if H.contains_class(cls_x) and units.is_unit(x):
+        if H.contains_class(cls_x) and units.is_unit(x, cls_x):
             continue
         if not H.contains_class(cls_opx):
             continue
         opx = one + x
-        if units.is_unit(opx):
+        if units.is_unit(opx, cls_opx):
             out.append((x, cls_opx))
             sample.samples += 1
     return out, sample
@@ -185,7 +185,7 @@ def _verify_inertia(group: CharacterGroup, units, height):
     sample = VerificationSample(INERTIA_SAMPLES, MAX_SCANNED)
     for x, cls, _ in sample.stream(w, height):
         if cls is None or not units.H.contains_class(cls) \
-                or not units.is_unit(x):
+                or not units.is_unit(x, cls):
             continue
         if not all(f.evaluate_class(cls) == 0 for f in members):
             return False, sample

@@ -64,6 +64,10 @@ class WrongLevel(ValdetectError):
     code = "wrong-level"
 
 
+class WitnessMismatch(ValdetectError):
+    code = "witness-mismatch"
+
+
 class ParseError(ValdetectError):
     code = "parse-error"
 

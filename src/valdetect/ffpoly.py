@@ -19,6 +19,10 @@ from .coeffmod import is_prime
 
 _EDF_SEED = 0x5EEDED
 
+# extension fields with at most this many elements tabulate add, neg and mul
+# (q^2 entries for add and mul: 2,401 at the limit, built in about 16 ms)
+EXT_TABLE_LIMIT = 49
+
 
 class FiniteField:
     """F_p or base[x]/(modulus); elements are ints 0 <= e < q."""
@@ -46,6 +50,14 @@ class FiniteField:
             self.symbol = symbol
         self._gen = None
         self._dlog = None
+        # add, neg and mul of a small extension field read these tables,
+        # built once from the polynomial arithmetic (`_poly_add`, ...)
+        self._add_tab = self._neg_tab = self._mul_tab = None
+        if self.base is not None and self.q <= EXT_TABLE_LIMIT:
+            pairs = [(a, b) for a in range(self.q) for b in range(self.q)]
+            self._add_tab = [self._poly_add(a, b) for a, b in pairs]
+            self._mul_tab = [self._poly_mul(a, b) for a, b in pairs]
+            self._neg_tab = [self._poly_neg(a) for a in range(self.q)]
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -97,13 +109,16 @@ class FiniteField:
     def add(self, a, b):
         if self.base is None:
             return (a + b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        return self.from_digits(tuple(self.base.add(x, y) for x, y in zip(da, db)))
+        if self._add_tab is not None:
+            return self._add_tab[a * self.q + b]
+        return self._poly_add(a, b)
 
     def neg(self, a):
         if self.base is None:
             return (-a) % self.p
-        return self.from_digits(tuple(self.base.neg(x) for x in self.digits(a)))
+        if self._neg_tab is not None:
+            return self._neg_tab[a]
+        return self._poly_neg(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -111,6 +126,20 @@ class FiniteField:
     def mul(self, a, b):
         if self.base is None:
             return (a * b) % self.p
+        if self._mul_tab is not None:
+            return self._mul_tab[a * self.q + b]
+        return self._poly_mul(a, b)
+
+    # extension-field arithmetic on coefficient vectors over the base: the
+    # reference for the tables above, and the path of larger fields
+    def _poly_add(self, a, b):
+        da, db = self.digits(a), self.digits(b)
+        return self.from_digits(tuple(self.base.add(x, y) for x, y in zip(da, db)))
+
+    def _poly_neg(self, a):
+        return self.from_digits(tuple(self.base.neg(x) for x in self.digits(a)))
+
+    def _poly_mul(self, a, b):
         pa = _tuple_trim(self.digits(a))
         pb = _tuple_trim(self.digits(b))
         prod = self.base.poly_mod(self.base.poly_mul(pa, pb), self.modulus)
@@ -193,9 +222,6 @@ class FiniteField:
     # -- polynomials over this field ----------------------------------------
     # little-endian tuples of element codes, no trailing zeros
 
-    def poly_from_ints(self, cs):
-        return _tuple_trim(tuple(self.from_int(c) for c in cs))
-
     def poly_deg(self, f):
         return len(f) - 1
 
@@ -251,6 +277,23 @@ class FiniteField:
         if f:
             f = self.poly_scale(f, self.inv(f[-1]))
         return f
+
+    def poly_xgcd(self, f, g):
+        """(d, s, t) with s*f + t*g = d, the monic gcd of f and g (d = ()
+        when both are zero)."""
+        r0, r1 = f, g
+        s0, s1 = (self.one,), ()
+        t0, t1 = (), (self.one,)
+        while r1:
+            q, r = self.poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.poly_sub(s0, self.poly_mul(q, s1))
+            t0, t1 = t1, self.poly_sub(t0, self.poly_mul(q, t1))
+        if not r0:
+            return r0, s0, t0
+        c = self.inv(r0[-1])
+        return (self.poly_scale(r0, c), self.poly_scale(s0, c),
+                self.poly_scale(t0, c))
 
     def poly_pow_mod(self, f, e, m):
         r = (self.one,)

@@ -655,10 +655,9 @@ def _const_class_order(ff: FiniteField, level: Level) -> int:
 class Window:
     """A finite quotient K^x/T presented by labeled generator classes.
 
-    fraction_class is the one rule for the class of a bottom fraction (the
-    numpy scan kernel is a fast path tested against it), and base_window
-    and from_base the one rule for how a window sits over the window on
-    its Laurent base."""
+    fraction_class is the one rule for the class of a bottom fraction, and
+    base_window and from_base the one rule for how a window sits over the
+    window on its Laurent base."""
 
     model: FieldModel
     level: Level
@@ -710,6 +709,7 @@ class Window:
         top = (UNIF, self.model.var) if self.model.kind == "laurent" else None
         object.__setattr__(self, "_top_slot",
                            self.gens.index(top) if top in self.gens else None)
+        object.__setattr__(self, "_base", None)  # base_window(), once made
 
     @staticmethod
     def build(model, level, gen_specs):
@@ -866,12 +866,16 @@ class Window:
 
     def base_window(self) -> "Window":
         """The window on the base of a Laurent model: the same level and
-        generators, less the top uniformizer."""
+        generators, less the top uniformizer; made once per window, since
+        every exactness check of a scan reads it."""
         if self.model.kind != "laurent":
             raise PreconditionViolated("no Laurent level to drop")
-        top = (UNIF, self.model.var)
-        return Window(self.model.base, self.level,
-                      tuple(g for g in self.gens if g != top))
+        if self._base is None:
+            top = (UNIF, self.model.var)
+            object.__setattr__(self, "_base", Window(
+                self.model.base, self.level,
+                tuple(g for g in self.gens if g != top)))
+        return self._base
 
     def from_base(self, vec, top_value):
         """A base_window() vector (a class or character values, as a tuple)

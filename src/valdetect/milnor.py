@@ -81,7 +81,7 @@ def steinberg_scan(window: Window, height: int,
                 break
     return SymbolPresentation(
         window, height, tuple(witnesses),
-        exhaustive=exhaustive_classes(window.model, height, window.level))
+        exhaustive=exhaustive_classes(window, height))
 
 
 def k2_cyclic_order(sp: SymbolPresentation):

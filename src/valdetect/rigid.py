@@ -274,7 +274,9 @@ class UnitGroupApprox:
             self._rows = rows
         return self._rows
 
-    def is_unit(self, h) -> bool:
+    def is_unit(self, h, cls_h=None) -> bool:
+        """Whether h passes the unit test; `cls_h`, the window class of a
+        nonzero h when the caller has read it, spares classifying h."""
         lead = None
         if self.H.window.model.kind == "laurent":
             coeffs, bound = h.data
@@ -283,22 +285,23 @@ class UnitGroupApprox:
         key = h.data if lead is None else lead
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = (self._by_walk(h) if lead is None
-                                     else self._by_lead(*lead))
+            got = self._memo[key] = (self._by_walk(h, cls_h) if lead is None
+                                     else self._by_lead(*lead, cls_h))
         return got
 
-    def _by_walk(self, h) -> bool:
+    def _by_walk(self, h, cls_h) -> bool:
         """The verdict of h from classifying h + x for every row x."""
-        if h.is_zero() or not self.H.contains(h):
+        if h.is_zero() or not (self.H.contains(h) if cls_h is None
+                               else self.H.contains_class(cls_h)):
             return False
         return self._first_failure(h, range(len(self._table()))) is None
 
-    def _by_lead(self, e, c) -> bool:
+    def _by_lead(self, e, c, cls_h) -> bool:
         """The verdict shared by every h with leading term c*t^e below its
-        bound: that of the monomial h0 = c*t^e."""
-        w = self.H.window
-        h0 = w.model.elt((((e, c),), None))
-        if not self.H.contains(h0):
+        bound: that of the monomial h0 = c*t^e, whose class is that of h."""
+        h0 = self.H.window.model.elt((((e, c),), None))
+        if not (self.H.contains(h0) if cls_h is None
+                else self.H.contains_class(cls_h)):
             return False
         got = self._stops.get(e)
         if got is None:
@@ -353,14 +356,11 @@ def canonical_valuation(H: MultSubgroup, height: int) -> UnitGroupApprox:
 
 @dataclass(frozen=True)
 class RigidComplement:
-    """H = <T, x with Psi(1+x) differing from Psi(1) and Psi(x)>, plus the
-    cyclicity certificate for H/T."""
+    """H = <T, x with Psi(1+x) differing from Psi(1) and Psi(x)>, with the
+    Howell rows of the Psi-images of H, which span a cyclic group."""
 
-    height: int
     span: tuple                 # howell rows of the Psi-images of H
-    generator: tuple            # psi-image generating H/T, or None
     subgroup: MultSubgroup      # H, the kernel of the characters of <f, g>
-    qualifying: tuple           # representative elements found
 
     def is_trivial(self):
         return not self.span
@@ -371,7 +371,8 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
     Psi(1+x) distinct from Psi(1) and Psi(x); asserts H/T cyclic.
 
     H = {x : Psi(x) in S}, for the span S of the qualifying Psi-images, is
-    the kernel of I = {a*f + b*g : (a, b) orthogonal to S}.
+    the kernel of I = {a*f + b*g : (a, b) orthogonal to S}.  Only the
+    classes of the table entries are read, never their elements.
 
     A non-cyclic H/T falsifies the preconditions (the pair did not come from
     a C-pair at the required lifted level) and raises MainClaimViolated.
@@ -380,31 +381,22 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
         raise LevelMismatch("characters on different windows")
     w = f.window
     ell, n = w.level.ell, w.level.n
-    vectors = []
-    reps = []
+    vectors = {}    # distinct qualifying images, in table order
     for ent in scan_index(w, height).entries(height):
         img = (f.evaluate_class(ent.cls_x), g.evaluate_class(ent.cls_x))
         if not any(img):
             continue
         q = (f.evaluate_class(ent.cls_1px), g.evaluate_class(ent.cls_1px))
-        if not any(q):
-            continue
-        if q == img:
-            continue
-        if not any(vec == img for vec in vectors):
-            vectors.append(img)
-            reps.append(ent.element())
-    span = howell_form(vectors, ell, n, 2)
-    basis = [v for v, _ in span_quasi_basis(span, ell, n)]
-    if len(basis) > 1:
+        if any(q) and q != img:
+            vectors[img] = None
+    span = howell_form(list(vectors), ell, n, 2)
+    if len(span_quasi_basis(span, ell, n)) > 1:
         raise MainClaimViolated(
             "H/T is not cyclic; inputs cannot reduce from a C-pair at the "
             "required level")
-    gen = basis[0] if basis else None
     I = CharacterGroup(w, tuple(f.scale(a) + g.scale(b)
                                 for a, b in kernel_mod(span, ell, n, 2)))
-    return RigidComplement(height, tuple(span), gen, MultSubgroup(I),
-                           tuple(reps))
+    return RigidComplement(tuple(span), MultSubgroup(I))
 
 
 def comparable(f: Character, g: Character, height: int) -> Verdict:
@@ -424,6 +416,6 @@ def comparable(f: Character, g: Character, height: int) -> Verdict:
         psi_m = (f.evaluate_class(ent.cls_1mx), g.evaluate_class(ent.cls_1mx))
         if not vectors_cyclic(psi_m, psi_x, ell, n):
             return Verdict("NotComparable", height, witness=ent.element())
-    if exhaustive_classes(w.model, height, w.level):
+    if exhaustive_classes(w, height):
         return Verdict("Comparable", height)
     return Verdict("ComparableUpToBound", height)

@@ -11,6 +11,7 @@ from valdetect.coeffmod import (
     howell_form,
     quotient_span,
     span_contains,
+    span_quasi_basis,
     wedge_pairs,
 )
 from valdetect.errors import LevelMismatch, UnsupportedValuation, ZeroElement
@@ -25,7 +26,7 @@ from valdetect.fields import (
 )
 from valdetect import detect
 from valdetect.rigid import PAIR_HEIGHT_CAP, capped_stream
-from valdetect.scans import _decomp_place_classes, scan_index, wedge_of
+from valdetect.scans import scan_index, wedge_of
 
 
 def submodule_contains(module, gens, x) -> bool:
@@ -150,12 +151,36 @@ def _decomp_by_walk(steps, window, height):
     classes = set()
     history = []
     for h in range(height + 1):
-        classes |= _decomp_place_classes(window, payload, h)
+        classes |= decomp_place_classes(window, payload, h)
         group = CharacterGroup.killing_classes(window, sorted(classes))
         history.append(group)
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             return group, Certificate(exact=False, height=h, stabilized=True)
     return group, Certificate(exact=False, height=height, stabilized=False)
+
+
+def decomp_place_classes(window, place, h):
+    """Window classes of 1 + P*(a/b) over the block max(deg a, deg b) = h
+    with P not dividing b: the sweep that the closed form of
+    `characters._decomp_at_place` is checked against."""
+    ff = window.model.ff
+    out = set()
+    pa_memo = {}
+    for bdeg in range(h + 1):
+        for b in ff.monic_polys(bdeg):
+            if ff.place_multiplicity(b, place) > 0:
+                continue
+            adegs = range(h + 1) if bdeg == h else (h,)
+            for adeg in adegs:
+                for a in ff.polys_of_degree(adeg):
+                    pa = pa_memo.get(a)
+                    if pa is None:
+                        pa = pa_memo[a] = ff.poly_mul(place, a)
+                    num = ff.poly_add(b, pa)
+                    if not num:
+                        continue
+                    out.add(window.fraction_class(num, b, {}))
+    return out
 
 
 def residue_window_by_walk(handle, window):
@@ -260,6 +285,31 @@ def one_variable_witness(contains_class, window, height):
             continue
         return ent.element()
     return None
+
+
+def rigid_qualifying(f, g, height):
+    """(qualifying, generator) of the rigid complement of (f, g), found
+    from elements: the first element of the scan table with each distinct
+    qualifying image Psi(x) = (f(x), g(x)), classified from the element
+    itself, so x, 1+x and Psi(1+x) differ from 0; and the Psi-image
+    generating H/T, or None when H = T."""
+    w = f.window
+    ell, n = w.level.ell, w.level.n
+    one = w.model.one()
+    images, qualifying = [], []
+    for ent in scan_index(w, height).entries(height):
+        x = ent.element()
+        opx = one + x
+        if opx.is_zero():
+            continue
+        img = (f.evaluate(x), g.evaluate(x))
+        q = (f.evaluate(opx), g.evaluate(opx))
+        if any(img) and any(q) and q != img and img not in images:
+            images.append(img)
+            qualifying.append(x)
+    basis = span_quasi_basis(howell_form(images, ell, n, 2), ell, n)
+    assert len(basis) <= 1, "H/T is not cyclic"
+    return tuple(qualifying), (basis[0][0] if basis else None)
 
 
 def cpair_inertia(f, g, qualifying):

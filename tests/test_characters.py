@@ -23,6 +23,7 @@ from valdetect.fields import (
     parse_window,
     random_element,
 )
+from oracles import decomp_chars_by_walk
 
 
 def test_evaluate_pinned(w_u_u3, w_t_c, F7u, F7t):
@@ -111,7 +112,7 @@ def test_decomp_pinned(w_t_c, w_u_u3, F7t, F7u):
     vu = ValuationHandle.from_steps(F7u, ["u"])
     Du, certu = decomp_chars(vu, w_u_u3, height=4)
     assert Du.labels() == ["u"]
-    assert not certu.exact and certu.stabilized
+    assert certu.exact and certu.describe() == "exact"
 
 
 def test_inertia_below_decomposition(w_t_c, w_u_u3, w_tuu3, F7t, F7u, F7ut):
@@ -283,3 +284,39 @@ def test_valuation_groups_when_top_is_omitted_or_reordered(fspec, gens,
         assert D == CharacterGroup.killing_classes(
             w, sorted(_one_plus_place_classes(w, place)))
         assert residue_window(chain, w).rank == 0
+
+
+# (field, window, place): listed and unlisted places of degree 1 and 2 over
+# gf:7, gf:13 and gf:9, and one window in characteristic 2
+DECOMP_PLACES = [
+    ("ratfunc(gf:7,u)", "u,u-3", "u"),
+    ("ratfunc(gf:7,u)", "u,u-3", "u-1"),
+    ("ratfunc(gf:7,u)", "u,u-3,const", "u-3"),
+    ("ratfunc(gf:7,u)", "u,u^2+1", "u^2+1"),
+    ("ratfunc(gf:7,u)", "u,u^2+1", "u"),
+    ("ratfunc(gf:7,u)", "u,u-3", "u^2+1"),
+    ("ratfunc(gf:13,u)", "u,u-1,const", "u-1"),
+    ("ratfunc(gf:13,u)", "u,u-1,const", "u-2"),
+    ("ratfunc(gf:9,u)", "u,u-1,const", "u"),
+    ("ratfunc(gf:9,u)", "u,u-1,const", "u-1"),
+    ("ratfunc(gf:9,u)", "u,u-1", "u^2+(z+1)*u+1"),
+    ("ratfunc(gf:9,u)", "u,u^2+(z+1)*u+1", "u^2+(z+1)*u+1"),
+    ("ratfunc(gf:4,u)", "u,u+1", "u"),
+]
+
+
+@pytest.mark.parametrize("fspec,gens,place", DECOMP_PLACES)
+def test_decomp_at_place_is_the_stabilized_sweep(fspec, gens, place):
+    # the closed form <chi_P> (trivial for an unlisted P) against the
+    # sweep of the classes of 1 + P*(a/b), which stabilizes by degree 3
+    model = parse_field(fspec)
+    ell = 3 if model.ff.q % 3 == 1 else 2
+    w = parse_window(model, f"{{ell={ell},n=1,gens=[{gens}]}}")
+    v = ValuationHandle.from_steps(model, [place])
+    D, cert = decomp_chars(v, w)
+    swept, swept_cert = decomp_chars_by_walk(v, w, 3)
+    assert cert.exact and swept_cert.stabilized
+    assert D == swept
+    listed = place in gens.split(",")
+    assert D == CharacterGroup(w, (Character.dual_by_label(w, place),)
+                               if listed else ())

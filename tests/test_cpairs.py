@@ -53,7 +53,7 @@ def _c_pair_by_scan(f, g, height):
         if (lhs - rhs) % mod:
             return Verdict(NOT_CPAIR, height, witness=ent.element(),
                            method="direct", exact=True)
-    if exhaustive_classes(w.model, height, w.level):
+    if exhaustive_classes(w, height):
         return Verdict(CPAIR, height, method="direct", exact=True)
     return Verdict(CPAIR_UP_TO, height, method="direct", exact=False)
 

@@ -60,8 +60,13 @@ def test_duals_not_cpair_on_quadratic_window(F7u, w_quad):
     g = Character.dual_by_label(w_quad, "u^2+1")
     d = c_pair_direct(f, g, 2)
     assert d.kind == "NotCPair"
-    # first violation in stream order: 1 - 6u^2 = 1 + u^2 hits the place
-    assert format_element(d.witness) == "6*u^2"
+    # the first violation is a closing entry of the table, whose witness
+    # replays: f(1-x)g(x) != f(x)g(1-x)
+    x = d.witness
+    assert format_element(x) == "6*u^5+5*u^3+u^2+6*u+1"
+    cx, cm = w_quad.classify(x), w_quad.classify(F7u.one() - x)
+    assert (f.evaluate_class(cm) * g.evaluate_class(cx)
+            - f.evaluate_class(cx) * g.evaluate_class(cm)) % 3
     sp = steinberg_scan(w_quad, 2, stop_at_floor=True)
     assert k2_cyclic_order(sp)[0] == 1
     assert c_pair_ktheory(f, g, sp).kind == "NotCPair"

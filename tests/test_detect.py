@@ -35,7 +35,7 @@ from valdetect.fields import (
     parse_window,
     value_of,
 )
-from valdetect.rigid import rigid_complement
+from oracles import rigid_qualifying
 
 
 def test_detect_from_cpair_laurent(w_t_c):
@@ -79,7 +79,7 @@ def _inertia_by_enumeration(fpp, gpp, n, height):
     """The members of D = <f, g> at level n that vanish on every qualifying
     element of the rigid complement, found by evaluating each member."""
     f, g = fpp.reduce_level(n), gpp.reduce_level(n)
-    qualifying = rigid_complement(f, g, height).qualifying
+    qualifying = rigid_qualifying(f, g, height)[0]
     D = CharacterGroup(f.window, (f, g))
     return CharacterGroup(f.window, tuple(
         d for d in D.elements()

@@ -231,6 +231,39 @@ def test_extension_field_elements():
     assert (z * z) == parse_element(F9, "-1")
 
 
+@pytest.mark.parametrize("q", [9, 25])
+def test_extension_tables_match_the_polynomial_path(q):
+    # add, neg and mul read tables on small extension fields; the
+    # coefficient-vector arithmetic is their reference on every pair
+    ff = FiniteField.of_order(q)
+    assert ff._mul_tab is not None
+    for a in ff.elements():
+        assert ff.neg(a) == ff._poly_neg(a)
+        for b in ff.elements():
+            assert ff.add(a, b) == ff._poly_add(a, b)
+            assert ff.mul(a, b) == ff._poly_mul(a, b)
+
+
+def test_large_extension_fields_keep_the_polynomial_path():
+    ff = FiniteField.of_order(81)
+    assert ff._mul_tab is None
+    g = ff.generator()
+    assert ff.pow(g, 80) == ff.one and ff.pow(g, 40) != ff.one
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_poly_xgcd_is_a_bezout_identity(q):
+    ff = FiniteField.of_order(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        f, g = (tuple(rng.randrange(q) for _ in range(rng.randrange(6)))
+                for _ in range(2))
+        f, g = ff.poly_add(f, ()), ff.poly_add(g, ())   # trimmed
+        d, s, t = ff.poly_xgcd(f, g)
+        assert d == ff.poly_gcd(f, g)
+        assert ff.poly_add(ff.poly_mul(s, f), ff.poly_mul(t, g)) == d
+
+
 def test_window_validation_errors(F7u, F7t):
     with pytest.raises(PreconditionViolated):
         parse_window(F7u, "{ell=7,n=1,gens=[u]}")     # ell = char

@@ -67,13 +67,16 @@ SUBGROUP_DIGESTS = [
 F7UT = "laurent(ratfunc(gf:7,u),t)"
 
 # (argv, sha256 of stdout) of one command per verdict payload shape:
-# CPairUpToBound ("exact": false) and an exact CPair from both methods, a
-# K-theoretic NotCPair with its witness, CGroupUpToBound, NotCGroup with
-# its pair and witness, and an exact CGroup
+# CPairUpToBound ("exact": false; on F7(u)((t)) below height l^n = 3) and
+# exact CPairs from both methods, a K-theoretic NotCPair with its witness,
+# CGroupUpToBound, NotCGroup with its pair and witness, and exact CGroups
 VERDICT_DIGESTS = [
     (["cpair", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u]}",
+      "--f", "t", "--g", "u", "--height", "2", "--method", "both"],
+     "dc86362a1dceb5e7d3e50d9aaf03c651752f5cde216e433d42c134d10d746f2f"),
+    (["cpair", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u]}",
       "--f", "t", "--g", "u", "--height", "3", "--method", "both"],
-     "d7589ea7ef617a7ec4620f41bb96e6454fd4022795b742cb499ab6c462d11722"),
+     "96ff9523561122ee84bddd44cdef08edc03e8459f1070a93f397066b64a77199"),
     (["cpair", *F7T, "--f", "t", "--g", "const", "--height", "8",
       "--method", "both"],
      "ad22404cf9c33db88c930c41dd5289b04c3d0cd299eec3b62d55dbe684038662"),
@@ -82,8 +85,11 @@ VERDICT_DIGESTS = [
       "--height", "4", "--method", "ktheory"],
      "1d3897a97dcfc59e1fae2c535a369c7ca94304bf5890fbe37d2c75dafbb57c55"),
     (["cgroup", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u,u-3]}",
+      "--gens", "t;u", "--height", "2"],
+     "a14ef7fa2efcdf80b9b645f807e32571e9fea71b96994663528a77ca24b9b31b"),
+    (["cgroup", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u,u-3]}",
       "--gens", "t;u", "--height", "3"],
-     "a61d6bb093ac2bef3c55535f1815b1f7a3e5360cc0556af8979e8d2a280c9559"),
+     "c2a32343f92a0b9350a3d3fe26839a16640ea8e766094b08a4ac6bd96d58f4b1"),
     (["cgroup", "--field", "ratfunc(gf:7,u)",
       "--window", "{ell=3,n=1,gens=[u,u-3,const]}", "--gens", "u;u-3",
       "--height", "2"],

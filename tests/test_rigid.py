@@ -40,7 +40,12 @@ from valdetect.rigid import (
     valuative_test,
 )
 
-from oracles import cpair_inertia, one_variable_witness, psi_span_contains
+from oracles import (
+    cpair_inertia,
+    one_variable_witness,
+    psi_span_contains,
+    rigid_qualifying,
+)
 
 
 def _kernel(window, labels):
@@ -56,7 +61,9 @@ def test_valuative_pinned(w_t_c, w_u_u3):
     H = MultSubgroup(CharacterGroup(w_u_u3, (f + g,)))
     verdict = valuative_test(H, 4)
     assert not verdict.holds()
-    assert format_element(verdict.witness) == "3*u^2"
+    # no x of degree <= 1 fails, so the first failing entry is a closing
+    # entry, whose witness is a CRT witness
+    assert format_element(verdict.witness) == "(u+5)/(u^2+u+2)"
 
 
 def test_valuative_soundness_native_chains(w_t_c, w_tuu3, w_tsc):
@@ -145,7 +152,7 @@ def test_rigid_complement_trivial_branch(w_t_c):
     fc = Character.dual_by_label(w_t_c, "const")
     rc = rigid_complement(ft, fc, 8)
     assert not rc.is_trivial()
-    assert rc.generator == (0, 1)
+    assert rigid_qualifying(ft, fc, 8)[1] == (0, 1)
     # zero pair: H = T vacuously
     z = Character.zero(w_t_c)
     rc0 = rigid_complement(z, z, 8)
@@ -171,7 +178,8 @@ def test_rigid_complement_cyclic_on_native_cpairs(w_t_c, w_tuu3):
         for i in I.elements():
             for d in D.elements():
                 rc = rigid_complement(i, d, h)
-                assert len(rc.span) <= 1 or rc.generator is not None
+                gen = rigid_qualifying(i, d, h)[1]
+                assert len(rc.span) <= 1 or gen is not None
 
 
 def test_rigid_complement_raises_on_non_cpair(w_u_u3):
@@ -298,6 +306,10 @@ def test_is_unit_matches_element_reference(request, wname, steps, heights,
         verdicts = [units.is_unit(h) for h in hs]
         assert any(verdicts) and not all(verdicts)
         assert verdicts == [_is_unit_by_elements(units, h) for h in hs]
+        # a caller's class of h gives the same verdicts on a fresh memo
+        fresh = UnitGroupApprox(H, height)
+        assert verdicts == [not h.is_zero() and fresh.is_unit(h, w.classify(h))
+                            for h in hs]
 
 
 def test_contains_class_memo_matches_fresh(w_t_c, w_tsc, w_tuu3):
@@ -560,7 +572,8 @@ def test_kernel_rules_match_span_rule_oracles(fspec, wspec, height, sample):
         H = rc.subgroup
         assert [H.contains_class(c) for c in classes] == \
             [psi_span_contains((f, g), rc.span, c) for c in classes]
-        assert H == MultSubgroup(cpair_inertia(f, g, rc.qualifying))
+        assert H == MultSubgroup(cpair_inertia(
+            f, g, rigid_qualifying(f, g, height)[0]))
         _verdict_matches_oracle(
             H, height, lambda c: psi_span_contains((f, g), rc.span, c))
         split += not rc.is_trivial()

@@ -5,12 +5,15 @@ The scan layer never walks raw streams on towers; it derives the distinct
 recompute the triples the slow way, with plain element arithmetic over the
 very streams the tables claim to summarize, and compare sets."""
 
+import itertools
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from valdetect.errors import WitnessMismatch
 from valdetect.fields import (
     PLACE,
     enumerate_elements,
@@ -49,11 +52,15 @@ def test_oracle_finite():
 
 
 def test_oracle_ratfunc_heights():
+    # block 0 is the sweep; from height 1 on the table closes, so it holds
+    # every triple of the stream and, with the closing block, all of K's
     w = parse_window(parse_field("ratfunc(gf:7,u)"),
                      "{ell=3,n=1,gens=[u,u-3]}")
-    for h in (0, 1, 2):
-        assert index_triples(w, h) == brute_triples(
-            w, enumerate_elements(w.model, h)), h
+    assert index_triples(w, 0) == brute_triples(
+        w, enumerate_elements(w.model, 0))
+    for h in (1, 2):
+        brute = brute_triples(w, enumerate_elements(w.model, h))
+        assert brute < index_triples(w, h) == product_triples(w), h
 
 
 def test_oracle_laurent_over_finite():
@@ -72,15 +79,21 @@ def test_oracle_laurent_tower():
             w, enumerate_elements(w.model, h)), h
 
 
-def test_oracle_laurent_over_ratfunc_capped():
-    # the table caps rational-function levels at degree 4; at heights <= 4
-    # the capped stream and the raw stream coincide, so brute-force over the
-    # raw stream is the honest comparison
+def test_oracle_laurent_over_ratfunc():
+    # the residue table closes at height 1, so from there on the Laurent
+    # table holds every triple of the stream and more; each of its triples
+    # is realized (test_representatives_realize_their_triples)
     w = parse_window(parse_field("laurent(ratfunc(gf:7,u),t)"),
                      "{ell=3,n=1,gens=[t,u,u-3]}")
-    for h in (0, 1, 2):
-        assert index_triples(w, h) == brute_triples(
-            w, enumerate_elements(w.model, h)), h
+    assert index_triples(w, 0) == brute_triples(
+        w, enumerate_elements(w.model, 0))
+    for h in (1, 2):
+        assert brute_triples(w, enumerate_elements(w.model, h)) < \
+            index_triples(w, h), h
+    # exhaustive once the exponents sweep every residue mod l^n = 3
+    import valdetect.scans as scans
+    assert scans.exhaustive_classes(w, 3)
+    assert not scans.exhaustive_classes(w, 2)
 
 
 # windows that omit the top uniformizer or list it away from the front: the
@@ -96,10 +109,19 @@ TOP_LAYOUT_WINDOWS = [
 
 @pytest.mark.parametrize("fspec,gens,heights", TOP_LAYOUT_WINDOWS)
 def test_oracle_top_uniformizer_omitted_or_reordered(fspec, gens, heights):
+    # over a rational-function base the table holds more than the stream
+    # from height 1 on, and every stored representative replays
     w = parse_window(parse_field(fspec), f"{{ell=3,n=1,gens=[{gens}]}}")
+    closed = fspec.startswith("laurent(ratfunc")
     for h in heights:
-        assert index_triples(w, h) == brute_triples(
-            w, enumerate_elements(w.model, h)), h
+        brute = brute_triples(w, enumerate_elements(w.model, h))
+        if closed and h > 0:
+            assert brute < index_triples(w, h), h
+            assert brute_triples(w, (e.element() for e in
+                                     scan_index(w, h).entries(h))) == \
+                index_triples(w, h)
+        else:
+            assert index_triples(w, h) == brute, h
 
 
 def test_oracle_level_two_laurent():
@@ -156,14 +178,14 @@ def test_window_generators_are_dual_basis():
             assert cls == tuple(1 if j == i else 0 for j in range(w.rank))
 
 
-def _table_rows(window, heights, pure, stop=True):
-    """(key, classes, representative data) of every entry, per height;
-    with stop=False the sweep runs to the end of every block."""
+def _table_rows(window, heights, stop=True):
+    """(key, classes, representative data) of every entry of the sweep, per
+    height, with the closing block switched off; with stop=False the sweep
+    runs to the end of every block."""
     import valdetect.scans as scans
     from valdetect.scans import ScanIndex
     with pytest.MonkeyPatch.context() as mp:
-        if pure:
-            mp.setattr(scans, "_numpy_eligible", lambda window: False)
+        mp.setattr(scans, "CLOSING_LIMIT", 0)
         if not stop:
             mp.setattr(scans, "local_triple_sets", lambda window: None)
         idx = ScanIndex(window).ensure(max(heights))
@@ -177,114 +199,45 @@ def _free_count(rows):
                if om is not None and op is not None)
 
 
-def test_pure_and_vectorized_ratfunc_paths_agree():
-    # the pure-Python sweep is the reference for the numpy kernel: same
-    # entries, keys, classes and first-in-stream representatives
-    model = parse_field("ratfunc(gf:7,u)")
-    w = parse_window(model, "{ell=3,n=1,gens=[u,u-3,const]}")
-    assert _table_rows(w, (0, 1, 2), True) == _table_rows(w, (0, 1, 2), False)
-    # and the decomposition class sweeps agree too
-    _assert_decomp_paths_agree(w, model.ff.poly_from_ints([0, 1]), 2)
-
-
-@pytest.mark.parametrize("fspec,wspec,top,places", [
-    ("ratfunc(gf:5,u)", "{ell=2,n=1,gens=[u,u-1,const]}", 3, ()),
-    # decomposition places u - 1 and u^2 + 2, neither listed
-    ("ratfunc(gf:5,u)", "{ell=2,n=2,gens=[u,u-2]}", 3, ([4, 1], [2, 0, 1])),
-    ("ratfunc(gf:3,u)", "{ell=2,n=1,gens=[u,u-1]}", 4, ()),
-    # 64 classes: frames past the dense-table bound take the sorted lookup;
-    # decomposition place u - 3
-    ("ratfunc(gf:5,u)", "{ell=2,n=2,gens=[u,u-1,u-2]}", 2, ([2, 1],)),
-])
-def test_pure_and_vectorized_paths_agree_to_top_degree(fspec, wspec, top,
-                                                       places):
-    # every height up to the top table degree, where the kernel's digit
-    # groups and numerator grids are widest
-    model = parse_field(fspec)
-    w = parse_window(model, wspec)
-    heights = range(top + 1)
-    assert _table_rows(w, heights, True) == _table_rows(w, heights, False)
-    for place in places:
-        _assert_decomp_paths_agree(w, model.ff.poly_from_ints(place), 2)
-
-
-def test_frame_lookup_sides_of_the_dense_bound():
-    # the windows above cover both frame lookups of the numpy kernel
-    import valdetect.scans as scans
-    model = parse_field("ratfunc(gf:5,u)")
-    for wspec, dense in (("{ell=2,n=2,gens=[u,u-2]}", True),
-                         ("{ell=2,n=2,gens=[u,u-1,u-2]}", False)):
-        size = math.prod(parse_window(model, wspec).orders)
-        assert scans._Frame((size + 1) ** 3).dense == dense
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_numerator_positions_follow_the_stream(p):
-    # the grid computes each numerator's stream index from its digits; the
-    # stream itself is the oracle, at every degree the tables reach
-    import valdetect.scans as scans
-    from valdetect.fields import ratfunc_numerators
-    window = parse_window(parse_field(f"ratfunc(gf:{p},u)"),
-                          "{ell=2,n=1,gens=[u]}")
-    top = scans.RATFUNC_DEGREE_CAP
-    tab = scans._ClassTable(window, top)
-    for s in range(top + 1):
-        for full in (True, False):
-            grid = scans._NumeratorGrid(tab, s, full)
-            stream = list(ratfunc_numerators(tab.ff, s, full))
-            got = [int(grid.ni[scans._poly_id(f, p) - grid.base])
-                   for f in stream]
-            assert got == list(range(len(stream))), (s, full)
-
-
-def _assert_decomp_paths_agree(window, place, top):
-    import valdetect.scans as scans
-    for h in range(top + 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scans, "_numpy_eligible", lambda window: False)
-            pure = scans._decomp_place_classes(window, place, h)
-        assert pure == scans._decomp_place_classes(window, place, h), h
-
-
-def test_packed_keys_fit_int64_or_pure_path():
+def test_window_over_the_limit_keeps_the_sweep():
+    # 9^7 classes: a product of 4,782,969 local triples, far over the
+    # closing limit, so the table stays the sweep's
     import valdetect.scans as scans
     model = parse_field("ratfunc(gf:7,u)")
-    small = parse_window(model, "{ell=3,n=2,gens=[u,u-1,u-2,u-3,u-4,u-5]}")
     big = parse_window(model,
                        "{ell=3,n=2,gens=[u,u-1,u-2,u-3,u-4,u-5,u-6]}")
-    assert scans._numpy_eligible(small)
-    # 9^7 classes: triple keys past 2^63, so the pure path builds the table
-    assert not scans._numpy_eligible(big)
+    idx = scans.index_of(big)
+    assert idx.bound > scans.CLOSING_LIMIT and not idx.closes
+    assert not scans.exhaustive_classes(big, 3)
     assert index_triples(big, 0) == brute_triples(
         big, enumerate_elements(model, 0))
 
 
-# windows whose tables reach their bound at or below `top`, each compared at
-# every height up to it; the unstopped degree-4 sweep of gf:13 would walk
-# about 10^10 pairs, so that window stops at degree 3
+# windows whose sweeps reach their bound at or below `top`, each compared
+# at every height up to it with the closing block off
 SATURATING_WINDOWS = [
-    *[("ratfunc(gf:7,u)", f"{{ell=3,n=1,gens=[u,u-{a}]}}", 4, False)
-      for a in range(1, 7)],
-    ("ratfunc(gf:3,u)", "{ell=2,n=1,gens=[u,u-1]}", 4, False),
-    ("ratfunc(gf:13,u)", "{ell=2,n=1,gens=[u,u-1]}", 3, False),
-    ("ratfunc(gf:5,u)", "{ell=2,n=1,gens=[u,u-1,const]}", 4, False),
-    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[const]}", 4, False),
-    ("ratfunc(gf:9,u)", "{ell=2,n=1,gens=[u,u-1]}", 2, True),
+    ("ratfunc(gf:3,u)", "{ell=2,n=1,gens=[u,u-1]}", 4),
+    ("ratfunc(gf:5,u)", "{ell=2,n=1,gens=[u,u-1]}", 2),
+    ("ratfunc(gf:7,u)", "{ell=2,n=1,gens=[u,u-1]}", 2),
+    ("ratfunc(gf:5,u)", "{ell=2,n=1,gens=[u,u-1,const]}", 3),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[const]}", 2),
+    ("ratfunc(gf:9,u)", "{ell=2,n=1,gens=[u,u-1]}", 2),
 ]
 
 
-@pytest.mark.parametrize("fspec,wspec,top,pure", SATURATING_WINDOWS)
-def test_stopped_sweep_matches_the_full_sweep(fspec, wspec, top, pure):
+@pytest.mark.parametrize("fspec,wspec,top", SATURATING_WINDOWS)
+def test_stopped_sweep_matches_the_full_sweep(fspec, wspec, top):
     # the full sweep is the reference for the stop: same rows at every
     # height, and its table never holds more triples than the bound
     import valdetect.scans as scans
     w = parse_window(parse_field(fspec), wspec)
-    assert scans._numpy_eligible(w) != pure
     heights = range(top + 1)
-    stopped = _table_rows(w, heights, pure)
-    full = _table_rows(w, heights, pure, stop=False)
+    stopped = _table_rows(w, heights)
+    full = _table_rows(w, heights, stop=False)
     assert stopped == full
-    idx = scans.ScanIndex(w).ensure(top)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scans, "CLOSING_LIMIT", 0)
+        idx = scans.ScanIndex(w).ensure(top)
     assert idx.saturated() and _free_count(full[-1]) == idx.bound
 
 
@@ -313,7 +266,7 @@ def test_every_triple_lies_in_the_local_sets(fspec, wspec, height):
     for cls_x, cls_1mx, cls_1px in free:
         assert all(comp in local for comp, local in
                    zip(zip(cls_x, cls_1mx, cls_1px), sets))
-    rows = _table_rows(w, range(height + 1), False, stop=False)
+    rows = _table_rows(w, range(height + 1), stop=False)
     assert all(_free_count(r) <= bound for r in rows)
 
 
@@ -325,9 +278,9 @@ def test_even_characteristic_has_no_bound():
     assert scans.ScanIndex(w).bound is None
 
 
-def test_saturated_block_reads_few_denominators(monkeypatch):
-    # work counted from the outside: the denominators block 4 draws from
-    # the stream before its table is full
+def _count_denominators(monkeypatch):
+    """Denominators drawn from the stream, per block, counted from the
+    outside."""
     import valdetect.scans as scans
     real = scans.ratfunc_denominators
     drawn = Counter()
@@ -338,11 +291,176 @@ def test_saturated_block_reads_few_denominators(monkeypatch):
             yield den
 
     monkeypatch.setattr(scans, "ratfunc_denominators", counted)
+    return drawn
+
+
+def test_saturated_block_reads_few_denominators(monkeypatch):
+    # with the closing block off, the sweep stops inside block 2, which
+    # has 57 denominators, and sweeps no later block
+    import valdetect.scans as scans
+    drawn = _count_denominators(monkeypatch)
+    monkeypatch.setattr(scans, "CLOSING_LIMIT", 0)
+    w = parse_window(parse_field("ratfunc(gf:7,u)"),
+                     "{ell=2,n=1,gens=[u,u-1]}")
+    idx = scans.ScanIndex(w).ensure(2)
+    assert idx.saturated()
+    assert 0 < drawn[2] < 57
+    idx.ensure(3)
+    assert idx.blocks[3] == [] and 3 not in drawn
+
+
+def test_closing_block_ends_block_one(monkeypatch):
+    # the sweep stops after block 1, whose closing entries follow the
+    # q + 1 = 8 swept denominators; later blocks are empty
+    import valdetect.scans as scans
+    drawn = _count_denominators(monkeypatch)
     w = parse_window(parse_field("ratfunc(gf:7,u)"),
                      "{ell=3,n=1,gens=[u,u-3]}")
     idx = scans.ScanIndex(w).ensure(4)
-    assert idx.saturated()
-    assert sum(1 for _ in real(w.model.ff, 4)) == 2801
-    assert 0 < drawn[4] < 500
-    idx.ensure(5)
-    assert idx.blocks[5] == [] and 5 not in drawn
+    assert idx.closes and idx.saturated()
+    assert dict(drawn) == {0: 1, 1: 8}
+    keys = [e.key for e in idx.blocks[1]]
+    assert keys == sorted(keys)
+    closing = [e for e in idx.blocks[1] if e.key[:2] == (1, 8)]
+    assert closing and [e.key[2] for e in closing] == \
+        list(range(len(closing)))
+    comps = [tuple(zip(e.cls_x, e.cls_1mx, e.cls_1px)) for e in closing]
+    assert comps == sorted(comps)
+    assert idx.blocks[2:] == [[], [], []]
+    assert len(index_triples(w, 4)) == idx.bound + 2 == 83
+
+
+def product_triples(window):
+    """The triples of K, from the components: the product of the local
+    sets, with those of x = 1 and x = -1."""
+    import valdetect.scans as scans
+    one = window.model.one()
+    two = window.classify(one + one)
+    out = {(window.zero_class(), None, two), (window.zero_class(), two, None)}
+    for comps in itertools.product(*scans.local_triple_sets(window)):
+        out.add(tuple(zip(*comps)))
+    return out
+
+
+# the windows of the CRT probe: place and const slots, n = 2, a degree-two
+# place, and an extension constant field
+PROBE_WINDOWS = [
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3]}"),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}"),
+    ("ratfunc(gf:7,u)", "{ell=3,n=2,gens=[u,u-3,const]}"),
+    ("ratfunc(gf:13,u)", "{ell=3,n=1,gens=[u,u-1,const]}"),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u^2+1]}"),
+    ("ratfunc(gf:9,u)", "{ell=2,n=1,gens=[u,u-1,const]}"),
+]
+
+
+@pytest.mark.parametrize("fspec,wspec", PROBE_WINDOWS)
+def test_every_product_witness_replays(fspec, wspec):
+    # one CRT witness per product triple, each replayed through
+    # fraction_class; the table from height 1 on is the product
+    import valdetect.scans as scans
+    w = parse_window(parse_field(fspec), wspec)
+    ff = w.model.ff
+    for comps in itertools.product(*scans.local_triple_sets(w)):
+        num, den = scans.local_witness(w, comps)
+        assert scans.fraction_triple(w, num, den) == tuple(zip(*comps)), \
+            comps
+        assert ff.poly_deg(num) <= 24 and ff.poly_deg(den) <= 24
+    assert index_triples(w, 1) == index_triples(w, 3) == product_triples(w)
+    assert scans.exhaustive_classes(w, 1)
+    assert not scans.exhaustive_classes(w, 0)
+
+
+def test_witnesses_where_every_degree_one_place_is_listed():
+    # F3 has no residue other than 0 and +-1, and on F5 with every
+    # degree-1 place listed the denominator is padded with a place of
+    # degree 2; a sample of the product, each witness replayed
+    import valdetect.scans as scans
+    for fspec, wspec in (
+            ("ratfunc(gf:3,u)", "{ell=2,n=2,gens=[u,u-1,u-2]}"),
+            ("ratfunc(gf:5,u)", "{ell=2,n=1,gens=[u,u-1,u-2,u-3,u-4,const]}")):
+        w = parse_window(parse_field(fspec), wspec)
+        product = list(itertools.product(*scans.local_triple_sets(w)))
+        for comps in random.Random(wspec).sample(product, 300):
+            num, den = scans.local_witness(w, comps)
+            assert scans.fraction_triple(w, num, den) == \
+                tuple(zip(*comps)), comps
+
+
+def test_closing_representatives_are_built_once_and_replay():
+    import valdetect.scans as scans
+    w = parse_window(parse_field("ratfunc(gf:7,u)"),
+                     "{ell=3,n=1,gens=[u,u-3,const]}")
+    one = w.model.one()
+    closing = [e for e in scan_index(w, 1).entries(1) if e.key[:2] == (1, 8)]
+    assert len(closing) > 300
+    for ent in closing:
+        x = ent.element()
+        assert ent.element() is x
+        assert (w.classify(x), w.classify(one - x), w.classify(one + x)) \
+            == (ent.cls_x, ent.cls_1mx, ent.cls_1px)
+    # a representative that does not replay raises instead of returning
+    bad = scans._witness_rep(w, ((1, 0, 0), (0, 0, 0), (0, 0, 0)),
+                             ((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(WitnessMismatch):
+        bad()
+
+
+def _direct_tables(w, chars, trips):
+    """Over the triples: whether each pair of characters satisfies
+    f(1-x)g(x) = f(x)g(1-x) for every x, and whether each character has
+    no x with f(x), f(1+x) and f(1+x) - f(x) all nonzero."""
+    mod = w.level.modulus
+    ends = sorted({(cx, cm) for cx, cm, _ in trips if cm is not None})
+    plus = sorted({(cx, cp) for cx, _, cp in trips if cp is not None})
+
+    def values(pairs, side):
+        return np.array([[f.evaluate_class(p[side]) for p in pairs]
+                         for f in chars], dtype=np.int64)
+
+    fx, fm = values(ends, 0), values(ends, 1)
+    pairs = {}
+    for i, f in enumerate(chars):
+        bad = (fm[i] * fx - fx[i] * fm) % mod
+        for j, g in enumerate(chars):
+            pairs[f, g] = not bad[j].any()
+    px, pp = values(plus, 0), values(plus, 1)
+    one_variable = [not ((a != 0) & (b != 0) & (a != b)).any()
+                    for a, b in zip(px, pp)]
+    return pairs, one_variable
+
+
+# windows whose verdicts are compared with the product's, with heights
+VERDICT_WINDOWS = [
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3]}"),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}"),
+    ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u^2+1]}"),
+    ("ratfunc(gf:9,u)", "{ell=2,n=1,gens=[u,u-1,const]}"),
+    ("ratfunc(gf:5,u)", "{ell=2,n=2,gens=[u,u-1,const]}"),
+]
+
+
+@pytest.mark.parametrize("fspec,wspec", VERDICT_WINDOWS)
+def test_verdicts_equal_those_over_the_product(fspec, wspec):
+    # valuative (one-variable), C-pair and C-group verdicts on the closed
+    # table against the same conditions over the product's components
+    from valdetect.characters import CharacterGroup
+    from valdetect.cpairs import c_group, c_pair_direct
+    from valdetect.rigid import _first_failures, valuative_members_mask
+    w = parse_window(parse_field(fspec), wspec)
+    chars = CharacterGroup.full(w).elements()
+    pairs, one_variable = _direct_tables(w, chars, product_triples(w))
+    for h in (1, 2):
+        for (f, g), ok in pairs.items():
+            v = c_pair_direct(f, g, h)
+            assert v.exact and v.holds() == ok
+        fails = _first_failures(w, [(f.values,) for f in chars], h)
+        assert [ent is None for ent in fails] == one_variable
+        if w.level.ell != 2:
+            assert valuative_members_mask(chars, h) == one_variable
+        for a, b in itertools.combinations(chars, 2):
+            group = CharacterGroup(w, (a, b))
+            members = group.elements()
+            v = c_group(group, h)
+            assert v.exact and v.holds() == all(
+                pairs[f, g] for f in members for g in members)
