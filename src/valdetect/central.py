@@ -423,9 +423,7 @@ def minimized_identity_check(handle, window, frame, omega, height=6) -> bool:
     from .characters import decomp_chars, inertia_chars
     iv = inertia_chars(handle, window)
     dv, _ = decomp_chars(handle, window, height)
-    ell, n = frame.level.ell, frame.level.n
     mod = frame.level.modulus
-    omega_val = None
     for tau in dv.elements():
         tval = tau.evaluate(omega)
         avals = [a for a in range(mod) if (2 * a - tval) % mod == 0]

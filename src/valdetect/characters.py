@@ -133,7 +133,7 @@ class Character:
 
     def order_exponent(self) -> int:
         """k with additive order l^k."""
-        ell, n = self.level.ell, self.level.n
+        ell = self.level.ell
         k = 0
         cur = self.values
         while any(cur):

@@ -263,7 +263,7 @@ def howell_form(rows, ell: int, e: int, ncols: int):
     # reduce entries above each pivot below that pivot's power of l
     for col, v, piv in result:
         pv = ell ** v
-        for col2, v2, other in result:
+        for _, _, other in result:
             if other is piv:
                 continue
             if other[col]:

@@ -86,8 +86,6 @@ def c_pair_ktheory(f: Character, g: Character, sp) -> Verdict:
         raise RankNotTwo(f"window has rank {w.rank}")
     if not quasi_independent(f, g):
         raise NotQuasiIndependent("characters are not quasi-independent")
-    n = w.level.n
-    ell = w.level.ell
     a, b = order_drop(f), order_drop(g)
     cval, wit = _k2_pair_drop(sp, f, g, a, b)
     if cval <= a + b:

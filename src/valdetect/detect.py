@@ -138,17 +138,17 @@ def _intermediate_level(n, N, notes):
     return M
 
 
-def _maximal_ideal_scan(model, units: UnitGroupApprox, height):
+def _maximal_ideal_scan(units: UnitGroupApprox, height):
     """Scanned elements of the maximal ideal of the detected valuation:
     non-units x whose 1+x is a unit, each as (x, cls 1+x), and the
-    VerificationSample of the scan.  Capped; the caps bound the
-    verification sample, not the detection itself.
+    VerificationSample of the scan over the stream of the window of
+    units.H.  Capped; the caps bound the verification sample, not the
+    detection itself.
 
     A unit lies in H, so is_unit is asked only of an h whose class lies in
-    H.  The stream is that of the window of units.H, whose field `model`
-    must be."""
+    H."""
     H = units.H
-    one = model.one()
+    one = H.window.model.one()
     out = []
     sample = VerificationSample(IDEAL_SAMPLES, MAX_SCANNED)
     for x, cls_x, cls_opx in sample.stream(H.window, height):
@@ -166,10 +166,10 @@ def _maximal_ideal_scan(model, units: UnitGroupApprox, height):
     return out, sample
 
 
-def _verify_decomposition(chars, model, units, height):
+def _verify_decomposition(chars, units, height):
     """All characters kill 1+x for scanned x in the maximal ideal; returns
     the verdict and the VerificationSample."""
-    ideal, sample = _maximal_ideal_scan(model, units, height)
+    ideal, sample = _maximal_ideal_scan(units, height)
     for _, cls in ideal:
         for ch in chars:
             if ch.evaluate_class(cls) != 0:
@@ -206,7 +206,7 @@ def _report(mode, inputs, D, I, units, N, height, notes, what, chars,
         inputs=inputs, inertia_labels=I.labels(), quotient_orders=orders,
         quotient_cyclic=len(orders) <= 1, branch=branch, notes=notes,
         units=units, detected_group=I)
-    checks = {what: _verify_decomposition(chars, w.model, units, height)
+    checks = {what: _verify_decomposition(chars, units, height)
               if chars else (True, VerificationSample(0, 0)),
               "I in I_v": _verify_inertia(I, units, height)}
     for key, (ok, sample) in checks.items():

@@ -682,8 +682,8 @@ class Window:
                     raise PreconditionViolated("place generator without a "
                                                "rational function bottom")
                 poly = g[1]
-                if poly[-1] != bottom.ff.one or \
-                        not bottom.ff.poly_is_irreducible(poly):
+                if not bottom.ff.poly_is_irreducible(poly) or \
+                        poly[-1] != bottom.ff.one:
                     raise PreconditionViolated(
                         "place generators must be monic irreducible")
             elif g[0] == CONST:

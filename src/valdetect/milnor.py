@@ -203,7 +203,6 @@ def tame_symbol(f, g, place: ValuationHandle, level) -> TameClass:
         raise ZeroElement("tame symbol of zero")
     vf = value_of(place, f)[0]
     vg = value_of(place, g)[0]
-    model = place.model
     val = (f ** vg) * (g ** (-vf))
     if (vf * vg) % 2:
         val = -val

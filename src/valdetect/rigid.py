@@ -21,18 +21,22 @@ position pair.  Other sums, such as h + x, are classified by
 `Window.classify_sum`, which reads the leading term of the sum without
 building it.
 
-The unit test of `UnitGroupApprox` decides h from its leading term c*t^e
-on a Laurent window, where e lies below the precision bound of h: for an
-exact monomial x, h + x leads with x, with h, or with (c + c_x)*t^e, so
-its class reads c*t^e and never the rest of h.  No x outside H cancels the
-lead of an h in H, since windows kill -1: -c*t^e has the class of h.  A
-verdict is therefore computed once per leading term, and is exact,
-because a class reads only leading terms.  The one-variable valuative
-condition is one matrix product of kernel rows with the scan table, shared
-by a single subgroup (`valuative_test`) and by the cyclic groups <f> of
-many members f at once (`valuative_members_mask`).
+The unit test of `UnitGroupApprox` decides an h in H with leading term
+c*t^e, e below its precision bound, on a Laurent window by one exponent
+interval.  Every row x is an exact monomial of exponent v(x):
+- for v(x) < e, h + x leads with x, so the row asks (1+x)/x in H;
+- for v(x) > e, h + x leads with h, whose class lies in H, so the row
+  asks 1+x in H.
+So the rows with v(x) != e pass iff hi <= e <= lo, with lo the least v(x)
+whose (1+x)/x lies outside H and hi the greatest v(x) whose 1+x lies
+outside H; only the ties v(x) = e are classified, once per leading term.
+
+The one-variable valuative condition is one matrix product of kernel rows
+with the scan table, shared by a single subgroup (`valuative_test`) and by
+the cyclic groups <f> of many members f at once (`valuative_members_mask`).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,65 +218,64 @@ class UnitGroupApprox:
     (1+x)/(h+x) lies in H; this is the unit-group characterization of the
     canonical valuation, evaluated against the stream at the given height.
 
-    The test is class-level.  The first `max_nonmembers` nonmembers x of the
-    classified stream are tabled once, in stream order, with cls x, cls 1+x,
-    the verdict cls(1+x) - cls(x) in H, and on a Laurent window the
-    exponent v(x) of x, an exact monomial c_x*t^v(x) like every stream
-    element.
-    There an h with leading term c*t^e, e below its precision bound, takes
-    the verdict of its leading term (e, c), computed once with the monomial
-    h0 = c*t^e:
-    - a row with v(x) < e leads h + x, so its stored verdict decides; a row
-      with v(x) > e leaves h in the lead, so cls(h + x) = cls h, and
-      cls(1+x) - cls h lies in H iff cls 1+x does, as h lies in H.  The
-      first of these rows that fails thus depends on e alone; it is
-      memoised per e, with the rows v(x) = e before it.
-    - a tie x = c_x*t^e gives h + x the leading term (c + c_x)*t^e, the
-      same as h0 + x.  No row cancels the lead of an h in H: windows kill
-      -1, so an x whose lead cancels that of h has the class of -h, which
-      is the class of h, and x lies in H with h.
-    This is exact, because a class reads only leading terms.  Every other h,
-    on a window that is not Laurent or with its leading exponent not below
-    its bound, goes through `Window.classify_sum` with every row.  Rows are
-    walked in stream order, so the verdicts and the exceptions raised are
-    those of classifying every h + x.
+    The test is class-level.  The first MAX_NONMEMBERS nonmembers x of the
+    classified stream are tabled once, in stream order, as rows (x, cls 1+x).
+    On a Laurent window each row is an exact monomial of exponent v(x), and
+    an h in H with leading term c*t^e, e below its precision bound, passes
+    every row with v(x) != e iff hi <= e <= lo, where lo is the least v(x)
+    with (1+x)/x outside H and hi the greatest v(x) with 1+x outside H:
+    - for v(x) < e, h + x leads with x, so the row asks (1+x)/x in H;
+    - for v(x) > e, h + x leads with h, whose class lies in H, so the row
+      asks 1+x in H.
+    A tie v(x) = e gives h + x the leading term of c*t^e + x, so the
+    verdict is one per leading term, and the ties are classified against
+    that monomial.  No tie cancels the lead of an h in H: windows kill -1,
+    so such an x has the class of -h, which is that of h, and lies in H.
+    This is exact, because a class reads only leading terms.  Every other
+    h, off a Laurent window or with no known leading term, classifies h + x
+    for every row in stream order, so its verdict and the exception it may
+    raise are those of the definition.
     """
 
     MAX_NONMEMBERS = 400
 
-    def __init__(self, H: MultSubgroup, height: int,
-                 max_nonmembers: int = MAX_NONMEMBERS):
+    def __init__(self, H: MultSubgroup, height: int):
         self.H = H
         self.height = height
-        self.max_nonmembers = max_nonmembers
-        self._rows = None
+        self._tab = None
         self._capped = False
-        # verdict per leading term (e, c) of an h the lead rule decides, and
+        # verdict per leading term (e, c) of an h the interval decides, and
         # per h.data of any other h; an exponent e is never a tuple, so the
         # two kinds of key never meet
         self._memo = {}
-        self._stops = {}    # e -> (first failing row v(x) != e, tie rows)
 
     def _table(self):
-        """The scanned nonmembers x of H in stream order, up to
-        `max_nonmembers` of them, as rows (x, v(x), cls x, cls 1+x,
-        cls(1+x) - cls(x) in H); v(x) is None off a Laurent window.  The
-        zero class lies in H, so x = -1 is never a row."""
-        if self._rows is None:
-            w = self.H.window
+        """(rows, hi, lo, ties): the scanned nonmembers x of H in stream
+        order, up to MAX_NONMEMBERS of them, as rows (x, cls 1+x), and on a
+        Laurent window the bounds hi and lo and the rows per exponent v(x);
+        off it, hi and lo stay infinite and ties empty.  The zero class lies
+        in H, so x = -1 is never a row."""
+        if self._tab is None:
+            H, w = self.H, self.H.window
             laurent = w.model.kind == "laurent"
-            rows = []
+            rows, ties = [], {}
+            hi, lo = -math.inf, math.inf
             for x, cls_x, cls_opx in classified_stream(w, self.height):
-                if cls_x is None or self.H.contains_class(cls_x):
+                if cls_x is None or H.contains_class(cls_x):
                     continue
-                if len(rows) == self.max_nonmembers:
+                if len(rows) == self.MAX_NONMEMBERS:
                     self._capped = True  # this nonmember is left out
                     break
-                ok = self.H.contains_class(w.class_sub(cls_opx, cls_x))
-                rows.append((x, x.data[0][0][0] if laurent else None,
-                             cls_x, cls_opx, ok))
-            self._rows = rows
-        return self._rows
+                rows.append((x, cls_opx))
+                if laurent:
+                    v = x.data[0][0][0]
+                    ties.setdefault(v, []).append(rows[-1])
+                    if not H.contains_class(w.class_sub(cls_opx, cls_x)):
+                        lo = min(lo, v)
+                    if not H.contains_class(cls_opx):
+                        hi = max(hi, v)
+            self._tab = rows, hi, lo, ties
+        return self._tab
 
     def is_unit(self, h, cls_h=None) -> bool:
         """Whether h passes the unit test; `cls_h`, the window class of a
@@ -285,64 +288,37 @@ class UnitGroupApprox:
         key = h.data if lead is None else lead
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = (self._by_walk(h, cls_h) if lead is None
-                                     else self._by_lead(*lead, cls_h))
+            got = self._memo[key] = self._verdict(h, lead, cls_h)
         return got
 
-    def _by_walk(self, h, cls_h) -> bool:
-        """The verdict of h from classifying h + x for every row x."""
+    def _verdict(self, h, lead, cls_h) -> bool:
+        """Whether h is a unit.  With a leading term (e, c), the monomial
+        c*t^e stands in for h, as it has the class of h and the leading
+        term of each sum with a row: it must lie in H, e in [hi, lo], and
+        the rows v(x) = e must pass.  Without one, h must be nonzero, lie
+        in H and pass every row."""
+        w = self.H.window
+        if lead is not None:
+            h = w.model.elt(((lead,), None))
         if h.is_zero() or not (self.H.contains(h) if cls_h is None
                                else self.H.contains_class(cls_h)):
             return False
-        return self._first_failure(h, range(len(self._table()))) is None
-
-    def _by_lead(self, e, c, cls_h) -> bool:
-        """The verdict shared by every h with leading term c*t^e below its
-        bound: that of the monomial h0 = c*t^e, whose class is that of h."""
-        h0 = self.H.window.model.elt((((e, c),), None))
-        if not (self.H.contains(h0) if cls_h is None
-                else self.H.contains_class(cls_h)):
-            return False
-        got = self._stops.get(e)
-        if got is None:
-            got = self._stops[e] = self._nontie_stop(e)
-        stop, ties = got
-        return (stop == len(self._table())
-                and self._first_failure(h0, ties) is None)
-
-    def _nontie_stop(self, e):
-        """(index of the first row with v(x) != e that fails for an h in H
-        of leading exponent e, or the number of rows; the rows before it
-        with v(x) = e)."""
-        ties = []
-        for i, (_, exp, _, cls_opx, ok) in enumerate(self._table()):
-            if exp < e:             # h + x leads with x
-                if not ok:
-                    return i, ties
-            elif exp == e:
-                ties.append(i)
-            elif not self.H.contains_class(cls_opx):   # h + x leads with h
-                return i, ties
-        return len(self._rows), ties
-
-    def _first_failure(self, h, indices):
-        """The first of the row indices (ascending) whose x has
-        cls(1+x) - cls(h+x) outside H, or None."""
-        w = self.H.window
-        for i in indices:
-            x, _, _, cls_opx, _ = self._rows[i]
-            # 1+x = h+x mod H, tested on classes (quotients never materialize)
-            cls_hx = w.classify_sum(h, x)
-            if not self.H.contains_class(w.class_sub(cls_opx, cls_hx)):
-                return i
-        return None
+        rows, hi, lo, ties = self._table()
+        if lead is not None:
+            if not hi <= lead[0] <= lo:
+                return False
+            rows = ties.get(lead[0], ())
+        # 1+x = h+x mod H, tested on classes (quotients never materialize)
+        return all(self.H.contains_class(
+                       w.class_sub(cls_opx, w.classify_sum(h, x)))
+                   for x, cls_opx in rows)
 
     def payload(self):
         """`nonmembers_capped`: the stream at this height holds more than
-        `max_nonmembers` nonmembers, and the test used only the first ones."""
+        MAX_NONMEMBERS nonmembers, and the test used only the first ones."""
         return {"height": self.height, "subgroup": self.H.describe(),
-                "scanned_nonmembers": len(self._table()),
-                "max_nonmembers": self.max_nonmembers,
+                "scanned_nonmembers": len(self._table()[0]),
+                "max_nonmembers": self.MAX_NONMEMBERS,
                 "nonmembers_capped": self._capped}
 
 

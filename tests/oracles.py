@@ -350,10 +350,11 @@ def pair_failure_by_products(H, height):
     return None
 
 
-def maximal_ideal_scan_by_elements(model, units, height):
+def maximal_ideal_scan_by_elements(units, height):
     """detect._maximal_ideal_scan with is_unit asked of every nonzero x and
     of the built 1+x: the ideal elements x and the VerificationSample,
     under the same caps."""
+    model = units.H.window.model
     one = model.one()
     out = []
     sample = detect.VerificationSample(detect.IDEAL_SAMPLES,

@@ -307,6 +307,15 @@ _WINDOW_ARGS = ("--window", "{ell=3,n=1,gens=[const]}")
     (("detect", "--field", "laurent(gf:7,t)",
       "--window", "{ell=3,n=1,gens=[t,const]}", "--mode", "cgroup",
       "--level", "1", "--lift-level", "0"), "precondition-violated"),
+    # place generators that are zero in F7[u]
+    (("window", "--field", "ratfunc(gf:7,u)",
+      "--window", "{ell=3,n=1,gens=[0]}"), "precondition-violated"),
+    (("window", "--field", "ratfunc(gf:7,u)",
+      "--window", "{ell=3,n=1,gens=[7]}"), "precondition-violated"),
+    (("window", "--field", "ratfunc(gf:7,u)",
+      "--window", "{ell=3,n=1,gens=[u-u]}"), "precondition-violated"),
+    (("window", "--field", "laurent(ratfunc(gf:7,u),t)",
+      "--window", "{ell=3,n=1,gens=[0]}"), "precondition-violated"),
 ])
 def test_malformed_input_is_an_error_payload(capsys, argv, code):
     exit_code, err = _error_payload(capsys, *argv)

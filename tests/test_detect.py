@@ -329,17 +329,17 @@ def _capped(monkeypatch, scan, *args, **caps):
 
 def test_verification_caps_report_whether_hit(w_tsc, monkeypatch):
     rep = detect_from_cgroup(CharacterGroup.full(w_tsc), 1, 8)
-    model, units, I = w_tsc.model, rep.units, rep.detected_group
-    _, sample = _capped(monkeypatch, _maximal_ideal_scan, model, units, 4,
+    units, I = rep.units, rep.detected_group
+    _, sample = _capped(monkeypatch, _maximal_ideal_scan, units, 4,
                         IDEAL_SAMPLES=3)
     assert (sample.samples, sample.samples_capped) == (3, True)
     assert not sample.scanned_capped
-    _, sample = _capped(monkeypatch, _maximal_ideal_scan, model, units, 4,
+    _, sample = _capped(monkeypatch, _maximal_ideal_scan, units, 4,
                         MAX_SCANNED=10)
     assert (sample.scanned, sample.scanned_capped) == (10, True)
     assert not sample.samples_capped
-    ideal, sample = _capped(monkeypatch, _maximal_ideal_scan, model, units,
-                            4, IDEAL_SAMPLES=10_000, MAX_SCANNED=10_000)
+    ideal, sample = _capped(monkeypatch, _maximal_ideal_scan, units, 4,
+                            IDEAL_SAMPLES=10_000, MAX_SCANNED=10_000)
     assert not sample.samples_capped and not sample.scanned_capped
     assert sample.samples == len(ideal) > 0
     ok, sample = _capped(monkeypatch, _verify_inertia, I, units, 4,

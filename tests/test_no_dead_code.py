@@ -10,8 +10,9 @@ method that overrides an attribute of a base class is used by that base.
 Dunders are called by Python itself and are skipped.
 
 Every name a module of src/valdetect imports is used in that module, as a
-name or inside a string constant (an annotation or an __all__ entry), and
-every function the bench tracer wraps by name still exists.
+name or inside a string constant (an annotation or an __all__ entry), every
+local name a function there assigns is read in that function, and every
+function the bench tracer wraps by name still exists.
 """
 
 import ast
@@ -125,6 +126,36 @@ def unused_imports():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def unread_locals():
+    """file:line function.name of every name a function of src/valdetect
+    assigns (an augmented assignment included) and never reads in its body,
+    nested functions included.  Names declared global or nonlocal are
+    exempt, and so are `_`-prefixed ones, which mark a value left unread."""
+    out = []
+    for path in sorted((ROOT / "src" / "valdetect").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCS):
+                continue
+            stored, read = {}, set()
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    read.update(node.names)
+                elif isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Store):
+                        stored.setdefault(node.id, node.lineno)
+                    elif isinstance(node.ctx, ast.Load):
+                        read.add(node.id)
+            out += [f"{path.name}:{line} {fn.name}.{name}"
+                    for name, line in stored.items()
+                    if name not in read and not name.startswith("_")]
+    return sorted(out)
+
+
+def test_every_local_is_read():
+    assert unread_locals() == []
 
 
 def _traced_names():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -269,7 +270,7 @@ def _is_unit_by_elements(units, h):
     if h.is_zero() or not H.contains(h):
         return False
     one = w.model.one()
-    for x, *_ in units._table():
+    for x, _ in units._table()[0]:
         hx, opx = h + x, one + x
         if hx.is_zero() or opx.is_zero():
             continue
@@ -335,19 +336,20 @@ def test_contains_class_memo_matches_fresh(w_t_c, w_tsc, w_tuu3):
         assert hash(H) == hash(MultSubgroup(rows))
 
 
-def test_unit_group_payload_reports_nonmember_cap(w_tsc):
+def test_unit_group_payload_reports_nonmember_cap(w_tsc, monkeypatch):
     H = _kernel(w_tsc, ["t", "s"])
-    small = UnitGroupApprox(H, 4, max_nonmembers=5)
-    p = small.payload()
+    monkeypatch.setattr(UnitGroupApprox, "MAX_NONMEMBERS", 5)
+    p = UnitGroupApprox(H, 4).payload()
     assert (p["scanned_nonmembers"], p["max_nonmembers"]) == (5, 5)
     assert p["nonmembers_capped"] is True
-    large = UnitGroupApprox(H, 4, max_nonmembers=10_000)
-    p = large.payload()
+    monkeypatch.setattr(UnitGroupApprox, "MAX_NONMEMBERS", 10_000)
+    p = UnitGroupApprox(H, 4).payload()
     assert p["scanned_nonmembers"] < 10_000
     assert p["nonmembers_capped"] is False
     # a cap equal to the number of nonmembers leaves none out
-    exact = UnitGroupApprox(H, 4, max_nonmembers=p["scanned_nonmembers"])
-    assert exact.payload()["nonmembers_capped"] is False
+    monkeypatch.setattr(UnitGroupApprox, "MAX_NONMEMBERS",
+                        p["scanned_nonmembers"])
+    assert UnitGroupApprox(H, 4).payload()["nonmembers_capped"] is False
 
 
 def _outcome(fn, h):
@@ -364,6 +366,32 @@ def _inexact(m, data):
         return False
     coeffs, bound = data
     return bound is not None or any(_inexact(m.base, c) for _, c in coeffs)
+
+
+# members of H taken per leading exponent at the edges of the interval
+EDGE_MEMBERS = 12
+
+
+def _interval_edges(units):
+    """h in H leading at the exponents hi - 1, hi, lo and lo + 1 of the
+    interval of `units`, where those bounds are finite: for the first
+    EDGE_MEMBERS monomials c*t^e of H, c from the base stream, c*t^e
+    itself, c*t^e*(1+t), and c*t^e/(1-t), known only to a precision
+    bound."""
+    H = units.H
+    m = H.window.model
+    if m.kind != "laurent":
+        return []
+    _, hi, lo, _ = units._table()
+    t = parse_element(m, "t")
+    tails = [m.one(), parse_element(m, "1+t"), parse_element(m, "1/(1-t)")]
+    cs = [c for c in capped_stream(m.base, 2) if not c.is_zero()]
+    out = []
+    for e in sorted({hi - 1, hi, lo, lo + 1} - {math.inf, -math.inf}):
+        heads = [h for h in (m.elt((((0, c.data),), None)) * t ** e
+                             for c in cs) if H.contains(h)]
+        out += [h * y for h in heads[:EDGE_MEMBERS] for y in tails]
+    return out
 
 
 # (field, window, kernel labels, height, bounded series, exact h and
@@ -386,6 +414,10 @@ LEAD_CASES = [
      ["t", "s"], 2, ["1/(1-s)", "t^2/(1+s*t)"], (80, 30), True),
     ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", ["u"], 2,
      [], (120, 0), False),
+    # some members of H at hi - 1 = -1 and at lo + 1 = 1 pass every tie,
+    # so the interval alone rejects them
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", ["s"], 1,
+     ["1/(1-s)", "t/(1+s*t)"], (80, 30), True),
 ]
 
 
@@ -404,6 +436,11 @@ def test_is_unit_leading_exponent_rule_matches_reference(
     bounded = [b * y for b in series for y in stream[1:]]
     hs = (rng.sample(exact, min(sample[0], len(exact))) + series
           + rng.sample(bounded, min(sample[1], len(bounded))))
+    edges = _interval_edges(units)
+    # on ker t of F7((t)) no member of H leads at hi - 1, hi = -1, lo = 1
+    # or lo + 1: members have t-exponent 0 mod 3
+    assert edges or m.kind != "laurent" or labels == ["t"]
+    hs += edges
     got = [_outcome(units.is_unit, h) for h in hs]
     assert got == [_outcome(lambda h: _is_unit_by_elements(units, h), h)
                    for h in hs]
@@ -411,12 +448,13 @@ def test_is_unit_leading_exponent_rule_matches_reference(
     # windows kill -1, so -1 is never a row, and -x has the class of x: no
     # row cancels the lead of an h in H
     assert w.classify(-m.one()) == w.zero_class()
-    assert all(w.classify(-x) == cls_x for x, _, cls_x, *_ in units._table())
+    rows = units._table()[0]
+    assert all(w.classify(-x) == w.classify(x) for x, _ in rows)
     if m.kind != "laurent":
         return
     # the sample takes every branch of the rule: x leads, h leads, a tie,
     # and h known only to a precision bound
-    exps = [exp for _, exp, *_ in units._table()]
+    exps = [x.data[0][0][0] for x, _ in rows]
     seen = set()
     for h in hs:
         if h.is_zero() or not H.contains(h):
@@ -449,7 +487,7 @@ def test_is_unit_cancel_row_as_reference(w_t_c, w_tsc):
     for w, labels in ((w_t_c, ["t"]), (w_tsc, ["t"]), (w_tsc, ["t", "s"])):
         m = w.model
         units = UnitGroupApprox(_kernel(w, labels), 2)
-        rows = units._table()
+        rows, *_ = units._table()
         assert rows
         tails = [parse_element(m, "1+t"), parse_element(m, "1/(1-t)")]
         pairs = [(x, -x * y) for x, *_ in rows for y in tails]

@@ -84,14 +84,14 @@ def test_stream_classes_match_classify(fspec, wspec, height):
     assert len(index_of(w).stream_classes) == len(rows)
 
 
-def _ideal_scans_agree(model, units, height):
-    ideal, sample = _maximal_ideal_scan(model, units, height)
-    want, want_sample = maximal_ideal_scan_by_elements(model, units, height)
+def _ideal_scans_agree(units, height):
+    ideal, sample = _maximal_ideal_scan(units, height)
+    want, want_sample = maximal_ideal_scan_by_elements(units, height)
     assert [format_element(x) for x, _ in ideal] == \
         [format_element(x) for x in want]
     assert asdict(sample) == asdict(want_sample)
     w = units.H.window
-    assert all(cls == w.classify(model.one() + x) for x, cls in ideal)
+    assert all(cls == w.classify(w.model.one() + x) for x, cls in ideal)
     return ideal, sample
 
 
@@ -110,17 +110,17 @@ def test_ideal_scan_matches_element_oracle(fspec, wspec, height,
     w = parse_window(parse_field(fspec), wspec)
     for labels in (w.gen_label(0),), (w.gen_label(0), w.gen_label(1)):
         units = _units(w, labels, height)
-        ideal, _ = _ideal_scans_agree(w.model, units, height)
+        ideal, _ = _ideal_scans_agree(units, height)
         assert ideal
     # with a small sample cap, the caps stop both scans at the same place
     monkeypatch.setattr(detect, "IDEAL_SAMPLES", 5)
-    _, sample = _ideal_scans_agree(w.model, units, height)
+    _, sample = _ideal_scans_agree(units, height)
     assert sample.samples_capped
 
 
 def test_ideal_scan_matches_element_oracle_off_laurent(w_u_u3):
     # the u-adic valuation of F7(u)
-    ideal, _ = _ideal_scans_agree(w_u_u3.model, _units(w_u_u3, ("u",), 2), 2)
+    ideal, _ = _ideal_scans_agree(_units(w_u_u3, ("u",), 2), 2)
     assert ideal
 
 
