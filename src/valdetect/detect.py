@@ -10,11 +10,13 @@ says whether a cap stopped it.  The three pipelines end in one call that
 reads the window, level, inertia labels and quotient orders off the detected
 pair I <= D and runs both sample checks.
 
-Both samples walk `rigid.classified_stream`, the one classified element
-stream of the window, which the unit table of the found valuation and the
-l = 2 pair clause also read: each element comes with cls x and cls 1+x,
-classified once per window.  A unit lies in H, so `is_unit` is asked only
-of an element whose class lies in H.
+Both samples walk `ScanIndex.stream`, the one element stream of the
+window, which the unit table of the found valuation and the l = 2 pair
+clause also read: each position comes with cls x and cls 1+x, and its
+element is built only when `is_unit` is asked of it or a sample keeps it.
+A unit lies in H, so `is_unit` is asked only of an element whose class
+lies in H; the ideal scan asks it of the leading monomial of 1 + x
+(`ScanIndex.one_plus`), which has the verdict of 1 + x.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -45,11 +47,11 @@ from .rigid import (
     MultSubgroup,
     UnitGroupApprox,
     canonical_valuation,
-    classified_stream,
     comparable,
     rigid_complement,
     valuative_members_mask,
 )
+from .scans import index_of
 
 
 @dataclass
@@ -65,11 +67,11 @@ class VerificationSample:
     samples_capped: bool = False
     scanned_capped: bool = False
 
-    def stream(self, window, height):
-        """`rigid.classified_stream` rows (x, cls x, cls 1+x), counted,
-        up to the first cap that is hit; the caller counts the samples it
+    def stream(self, index, height):
+        """`ScanIndex.stream` rows ((cls x, cls 1+x), src), counted, up to
+        the first cap that is hit; the caller counts the samples it
         takes."""
-        for row in classified_stream(window, height):
+        for row in index.stream(height):
             if self.scanned == self.max_scanned:
                 self.scanned_capped = True
                 return
@@ -148,20 +150,19 @@ def _maximal_ideal_scan(units: UnitGroupApprox, height):
     A unit lies in H, so is_unit is asked only of an h whose class lies in
     H."""
     H = units.H
-    one = H.window.model.one()
+    index = index_of(H.window)
     out = []
     sample = VerificationSample(IDEAL_SAMPLES, MAX_SCANNED)
-    for x, cls_x, cls_opx in sample.stream(H.window, height):
-        # skip x = 0, x = -1 (1+x = 0) and the units x
-        if cls_x is None or cls_opx is None:
+    for (cls_x, cls_opx), src in sample.stream(index, height):
+        # skip x = 0, x = -1 (1+x = 0), the x with 1+x outside H (no unit)
+        # and the units x
+        if cls_x is None or cls_opx is None or not H.contains_class(cls_opx):
             continue
-        if H.contains_class(cls_x) and units.is_unit(x, cls_x):
+        if H.contains_class(cls_x) and \
+                units.is_unit(index.element(src), cls_x):
             continue
-        if not H.contains_class(cls_opx):
-            continue
-        opx = one + x
-        if units.is_unit(opx, cls_opx):
-            out.append((x, cls_opx))
+        if units.is_unit(index.one_plus(src), cls_opx):
+            out.append((index.element(src), cls_opx))
             sample.samples += 1
     return out, sample
 
@@ -182,10 +183,11 @@ def _verify_inertia(group: CharacterGroup, units, height):
     VerificationSample."""
     w = group.window
     members = [Character(w, r) for r in group.howell()]
+    index = index_of(w)
     sample = VerificationSample(INERTIA_SAMPLES, MAX_SCANNED)
-    for x, cls, _ in sample.stream(w, height):
+    for (cls, _), src in sample.stream(index, height):
         if cls is None or not units.H.contains_class(cls) \
-                or not units.is_unit(x, cls):
+                or not units.is_unit(index.element(src), cls):
             continue
         if not all(f.evaluate_class(cls) == 0 for f in members):
             return False, sample

@@ -792,20 +792,6 @@ class Window:
             return None
         return self.classify_decomposed(*lead)
 
-    def classify_one_plus(self, x: Elt, cls_x):
-        """classify_sum(1, x) for a nonzero x of class cls_x.
-
-        On a Laurent window x leads with c*t^e, and a class reads only
-        leading terms: 1 + x leads with 1 for e > 0, so its class is zero,
-        and with c*t^e for e < 0, so its class is cls_x."""
-        if self.model.kind == "laurent":
-            e = x.data[0][0][0]
-            if e > 0:
-                return self.zero_class()
-            if e < 0:
-                return cls_x
-        return self.classify_sum(self.model.one(), x)
-
     def classify_decomposed(self, exps, bot):
         """Class of prod(t^exps[t]) * bot for a nonzero bottom element bot."""
         if bot.model.kind == "finite":
@@ -928,15 +914,9 @@ def enumerate_blocks(model, height, ratfunc_cap=None):
     of one another.  With `ratfunc_cap`, rational-function blocks above the
     cap are empty, at every level of a tower.
     """
-    if model.kind == "finite":
-        yield [model.elt(c) for c in model.ff.elements()]
-        for _ in range(1, height + 1):
-            yield []
-        return
-    if model.kind == "ratfunc":
+    if model.kind != "laurent":
         for s in range(height + 1):
-            capped = ratfunc_cap is not None and s > ratfunc_cap
-            yield [] if capped else list(_ratfunc_block(model, s))
+            yield bottom_block(model, s, ratfunc_cap)
         return
     # laurent: x = c * t^e with c from the residue stream, max(|e|, block(c)) = s
     res_blocks = []
@@ -949,6 +929,16 @@ def enumerate_blocks(model, height, ratfunc_cap=None):
                 if not c.is_zero():
                     out.extend(model.elt((((e, c.data),), None)) for e in es)
         yield out
+
+
+def bottom_block(model, s, ratfunc_cap=None):
+    """Block s of the stream of a finite or rational-function model, as a
+    list; every finite element sits in block 0."""
+    if model.kind == "finite":
+        return [model.elt(c) for c in model.ff.elements()] if s == 0 else []
+    if ratfunc_cap is not None and s > ratfunc_cap:
+        return []
+    return list(_ratfunc_block(model, s))
 
 
 def laurent_exponents(s, sc):

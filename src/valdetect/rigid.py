@@ -12,24 +12,13 @@ witness x, or a witness pair (x, y) for the l = 2 two-variable condition.
 The tests are class-level: membership in H depends only on the class in the
 window, and each H memoises its verdict per class.  Every element walk (the
 unit table of `UnitGroupApprox`, the l = 2 pair clause, and both
-verification samples of `detect`) reads one classified stream,
-`classified_stream`: the capped element stream zipped with the class list
-that the window's ScanIndex keeps, cls x and cls 1+x per position.  A
-position is classified once per window, for every height and every
-subgroup, and the pair clause's cls(1 + x_i(1 + x_j)) is kept there per
-position pair.  Other sums, such as h + x, are classified by
-`Window.classify_sum`, which reads the leading term of the sum without
-building it.
-
-The unit test of `UnitGroupApprox` decides an h in H with leading term
-c*t^e, e below its precision bound, on a Laurent window by one exponent
-interval.  Every row x is an exact monomial of exponent v(x):
-- for v(x) < e, h + x leads with x, so the row asks (1+x)/x in H;
-- for v(x) > e, h + x leads with h, whose class lies in H, so the row
-  asks 1+x in H.
-So the rows with v(x) != e pass iff hi <= e <= lo, with lo the least v(x)
-whose (1+x)/x lies outside H and hi the greatest v(x) whose 1+x lies
-outside H; only the ties v(x) = e are classified, once per leading term.
+verification samples of `detect`) reads `ScanIndex.stream`, the window's
+class list with a source per position, and builds an element only where
+it keeps or tests one.  The pair clause's cls(1 + x_i(1 + x_j)) comes from
+exponents (`ScanIndex.pair_class`) and is kept per position pair.  Other
+sums, such as h + x, are classified by `Window.classify_sum`, which reads
+the leading term of the sum without building it.  On a Laurent window the
+unit test decides an h in H by one exponent interval (`UnitGroupApprox`).
 
 The one-variable valuative condition is one matrix product of kernel rows
 with the scan table, shared by a single subgroup (`valuative_test`) and by
@@ -49,7 +38,7 @@ from .coeffmod import (
 )
 from .errors import LevelMismatch, MainClaimViolated, NotValuative
 from .characters import Character, CharacterGroup
-from .fields import Window, enumerate_blocks
+from .fields import Window
 from .scans import Verdict, exhaustive_classes, index_of, scan_index
 
 
@@ -89,27 +78,8 @@ NO_VIOLATION = "NoViolationUpTo"
 VIOLATION = "Violation"
 
 
-# element-level scans (unit predicates, pair conditions) walk real elements,
-# not class tables, so rational-function levels get a lower degree cap
-ELEMENT_RATFUNC_CAP = 1
-
 # height cap of the l = 2 two-variable scan, which walks element pairs
 PAIR_HEIGHT_CAP = 2
-
-
-def capped_stream(model, height):
-    return (x for blk in enumerate_blocks(model, height, ELEMENT_RATFUNC_CAP)
-            for x in blk)
-
-
-def classified_stream(w: Window, height: int):
-    """(x, cls x, cls 1+x) for the elements x of
-    capped_stream(w.model, height); cls x is None for x = 0, cls 1+x for
-    x = -1.  The classes come from the list on the window's ScanIndex,
-    which classifies each position once for walks at every height."""
-    index = index_of(w)
-    for i, x in enumerate(capped_stream(w.model, height)):
-        yield (x, *index.stream_row(i, x))
 
 
 # kernels per product in _first_failures: bounds the temporaries at
@@ -150,17 +120,18 @@ def _pair_failure(H: MultSubgroup, height: int):
     and 1+y in H, that has 1+x(1+y) outside H, or None (l = 2 only).
 
     The class of 1+x_i(1+x_j) does not depend on H, so the window's
-    ScanIndex keeps it per position pair (i, j), and the product is built
-    once per pair for every subgroup of the window."""
+    ScanIndex keeps it per position pair (i, j) for every subgroup of the
+    window (`ScanIndex.pair_class`)."""
     w = H.window
-    qualifying = [(i, x) for i, (x, cls_x, cls_opx) in enumerate(
-                      classified_stream(w, min(height, PAIR_HEIGHT_CAP)))
+    index = index_of(w)
+    qualifying = [(i, index.element(src), cls_x, cls_opx)
+                  for i, ((cls_x, cls_opx), src) in enumerate(
+                      index.stream(min(height, PAIR_HEIGHT_CAP)))
                   if cls_x is not None and not H.contains_class(cls_x)
                   and cls_opx is not None and H.contains_class(cls_opx)]
-    index = index_of(w)
-    for i, x in qualifying:
-        for j, y in qualifying:
-            cls_probe = index.pair_class(i, j, x, y)
+    for i, x, cls_x, _ in qualifying:
+        for j, y, _, cls_opy in qualifying:
+            cls_probe = index.pair_class(i, j, x, cls_x, y, cls_opy)
             if cls_probe is not None and not H.contains_class(cls_probe):
                 return x, y
     return None
@@ -219,7 +190,7 @@ class UnitGroupApprox:
     canonical valuation, evaluated against the stream at the given height.
 
     The test is class-level.  The first MAX_NONMEMBERS nonmembers x of the
-    classified stream are tabled once, in stream order, as rows (x, cls 1+x).
+    window's stream are tabled once, in stream order, as rows (x, cls 1+x).
     On a Laurent window each row is an exact monomial of exponent v(x), and
     an h in H with leading term c*t^e, e below its precision bound, passes
     every row with v(x) != e iff hi <= e <= lo, where lo is the least v(x)
@@ -258,17 +229,18 @@ class UnitGroupApprox:
         if self._tab is None:
             H, w = self.H, self.H.window
             laurent = w.model.kind == "laurent"
+            index = index_of(w)
             rows, ties = [], {}
             hi, lo = -math.inf, math.inf
-            for x, cls_x, cls_opx in classified_stream(w, self.height):
+            for (cls_x, cls_opx), src in index.stream(self.height):
                 if cls_x is None or H.contains_class(cls_x):
                     continue
                 if len(rows) == self.MAX_NONMEMBERS:
                     self._capped = True  # this nonmember is left out
                     break
-                rows.append((x, cls_opx))
+                rows.append((index.element(src), cls_opx))
                 if laurent:
-                    v = x.data[0][0][0]
+                    v = src[0]  # x = c*t^v
                     ties.setdefault(v, []).append(rows[-1])
                     if not H.contains_class(w.class_sub(cls_opx, cls_x)):
                         lo = min(lo, v)

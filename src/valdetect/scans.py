@@ -43,11 +43,15 @@ A window has few distinct wedges (26 against 1,136 triples on F7(u) with
 height 9), so those scans run over the wedge list.
 
 A window's ScanIndex owns its memos: the triple table, the wedge list, and
-the classes of the element stream that the rigid and detect walks read
-(`rigid.classified_stream`).  Every class comes from the index's Window
-(`Window.fraction_class`), which memoises per-polynomial class data.  The
-indexes live for the process in one dict keyed by window, so later
-commands reuse the tables and that memo.
+cls x and cls 1+x per position of the element stream that the rigid and
+detect walks read (`ScanIndex.stream`).  A bottom window classifies its
+elements; a Laurent window derives its list from its base window's by the
+same rule as the table, with no element built.  A walk builds an element
+only where it keeps one (`ScanIndex.element`), and the l = 2 probe
+cls(1 + x(1 + y)) also comes from exponents.  Every class comes from the
+index's Window (`Window.fraction_class`), which memoises per-polynomial
+class data.  The indexes live for the process in one dict keyed by
+window, so later commands reuse the tables and that memo.
 """
 
 import itertools
@@ -60,6 +64,7 @@ from .errors import PreconditionViolated, WitnessMismatch
 from .fields import (
     CONST,
     Window,
+    bottom_block,
     format_element,
     laurent_exponents,
     ratfunc_denominators,
@@ -103,44 +108,167 @@ class ScanIndex:
         self.bound = (None if self.local_sets is None
                       else math.prod(map(len, self.local_sets)))
         self.closes = self.bound is not None and self.bound <= CLOSING_LIMIT
-        # the element stream of rigid.capped_stream, classes only: one
-        # (cls x, cls 1+x) per position, and cls(1 + x_i(1 + x_j)) per
-        # position pair (i, j) of the l = 2 clause; each class is one
-        # interned tuple, and only stream_row and pair_class write them
-        self.stream_classes = []
+        # the element stream of the rigid and detect walks, classes only:
+        # stream_blocks[s] holds (cls x, cls 1+x) per position of stream
+        # block s, and pair_classes cls(1 + x_i(1 + x_j)) per position pair
+        # (i, j) of the l = 2 clause; each class is one interned tuple
+        self.stream_blocks = []
         self.pair_classes = {}
         self._interned = {}
+        self._base = None         # base_window()'s index, once read
 
     def _intern(self, cls):
         return None if cls is None else self._interned.setdefault(cls, cls)
 
-    def stream_row(self, i, x):
-        """(cls x, cls 1+x) of the element x at position i of the capped
-        stream, classified when i is the first unclassified position; cls x
-        is None for x = 0, cls 1+x for x = -1.  The capped stream at a
-        height is a prefix of the stream at every larger one, so the list
-        serves walks at every height."""
-        rows = self.stream_classes
-        if i == len(rows):
-            w = self.window
-            if x.is_zero():
-                row = None, w.zero_class()
-            else:
-                cls_x = w.classify(x)
-                row = cls_x, w.classify_one_plus(x, cls_x)
-            rows.append(tuple(map(self._intern, row)))
-        return rows[i]
+    def _base_index(self):
+        if self._base is None:
+            self._base = index_of(self.window.base_window())
+        return self._base
 
-    def pair_class(self, i, j, x, y):
-        """cls(1 + x(1 + y)) of the stream elements x and y at positions
-        i and j, or None when the sum is zero; the product is built once
-        per position pair."""
+    def clear_stream(self):
+        """Drop the stream classes and pair classes here and on every base
+        window below, so the next walk derives them from position 0."""
+        self.stream_blocks.clear()
+        self.pair_classes.clear()
+        if self.window.model.kind == "laurent":
+            self._base_index().clear_stream()
+
+    def stream(self, height):
+        """((cls x, cls 1+x), src) for each element x of the capped element
+        stream through `height`, in stream order; cls x is None for x = 0,
+        cls 1+x for x = -1, and element(src) builds x.  The stream at a
+        height is a prefix of the stream at every larger one, so the class
+        list serves walks at every height."""
+        for segments in self._stream_blocks(height):
+            for rows, srcs in segments:
+                yield from zip(rows, srcs)
+
+    def element(self, src):
+        """The stream element that `stream` yields with source src: the
+        element itself on a bottom window, and on a Laurent window (e, src
+        of c) for c*t^e, or None for 0."""
+        model = self.window.model
+        if model.kind != "laurent":
+            return src
+        if src is None:
+            return model.zero()
+        e, c = src
+        return model.elt((((e, self._base_index().element(c).data),), None))
+
+    def one_plus(self, src):
+        """1 + x for the stream element x = element(src) other than -1.  On
+        a Laurent window it is the monomial of the leading term of 1 + x,
+        which has the class and the UnitGroupApprox.is_unit verdict of
+        1 + x: 1 for e > 0, x for e < 0 and (1 + c)*t^0 for e = 0."""
+        model = self.window.model
+        if model.kind != "laurent":
+            return model.one() + src
+        e, c = src
+        if e > 0:
+            return model.one()
+        if e < 0:
+            return self.element(src)
+        c = self._base_index().element(c)
+        return model.elt((((0, (c.model.one() + c).data),), None))
+
+    def _stream_blocks(self, height):
+        """Per stream block s through `height`, its segments (class rows,
+        sources), each classified or derived when a walk first reaches it.
+        A Laurent block reads the base blocks 0..s, listed once per walk."""
+        w = self.window
+        blocks = self.stream_blocks
+        blocks.extend([] for _ in range(len(blocks), height + 1))
+        if w.model.kind != "laurent":
+            for s, rows in enumerate(blocks[:height + 1]):
+                xs = bottom_block(w.model, s, ELEMENT_RATFUNC_CAP)
+                if len(rows) < len(xs):
+                    rows.extend([self._bottom_row(x) for x in xs])
+                yield ((rows, xs),)
+            return
+        res = []    # per base block, (cls c, cls 1+c, src of c) for c != 0
+        for segments in self._base_index()._stream_blocks(height):
+            res.append([(*row, c) for rows, srcs in segments
+                        for row, c in zip(rows, srcs) if row[0] is not None])
+            yield self._laurent_segments(len(res) - 1, res)
+
+    def _bottom_row(self, x):
+        w = self.window
+        if x.is_zero():
+            return None, self._intern(w.zero_class())
+        return (self._intern(w.classify(x)),
+                self._intern(w.classify_sum(w.model.one(), x)))
+
+    def _laurent_segments(self, s, res):
+        """Laurent block s: x = 0 when s = 0, then per base block sc <= s
+        one segment, c*t^e for the c != 0 of res[sc] and e in
+        laurent_exponents(s, sc), whose classes `_lift_rows` derives from
+        the base rows when a walk first reaches it."""
+        w = self.window
+        rows = self.stream_blocks[s]
+        k = 0
+        if s == 0:
+            if not rows:
+                rows.append((None, self._intern(w.zero_class())))
+            yield rows[:1], (None,)
+            k = 1
+        for sc, base_rows in enumerate(res):
+            es = laurent_exponents(s, sc)
+            if k == len(rows):
+                rows.extend(self._lift_rows(base_rows, es))
+            n = len(base_rows) * len(es)
+            yield rows[k:k + n], ((e, c) for _, _, c in base_rows for e in es)
+            k += n
+
+    def _lift_rows(self, base_rows, es):
+        """(cls x, cls 1+x) of x = c*t^e for the base rows (cls c, cls 1+c,
+        src of c) and e in es, by the rule of `_laurent_block_entries`: cls x
+        is cls c with e mod l^n in the top slot, and 1 + x leads with 1 for
+        e > 0, with x for e < 0 and with (1 + c)*t^0 for e = 0."""
+        w, intern = self.window, self._intern
+        mod = w.level.modulus
+        zero = intern(w.zero_class())
+        for cls_c, cls_1pc, _ in base_rows:
+            for e in es:
+                cls_x = intern(w.from_base(cls_c, e % mod))
+                if e:
+                    yield cls_x, zero if e > 0 else cls_x
+                else:
+                    yield cls_x, (None if cls_1pc is None else
+                                  intern(w.from_base(cls_1pc, 0)))
+
+    def pair_class(self, i, j, x, cls_x, y, cls_1py):
+        """cls(1 + x(1 + y)) of the stream elements x and y at positions i
+        and j, given cls x and cls 1+y != None, or None when the sum is
+        zero; kept per position pair."""
         probes = self.pair_classes
         if (i, j) not in probes:
-            one = self.window.model.one()
             probes[i, j] = self._intern(
-                self.window.classify_sum(one, x * (one + y)))
+                self._pair_probe(x, cls_x, y, cls_1py))
         return probes[i, j]
+
+    def _pair_probe(self, x, cls_x, y, cls_1py):
+        """On a Laurent window x = c*t^e and y = d*t^f, so 1 + y leads with
+        b*t^min(f, 0), b = 1, d or 1 + d as f > 0, f < 0 or f = 0, and
+        x(1 + y) with cb*t^g, g = e + min(f, 0).  1 + x(1 + y) then leads
+        with 1 for g > 0, with cb*t^g for g < 0, of class cls x + cls 1+y,
+        and with (1 + cb)*t^0 for g = 0 unless 1 + cb = 0.  Only then, and
+        off a Laurent window, is the product built."""
+        w = self.window
+        model = w.model
+        if model.kind == "laurent":
+            (e, c), = x.data[0]
+            (f, d), = y.data[0]
+            g = e + min(f, 0)
+            if g != 0:
+                return w.zero_class() if g > 0 else w.class_add(cls_x, cls_1py)
+            base = model.base
+            one, c, d = base.one(), base.elt(c), base.elt(d)
+            b = one if f > 0 else d if f < 0 else one + d
+            cls = w.base_window().classify_sum(one, c * b)
+            if cls is not None:
+                return w.from_base(cls, 0)
+        one = model.one()
+        return w.classify_sum(one, x * (one + y))
 
     def saturated(self):
         """Whether the table holds every triple that K realizes."""
@@ -197,6 +325,10 @@ _INDEX_CACHE = {}
 # sets has at most this many triples (1,134 on F7(u) with [u, u-a, const]
 # at l = 3, n = 1; 15,246 at n = 2)
 CLOSING_LIMIT = 20_000
+
+# element walks (unit predicates, pair conditions) build real elements, not
+# class tables, so rational-function levels get a lower degree cap
+ELEMENT_RATFUNC_CAP = 1
 
 # Degree cap of the rational-function tables that do not close: Laurent
 # precision and polynomial degree play different roles, and the pinned

@@ -22,11 +22,12 @@ from valdetect.fields import (
     FFModel,
     Window,
     _place_residue,
+    enumerate_blocks,
     residue_field_of_place,
 )
 from valdetect import detect
-from valdetect.rigid import PAIR_HEIGHT_CAP, capped_stream
-from valdetect.scans import scan_index, wedge_of
+from valdetect.rigid import PAIR_HEIGHT_CAP
+from valdetect.scans import ELEMENT_RATFUNC_CAP, scan_index, wedge_of
 
 
 def submodule_contains(module, gens, x) -> bool:
@@ -325,6 +326,14 @@ def cpair_inertia(f, g, qualifying):
 # element walks that classify each element themselves, as they did before
 # the walks read one shared class list per window
 # ---------------------------------------------------------------------------
+
+def capped_stream(model, height):
+    """The element stream that ScanIndex.stream walks: every element of
+    enumerate_blocks through `height`, built, with rational-function levels
+    capped at ELEMENT_RATFUNC_CAP."""
+    return (x for blk in enumerate_blocks(model, height, ELEMENT_RATFUNC_CAP)
+            for x in blk)
+
 
 def pair_failure_by_products(H, height):
     """The first (x, y) over the capped stream, x and y outside H with 1+x

@@ -25,7 +25,8 @@ from valdetect.fields import (
     residue_of,
     value_of,
 )
-from valdetect.rigid import capped_stream
+
+from oracles import capped_stream
 
 
 def test_field_spec_roundtrip():

@@ -34,7 +34,6 @@ from valdetect.rigid import (
     MultSubgroup,
     UnitGroupApprox,
     canonical_valuation,
-    capped_stream,
     comparable,
     rigid_complement,
     valuative_members_mask,
@@ -42,6 +41,7 @@ from valdetect.rigid import (
 )
 
 from oracles import (
+    capped_stream,
     cpair_inertia,
     one_variable_witness,
     psi_span_contains,

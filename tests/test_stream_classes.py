@@ -1,7 +1,8 @@
 """The element walks of rigid and detect read one class list per window,
-owned by the window's ScanIndex; these tests hold that list, the pair
-memo and the ideal scan to the walks that classify every element
-themselves."""
+owned by the window's ScanIndex and, on a Laurent window, derived from the
+list of its base window; these tests hold that list, the rebuilt elements,
+the pair probes and the ideal scan to the elements of the reference stream,
+classified one by one."""
 
 import itertools
 from dataclasses import asdict
@@ -17,20 +18,21 @@ from valdetect.rigid import (
     MultSubgroup,
     _pair_failure,
     canonical_valuation,
-    capped_stream,
-    classified_stream,
 )
 from valdetect.scans import index_of
 
-from oracles import maximal_ideal_scan_by_elements, pair_failure_by_products
+from oracles import (
+    capped_stream,
+    maximal_ideal_scan_by_elements,
+    pair_failure_by_products,
+)
 
 
 def _cold(w):
-    """Drop the window's stream classes and pair memo, so the next walk
-    classifies from position 0."""
+    """Drop the stream classes and pair classes of the window and of the
+    windows below it, so the next walk derives them from position 0."""
     index = index_of(w)
-    index.stream_classes.clear()
-    index.pair_classes.clear()
+    index.clear_stream()
     return index
 
 
@@ -60,28 +62,80 @@ def test_pair_failure_matches_product_oracle(w5_tsc):
         assert cls == w5_tsc.classify_sum(one, xs[i] * (one + xs[j]))
 
 
-# (field, window, height)
+# (field, window, height of the row check, stride of the pair sample at
+# PAIR_HEIGHT_CAP)
 STREAM_CASES = [
-    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}", 8),
-    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}", 3),
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}", 8, 1),
+    ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}", 3, 13),
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", 4, 1),
+    ("laurent(laurent(gf:9,s),t)", "{ell=2,n=1,gens=[t,s,const]}", 4, 1),
+    # no slot for the top uniformizer t
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[s,const]}", 8, 1),
 ]
 
 
-@pytest.mark.parametrize("fspec,wspec,height", STREAM_CASES)
-def test_stream_classes_match_classify(fspec, wspec, height):
-    w = parse_window(parse_field(fspec), wspec)
-    _cold(w)
+def _window(fspec, wspec):
+    return parse_window(parse_field(fspec), wspec)
+
+
+@pytest.mark.parametrize("fspec,wspec,height,stride", STREAM_CASES)
+def test_derived_rows_match_classify(fspec, wspec, height, stride):
+    w = _window(fspec, wspec)
+    index = _cold(w)
     one = w.model.one()
     # a low walk, then a high one that extends the list past its end
     for h in (1, height):
-        rows = list(classified_stream(w, h))
-        for x, cls_x, cls_opx in rows:
+        rows = list(index.stream(h))
+        xs = list(capped_stream(w.model, h))
+        assert len(rows) == len(xs)
+        for ((cls_x, cls_opx), src), x in zip(rows, xs):
+            assert index.element(src) == x
             if x.is_zero():
                 assert (cls_x, cls_opx) == (None, w.zero_class())
             else:
                 assert cls_x == w.classify(x)
                 assert cls_opx == w.classify_sum(one, x)
-    assert len(index_of(w).stream_classes) == len(rows)
+    assert sum(map(len, index.stream_blocks)) == len(rows)
+
+
+@pytest.mark.parametrize("fspec,wspec,height,stride", STREAM_CASES)
+def test_pair_probes_match_products(fspec, wspec, height, stride):
+    """cls(1 + x(1 + y)) by exponents against the built product, for every
+    x != 0 and every y != 0, -1 of the pair walk's stream (every `stride`-th
+    on the large one): a superset of the qualifying pairs of every
+    subgroup.  Some pairs have g = 0 with a cancelling t^0 coefficient,
+    where the probe falls back to the product."""
+    w = _window(fspec, wspec)
+    index = _cold(w)
+    one = w.model.one()
+    rows = [(i, index.element(src), cls_x, cls_opx) for i, ((cls_x, cls_opx),
+            src) in enumerate(index.stream(PAIR_HEIGHT_CAP))][::stride]
+    xs = [(i, x, cls_x) for i, x, cls_x, _ in rows if cls_x is not None]
+    ys = [(j, y, cls_opy) for j, y, cls_y, cls_opy in rows
+          if cls_y is not None and cls_opy is not None]
+    cancelling = 0
+    for (i, x, cls_x), (j, y, cls_opy) in itertools.product(xs, ys):
+        prod = x * (one + y)
+        assert index.pair_class(i, j, x, cls_x, y, cls_opy) == \
+            w.classify_sum(one, prod)
+        sum_ = one + prod
+        cancelling += prod.data[0][0][0] == 0 and (
+            sum_.is_zero() or sum_.data[0][0][0] != 0)
+    assert cancelling > 0
+    index.clear_stream()
+
+
+def test_walk_stopped_early_derives_one_block_ahead(w_tsc):
+    index = _cold(w_tsc)
+    through_4 = len(list(index.stream(4)))
+    index.clear_stream()
+    # stop at the first element of block 5
+    list(itertools.islice(index.stream(8), through_4 + 1))
+    derived = sum(map(len, index.stream_blocks))
+    assert through_4 < derived < len(list(capped_stream(w_tsc.model, 5)))
+    # the base window F7((s)) derived its blocks 0..5 and no more
+    base = index_of(w_tsc.base_window())
+    assert [bool(b) for b in base.stream_blocks] == [True] * 6 + [False] * 3
 
 
 def _ideal_scans_agree(units, height):
@@ -102,12 +156,12 @@ def _units(w, labels, height):
     return canonical_valuation(MultSubgroup(CharacterGroup(w, chars)), height)
 
 
-@pytest.mark.parametrize("fspec,wspec,height", STREAM_CASES)
-def test_ideal_scan_matches_element_oracle(fspec, wspec, height,
+@pytest.mark.parametrize("fspec,wspec,height,stride", STREAM_CASES[:2])
+def test_ideal_scan_matches_element_oracle(fspec, wspec, height, stride,
                                            monkeypatch):
     # the t-adic valuation, and the rank-2 one, under which 1 + c for a
     # t-constant c need not be a unit
-    w = parse_window(parse_field(fspec), wspec)
+    w = _window(fspec, wspec)
     for labels in (w.gen_label(0),), (w.gen_label(0), w.gen_label(1)):
         units = _units(w, labels, height)
         ideal, _ = _ideal_scans_agree(units, height)
@@ -124,19 +178,19 @@ def test_ideal_scan_matches_element_oracle_off_laurent(w_u_u3):
     assert ideal
 
 
-def test_second_detection_classifies_a_quarter(w_tsc, monkeypatch):
+def test_laurent_detection_classifies_nothing_on_its_window(w_tsc,
+                                                            monkeypatch):
+    # every class of the walks comes from the bottom window F7 or from
+    # exponents; the top window w_tsc classifies no element of the stream
     _cold(w_tsc)
     calls = []
     classify = fields.Window.classify
 
     def counted(self, x):
-        calls.append(1)
+        calls.append(self)
         return classify(self, x)
 
     monkeypatch.setattr(fields.Window, "classify", counted)
-    counts = []
-    for _ in range(2):
-        calls.clear()
-        detect_from_cgroup(CharacterGroup.full(w_tsc), 1, 8)
-        counts.append(len(calls))
-    assert 4 * counts[1] <= counts[0]
+    detect_from_cgroup(CharacterGroup.full(w_tsc), 1, 8)
+    assert calls
+    assert all(c.model.kind != "laurent" for c in calls)
