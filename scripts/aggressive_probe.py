@@ -30,7 +30,7 @@ def main():
         model = parse_field(fspec)
         w = parse_window(model, wspec)
         v = ValuationHandle.from_steps(model, steps)
-        D, cert = decomp_chars(v, w, height)
+        D, cert = decomp_chars(v, w)
         ell = w.level.ell
         proven = index_n(ell, index_m(1, n))[1]
         rep = detect_from_cgroup(D, n, height, aggressive=True)

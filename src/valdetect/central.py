@@ -416,13 +416,13 @@ def frame_from_k2(window: Window, sp, omega=None) -> CentralFrame:
     return CentralFrame(level, labels, tuple(rel), omega_cls, window)
 
 
-def minimized_identity_check(handle, window, frame, omega, height=6) -> bool:
+def minimized_identity_check(handle, window, frame, omega) -> bool:
     """For sigma in the inertia characters and tau in the decomposition
     characters of the handle: [sigma, tau] + a*(sigma^beta) lies in R, where
     2a = tau(omega)."""
     from .characters import decomp_chars, inertia_chars
     iv = inertia_chars(handle, window)
-    dv, _ = decomp_chars(handle, window, height)
+    dv, _ = decomp_chars(handle, window)
     mod = frame.level.modulus
     for tau in dv.elements():
         tval = tau.evaluate(omega)

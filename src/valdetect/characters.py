@@ -293,14 +293,9 @@ class Certificate:
     """How a scanned subgroup was certified."""
 
     exact: bool
-    height: int = 0
-    stabilized: bool = True
 
     def describe(self):
-        if self.exact:
-            return "exact"
-        tag = "stabilized" if self.stabilized else "UNSTABLE"
-        return f"bounded-certified({tag} at height {self.height})"
+        return "exact" if self.exact else "bounded"
 
 
 def decomp_chars(handle: ValuationHandle, window: Window, height: int = 4):
@@ -310,8 +305,8 @@ def decomp_chars(handle: ValuationHandle, window: Window, height: int = 4):
     the computation recurses into the residue window until a
     rational-function place is hit, where the group has a closed form
     (`_decomp_at_place`).  Every step is exact and cheap, so nothing is
-    memoised and `height` does not change the result; it stays in the
-    signature for callers that scan at one.
+    memoised; `height` is ignored, and stays only because the benchmark's
+    workloads pass it positionally.
     """
     if handle.model != window.model:
         raise UnsupportedValuation("handle on a different field")
@@ -320,7 +315,7 @@ def decomp_chars(handle: ValuationHandle, window: Window, height: int = 4):
     kind, payload = handle.steps[0]
     if kind == UNIF:
         rest = ValuationHandle(handle.models[1], handle.steps[1:])
-        sub, cert = decomp_chars(rest, window.base_window(), height)
+        sub, cert = decomp_chars(rest, window.base_window())
         gens = [Character(window, window.from_base(g.values, 0))
                 for g in sub.gens]
         for i, g in enumerate(window.gens):

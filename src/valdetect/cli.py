@@ -51,12 +51,17 @@ SCHEMA = "valdetect/1"
 def emit(payload, out=None):
     """Write the canonical JSON payload to the file `out`, or to stdout."""
     payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # `levels` bounds pass it from 3^502 on
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    finally:
+        sys.set_int_max_str_digits(cap)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def _field(args):
@@ -90,7 +95,7 @@ def _context(args, window):
 
 
 def cmd_levels(args):
-    Level(args.ell, args.n)  # rejects a non-prime ell and n < 1
+    Level(args.ell, args.n)  # rejects a non-prime ell, n < 1 and a big l^n
     nprime, nbig = index_n(args.ell, args.n)
     return {
         "ell": args.ell, "n": args.n,

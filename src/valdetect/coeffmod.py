@@ -35,6 +35,9 @@ from .errors import LevelMismatch, PreconditionViolated
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# a Level has n * (bit length of l) <= MAX_LEVEL_BITS, so l^n < 2^4096
+MAX_LEVEL_BITS = 4096
+
 
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, exact for anything we will ever see."""
@@ -68,6 +71,8 @@ class Level:
     n: int
 
     def __post_init__(self):
+        if self.n * self.ell.bit_length() > MAX_LEVEL_BITS:
+            raise PreconditionViolated(f"level {self}: l^n is over the limit")
         if not is_prime(self.ell):
             raise PreconditionViolated(f"ell={self.ell} is not prime")
         if self.n < 1:

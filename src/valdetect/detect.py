@@ -387,7 +387,7 @@ def class_membership(handle: ValuationHandle, window: Window, n: int,
     characterization is cross-checked.
     """
     w = window.at_level(n)
-    Dv, _ = decomp_chars(handle, w, height)
+    Dv, _ = decomp_chars(handle, w)
     Iv = inertia_chars(handle, w)
     in_w = True
     witness = None
@@ -395,7 +395,7 @@ def class_membership(handle: ValuationHandle, window: Window, n: int,
     for step in _refinement_steps(handle, w):
         wprime = compose_valuations(handle, step)
         refinements.append(wprime.spec())
-        Dw, _ = decomp_chars(wprime, w, height)
+        Dw, _ = decomp_chars(wprime, w)
         if Dw == Dv:
             Iw = inertia_chars(wprime, w)
             if Iw != Iv:
@@ -415,7 +415,7 @@ def class_membership(handle: ValuationHandle, window: Window, n: int,
     in_v = in_w and rr >= 2
     # level-1 alternative: I_v(1) = C-center of D_v(1), properly inside it
     w1 = window.at_level(1)
-    D1, _ = decomp_chars(handle, w1, height)
+    D1, _ = decomp_chars(handle, w1)
     I1 = inertia_chars(handle, w1)
     center1 = c_center(D1, height)
     alt_v = (I1 == center1) and (center1 != D1)

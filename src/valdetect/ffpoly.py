@@ -19,6 +19,9 @@ from .coeffmod import is_prime
 
 _EDF_SEED = 0x5EEDED
 
+# the largest q that `of_order` builds (a field tabulates its discrete logs)
+MAX_FIELD_ORDER = 1 << 14
+
 # extension fields with at most this many elements tabulate add, neg and mul
 # (q^2 entries for add and mul: 2,401 at the limit, built in about 16 ms)
 EXT_TABLE_LIMIT = 49
@@ -63,16 +66,13 @@ class FiniteField:
     @lru_cache(maxsize=None)
     def of_order(q, symbol="z"):
         """The field with q elements, built over its prime field."""
-        if q < 2:
-            raise PreconditionViolated(f"{q} is not a prime power")
-        p = next(c for c in range(2, q + 1) if q % c == 0)
-        k = 0
-        qq = q
-        while qq % p == 0:
-            qq //= p
+        primes = _prime_factors(q) if q <= MAX_FIELD_ORDER else ()
+        if len(primes) != 1:
+            raise PreconditionViolated(
+                f"{q} is not a prime power of at most {MAX_FIELD_ORDER}")
+        p, k = primes[0], 1
+        while p ** k < q:
             k += 1
-        if qq != 1:
-            raise PreconditionViolated(f"{q} is not a prime power")
         base = FiniteField(p)
         if k == 1:
             return base

@@ -912,7 +912,9 @@ def enumerate_blocks(model, height, ratfunc_cap=None):
     The concatenation of blocks 0..h is the deterministic, duplicate-free
     enumeration stream at height h; streams at different heights are prefixes
     of one another.  With `ratfunc_cap`, rational-function blocks above the
-    cap are empty, at every level of a tower.
+    cap are empty, at every level of a tower.  The Laurent order repeats the
+    one `ScanIndex.stream` derives on purpose: this is the independent
+    reference `tests/oracles.capped_stream` checks that stream against.
     """
     if model.kind != "laurent":
         for s in range(height + 1):

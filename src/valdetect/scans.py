@@ -25,8 +25,7 @@ through degree 1, 0.15 s for degree 2, 7.7 s for degree 3), while a closing
 entry takes its classes from its components; its witness is built only
 when read, once, and replayed through `Window.fraction_class` first.
 Windows in characteristic 2 and windows with a larger product keep the
-sweep, capped at RATFUNC_DEGREE_CAP, and bounded verdicts; in odd
-characteristic their sweep still stops once the table holds the product.
+sweep, capped at RATFUNC_DEGREE_CAP, and bounded verdicts.
 
 For Laurent levels the stream is c * t^e with c from the residue stream,
 and the triple of such an element is determined exactly by e and the
@@ -92,11 +91,9 @@ class ScanIndex:
 
     On a rational-function window of odd characteristic, `bound` is the
     number of triples that an x other than 0 and +-1 can have at all (the
-    size of the product of `local_triple_sets`).  Once the table holds that
-    many, with the triples of x = 1 and x = -1 from block 0, no element of
-    K has a triple outside it: `ensure` stops the sweep at that entry, even
-    inside a block, and every later block is empty without a sweep.  When
-    the window `closes`, block 1 ends with the closing block."""
+    size of the product of `local_triple_sets`).  When it is at most
+    CLOSING_LIMIT the window `closes`: block 1 ends with the closing block,
+    which completes the table, and every later block is empty."""
 
     def __init__(self, window: Window):
         self.window = window
@@ -270,15 +267,11 @@ class ScanIndex:
         one = model.one()
         return w.classify_sum(one, x * (one + y))
 
-    def saturated(self):
-        """Whether the table holds every triple that K realizes."""
-        return self.bound is not None and len(self._seen) == self.bound + 2
-
     def ensure(self, height):
         while len(self.blocks) <= height:
             s = len(self.blocks)
             new, new_wedges = [], []
-            for ent in () if self.saturated() else _block_entries(self, s):
+            for ent in _block_entries(self, s):
                 trip = (ent.cls_x, ent.cls_1mx, ent.cls_1px)
                 if trip in self._seen:
                     continue
@@ -290,8 +283,6 @@ class ScanIndex:
                     if any(wedge) and wedge not in self._wedges:
                         self._wedges.add(wedge)
                         new_wedges.append((wedge, ent))
-                if self.saturated():
-                    break
             self.blocks.append(new)
             self.wedge_blocks.append(new_wedges)
         return self
@@ -461,10 +452,11 @@ def _block_entries(index, s):
     if kind == "finite":
         return _finite_block(index.window, s)
     if kind == "ratfunc":
-        sweep = _ratfunc_block_entries(index, s)
-        if s == 1 and index.closes:
-            return itertools.chain(sweep, _closing_entries(index))
-        return sweep
+        if not index.closes or s == 0:
+            return _ratfunc_block_entries(index, s)
+        # a closing window: block 1 ends with the closing block, then nothing
+        return (itertools.chain(_ratfunc_block_entries(index, 1),
+                                _closing_entries(index)) if s == 1 else ())
     return _laurent_block_entries(index.window, s)
 
 

@@ -2,7 +2,6 @@
 for the fast paths that replaced them."""
 
 from valdetect.characters import (
-    Certificate,
     Character,
     CharacterGroup,
     _finite_kernel_is_everything,
@@ -124,7 +123,10 @@ def inertia_chars_by_walk(handle, window):
 
 
 def decomp_chars_by_walk(handle, window, height):
-    """(group, certificate) with no memo; recurses on the bare step tuple."""
+    """(group, stabilization height) with no memo; recurses on the bare step
+    tuple.  The sweep at a place stabilizes at the first height h whose
+    group equals those of h - 1 and h - 2; the height is None when the sweep
+    through `height` does not stabilize, and 0 when no place is reached."""
     if handle.model != window.model:
         raise UnsupportedValuation("handle on a different field")
     return _decomp_by_walk(handle.steps, window, height)
@@ -132,19 +134,20 @@ def decomp_chars_by_walk(handle, window, height):
 
 def _decomp_by_walk(steps, window, height):
     if not steps:
-        return CharacterGroup.full(window), Certificate(exact=True)
+        return CharacterGroup.full(window), 0
     kind, payload = steps[0]
     model = window.model
     if kind == "unif":
         if model.kind != "laurent" or model.var != payload:
             raise UnsupportedValuation("chain does not match tower")
-        sub, cert = _decomp_by_walk(steps[1:], window.base_window(), height)
+        sub, stable = _decomp_by_walk(steps[1:], window.base_window(),
+                                      height)
         gens = [Character(window, window.from_base(g.values, 0))
                 for g in sub.gens]
         for i, g in enumerate(window.gens):
             if g == (UNIF, payload):
                 gens.append(Character.dual(window, i))
-        return CharacterGroup(window, gens), cert
+        return CharacterGroup(window, gens), stable
     if model.kind != "ratfunc":
         raise UnsupportedValuation("place step off a rational function field")
     if len(steps) > 1:
@@ -156,8 +159,8 @@ def _decomp_by_walk(steps, window, height):
         group = CharacterGroup.killing_classes(window, sorted(classes))
         history.append(group)
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return group, Certificate(exact=False, height=h, stabilized=True)
-    return group, Certificate(exact=False, height=height, stabilized=False)
+            return group, h
+    return group, None
 
 
 def decomp_place_classes(window, place, h):

@@ -4,10 +4,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 from valdetect.cli import main
+from valdetect.coeffmod import level_bound
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -27,6 +29,16 @@ def test_levels_pinned(capsys):
     code, out = run_cli(capsys, "levels", "--ell", "2", "--n", "2")
     data = json.loads(out)
     assert data["Nprime"] == 93 and data["N"] == 185
+
+
+def test_levels_prints_large_bounds_in_full(capsys):
+    # from n = 502 at l = 3 the bound R has more than 4,300 digits, the
+    # interpreter's default cap on int-to-str conversion
+    cap = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "levels", "--ell", "3", "--n", "502")
+    assert code == 0
+    assert json.loads(out, parse_int=Decimal)["R"] == level_bound(3, 502)
+    assert sys.get_int_max_str_digits() == cap
 
 
 def test_cpair_pinned_witness(capsys):
@@ -316,6 +328,14 @@ _WINDOW_ARGS = ("--window", "{ell=3,n=1,gens=[const]}")
       "--window", "{ell=3,n=1,gens=[u-u]}"), "precondition-violated"),
     (("window", "--field", "laurent(ratfunc(gf:7,u),t)",
       "--window", "{ell=3,n=1,gens=[0]}"), "precondition-violated"),
+    # inputs over the size limits, rejected before any work
+    (("window", "--field", "gf:99999999989") + _WINDOW_ARGS,
+     "precondition-violated"),
+    (("window", "--field", "laurent(gf:7,t)",
+      "--window", "{ell=3,n=99999999999999999999,gens=[t]}"),
+     "precondition-violated"),
+    (("levels", "--ell", "3", "--n", "99999999999999999999"),
+     "precondition-violated"),
 ])
 def test_malformed_input_is_an_error_payload(capsys, argv, code):
     exit_code, err = _error_payload(capsys, *argv)

@@ -406,6 +406,9 @@ def test_level_validation():
         Level(4, 1)
     with pytest.raises(PreconditionViolated):
         Level(3, 0)
+    assert Level(3, 2048).modulus == 3 ** 2048
+    with pytest.raises(PreconditionViolated):
+        Level(3, 2049)  # 2049 * (bit length 2) > MAX_LEVEL_BITS
 
 
 def _submodule_contains_with_relations(module, gens, x):

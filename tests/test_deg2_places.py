@@ -77,7 +77,7 @@ def test_inertia_and_decomp_at_quadratic_place(F7u, w_quad):
     I = inertia_chars(v, w_quad)
     assert I.labels() == ["u^2+1"]
     D, cert = decomp_chars(v, w_quad, 3)
-    assert I <= D and cert.stabilized
+    assert I <= D and cert.exact
 
 
 def test_evaluate_zero_propagates(F7u, w_quad):

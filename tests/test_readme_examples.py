@@ -1,9 +1,9 @@
-"""The README's CLI examples, `scripts/run_detection_demo.py`, a few
+"""The README's CLI examples, the scripts under `scripts/`, a few
 valuative-subgroup commands and one command per C-pair and C-group verdict
 shape print the same bytes as when their hashes were pinned.
 
 Each `valdetect ...` command of the README's `sh` blocks runs through
-`cli.main` in-process; the demo's `main()` runs the same way.  The sha256
+`cli.main` in-process; each script's `main()` runs the same way.  The sha256
 of stdout is compared with the pinned hash, so any change to a payload,
 a witness or the JSON layout shows here.  A deliberate output change must
 re-pin the hash and list the difference in CHANGES.md.
@@ -42,6 +42,13 @@ README_DIGESTS = [
 ]
 DEMO_DIGEST = \
     "6e9b5af154202b80ee66326a709ed3558b0e42b0d579d2100f39da8d2b945f87"
+# (script, sha256 of stdout) of the other scripts under scripts/
+SCRIPT_DIGESTS = [
+    ("aggressive_probe.py",
+     "bcd2d10ae239c3c5c25c47c7b548c4d13f4aa799ebd116abd290b6794d3d9b85"),
+    ("k2_survey.py",
+     "3f840909274698ed7a76500b6821aae87fd9a85d766c80489572b2e27823fdad"),
+]
 
 F7T = ["--field", "laurent(gf:7,t)", "--window", "{ell=3,n=1,gens=[t,const]}"]
 F5ST = ["--field", "laurent(laurent(gf:5,s),t)",
@@ -134,6 +141,13 @@ def test_detection_demo_output_is_pinned(capsys):
                           run_name="demo")
     assert demo["main"]() == 0
     assert _sha256(capsys.readouterr().out) == DEMO_DIGEST
+
+
+@pytest.mark.parametrize("script,digest", SCRIPT_DIGESTS)
+def test_script_output_is_pinned(capsys, script, digest):
+    ns = runpy.run_path(str(ROOT / "scripts" / script), run_name="script")
+    assert ns["main"]() == 0
+    assert _sha256(capsys.readouterr().out) == digest
 
 
 @pytest.mark.parametrize("argv,digest", SUBGROUP_DIGESTS,

@@ -178,16 +178,13 @@ def test_window_generators_are_dual_basis():
             assert cls == tuple(1 if j == i else 0 for j in range(w.rank))
 
 
-def _table_rows(window, heights, stop=True):
+def _table_rows(window, heights):
     """(key, classes, representative data) of every entry of the sweep, per
-    height, with the closing block switched off; with stop=False the sweep
-    runs to the end of every block."""
+    height, with the closing block switched off."""
     import valdetect.scans as scans
     from valdetect.scans import ScanIndex
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scans, "CLOSING_LIMIT", 0)
-        if not stop:
-            mp.setattr(scans, "local_triple_sets", lambda window: None)
         idx = ScanIndex(window).ensure(max(heights))
         return [[(e.key, e.cls_x, e.cls_1mx, e.cls_1px, e.element().data)
                  for e in idx.entries(h)] for h in heights]
@@ -213,8 +210,8 @@ def test_window_over_the_limit_keeps_the_sweep():
         big, enumerate_elements(model, 0))
 
 
-# windows whose sweeps reach their bound at or below `top`, each compared
-# at every height up to it with the closing block off
+# windows whose sweeps reach their bound at or below `top` with the
+# closing block off
 SATURATING_WINDOWS = [
     ("ratfunc(gf:3,u)", "{ell=2,n=1,gens=[u,u-1]}", 4),
     ("ratfunc(gf:5,u)", "{ell=2,n=1,gens=[u,u-1]}", 2),
@@ -226,19 +223,13 @@ SATURATING_WINDOWS = [
 
 
 @pytest.mark.parametrize("fspec,wspec,top", SATURATING_WINDOWS)
-def test_stopped_sweep_matches_the_full_sweep(fspec, wspec, top):
-    # the full sweep is the reference for the stop: same rows at every
-    # height, and its table never holds more triples than the bound
+def test_full_sweep_reaches_the_bound(fspec, wspec, top):
+    # the sweep, independent of the local sets, realizes every triple of
+    # their product: the product is exactly the set of triples of K
     import valdetect.scans as scans
     w = parse_window(parse_field(fspec), wspec)
-    heights = range(top + 1)
-    stopped = _table_rows(w, heights)
-    full = _table_rows(w, heights, stop=False)
-    assert stopped == full
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scans, "CLOSING_LIMIT", 0)
-        idx = scans.ScanIndex(w).ensure(top)
-    assert idx.saturated() and _free_count(full[-1]) == idx.bound
+    rows = _table_rows(w, [top])
+    assert _free_count(rows[0]) == scans.ScanIndex(w).bound
 
 
 # a degree-two place, a const slot of order 4 (l = 2, n = 2 on gf:9), and
@@ -266,7 +257,7 @@ def test_every_triple_lies_in_the_local_sets(fspec, wspec, height):
     for cls_x, cls_1mx, cls_1px in free:
         assert all(comp in local for comp, local in
                    zip(zip(cls_x, cls_1mx, cls_1px), sets))
-    rows = _table_rows(w, range(height + 1), stop=False)
+    rows = _table_rows(w, range(height + 1))
     assert all(_free_count(r) <= bound for r in rows)
 
 
@@ -294,30 +285,15 @@ def _count_denominators(monkeypatch):
     return drawn
 
 
-def test_saturated_block_reads_few_denominators(monkeypatch):
-    # with the closing block off, the sweep stops inside block 2, which
-    # has 57 denominators, and sweeps no later block
-    import valdetect.scans as scans
-    drawn = _count_denominators(monkeypatch)
-    monkeypatch.setattr(scans, "CLOSING_LIMIT", 0)
-    w = parse_window(parse_field("ratfunc(gf:7,u)"),
-                     "{ell=2,n=1,gens=[u,u-1]}")
-    idx = scans.ScanIndex(w).ensure(2)
-    assert idx.saturated()
-    assert 0 < drawn[2] < 57
-    idx.ensure(3)
-    assert idx.blocks[3] == [] and 3 not in drawn
-
-
 def test_closing_block_ends_block_one(monkeypatch):
-    # the sweep stops after block 1, whose closing entries follow the
-    # q + 1 = 8 swept denominators; later blocks are empty
+    # the sweep ends with block 1, whose closing entries follow the
+    # q + 1 = 8 swept denominators; later blocks are empty without a sweep
     import valdetect.scans as scans
     drawn = _count_denominators(monkeypatch)
     w = parse_window(parse_field("ratfunc(gf:7,u)"),
                      "{ell=3,n=1,gens=[u,u-3]}")
     idx = scans.ScanIndex(w).ensure(4)
-    assert idx.closes and idx.saturated()
+    assert idx.closes
     assert dict(drawn) == {0: 1, 1: 8}
     keys = [e.key for e in idx.blocks[1]]
     assert keys == sorted(keys)
