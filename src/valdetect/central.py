@@ -18,7 +18,10 @@ caches (coeffmod.FinMod.quotient_matrix).  beta = 2 pi is linear in sigma for
 every l, since 2 C(l^n, 2) = l^n (l^n - 1) vanishes mod l^n, and the
 commutator is bilinear.  So for a fixed sigma both q[sigma, tau] and
 q(tau^beta), carried on to Q / <q sigma^beta>, are linear in tau: the frame
-keeps their two matrices per sigma (CentralFrame.sigma_maps).  cl_pair is
+keeps their two matrices per sigma (CentralFrame.sigma_maps).  The quotient
+of Q by the one vector q(sigma^beta) has a closed form
+(coeffmod.cyclic_quotient), so no sigma takes a Smith form of its own: the
+module's one Smith form is the only one the CL queries take.  cl_pair is
 two vector-matrix products and one cyclic-membership test, and cl_center
 applies the same matrices to every member at once.
 """
@@ -34,6 +37,7 @@ from .coeffmod import (
     FinMod,
     Level,
     cyclic_contains,
+    cyclic_quotient,
     howell_form,
     kernel_mod,
     quotient_span,
@@ -59,7 +63,9 @@ class CentralFrame:
 
     The frame memoises, per coefficient tuple sigma, the two matrices of
     sigma_maps; there are at most l^(n rank) of them, and they live and die
-    with the frame."""
+    with the frame.  They come from the module's quotient map and the
+    closed-form quotient by one vector, so they take no Smith form beyond
+    the module's one."""
 
     level: Level
     gen_labels: tuple
@@ -120,8 +126,9 @@ class CentralFrame:
         q[sigma, tau] = sum (sigma_a tau_b - sigma_b tau_a) q[a,b] over the
         pairs a < b, so its row for tau_b gains sigma_a q[a,b] and its row
         for tau_a loses sigma_b q[a,b]; q(tau^beta) = tau . 2 q[pi rows].
-        Both are then carried on by the quotient map of the one-relation
-        module on q(sigma^beta)."""
+        Both are then carried on by the closed-form quotient map by the
+        single vector q(sigma^beta) (coeffmod.cyclic_quotient), which takes
+        no Smith form."""
         maps = self._sigma_maps.get(sigma)
         if maps is not None:
             return maps
@@ -139,14 +146,8 @@ class CentralFrame:
                 bracket[a][c] -= sigma[b] * x
         image = tuple(sum(s * row[c] for s, row in zip(sigma, beta)) % m
                       for c in range(k))
-        sub = FinMod(tuple(range(k)), (image,), self.level)
-        proj, width = sub.quotient_matrix, sub.quotient_width
-
-        def carried(mat):
-            return tuple(
-                tuple(sum(x * row[c] for x, row in zip(vec, proj)) % m
-                      for c in range(width)) for vec in mat)
-        maps = carried(bracket), carried(beta)
+        quotient = cyclic_quotient(image, self.level.ell, self.level.n)
+        maps = (tuple(map(quotient, bracket)), tuple(map(quotient, beta)))
         self._sigma_maps[sigma] = maps
         return maps
 

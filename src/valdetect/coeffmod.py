@@ -604,6 +604,36 @@ def cyclic_contains(v, x, ell: int, n: int) -> bool:
     return not any((c * a - b) % m for a, b in zip(v, x))
 
 
+def cyclic_quotient(v, ell: int, n: int):
+    """The quotient map of (Z/l^n)^k onto (Z/l^n)^k / <v>, as a function of
+    a vector, in the embedding of FinMod.quotient_matrix: a summand Z/l^d
+    sits in Z/l^n as its multiples of l^(n-d).
+
+    Let l^b be the gcd of l^n and every v_j, i the first coordinate where
+    v_i = l^b u with u a unit, and c = x_i u^-1.  Then x maps to
+    (x_j - c v_j / l^b for j != i; c l^(n-b)), whose kernel is <v>: it
+    forces c = d l^b and then x = d v.  For b = 0 the last coordinate is
+    always zero and is dropped, and v = 0 gives the identity; so the width
+    is FinMod.quotient_width of the one-relation module, with no Smith
+    form taken."""
+    m = ell ** n
+    low = math.gcd(m, *v)
+    if low == m:
+        return lambda x: tuple(a % m for a in x)
+    i = next(j for j, a in enumerate(v) if a % (low * ell))
+    inv = pow(v[i] // low, -1, m)
+    rest = [(j, a // low) for j, a in enumerate(v) if j != i]
+    top = m // low if low > 1 else None
+
+    def quotient(x):
+        c = x[i] * inv
+        out = [(x[j] - c * a) % m for j, a in rest]
+        if top is not None:
+            out.append(c * top % m)
+        return tuple(out)
+    return quotient
+
+
 def vectors_cyclic(v1, v2, ell: int, n: int) -> bool:
     """Whether <v1, v2> in (Z/l^n)^k is cyclic, for any width k.
 

@@ -9,6 +9,11 @@ character values make well defined on the wedge coordinates modulo
 min(o_i, o_j).  So the scan pairs f ^ g with the few distinct wedges of the
 scan table, each represented by its first entry in stream order, and the
 witness is the same stream-minimal x a scan of every entry would find.
+The table's per-height pair kernel (ScanIndex.pair_kernel) holds those
+wedges and the exhaustiveness flag.  A pair does only the work its verdict
+needs: with f ^ g = 0 mod l^n the table is not read, and cyclicity of the
+pair is tested only when the scan passed on a table that is not exhaustive,
+the one case where it decides the verdict (exact or up to the bound).
 By the same bilinearity the C-center of a group A is linear algebra: the
 members of A that kill one row per quasi-basis element and distinct wedge.
 
@@ -22,6 +27,8 @@ Both methods and the C-group check return a `scans.Verdict`, which fails
 exactly when it carries a witness x, a replayable violation of the
 identity; `exact` says whether a verdict that holds covers all of K.
 """
+
+import operator
 
 from .coeffmod import index_m, val_mod, vectors_cyclic, wedge, wedge_pairs
 from .errors import (
@@ -43,22 +50,28 @@ def c_pair_direct(f: Character, g: Character, height: int) -> Verdict:
 
     f(1-x)g(x) - f(x)g(1-x) = -<f ^ g, cls x ^ cls 1-x>, so an entry's
     verdict depends only on its wedge and the scan pairs f ^ g with the
-    first entry of each distinct wedge.  Those come in stream order, so the
-    first one that pairs nonzero is the first violating entry of the table.
+    first entry of each distinct wedge (ScanIndex.pair_kernel).  Those come
+    in stream order, so the first one that pairs nonzero is the first
+    violating entry of the table.  With f ^ g = 0 mod l^n nothing pairs
+    nonzero and the table is not read.  A cyclic pair has f ^ g = 0, so
+    cyclicity only matters once the scan has passed on a table that is not
+    exhaustive: it makes that verdict exact.
     """
     if f.window != g.window:
         raise LevelMismatch("characters on different windows")
     w = f.window
-    if vectors_cyclic(f.values, g.values, w.level.ell, w.level.n):
-        # the identity is symmetric under g = c*f, no scan needed
-        return Verdict(CPAIR, height, method="direct", exact=True)
     mod = w.level.modulus
     fg = wedge(f.values, g.values)
-    for x, ent in scan_index(w, height).wedge_entries(height):
-        if sum(p * q for p, q in zip(fg, x)) % mod:
-            return Verdict(NOT_CPAIR, height, witness=ent.element(),
-                           method="direct", exact=True)
-    if exhaustive_classes(w, height):
+    if any(c % mod for c in fg):
+        wedges, exhaustive = scan_index(w, height).pair_kernel(height)
+        for x, ent in wedges:
+            if sum(map(operator.mul, fg, x)) % mod:
+                return Verdict(NOT_CPAIR, height, witness=ent.element(),
+                               method="direct", exact=True)
+    else:
+        exhaustive = exhaustive_classes(w, height)
+    if exhaustive or vectors_cyclic(f.values, g.values, w.level.ell,
+                                    w.level.n):
         return Verdict(CPAIR, height, method="direct", exact=True)
     return Verdict(CPAIR_UP_TO, height, method="direct", exact=False)
 
@@ -142,13 +155,13 @@ def c_center(group: CharacterGroup, height: int) -> CharacterGroup:
     """
     w = group.window
     mod = w.level.modulus
-    wedges = [x for x, _ in scan_index(w, height).wedge_entries(height)]
+    wedges = [x for x, _ in scan_index(w, height).pair_kernel(height)[0]]
     unit_vectors = [tuple(int(i == k) for i in range(w.rank))
                     for k in range(w.rank)]
     rows = []
     for g, _ in group.member_quasi_basis():
         cols = [wedge(e, g.values) for e in unit_vectors]
-        rows += [tuple(sum(p * q for p, q in zip(col, x)) % mod
+        rows += [tuple(sum(map(operator.mul, col, x)) % mod
                        for col in cols) for x in wedges]
     return group.intersect(
         CharacterGroup.killing_classes(w, dict.fromkeys(rows)))

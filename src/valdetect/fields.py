@@ -710,6 +710,12 @@ class Window:
         object.__setattr__(self, "_top_slot",
                            self.gens.index(top) if top in self.gens else None)
         object.__setattr__(self, "_base", None)  # base_window(), once made
+        # the dataclass hash, taken once: windows key the scan-index cache
+        object.__setattr__(self, "_hash",
+                           hash((self.model, self.level, self.gens)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def build(model, level, gen_specs):
@@ -1034,7 +1040,7 @@ def _parse_field_expr(toks, pos, spec):
         raise ParseError("truncated field spec", pos)
     t = toks[pos]
     if t.startswith("gf:"):
-        return FFModel(FiniteField.of_order(int(t[3:]))), pos + 1
+        return FFModel(FiniteField.of_order(_integer(t[3:], pos))), pos + 1
     if t == "ratfunc":
         _expect(toks, pos + 1, "(", spec)
         inner, p = _parse_field_expr(toks, pos + 2, spec)
@@ -1054,7 +1060,7 @@ def _parse_field_expr(toks, pos, spec):
         if p < len(toks) and toks[p] == ",":
             if p + 1 >= len(toks) or not toks[p + 1].startswith("prec="):
                 raise ParseError("expected prec=<int>", p + 1)
-            prec = int(toks[p + 1][5:])
+            prec = _integer(toks[p + 1][5:], p + 1)
             p += 2
         _expect(toks, p, ")", spec)
         return LaurentModel(inner, var, prec), p + 1
@@ -1102,6 +1108,22 @@ def parse_window(model: FieldModel, spec: str) -> Window:
 
 _ELT_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\*\*|[-+*/^()])")
 
+# the largest exponent an element expression may use, counting a power of a
+# parenthesized power as the product of the two exponents.  A power is built
+# in full, and its cost grows with e^2 per level of the tower: (1+u*t)^256
+# on laurent(ratfunc(gf:7,u),t) takes 0.5 s, (1+u*t)^1024 over 90 s
+MAX_EXPONENT = 256
+
+
+def _integer(digits, pos):
+    """int(digits), or a ParseError for more digits than the interpreter
+    converts (sys.get_int_max_str_digits, 4,300 by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long",
+                         pos) from None
+
 
 def parse_element(model: FieldModel, s: str) -> Elt:
     toks = []
@@ -1112,39 +1134,43 @@ def parse_element(model: FieldModel, s: str) -> Elt:
             raise ParseError(f"bad element near {s[i:]!r}", i)
         toks.append(mm.group(1))
         i = mm.end()
-    val, pos = _parse_sum(model, toks, 0)
+    val, pos, _ = _parse_sum(model, toks, 0)
     if pos != len(toks):
         raise ParseError(f"trailing input in element {s!r}", pos)
     return val
 
 
 def _parse_sum(model, toks, pos):
+    """(value, next position, weight) of a sum; the weight of an expression
+    is the largest product of nested exponents in it, 1 without powers."""
     sign = 1
     while pos < len(toks) and toks[pos] in "+-":
         if toks[pos] == "-":
             sign = -sign
         pos += 1
-    acc, pos = _parse_product(model, toks, pos)
+    acc, pos, weight = _parse_product(model, toks, pos)
     if sign < 0:
         acc = -acc
     while pos < len(toks) and toks[pos] in "+-":
         op = toks[pos]
-        term, pos = _parse_product(model, toks, pos + 1)
+        term, pos, w = _parse_product(model, toks, pos + 1)
         acc = acc + term if op == "+" else acc - term
-    return acc, pos
+        weight = max(weight, w)
+    return acc, pos, weight
 
 
 def _parse_product(model, toks, pos):
-    acc, pos = _parse_power(model, toks, pos)
+    acc, pos, weight = _parse_power(model, toks, pos)
     while pos < len(toks) and toks[pos] in ("*", "/"):
         op = toks[pos]
-        rhs, pos = _parse_power(model, toks, pos + 1)
+        rhs, pos, w = _parse_power(model, toks, pos + 1)
         acc = acc * rhs if op == "*" else acc / rhs
-    return acc, pos
+        weight = max(weight, w)
+    return acc, pos, weight
 
 
 def _parse_power(model, toks, pos):
-    base, pos = _parse_atom(model, toks, pos)
+    base, pos, weight = _parse_atom(model, toks, pos)
     if pos < len(toks) and toks[pos] in ("^", "**"):
         neg = False
         pos += 1
@@ -1153,9 +1179,13 @@ def _parse_power(model, toks, pos):
             pos += 1
         if pos >= len(toks) or not toks[pos].isdigit():
             raise ParseError("exponent must be an integer", pos)
-        e = int(toks[pos])
-        return base ** (-e if neg else e), pos + 1
-    return base, pos
+        e = _integer(toks[pos], pos)
+        weight *= e
+        if weight > MAX_EXPONENT:
+            raise PreconditionViolated(
+                f"exponent {weight} is above the limit {MAX_EXPONENT}")
+        return base ** (-e if neg else e), pos + 1, weight
+    return base, pos, weight
 
 
 def _parse_atom(model, toks, pos):
@@ -1163,17 +1193,17 @@ def _parse_atom(model, toks, pos):
         raise ParseError("truncated element expression", pos)
     t = toks[pos]
     if t == "(":
-        val, p = _parse_sum(model, toks, pos + 1)
+        val, p, weight = _parse_sum(model, toks, pos + 1)
         if p >= len(toks) or toks[p] != ")":
             raise ParseError("unbalanced parenthesis", p)
-        return val, p + 1
+        return val, p + 1, weight
     if t == "-":
-        val, p = _parse_atom(model, toks, pos + 1)
-        return -val, p
+        val, p, weight = _parse_atom(model, toks, pos + 1)
+        return -val, p, weight
     if t.isdigit():
-        return model.from_int(int(t)), pos + 1
+        return model.from_int(_integer(t, pos)), pos + 1, 1
     # a name: laurent var, ratfunc var, or extension-field symbol
-    return _named_element(model, t), pos + 1
+    return _named_element(model, t), pos + 1, 1
 
 
 def _named_element(model, name):

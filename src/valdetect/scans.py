@@ -39,18 +39,21 @@ presentation's Steinberg witnesses are these entries.  The index also
 keeps, in stream order, the first entry of each distinct nonzero wedge.
 A window has few distinct wedges (26 against 1,136 triples on F7(u) with
 [u, u-1, const], and none on F19((t)) with l^n = 9 and [t, const] at
-height 9), so those scans run over the wedge list.
+height 9), so those scans run over the wedge list.  The index reduces each
+wedge coordinate e_ij modulo min(o_i, o_j) from triples (i, j, min) made
+once per window, and keeps per height the pair kernel of the C-pair scan
+and the C-center: the tuple of wedge entries and the exhaustiveness flag.
 
-A window's ScanIndex owns its memos: the triple table, the wedge list, and
-cls x and cls 1+x per position of the element stream that the rigid and
-detect walks read (`ScanIndex.stream`).  A bottom window classifies its
-elements; a Laurent window derives its list from its base window's by the
-same rule as the table, with no element built.  A walk builds an element
-only where it keeps one (`ScanIndex.element`), and the l = 2 probe
-cls(1 + x(1 + y)) also comes from exponents.  Every class comes from the
-index's Window (`Window.fraction_class`), which memoises per-polynomial
-class data.  The indexes live for the process in one dict keyed by
-window, so later commands reuse the tables and that memo.
+A window's ScanIndex owns its memos: the triple table, the wedge list, the
+pair kernels, and cls x and cls 1+x per position of the element stream
+that the rigid and detect walks read (`ScanIndex.stream`).  A bottom
+window classifies its elements; a Laurent window derives its list from its
+base window's by the same rule as the table, with no element built.  A
+walk builds an element only where it keeps one (`ScanIndex.element`), and
+the l = 2 probe cls(1 + x(1 + y)) also comes from exponents.  Every class
+comes from the index's Window (`Window.fraction_class`), which memoises
+per-polynomial class data.  The indexes live for the process in one dict
+keyed by window, so later commands reuse the tables and that memo.
 """
 
 import itertools
@@ -58,7 +61,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .coeffmod import wedge, wedge_pairs
+from .coeffmod import wedge_pairs
 from .errors import PreconditionViolated, WitnessMismatch
 from .fields import (
     CONST,
@@ -113,6 +116,11 @@ class ScanIndex:
         self.pair_classes = {}
         self._interned = {}
         self._base = None         # base_window()'s index, once read
+        # (i, j, min(o_i, o_j)) per wedge coordinate e_ij, read by `wedge`
+        o = window.orders
+        self.wedge_moduli = tuple((i, j, min(o[i], o[j]))
+                                  for i, j in wedge_pairs(window.rank))
+        self._kernels = {}        # height -> pair_kernel(height)
 
     def _intern(self, cls):
         return None if cls is None else self._interned.setdefault(cls, cls)
@@ -278,7 +286,7 @@ class ScanIndex:
                 self._seen.add(trip)
                 new.append(ent)
                 if ent.cls_1mx is not None:
-                    wedge = wedge_of(self.window, ent.cls_x, ent.cls_1mx)
+                    wedge = self.wedge(ent.cls_x, ent.cls_1mx)
                     object.__setattr__(ent, "wedge", wedge)
                     if any(wedge) and wedge not in self._wedges:
                         self._wedges.add(wedge)
@@ -296,18 +304,33 @@ class ScanIndex:
         through `height`, in stream order: a subsequence of entries()."""
         return self._through(self.wedge_blocks, height)
 
+    def pair_kernel(self, height):
+        """(wedges, exhaustive): the tuple of wedge_entries(height) and
+        exhaustive_classes(window, height), made once per height; all that
+        the C-pair scan and the C-center read of the table."""
+        kernel = self._kernels.get(height)
+        if kernel is None:
+            kernel = self._kernels[height] = (
+                tuple(self.wedge_entries(height)),
+                exhaustive_classes(self.window, height))
+        return kernel
+
     def _through(self, blocks, height):
         height = effective_height(self.window.model, height)
         self.ensure(height)
         return itertools.chain.from_iterable(blocks[:height + 1])
 
+    def wedge(self, cls_a, cls_b):
+        """Coordinates of (class a) ^ (class b) on the e_ij basis (i < j),
+        each modulo min(o_i, o_j)."""
+        return tuple((cls_a[i] * cls_b[j] - cls_a[j] * cls_b[i]) % o
+                     for i, j, o in self.wedge_moduli)
+
 
 def wedge_of(window, cls_a, cls_b):
     """Coordinates of (class a) ^ (class b) on the e_ij basis (i < j), each
-    modulo min(o_i, o_j)."""
-    o = window.orders
-    return tuple(v % min(o[i], o[j]) for v, (i, j) in
-                 zip(wedge(cls_a, cls_b), wedge_pairs(window.rank)))
+    modulo min(o_i, o_j) (ScanIndex.wedge)."""
+    return index_of(window).wedge(cls_a, cls_b)
 
 
 _INDEX_CACHE = {}

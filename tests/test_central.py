@@ -538,6 +538,25 @@ def test_cl_pair_forms_no_howell_form(monkeypatch, w_tuu3):
     assert [cl_pair(s, t) for s, t in pairs] == expected
 
 
+def test_cl_pair_takes_no_smith_form_once_the_frame_exists(monkeypatch,
+                                                           w_tuu3):
+    # the frame module's one Smith form is taken; each sigma's quotient by
+    # q(sigma^beta) is then a closed form (coeffmod.cyclic_quotient)
+    import valdetect.coeffmod as coeffmod
+    frame = frame_from_k2(w_tuu3, steinberg_scan(w_tuu3, 4))
+    assert frame.module.quotient_matrix
+    members = frame.span([AbelianElement.from_character(frame, c)
+                          for c in CharacterGroup.full(w_tuu3).gens])
+    pairs = list(itertools.product(members, repeat=2))
+    expected = [_cl_pair_by_oracle(s, t) for s, t in pairs]
+    assert set(expected) == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("cl_pair took a Smith form")
+    monkeypatch.setattr(coeffmod, "smith_form", refuse)
+    assert [cl_pair(s, t) for s, t in pairs] == expected
+
+
 def _omega_cases():
     """(q, l, n) over small prime and prime-power fields with the l^n-th
     roots of unity (the 2l^n-th when l = 2) and l prime to q."""

@@ -298,6 +298,9 @@ def test_negative_height(capsys):
 
 
 _WINDOW_ARGS = ("--window", "{ell=3,n=1,gens=[const]}")
+_EVAL_ARGS = ("eval", "--field", "ratfunc(gf:7,u)",
+              "--window", "{ell=3,n=1,gens=[u]}", "--char", "u")
+_LONG = "9" * 5000
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -336,6 +339,15 @@ _WINDOW_ARGS = ("--window", "{ell=3,n=1,gens=[const]}")
      "precondition-violated"),
     (("levels", "--ell", "3", "--n", "99999999999999999999"),
      "precondition-violated"),
+    (_EVAL_ARGS + ("--element", "u^99999999999"), "precondition-violated"),
+    # nested powers count as the product of their exponents
+    (_EVAL_ARGS + ("--element", "(u^16)^17"), "precondition-violated"),
+    # digit strings past the interpreter's int conversion cap
+    (("window", "--field", f"gf:{_LONG}") + _WINDOW_ARGS, "parse-error"),
+    (("window", "--field", f"laurent(gf:7,t,prec={_LONG})") + _WINDOW_ARGS,
+     "parse-error"),
+    (_EVAL_ARGS + ("--element", _LONG), "parse-error"),
+    (_EVAL_ARGS + ("--element", f"u^{_LONG}"), "parse-error"),
 ])
 def test_malformed_input_is_an_error_payload(capsys, argv, code):
     exit_code, err = _error_payload(capsys, *argv)

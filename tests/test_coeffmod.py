@@ -11,6 +11,7 @@ from valdetect.coeffmod import (
     cancellation_conclusion,
     cancellation_holds,
     cyclic_contains,
+    cyclic_quotient,
     howell_form,
     index_m,
     index_n,
@@ -483,6 +484,50 @@ def test_quotient_map_kernel_is_the_relations(ell, n):
                                                 module.quotient(y)))
                 assert (not any(module.quotient(x))) == span_contains(
                     module.relation_form, x, ell, n)
+
+
+def _quotient_vectors(rng, ell, n, width):
+    """v = 0, v with no unit entry, random v, and an unreduced lift."""
+    m = ell ** n
+    yield (0,) * width
+    for _ in range(4):
+        yield tuple(ell * rng.randrange(m) % m for _ in range(width))
+        v = tuple(rng.randrange(m) for _ in range(width))
+        yield v
+        yield tuple(a + m * rng.randrange(-2, 3) for a in v)
+
+
+@pytest.mark.parametrize("ell,n", list(itertools.product((2, 3), (1, 2, 3))))
+def test_cyclic_quotient_kernel_is_the_span(ell, n):
+    # the closed-form map has kernel <v> and the width of the one-relation
+    # module's Smith quotient, and is linear
+    rng = random.Random(7000 * ell + n)
+    m = ell ** n
+    for width in range(1, 7):
+        every = m ** width <= 729
+        for v in _quotient_vectors(rng, ell, n, width):
+            quotient = cyclic_quotient(v, ell, n)
+            module = FinMod(tuple(range(width)), (v,), Level(ell, n))
+            assert len(quotient((0,) * width)) == module.quotient_width
+            span = {tuple(c * a % m for a in v) for c in range(m)}
+            if every:
+                xs = list(itertools.product(range(m), repeat=width))
+            else:
+                xs = _random_rows(rng, ell, n, width, 60) + [
+                    tuple(a + m * rng.randrange(-1, 2) for a in s)
+                    for s in span]
+            for x in xs:
+                inside = tuple(a % m for a in x) in span
+                assert (not any(quotient(x))) == inside, (v, x)
+                assert (not any(module.quotient(x))) == inside, (v, x)
+            for x, y in zip(xs, reversed(xs)):
+                summed = tuple(a + b for a, b in zip(x, y))
+                assert quotient(summed) == tuple(
+                    (a + b) % m for a, b in zip(quotient(x), quotient(y)))
+            if every:
+                images = {quotient(x) for x in xs}
+                assert len(images) == m ** width // len(span) == len(
+                    {module.quotient(x) for x in xs})
 
 
 def test_module_takes_one_smith_form_and_no_relation_rows(monkeypatch):

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+import valdetect.cpairs as cpairs
 from valdetect.coeffmod import vectors_cyclic
 from valdetect.errors import (
     LevelMismatch,
@@ -31,6 +33,7 @@ from valdetect.fields import (
 )
 from valdetect.milnor import steinberg_scan
 from valdetect.scans import (
+    ScanIndex,
     Verdict,
     exhaustive_classes,
     scan_index,
@@ -119,6 +122,71 @@ def test_wedge_entries_are_first_occurrences(field, window, heights):
         assert all(a is b for (_, a), (_, b) in zip(got, expected))
         keys = [ent.key for _, ent in got]
         assert keys == sorted(keys)
+
+
+# (field, window, height) at level 9: a table that closes (exhaustive), one
+# in characteristic 2 and one at a low Laurent height (neither exhaustive)
+REORDER_WINDOWS = [
+    ("ratfunc(gf:19,u)", "{ell=3,n=2,gens=[u,u-1]}", 1),
+    ("ratfunc(gf:4,u)", "{ell=3,n=2,gens=[u,u+1]}", 1),
+    ("laurent(gf:19,t)", "{ell=3,n=2,gens=[t,const]}", 2),
+]
+REORDER_IDS = ["F19u-closed", "F4u-char2", "F19t-low"]
+
+
+@pytest.mark.parametrize("field, window, height", REORDER_WINDOWS,
+                         ids=REORDER_IDS)
+def test_direct_reads_no_table_when_the_wedge_vanishes(monkeypatch, field,
+                                                       window, height):
+    w = parse_window(parse_field(field), window)
+    exhaustive = exhaustive_classes(w, height)
+    assert exhaustive == (field == "ratfunc(gf:19,u)")
+
+    def char(*vals):
+        return Character(w, vals)
+    # cyclic pairs, and (3,0), (0,3): f ^ g = 9 = 0 mod 9, not cyclic
+    cyclic = [(char(3, 0), char(3, 0)), (char(3, 0), char(6, 0)),
+              (char(0, 0), char(0, 3)), (char(1, 2), char(4, 8))]
+    split = (char(3, 0), char(0, 3))
+    refs = [_c_pair_by_scan(f, g, height) for f, g in cyclic + [split]]
+
+    def refuse(self, h):
+        raise AssertionError("the scan table was read")
+    monkeypatch.setattr(ScanIndex, "pair_kernel", refuse)
+    for (f, g), ref in zip(cyclic, refs):
+        got = c_pair_direct(f, g, height)
+        assert (got.kind, got.exact) == (CPAIR, True)
+        assert got.payload() == ref.payload()
+    got = c_pair_direct(*split, height)
+    assert (got.kind, got.exact) == ((CPAIR, True) if exhaustive
+                                     else (CPAIR_UP_TO, False))
+    assert got.payload() == refs[-1].payload()
+
+
+@pytest.mark.parametrize("field, window, height", REORDER_WINDOWS,
+                         ids=REORDER_IDS)
+def test_direct_asks_for_cyclicity_only_after_a_bounded_pass(
+        monkeypatch, field, window, height):
+    w = parse_window(parse_field(field), window)
+    exhaustive = exhaustive_classes(w, height)
+    chars = CharacterGroup.full(w).elements()
+    pairs = random.Random(25).sample(
+        list(itertools.combinations_with_replacement(chars, 2)), 300)
+    refs = [_c_pair_by_scan(f, g, height) for f, g in pairs]
+    asked = []
+
+    def counted(*args):
+        asked.append(args)
+        return vectors_cyclic(*args)
+    monkeypatch.setattr(cpairs, "vectors_cyclic", counted)
+    kinds = set()
+    for (f, g), ref in zip(pairs, refs):
+        before = len(asked)
+        got = c_pair_direct(f, g, height)
+        assert got.payload() == ref.payload()
+        assert (len(asked) > before) == (not exhaustive and got.holds())
+        kinds.add(got.kind)
+    assert NOT_CPAIR in kinds or field.startswith("laurent")
 
 
 def test_direct_trivial_and_laurent(w_t_c):

@@ -12,6 +12,7 @@ from valdetect.errors import (
 )
 from valdetect.ffpoly import FiniteField
 from valdetect.fields import (
+    MAX_EXPONENT,
     ValuationHandle,
     compose_valuations,
     enumerate_blocks,
@@ -44,6 +45,21 @@ def test_field_spec_errors():
         parse_field("laurent(gf:7)")
     with pytest.raises(PreconditionViolated):
         parse_field("gf:12")
+
+
+def test_element_exponent_limit(F7u, F7t):
+    # the limit holds for a power and for the product of nested powers
+    assert parse_element(F7u, f"u^{MAX_EXPONENT}") == \
+        parse_element(F7u, "(u^16)^16")
+    assert parse_element(F7t, f"t^-{MAX_EXPONENT}") * \
+        parse_element(F7t, f"t^{MAX_EXPONENT}") == F7t.one()
+    for spec in (f"u^{MAX_EXPONENT + 1}", f"u^-{MAX_EXPONENT + 1}",
+                 "(u^16)^17", "((u+1)^2)^129", "(2*(u^4)^8)^9"):
+        with pytest.raises(PreconditionViolated):
+            parse_element(F7u, spec)
+    # products and sums of powers are not nested powers
+    assert parse_element(F7u, "u^200*u^200+u^256") == \
+        parse_element(F7u, "u^256*u^144+u^256")
 
 
 def test_window_classes_pinned(w_u_u3, F7u):
