@@ -115,6 +115,14 @@ class CentralFrame:
         return span_contains(self.relations, vec, ell, n)
 
     @cached_property
+    def fits_window(self):
+        """Whether the frame has the rank and level of its window, so that
+        the values of a character on it, already reduced mod l^n and one
+        per generator, are coefficients as they stand."""
+        w = self.window
+        return w is not None and (w.rank, w.level) == (self.rank, self.level)
+
+    @cached_property
     def _sigma_maps(self):
         return {}
 
@@ -202,7 +210,12 @@ class AbelianElement:
     def from_character(frame, char: Character):
         if frame.window is None or char.window != frame.window:
             raise FrameMismatch("character does not match the frame window")
-        return AbelianElement(frame, char.values)
+        if not frame.fits_window:
+            return AbelianElement(frame, char.values)
+        out = object.__new__(AbelianElement)  # no second validation
+        object.__setattr__(out, "frame", frame)
+        object.__setattr__(out, "coeffs", char.values)
+        return out
 
     def label(self):
         terms = [f"{c}*{g}" if c != 1 else str(g)

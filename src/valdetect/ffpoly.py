@@ -328,6 +328,8 @@ class FiniteField:
             return False
         if d == 1:
             return True
+        if not f[0]:    # x divides f; spares the Frobenius powers below
+            return False
         x = (0, self.one)
         xq = self.poly_pow_mod(x, self.q ** d, f)
         if self.poly_mod(self.poly_sub(xq, x), f):

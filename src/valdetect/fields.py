@@ -160,8 +160,9 @@ class LaurentModel(FieldModel):
             isinstance(base.bottom(), RatFuncModel) and base.bottom().var == var
         ):
             raise PreconditionViolated(f"variable {var} already used in tower")
-        if prec < 1:
-            raise PreconditionViolated(f"Laurent precision {prec} is below 1")
+        if not 1 <= prec <= MAX_PRECISION:
+            raise PreconditionViolated(
+                f"Laurent precision {prec} is outside 1..{MAX_PRECISION}")
         self.base = base
         self.var = var
         self.prec = prec
@@ -1113,6 +1114,12 @@ _ELT_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\*\*|[-+*/^()])")
 # in full, and its cost grows with e^2 per level of the tower: (1+u*t)^256
 # on laurent(ratfunc(gf:7,u),t) takes 0.5 s, (1+u*t)^1024 over 90 s
 MAX_EXPONENT = 256
+
+# the largest Laurent precision.  A series inverse takes up to prec steps,
+# each a product with a base series of up to prec terms: 1/(1-s-t) over
+# laurent(laurent(gf:7,s,prec=P),t,prec=P) takes 1.3 s at P = 128 and
+# 8.6 s at P = 256
+MAX_PRECISION = 128
 
 
 def _integer(digits, pos):

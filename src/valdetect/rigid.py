@@ -18,11 +18,19 @@ it keeps or tests one.  The pair clause's cls(1 + x_i(1 + x_j)) comes from
 exponents (`ScanIndex.pair_class`) and is kept per position pair.  Other
 sums, such as h + x, are classified by `Window.classify_sum`, which reads
 the leading term of the sum without building it.  On a Laurent window the
-unit test decides an h in H by one exponent interval (`UnitGroupApprox`).
+unit test decides an h in H by one interval of exponent vectors down the
+tower, compared lexicographically (`UnitGroupApprox`): a row x below the
+vector of h makes h + x lead with x, a row above makes it lead with h,
+since 1 + x/h then leads with 1 on every level and has class 0, and only
+rows with the vector of h are classified.
 
-The one-variable valuative condition is one matrix product of kernel rows
-with the scan table, shared by a single subgroup (`valuative_test`) and by
-the cyclic groups <f> of many members f at once (`valuative_members_mask`).
+Each scan decides once per value its verdict depends on.  The one-variable
+valuative condition is one matrix product of kernel rows with the class
+matrices of the table (`ScanIndex.class_arrays`), shared by a single
+subgroup (`valuative_test`) and by the cyclic groups <f> of many members f
+at once (`valuative_members_mask`), once per group <f>, since u*f has the
+kernel of f for every unit u.  Comparability reads Psi(x) and Psi(1-x) of
+every entry from one product and tests each distinct pair once.
 """
 
 import math
@@ -92,19 +100,16 @@ def _first_failures(w: Window, kernels, height: int) -> list:
     entry x through `height`, in stream order, with x, 1+x and (1+x)/x all
     outside the kernel, or None: some row is nonzero on cls x, some on
     cls 1+x, and some row tells the two apart.  One product per chunk of
-    kernels, each padded with zero rows, which change none of the tests.
-    x = -1 has the zero class, so it is left out."""
+    kernels, each padded with zero rows, which change none of the tests,
+    with the class matrices of `ScanIndex.class_arrays`."""
     mod = w.level.modulus
-    ents = [e for e in scan_index(w, height).entries(height)
-            if e.cls_1px is not None]
-    cls_x = np.array([e.cls_x for e in ents], dtype=np.int64).T
-    cls_1px = np.array([e.cls_1px for e in ents], dtype=np.int64).T
+    ents, cls_x, _, cls_1px = scan_index(w, height).class_arrays(height)
     out = []
     for i in range(0, len(kernels), MEMBER_CHUNK):
         chunk = kernels[i:i + MEMBER_CHUNK]
         depth = max(1, *map(len, chunk))
         rows = np.array([[*k] + [(0,) * w.rank] * (depth - len(k))
-                         for k in chunk], dtype=np.int64)
+                         for k in chunk], dtype=cls_x.dtype)
         fx = rows @ cls_x % mod
         fpx = rows @ cls_1px % mod
         bad = ((fx != 0).any(axis=1) & (fpx != 0).any(axis=1)
@@ -113,6 +118,26 @@ def _first_failures(w: Window, kernels, height: int) -> list:
                    for b, k in zip(bad.any(axis=1).tolist(),
                                    bad.argmax(axis=1).tolist()))
     return out
+
+
+def _cyclic_key(values, ell, mod):
+    """The generator of <f>, for character values f mod l^n, whose first
+    coordinate of least l-adic valuation b is l^b: u*f for every unit u,
+    which is every generator of <f>, gives the same one, since u*f depends
+    only on u mod l^(n-b)."""
+    best = None     # (b, i) of the first coordinate of least valuation
+    for i, v in enumerate(values):
+        b = 0
+        while v and v % ell == 0:
+            v //= ell
+            b += 1
+        if v and (best is None or b < best[0]):
+            best = b, i
+    if best is None:
+        return values
+    b, i = best
+    u = pow(values[i] // ell ** b, -1, mod)
+    return tuple(u * v % mod for v in values)
 
 
 def _pair_failure(H: MultSubgroup, height: int):
@@ -164,22 +189,60 @@ def valuative_members_mask(chars, height: int) -> list:
     """valuative_test(MultSubgroup(<f>), height).holds() for each character
     f of `chars`, all on one window.
 
-    The kernel of <f> is ker f, so the one-variable condition of every f is
-    one `_first_failures` call with the rows (f,).  For l = 2 the members
-    that pass it run the two-variable condition alone.
+    The kernel of <f> is ker f, and u*f has the same kernel for every unit
+    u mod l^n, so the verdict is one per cyclic subgroup <f>: one
+    `_first_failures` call with the rows (f,) of the first member of each,
+    and for l = 2 the two-variable condition alone for each that passes.
     """
     if not chars:
         return []
     w = chars[0].window
     if any(f.window != w for f in chars):
         raise LevelMismatch("characters on different windows")
-    out = [ent is None for ent in
-           _first_failures(w, [(f.values,) for f in chars], height)]
-    if w.level.ell == 2:
-        out = [ok and _pair_failure(MultSubgroup(CharacterGroup(w, (f,))),
-                                    height) is None
-               for f, ok in zip(chars, out)]
-    return out
+    ell, mod = w.level.ell, w.level.modulus
+    keys = [_cyclic_key(f.values, ell, mod) for f in chars]
+    first = {}      # <f> -> its first member
+    for key, f in zip(keys, chars):
+        first.setdefault(key, f)
+    fails = _first_failures(w, [(f.values,) for f in first.values()], height)
+    ok = {key: ent is None and (ell != 2 or _pair_failure(
+              MultSubgroup(CharacterGroup(w, (f,))), height) is None)
+          for (key, f), ent in zip(first.items(), fails)}
+    return [ok[key] for key in keys]
+
+
+def _exponents(model, src):
+    """The exponent vector, top level first, of the stream element with
+    `ScanIndex` source src: (e, src of c) for c*t^e on each Laurent level."""
+    vec = []
+    while model.kind == "laurent":
+        e, src = src
+        vec.append(e)
+        model = model.base
+    return tuple(vec)
+
+
+def _lead(h):
+    """(exponent vector, bottom coefficient data) of the leading term of h
+    down its Laurent tower, the exponents `decompose` peels, or None when
+    the leading coefficient of some level is not known below its bound."""
+    model, data, vec = h.model, h.data, []
+    while model.kind == "laurent":
+        coeffs, bound = data
+        if not coeffs or (bound is not None and coeffs[0][0] >= bound):
+            return None
+        e, data = coeffs[0]
+        vec.append(e)
+        model = model.base
+    return tuple(vec), data
+
+
+def _monomial(model, vec, bot):
+    """The element bot * prod t_i^vec[i] over the Laurent tower `model`."""
+    if not vec:
+        return model.elt(bot)
+    inner = _monomial(model.base, vec[1:], bot)
+    return model.elt((((vec[0], inner.data),), None))
 
 
 class UnitGroupApprox:
@@ -190,22 +253,25 @@ class UnitGroupApprox:
     canonical valuation, evaluated against the stream at the given height.
 
     The test is class-level.  The first MAX_NONMEMBERS nonmembers x of the
-    window's stream are tabled once, in stream order, as rows (x, cls 1+x).
-    On a Laurent window each row is an exact monomial of exponent v(x), and
-    an h in H with leading term c*t^e, e below its precision bound, passes
-    every row with v(x) != e iff hi <= e <= lo, where lo is the least v(x)
+    window's stream are tabled once, in stream order, as rows (src of x,
+    cls 1+x).  On a Laurent window each row is an exact monomial, with an
+    exponent vector v(x) down the tower, and an h in H whose leading term
+    is known at every level, with vector e, passes every row with v(x) != e
+    iff hi <= e <= lo in lexicographic order, where lo is the least v(x)
     with (1+x)/x outside H and hi the greatest v(x) with 1+x outside H:
     - for v(x) < e, h + x leads with x, so the row asks (1+x)/x in H;
-    - for v(x) > e, h + x leads with h, whose class lies in H, so the row
+    - for v(x) > e, h + x = h(1 + x/h) leads with h, whose class lies in H,
+      since 1 + x/h leads with 1 on every level and has class 0; so the row
       asks 1+x in H.
-    A tie v(x) = e gives h + x the leading term of c*t^e + x, so the
-    verdict is one per leading term, and the ties are classified against
-    that monomial.  No tie cancels the lead of an h in H: windows kill -1,
-    so such an x has the class of -h, which is that of h, and lies in H.
-    This is exact, because a class reads only leading terms.  Every other
-    h, off a Laurent window or with no known leading term, classifies h + x
-    for every row in stream order, so its verdict and the exception it may
-    raise are those of the definition.
+    A tie v(x) = e gives h + x the leading term of h0 + x, for the monomial
+    h0 of the leading term of h, so the verdict is one per leading term,
+    and only the ties are classified, against h0.  No tie cancels the lead
+    of an h in H: windows kill -1, so such an x has the class of -h, which
+    is that of h, and lies in H.  This is exact, because a class reads only
+    leading terms.  Every other h, off a Laurent window or with a leading
+    coefficient not known, classifies h + x for every row in stream order,
+    so its verdict and the exception it may raise are those of the
+    definition.  A row's element is built only when a sum reads it.
     """
 
     MAX_NONMEMBERS = 400
@@ -215,48 +281,49 @@ class UnitGroupApprox:
         self.height = height
         self._tab = None
         self._capped = False
-        # verdict per leading term (e, c) of an h the interval decides, and
-        # per h.data of any other h; an exponent e is never a tuple, so the
-        # two kinds of key never meet
+        # verdict per leading term (vector, bottom data) of an h the
+        # interval decides, and per h.data of any other h; a vector holds
+        # exponents and a coefficient list pairs, so the keys never meet
         self._memo = {}
 
     def _table(self):
         """(rows, hi, lo, ties): the scanned nonmembers x of H in stream
-        order, up to MAX_NONMEMBERS of them, as rows (x, cls 1+x), and on a
-        Laurent window the bounds hi and lo and the rows per exponent v(x);
-        off it, hi and lo stay infinite and ties empty.  The zero class lies
-        in H, so x = -1 is never a row."""
+        order, up to MAX_NONMEMBERS of them, as rows (src of x, cls 1+x),
+        and on a Laurent window the bounds hi and lo, as exponent vectors,
+        and the rows per exponent vector v(x); off it, hi and lo stay
+        infinite and ties empty.  The zero class lies in H, so x = -1 is
+        never a row."""
         if self._tab is None:
             H, w = self.H, self.H.window
             laurent = w.model.kind == "laurent"
-            index = index_of(w)
             rows, ties = [], {}
-            hi, lo = -math.inf, math.inf
-            for (cls_x, cls_opx), src in index.stream(self.height):
+            hi, lo = (-math.inf,), (math.inf,)
+            for (cls_x, cls_opx), src in index_of(w).stream(self.height):
                 if cls_x is None or H.contains_class(cls_x):
                     continue
                 if len(rows) == self.MAX_NONMEMBERS:
                     self._capped = True  # this nonmember is left out
                     break
-                rows.append((index.element(src), cls_opx))
+                rows.append((src, cls_opx))
                 if laurent:
-                    v = src[0]  # x = c*t^v
+                    v = _exponents(w.model, src)
                     ties.setdefault(v, []).append(rows[-1])
-                    if not H.contains_class(w.class_sub(cls_opx, cls_x)):
-                        lo = min(lo, v)
-                    if not H.contains_class(cls_opx):
-                        hi = max(hi, v)
+                    if v < lo and not H.contains_class(
+                            w.class_sub(cls_opx, cls_x)):
+                        lo = v
+                    if v > hi and not H.contains_class(cls_opx):
+                        hi = v
             self._tab = rows, hi, lo, ties
         return self._tab
+
+    def _elements(self, rows):
+        element = index_of(self.H.window).element
+        return [(element(src), cls_opx) for src, cls_opx in rows]
 
     def is_unit(self, h, cls_h=None) -> bool:
         """Whether h passes the unit test; `cls_h`, the window class of a
         nonzero h when the caller has read it, spares classifying h."""
-        lead = None
-        if self.H.window.model.kind == "laurent":
-            coeffs, bound = h.data
-            if coeffs and (bound is None or coeffs[0][0] < bound):
-                lead = coeffs[0]
+        lead = _lead(h) if self.H.window.model.kind == "laurent" else None
         key = h.data if lead is None else lead
         got = self._memo.get(key)
         if got is None:
@@ -264,22 +331,25 @@ class UnitGroupApprox:
         return got
 
     def _verdict(self, h, lead, cls_h) -> bool:
-        """Whether h is a unit.  With a leading term (e, c), the monomial
-        c*t^e stands in for h, as it has the class of h and the leading
-        term of each sum with a row: it must lie in H, e in [hi, lo], and
-        the rows v(x) = e must pass.  Without one, h must be nonzero, lie
-        in H and pass every row."""
+        """Whether h is a unit.  With a leading term (e, c), e the exponent
+        vector, the monomial h0 = c*t^e stands in for h, as it has the class
+        of h and the leading term of each sum with a row: it must lie in H,
+        e in [hi, lo], and the rows v(x) = e must pass.  Without one, h
+        must be nonzero, lie in H and pass every row."""
         w = self.H.window
         if lead is not None:
-            h = w.model.elt(((lead,), None))
+            h = _monomial(w.model, *lead)
         if h.is_zero() or not (self.H.contains(h) if cls_h is None
                                else self.H.contains_class(cls_h)):
             return False
         rows, hi, lo, ties = self._table()
-        if lead is not None:
-            if not hi <= lead[0] <= lo:
+        if lead is None:
+            rows = self._elements(rows)
+        else:
+            e = lead[0]
+            if not hi <= e <= lo:
                 return False
-            rows = ties.get(lead[0], ())
+            rows = self._elements(ties.get(e, ()))
         # 1+x = h+x mod H, tested on classes (quotients never materialize)
         return all(self.H.contains_class(
                        w.class_sub(cls_opx, w.classify_sum(h, x)))
@@ -349,7 +419,12 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
 
 def comparable(f: Character, g: Character, height: int) -> Verdict:
     """Whether the canonical valuations of two valuative characters are
-    comparable: scans the cyclicity of <Psi(1-x), Psi(x)>."""
+    comparable: scans the cyclicity of <Psi(1-x), Psi(x)>.
+
+    Psi(x) and Psi(1-x) of every entry come from one product with the
+    class matrices of `ScanIndex.class_arrays`, and `vectors_cyclic` runs
+    once per distinct value pair; the witness is the first entry, in
+    stream order, of the first pair that fails."""
     w = f.window
     if g.window != w:
         raise LevelMismatch("characters on different windows")
@@ -357,13 +432,15 @@ def comparable(f: Character, g: Character, height: int) -> Verdict:
         raise NotValuative("input character is not valuative at this "
                            "height")
     ell, n = w.level.ell, w.level.n
-    for ent in scan_index(w, height).entries(height):
-        if ent.cls_1mx is None:
-            continue
-        psi_x = (f.evaluate_class(ent.cls_x), g.evaluate_class(ent.cls_x))
-        psi_m = (f.evaluate_class(ent.cls_1mx), g.evaluate_class(ent.cls_1mx))
-        if not vectors_cyclic(psi_m, psi_x, ell, n):
-            return Verdict("NotComparable", height, witness=ent.element())
+    ents, cls_x, cls_1mx, _ = scan_index(w, height).class_arrays(height)
+    psi = np.array([f.values, g.values], dtype=cls_x.dtype)
+    values = np.concatenate([psi @ cls_1mx, psi @ cls_x]) % w.level.modulus
+    first = {}      # (Psi(1-x), Psi(x)) -> the first entry index with it
+    for i, v in enumerate(zip(*values.tolist())):
+        first.setdefault(v, i)
+    for (a, b, c, d), i in first.items():     # in stream order
+        if not vectors_cyclic((a, b), (c, d), ell, n):
+            return Verdict("NotComparable", height, witness=ents[i].element())
     if exhaustive_classes(w, height):
         return Verdict("Comparable", height)
     return Verdict("ComparableUpToBound", height)

@@ -45,21 +45,25 @@ once per window, and keeps per height the pair kernel of the C-pair scan
 and the C-center: the tuple of wedge entries and the exhaustiveness flag.
 
 A window's ScanIndex owns its memos: the triple table, the wedge list, the
-pair kernels, and cls x and cls 1+x per position of the element stream
-that the rigid and detect walks read (`ScanIndex.stream`).  A bottom
-window classifies its elements; a Laurent window derives its list from its
-base window's by the same rule as the table, with no element built.  A
-walk builds an element only where it keeps one (`ScanIndex.element`), and
-the l = 2 probe cls(1 + x(1 + y)) also comes from exponents.  Every class
-comes from the index's Window (`Window.fraction_class`), which memoises
-per-polynomial class data.  The indexes live for the process in one dict
-keyed by window, so later commands reuse the tables and that memo.
+pair kernels, the class arrays per height (the entries' cls x, cls 1-x
+and cls 1+x as matrices, read by the valuative and comparability scans),
+and cls x and cls 1+x per position of the element stream that the rigid
+and detect walks read (`ScanIndex.stream`).  A bottom window classifies
+its elements; a Laurent window derives its list from its base window's by
+the same rule as the table, with no element built.  A walk builds an
+element only where it keeps one (`ScanIndex.element`), and the l = 2 probe
+cls(1 + x(1 + y)) also comes from exponents.  Every class comes from the
+index's Window (`Window.fraction_class`), which memoises per-polynomial
+class data.  The indexes live for the process in one dict keyed by window,
+so later commands reuse the tables and that memo.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
+
+import numpy as np
 
 from .coeffmod import wedge_pairs
 from .errors import PreconditionViolated, WitnessMismatch
@@ -121,6 +125,7 @@ class ScanIndex:
         self.wedge_moduli = tuple((i, j, min(o[i], o[j]))
                                   for i, j in wedge_pairs(window.rank))
         self._kernels = {}        # height -> pair_kernel(height)
+        self._arrays = {}         # height -> class_arrays(height)
 
     def _intern(self, cls):
         return None if cls is None else self._interned.setdefault(cls, cls)
@@ -314,6 +319,30 @@ class ScanIndex:
                 tuple(self.wedge_entries(height)),
                 exhaustive_classes(self.window, height))
         return kernel
+
+    def class_arrays(self, height):
+        """(entries, cls x, cls 1-x, cls 1+x): the tuple of entries(height)
+        and their classes as rank x entries integer matrices, made once per
+        height; all that the valuative and comparability scans read of the
+        table.  x = 1 and x = -1 have the zero class, so no scanned
+        condition fails at either, and their missing cls 1-x or cls 1+x
+        reads as the zero class.  The matrices hold Python ints (dtype
+        object) where a product of a character with a class could overflow
+        int64, so products with them are exact at every level."""
+        height = effective_height(self.window.model, height)
+        got = self._arrays.get(height)
+        if got is None:
+            w = self.window
+            ents = tuple(self.entries(height))
+            zero = w.zero_class()
+            dtype = (np.int64 if w.rank * (w.level.modulus - 1) ** 2 < 2 ** 63
+                     else object)
+            got = self._arrays[height] = (ents, *(
+                np.array([zero if c is None else c for c in cls],
+                         dtype=dtype).reshape(-1, w.rank).T
+                for cls in ([e.cls_x for e in ents], [e.cls_1mx for e in ents],
+                            [e.cls_1px for e in ents])))
+        return got
 
     def _through(self, blocks, height):
         height = effective_height(self.window.model, height)

@@ -11,9 +11,15 @@ from valdetect.coeffmod import (
     quotient_span,
     span_contains,
     span_quasi_basis,
+    vectors_cyclic,
     wedge_pairs,
 )
-from valdetect.errors import LevelMismatch, UnsupportedValuation, ZeroElement
+from valdetect.errors import (
+    LevelMismatch,
+    NotValuative,
+    UnsupportedValuation,
+    ZeroElement,
+)
 from valdetect.fields import (
     CONST,
     PLACE,
@@ -25,8 +31,13 @@ from valdetect.fields import (
     residue_field_of_place,
 )
 from valdetect import detect
-from valdetect.rigid import PAIR_HEIGHT_CAP
-from valdetect.scans import ELEMENT_RATFUNC_CAP, scan_index, wedge_of
+from valdetect.rigid import PAIR_HEIGHT_CAP, MultSubgroup, valuative_test
+from valdetect.scans import (
+    ELEMENT_RATFUNC_CAP,
+    exhaustive_classes,
+    scan_index,
+    wedge_of,
+)
 
 
 def submodule_contains(module, gens, x) -> bool:
@@ -289,6 +300,31 @@ def one_variable_witness(contains_class, window, height):
             continue
         return ent.element()
     return None
+
+
+def comparable_by_entries(f, g, height):
+    """(kind, witness) of the comparability scan of two characters, each
+    checked alone by valuative_test, walked entry by entry: the first entry
+    x, in stream order, with <Psi(1-x), Psi(x)> not cyclic is the
+    witness."""
+    w = f.window
+    for h in (f, g):
+        if not valuative_test(MultSubgroup(CharacterGroup(w, (h,))),
+                              height).holds():
+            raise NotValuative("input character is not valuative at this "
+                               "height")
+    ell, n = w.level.ell, w.level.n
+    for ent in scan_index(w, height).entries(height):
+        if ent.cls_1mx is None:
+            continue
+        psi_x = (f.evaluate_class(ent.cls_x), g.evaluate_class(ent.cls_x))
+        psi_m = (f.evaluate_class(ent.cls_1mx),
+                 g.evaluate_class(ent.cls_1mx))
+        if not vectors_cyclic(psi_m, psi_x, ell, n):
+            return "NotComparable", ent.element()
+    if exhaustive_classes(w, height):
+        return "Comparable", None
+    return "ComparableUpToBound", None
 
 
 def rigid_qualifying(f, g, height):

@@ -144,6 +144,29 @@ def test_frame_from_k2_pinned_laurent(w_t_c):
                    AbelianElement.from_character(frame, fc))
 
 
+def test_from_character_matches_the_checking_constructor(w_t_c, w19_t_c):
+    # on a frame of its window's rank and level a character's values are
+    # taken as they stand; they equal the reduced, length-checked vector
+    for w, h in ((w_t_c, 8), (w19_t_c, 9)):
+        frame = frame_from_k2(w, steinberg_scan(w, h))
+        assert frame.fits_window
+        for f in CharacterGroup.full(w).elements():
+            got = AbelianElement.from_character(frame, f)
+            want = AbelianElement(frame, f.values)
+            assert got == want and hash(got) == hash(want)
+    # a frame of another rank or level on the same window checks each one
+    f = Character.dual_by_label(w_t_c, "t")
+    for level, labels in ((w_t_c.level, ("t",)), (Level(3, 2), ("t", "c"))):
+        other = CentralFrame(level, labels, (), None, w_t_c)
+        assert not other.fits_window
+        if len(labels) != w_t_c.rank:
+            with pytest.raises(FrameMismatch):
+                AbelianElement.from_character(other, f)
+        else:
+            assert AbelianElement.from_character(other, f) == \
+                AbelianElement(other, f.values)
+
+
 def test_frame_from_k2_pinned_ratfunc(w_u_u3):
     sp = steinberg_scan(w_u_u3, 4, stop_at_floor=True)
     frame = frame_from_k2(w_u_u3, sp)

@@ -340,6 +340,9 @@ _LONG = "9" * 5000
     (("levels", "--ell", "3", "--n", "99999999999999999999"),
      "precondition-violated"),
     (_EVAL_ARGS + ("--element", "u^99999999999"), "precondition-violated"),
+    (("eval", "--field", "laurent(gf:7,t,prec=99999999999)",
+      "--window", "{ell=3,n=1,gens=[t,const]}", "--element", "1/(1-t)",
+      "--char", "t"), "precondition-violated"),
     # nested powers count as the product of their exponents
     (_EVAL_ARGS + ("--element", "(u^16)^17"), "precondition-violated"),
     # digit strings past the interpreter's int conversion cap

@@ -13,6 +13,7 @@ from valdetect.errors import (
 from valdetect.ffpoly import FiniteField
 from valdetect.fields import (
     MAX_EXPONENT,
+    MAX_PRECISION,
     ValuationHandle,
     compose_valuations,
     enumerate_blocks,
@@ -60,6 +61,19 @@ def test_element_exponent_limit(F7u, F7t):
     # products and sums of powers are not nested powers
     assert parse_element(F7u, "u^200*u^200+u^256") == \
         parse_element(F7u, "u^256*u^144+u^256")
+
+
+def test_laurent_precision_limit():
+    # the limit holds on every level of a tower
+    m = parse_field(f"laurent(laurent(gf:7,s,prec={MAX_PRECISION}),t,"
+                    f"prec={MAX_PRECISION})")
+    assert (m.prec, m.base.prec) == (MAX_PRECISION, MAX_PRECISION)
+    assert parse_element(m, "1/(1-t)").data[1] == MAX_PRECISION
+    for spec in (f"laurent(gf:7,t,prec={MAX_PRECISION + 1})",
+                 f"laurent(laurent(gf:7,s,prec={MAX_PRECISION + 1}),t)",
+                 "laurent(gf:7,t,prec=0)"):
+        with pytest.raises(PreconditionViolated):
+            parse_field(spec)
 
 
 def test_window_classes_pinned(w_u_u3, F7u):
@@ -259,6 +273,27 @@ def test_extension_tables_match_the_polynomial_path(q):
         for b in ff.elements():
             assert ff.add(a, b) == ff._poly_add(a, b)
             assert ff.mul(a, b) == ff._poly_mul(a, b)
+
+
+def _irreducible_by_division(ff, f):
+    """Whether the monic f of degree >= 1 has no monic factor of degree
+    1 <= k <= deg f / 2, by trial division."""
+    d = ff.poly_deg(f)
+    return all(ff.poly_mod(f, g) for k in range(1, d // 2 + 1)
+               for g in ff.monic_polys(k))
+
+
+@pytest.mark.parametrize("q,degrees", [(2, range(1, 9)), (3, range(1, 6)),
+                                       (4, range(1, 5)), (5, range(1, 4))])
+def test_irreducibility_matches_trial_division(q, degrees):
+    # the zero-constant-term shortcut keeps every verdict, so the first
+    # irreducible, the modulus of every extension field, is unchanged
+    ff = FiniteField.of_order(q)
+    for d in degrees:
+        polys = list(ff.monic_polys(d))
+        want = [_irreducible_by_division(ff, f) for f in polys]
+        assert [ff.poly_is_irreducible(f) for f in polys] == want
+        assert ff.find_irreducible(d) == polys[want.index(True)]
 
 
 def test_large_extension_fields_keep_the_polynomial_path():

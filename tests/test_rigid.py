@@ -4,6 +4,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from valdetect.errors import (
@@ -23,6 +24,7 @@ from valdetect.cpairs import c_pair_direct
 from valdetect.fields import (
     ValuationHandle,
     Window,
+    decompose,
     enumerate_elements,
     format_element,
     parse_element,
@@ -39,9 +41,13 @@ from valdetect.rigid import (
     valuative_members_mask,
     valuative_test,
 )
+from valdetect.scans import Verdict, index_of, scan_index
+
+from valdetect import rigid
 
 from oracles import (
     capped_stream,
+    comparable_by_entries,
     cpair_inertia,
     one_variable_witness,
     psi_span_contains,
@@ -262,6 +268,19 @@ def test_capped_stream_deterministic(w_tuu3):
         "548d77443126a5d2c1f35c60b9b99b07aadd7e46ebbf555210a7e392508c36ee")
 
 
+def _row_elements(units):
+    """The scanned nonmembers x of the table of `units`, built, in stream
+    order."""
+    element = index_of(units.H.window).element
+    return [element(src) for src, _ in units._table()[0]]
+
+
+def _vector(x):
+    """The exponents of the leading term of x down its Laurent tower, top
+    level first."""
+    return tuple(decompose(x)[0].values())
+
+
 def _is_unit_by_elements(units, h):
     """The unit test on built elements, the reference for is_unit: classify
     h + x and 1 + x for every scanned nonmember x."""
@@ -270,7 +289,7 @@ def _is_unit_by_elements(units, h):
     if h.is_zero() or not H.contains(h):
         return False
     one = w.model.one()
-    for x, _ in units._table()[0]:
+    for x in _row_elements(units):
         hx, opx = h + x, one + x
         if hx.is_zero() or opx.is_zero():
             continue
@@ -368,56 +387,70 @@ def _inexact(m, data):
     return bound is not None or any(_inexact(m.base, c) for _, c in coeffs)
 
 
-# members of H taken per leading exponent at the edges of the interval
+# members of H taken per exponent vector at the edges of the interval
 EDGE_MEMBERS = 12
 
 
 def _interval_edges(units):
-    """h in H leading at the exponents hi - 1, hi, lo and lo + 1 of the
-    interval of `units`, where those bounds are finite: for the first
-    EDGE_MEMBERS monomials c*t^e of H, c from the base stream, c*t^e
-    itself, c*t^e*(1+t), and c*t^e/(1-t), known only to a precision
+    """h in H leading at the exponent vectors hi and lo of the interval of
+    `units`, where those bounds are finite, and at their neighbours one
+    step off in the first or the last exponent: for the first EDGE_MEMBERS
+    monomials c*t^e of H with such a vector e, c from the bottom stream,
+    c*t^e itself, c*t^e*(1+t), and c*t^e/(1-t), known only to a precision
     bound."""
     H = units.H
     m = H.window.model
     if m.kind != "laurent":
         return []
     _, hi, lo, _ = units._table()
-    t = parse_element(m, "t")
+    names = m.laurent_vars()
     tails = [m.one(), parse_element(m, "1+t"), parse_element(m, "1/(1-t)")]
-    cs = [c for c in capped_stream(m.base, 2) if not c.is_zero()]
+    cs = [format_element(c) for c in capped_stream(m.bottom(), 1)
+          if not c.is_zero()]
+    vecs = set()
+    for edge in {hi, lo} - {(math.inf,), (-math.inf,)}:
+        for i in {0, len(edge) - 1}:
+            for d in (-1, 0, 1):
+                vecs.add(edge[:i] + (edge[i] + d,) + edge[i + 1:])
     out = []
-    for e in sorted({hi - 1, hi, lo, lo + 1} - {math.inf, -math.inf}):
-        heads = [h for h in (m.elt((((0, c.data),), None)) * t ** e
-                             for c in cs) if H.contains(h)]
+    for vec in sorted(vecs):
+        tail = "*".join(f"{v}^{e}" for v, e in zip(names, vec))
+        heads = [h for h in (parse_element(m, f"({c})*{tail}") for c in cs)
+                 if H.contains(h)]
         out += [h * y for h in heads[:EDGE_MEMBERS] for y in tails]
     return out
 
 
 # (field, window, kernel labels, height, bounded series, exact h and
-# bounded h sampled, whether h in H can tie with a nonmember on the top
-# exponent): every verdict, and every exception, of is_unit equals the
-# element reference.  On ker t of F7((t)) no tie is possible: members have
-# t-exponent 0 mod 3, nonmembers do not.
+# bounded h sampled, whether h in H can tie with a nonmember on the whole
+# exponent vector): every verdict, and every exception, of is_unit equals
+# the element reference.  No tie is possible where H is the kernel of the
+# duals of a uniformizer: members have that exponent 0 mod l^n, nonmembers
+# of ker t do not, and nonmembers of ker s, or of ker(t, s), differ from
+# every member in the t- or s-exponent.
 LEAD_CASES = [
     ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", ["t"], 4,
      ["1/(1-t)", "3/(1-t)", "t^-3/(1+t)"], (120, 40), False),
     ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", ["const"], 3,
      ["1/(1-t)", "t/(1+t)"], (100, 30), True),
     ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}", ["s"], 2,
-     ["1+t/(1-s)", "s^3/(1-s)", "1/(1-t)"], (100, 30), True),
+     ["1+t/(1-s)", "s^3/(1-s)", "1/(1-t)"], (100, 30), False),
     ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}",
-     ["t", "s"], 2, ["1+t/(1-s)", "t^3/(1-s)+s^3"], (80, 30), True),
+     ["t", "s"], 2, ["1+t/(1-s)", "t^3/(1-s)+s^3"], (80, 30), False),
+    # members and nonmembers of ker const tie on whole vectors, so the
+    # bottom coefficients decide
+    ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}",
+     ["const"], 2, ["1+t/(1-s)", "s/(1-s)", "t^-1/(1+t)"], (100, 30), True),
     ("laurent(ratfunc(gf:7,u),t)", "{ell=3,n=1,gens=[t,u,u-3]}", ["u"], 1,
      ["1/(1-t)"], (60, 4), True),
     ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}",
-     ["t", "s"], 2, ["1/(1-s)", "t^2/(1+s*t)"], (80, 30), True),
+     ["t", "s"], 2, ["1/(1-s)", "t^2/(1+s*t)"], (80, 30), False),
     ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", ["u"], 2,
      [], (120, 0), False),
-    # some members of H at hi - 1 = -1 and at lo + 1 = 1 pass every tie,
-    # so the interval alone rejects them
+    # some members of H one step outside the interval, which alone rejects
+    # them
     ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", ["s"], 1,
-     ["1/(1-s)", "t/(1+s*t)"], (80, 30), True),
+     ["1/(1-s)", "t/(1+s*t)"], (80, 30), False),
 ]
 
 
@@ -437,8 +470,8 @@ def test_is_unit_leading_exponent_rule_matches_reference(
     hs = (rng.sample(exact, min(sample[0], len(exact))) + series
           + rng.sample(bounded, min(sample[1], len(bounded))))
     edges = _interval_edges(units)
-    # on ker t of F7((t)) no member of H leads at hi - 1, hi = -1, lo = 1
-    # or lo + 1: members have t-exponent 0 mod 3
+    # on ker t of F7((t)) no member of H leads at hi - 1, hi = (-1,),
+    # lo = (1,) or lo + 1: members have t-exponent 0 mod 3
     assert edges or m.kind != "laurent" or labels == ["t"]
     hs += edges
     got = [_outcome(units.is_unit, h) for h in hs]
@@ -448,19 +481,22 @@ def test_is_unit_leading_exponent_rule_matches_reference(
     # windows kill -1, so -1 is never a row, and -x has the class of x: no
     # row cancels the lead of an h in H
     assert w.classify(-m.one()) == w.zero_class()
-    rows = units._table()[0]
-    assert all(w.classify(-x) == w.classify(x) for x, _ in rows)
+    rows = _row_elements(units)
+    assert all(w.classify(-x) == w.classify(x) for x in rows)
     if m.kind != "laurent":
         return
     # the sample takes every branch of the rule: x leads, h leads, a tie,
-    # and h known only to a precision bound
-    exps = [x.data[0][0][0] for x, _ in rows]
+    # and h known only to a precision bound; the interval's edges are the
+    # vectors of rows
+    vecs = [_vector(x) for x in rows]
+    _, hi, lo, _ = units._table()
+    assert {hi, lo} <= {*vecs, (math.inf,), (-math.inf,)}
     seen = set()
     for h in hs:
         if h.is_zero() or not H.contains(h):
             continue
-        eh = h.data[0][0][0]
-        seen.update((e > eh) - (e < eh) for e in exps)
+        eh = _vector(h)
+        seen.update((e > eh) - (e < eh) for e in vecs)
         seen.add("bounded" if _inexact(m, h.data) else "exact")
     assert seen == {-1, 1, "bounded", "exact"} | ({0} if ties else set())
 
@@ -487,25 +523,27 @@ def test_is_unit_cancel_row_as_reference(w_t_c, w_tsc):
     for w, labels in ((w_t_c, ["t"]), (w_tsc, ["t"]), (w_tsc, ["t", "s"])):
         m = w.model
         units = UnitGroupApprox(_kernel(w, labels), 2)
-        rows, *_ = units._table()
+        rows = _row_elements(units)
         assert rows
         tails = [parse_element(m, "1+t"), parse_element(m, "1/(1-t)")]
-        pairs = [(x, -x * y) for x, *_ in rows for y in tails]
+        pairs = [(x, -x * y) for x in rows for y in tails]
         assert all(h.data[0][0][0] == x.data[0][0][0] for x, h in pairs)
         hs = [h for _, h in pairs]
         got = [_outcome(units.is_unit, h) for h in hs]
         ref = [_outcome(lambda h: _is_unit_by_elements(units, h), h)
                for h in hs]
         assert got == ref == [False] * len(hs)
-        assert all(units._memo[h.data[0][0]] is False for h in hs)
+        assert all(units._memo[_vector(h), decompose(h)[1].data] is False
+                   for h in hs)
 
 
 def test_is_unit_walks_ties_once_per_leading_term(w_tsc, monkeypatch):
     # 1 + c*t^e with e > 0 all lead with 1: after the first, each takes the
-    # verdict of that leading term and classifies no sum
+    # verdict of that leading term and classifies no sum.  On ker const the
+    # first classifies the rows of vector (0, 0), the constants outside H;
+    # on ker(t, s) no row shares the vector of a member, so none is
+    # classified at all
     m = w_tsc.model
-    units = UnitGroupApprox(_kernel(w_tsc, ["t", "s"]), 3)
-    units._table()
     cs = [c for c in capped_stream(m.base, 2) if not c.is_zero()]
     t = parse_element(m, "t")
     hs = [m.one() + m.elt((((0, c.data),), None)) * t ** e
@@ -518,12 +556,17 @@ def test_is_unit_walks_ties_once_per_leading_term(w_tsc, monkeypatch):
         return classify_sum(self, a, b)
 
     monkeypatch.setattr(Window, "classify_sum", counting)
-    first = units.is_unit(hs[0])
-    assert calls
-    for h in hs[1:]:
+    for labels, ties in ((["const"], True), (["t", "s"], False)):
+        units = UnitGroupApprox(_kernel(w_tsc, labels), 3)
+        units._table()
         calls.clear()
-        assert units.is_unit(h) == first
-        assert not calls
+        first = units.is_unit(hs[0])
+        assert first
+        assert bool(calls) == ties
+        for h in hs[1:]:
+            calls.clear()
+            assert units.is_unit(h) == first
+            assert not calls
 
 
 def _valuative_by_member(chars, height):
@@ -534,6 +577,8 @@ def _valuative_by_member(chars, height):
 MASK_CASES = [
     ("laurent(laurent(gf:19,s),t)", "{ell=3,n=2,gens=[t,s,const]}", 9),
     ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", 8),
+    # l = 2 with units 1 and 3 mod 4: the pair clause runs once per <f>
+    ("laurent(laurent(gf:5,s),t)", "{ell=2,n=2,gens=[t,s,const]}", 4),
     ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", 3),
 ]
 
@@ -558,6 +603,100 @@ def test_valuative_members_mask_rejects_mixed_windows(w_t_c, w_u_u3):
         assert valuative_members_mask([f], 4) == [True]
         with pytest.raises(LevelMismatch):
             valuative_members_mask([fc, f], 4)
+
+
+def test_mask_reads_one_kernel_per_cyclic_subgroup(monkeypatch):
+    # on (Z/9)^3 the 728 nonzero members span 130 cyclic subgroups: 117 of
+    # order 9 with 6 generators each and 13 of order 3 with 2; every
+    # generator u*f of <f> has the first failing entry of f
+    fspec, wspec, height = MASK_CASES[0]
+    w = parse_window(parse_field(fspec), wspec)
+    members = [f for f in CharacterGroup.full(w).elements() if not f.is_zero()]
+    assert len(members) == 728
+    units = [u for u in range(1, 9) if u % 3]
+    fails = rigid._first_failures(
+        w, [(f.scale(u).values,) for f in members for u in units], height)
+    by_member = [fails[k:k + len(units)]
+                 for k in range(0, len(fails), len(units))]
+    assert all(len(set(map(id, row))) == 1 for row in by_member)
+    assert any(row[0] is None for row in by_member)
+    assert any(row[0] is not None for row in by_member)
+    # the key of <f> is shared exactly by the generators of <f>
+    spans = {f.values: frozenset(f.scale(k).values for k in range(9))
+             for f in members}
+    keys = {f.values: rigid._cyclic_key(f.values, 3, 9) for f in members}
+    for f in members:
+        assert keys[f.values] in spans[f.values]
+    assert len(set(keys.values())) == len(set(spans.values())) == 130
+    kernels = []
+    first_failures = rigid._first_failures
+
+    def counting(window, rows, h):
+        kernels.append(len(rows))
+        return first_failures(window, rows, h)
+
+    monkeypatch.setattr(rigid, "_first_failures", counting)
+    assert valuative_members_mask(members, height) == \
+        [row[0] is None for row in by_member]
+    assert kernels == [130]
+
+
+@pytest.mark.parametrize("fspec,wspec,height", MASK_CASES)
+def test_comparable_matches_per_entry_reference(fspec, wspec, height):
+    # every ordered pair of a quasi-basis of the window's characters and of
+    # its valuative members: the verdict and its witness, or NotValuative
+    w = parse_window(parse_field(fspec), wspec)
+    full = CharacterGroup.full(w)
+    mask = valuative_members_mask(full.elements(), height)
+    valuative = CharacterGroup(w, tuple(
+        f for f, ok in zip(full.elements(), mask) if ok))
+    kinds = set()
+    for group in (full, valuative):
+        basis = [f for f, _ in group.member_quasi_basis()]
+        for f, g in itertools.product(basis, repeat=2):
+            got = _outcome(lambda _: comparable(f, g, height), None)
+            want = _outcome(lambda _: comparable_by_entries(f, g, height),
+                            None)
+            if isinstance(got, Verdict):
+                got = got.kind, got.witness and format_element(got.witness)
+                want = want[0], want[1] and format_element(want[1])
+            assert got == want
+            kinds.add(got[0])
+    assert "NotValuative" in kinds
+    assert kinds & {"Comparable", "ComparableUpToBound"}
+    # the places u and u+4 of F7(u) give incomparable valuations
+    assert ("NotComparable" in kinds) == (w.model.kind == "ratfunc")
+
+
+def test_scans_are_exact_past_int64():
+    # at l^n = 3^30 a character value times a class coordinate overflows
+    # int64, so the class matrices hold Python ints: the products, the
+    # valuative verdicts and the comparability verdicts equal the per-entry
+    # references; at 3^19 the products fit, and int64 is kept
+    tower = parse_field("laurent(laurent(gf:7,s),t)")
+    for n, dtype in ((19, np.int64), (20, object)):
+        w = parse_window(tower, f"{{ell=3,n={n},gens=[t,s,const]}}")
+        assert scan_index(w, 0).class_arrays(0)[1].dtype == dtype
+    w = parse_window(tower, "{ell=3,n=30,gens=[t,s,const]}")
+    mod = w.level.modulus
+    ents, cls_x, _, _ = scan_index(w, 3).class_arrays(3)
+    vals = (0, 1, mod - 1, mod // 3)
+    chars = [Character(w, (a, b, c)) for a in vals for b in vals
+             for c in (0, mod // 3)]
+    rows = np.array([f.values for f in chars], dtype=cls_x.dtype)
+    assert (rows @ cls_x % mod).tolist() == \
+        [[f.evaluate_class(e.cls_x) for e in ents] for f in chars]
+    mask = valuative_members_mask(chars, 3)
+    assert mask == [one_variable_witness(
+        lambda c, f=f: psi_span_contains((f,), (), c), w, 3) is None
+        for f in chars]
+    valuative = [f for f, ok in zip(chars, mask) if ok]
+    assert len(valuative) < len(chars)
+    for f, g in itertools.product(valuative, repeat=2):
+        got = comparable(f, g, 3)
+        want = comparable_by_entries(f, g, 3)
+        assert (got.kind, got.witness and format_element(got.witness)) == \
+            (want[0], want[1] and format_element(want[1]))
 
 
 # (field, window, height, pairs sampled or None for every ordered pair)
