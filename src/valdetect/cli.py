@@ -47,6 +47,10 @@ from .rigid import MultSubgroup, canonical_valuation, valuative_test
 
 SCHEMA = "valdetect/1"
 
+# element walks grow with the height and the tower depth: canonical-valuation
+# --chars 0,0,0,0 on F7((r))((s))((t)) takes 1.5 s at height 32, 21 s at 64
+MAX_HEIGHT = 32
+
 
 def emit(payload, out=None):
     """Write the canonical JSON payload to the file `out`, or to stdout."""
@@ -411,8 +415,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output = args.output
-        if getattr(args, "height", 0) < 0:
-            raise PreconditionViolated("--height must be >= 0")
+        if not 0 <= getattr(args, "height", 0) <= MAX_HEIGHT:
+            raise PreconditionViolated(f"--height must be in 0..{MAX_HEIGHT}")
         payload = args.func(args)
     except HypothesisFailed as e:
         payload, code = {"error": e.payload()}, 2

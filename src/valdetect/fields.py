@@ -218,7 +218,9 @@ def _bmin(a, b):
 
 
 class Elt:
-    """An exact element of one of the backends; immutable value object."""
+    """An exact element of one of the backends; immutable value object.
+    Laurent arithmetic keeps a coefficient known only as O(..) and drops
+    one only when it is exactly zero, its data the base zero's."""
 
     __slots__ = ("model", "data")
 
@@ -270,13 +272,12 @@ class Elt:
         (ca, ba), (cb, bb) = self.data, other.data
         bound = _bmin(ba, bb)
         acc = dict(ca)
+        zero = m.base.zero().data
         for e, c in cb:
-            cur = m.base.elt(acc.get(e, m.base.zero().data))
+            cur = m.base.elt(acc.get(e, zero))
             acc[e] = (cur + m.base.elt(c)).data
-        coeffs = tuple(
-            (e, c) for e, c in sorted(acc.items())
-            if (bound is None or e < bound) and not m.base.elt(c).is_zero()
-        )
+        coeffs = tuple((e, c) for e, c in sorted(acc.items())
+                       if (bound is None or e < bound) and c != zero)
         return m.elt((coeffs, bound))
 
     def __radd__(self, other):
@@ -324,8 +325,8 @@ class Elt:
                 if e in acc:
                     prod = m.base.elt(acc[e]) + prod
                 acc[e] = prod.data
-        coeffs = tuple((e, c) for e, c in sorted(acc.items())
-                       if not m.base.elt(c).is_zero())
+        zero = m.base.zero().data
+        coeffs = tuple((e, c) for e, c in sorted(acc.items()) if c != zero)
         return m.elt((coeffs, bound))
 
     def __rmul__(self, other):
@@ -355,6 +356,7 @@ class Elt:
         neg_r = {}
         for e, c in coeffs[1:]:
             neg_r[e - v] = (-(m.base.elt(c) * li)).data
+        zero = m.base.zero().data
         out = {0: m.base.one().data}
         term = {0: m.base.one().data}
         for _ in range(1, digits):
@@ -368,8 +370,7 @@ class Elt:
                     if e in nxt:
                         prod = m.base.elt(nxt[e]) + prod
                     nxt[e] = prod.data
-            term = {e: c for e, c in nxt.items()
-                    if not m.base.elt(c).is_zero()}
+            term = {e: c for e, c in nxt.items() if c != zero}
             if not term:
                 break
             for e, c in term.items():
@@ -379,7 +380,7 @@ class Elt:
                 out[e] = add.data
         coeffs_out = tuple(
             ((e - v), (m.base.elt(c) * li).data)
-            for e, c in sorted(out.items()) if not m.base.elt(c).is_zero()
+            for e, c in sorted(out.items()) if c != zero
         )
         return m.elt((coeffs_out, -v + digits))
 
@@ -412,6 +413,12 @@ class Elt:
             raise PrecisionExhausted(
                 f"no known coefficient below O({m.var}^{bound})")
         e, c = coeffs[0]
+        base, lead = m.base, c  # a kept O(..) coefficient leads nothing
+        while base.kind == "laurent":
+            if not lead[0]:
+                raise PrecisionExhausted(
+                    f"coefficient of {m.var}^{e} not known to be nonzero")
+            base, lead = base.base, lead[0][0][1]
         return e, m.base.elt(c)
 
     def __repr__(self):

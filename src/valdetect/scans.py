@@ -27,9 +27,10 @@ when read, once, and replayed through `Window.fraction_class` first.
 Windows in characteristic 2 and windows with a larger product keep the
 sweep, capped at RATFUNC_DEGREE_CAP, and bounded verdicts.
 
-For Laurent levels the stream is c * t^e with c from the residue stream,
-and the triple of such an element is determined exactly by e and the
-residue data of c, so the table derives from the residue table.
+A Laurent table is its base table at t^0, block for block.  For
+x = c*t^e*(1+m), 1 + m is an l^n-th power and windows kill -1, so e > 0
+gives the triple (X, 0, 0) and e < 0 gives (X, X, X); every predicate that
+reads a table passes at both, so no entry with e != 0 is kept.
 
 Predicates that see x only through the Steinberg wedge cls x ^ cls 1-x,
 such as the bilinear C-pair identity and the K2 relation span, need even
@@ -50,7 +51,7 @@ and cls 1+x as matrices, read by the valuative and comparability scans),
 and cls x and cls 1+x per position of the element stream that the rigid
 and detect walks read (`ScanIndex.stream`).  A bottom window classifies
 its elements; a Laurent window derives its list from its base window's by
-the same rule as the table, with no element built.  A walk builds an
+the rule of `_lift_rows`, with no element built.  A walk builds an
 element only where it keeps one (`ScanIndex.element`), and the l = 2 probe
 cls(1 + x(1 + y)) also comes from exponents.  Every class comes from the
 index's Window (`Window.fraction_class`), which memoises per-polynomial
@@ -231,9 +232,9 @@ class ScanIndex:
 
     def _lift_rows(self, base_rows, es):
         """(cls x, cls 1+x) of x = c*t^e for the base rows (cls c, cls 1+c,
-        src of c) and e in es, by the rule of `_laurent_block_entries`: cls x
-        is cls c with e mod l^n in the top slot, and 1 + x leads with 1 for
-        e > 0, with x for e < 0 and with (1 + c)*t^0 for e = 0."""
+        src of c) and e in es: cls x is cls c with e mod l^n in the top
+        slot, and 1 + x leads with 1 for e > 0, with x for e < 0 and with
+        (1 + c)*t^0 for e = 0."""
         w, intern = self.window, self._intern
         mod = w.level.modulus
         zero = intern(w.zero_class())
@@ -380,9 +381,13 @@ RATFUNC_DEGREE_CAP = 4
 
 
 def effective_height(model, height):
+    """The last table block read at `height`; a Laurent table has its
+    bottom level's blocks."""
+    if model.kind == "laurent":
+        return effective_height(model.base, height)
     if model.kind == "ratfunc":
         return min(height, RATFUNC_DEGREE_CAP)
-    return height
+    return 0
 
 
 def scan_index(window: Window, height: int) -> ScanIndex:
@@ -403,12 +408,12 @@ def exhaustive_classes(window, height) -> bool:
     every x in K, not just the enumerated ones.
 
     Finite fields enumerate everything, and a rational-function table that
-    closes is full from height 1 on.  On a Laurent level, elements split
-    as c * t^e * (1 + m); the table realizes every triple of such a product
-    once e sweeps all residues (height >= l^n) and the residue level is
-    itself exhaustive.  The only elements whose exact triple is not tabled
-    are those with zero window class (the +-(1+m) cosets), and on those every
-    scanned identity holds trivially, so verdict exactness is unaffected.
+    closes is full from height 1 on.  A Laurent table is its residue
+    table at t^0; every scanned predicate holds at the untabled triples,
+    those with e != 0 and those of zero class (the +-(1+m) cosets), so it
+    settles them wherever the residue level does.  The condition
+    height >= l^n is therefore conservative; it keeps verdicts below l^n
+    bounded.
     """
     kind = window.model.kind
     if kind == "finite":
@@ -723,32 +728,14 @@ def _raise_top(ff, num, modulus, deg, top):
 
 
 # ---------------------------------------------------------------------------
-# Laurent levels: derive from the residue table
+# Laurent levels: the base table at t^0
 # ---------------------------------------------------------------------------
 
 def _laurent_block_entries(window, s):
-    model = window.model
-    mod = window.level.modulus
-    res_height = effective_height(model.base, s)
-    res_index = scan_index(window.base_window(), res_height)
-
-    def lift(ent, e):
-        return lambda: model.elt((((e, ent.element().data),), None))
-
-    # residue classes and triples grouped by first-occurrence block
-    for sc in range(min(s, res_height) + 1):
-        es = laurent_exponents(s, sc)
-        for ent in res_index.blocks[sc]:
-            for e in es:
-                cls_x = window.from_base(ent.cls_x, e % mod)
-                if e > 0:
-                    cls_1mx = cls_1px = window.zero_class()
-                elif e < 0:
-                    cls_1mx = cls_1px = cls_x
-                else:
-                    cls_1mx = None if ent.cls_1mx is None else \
-                        window.from_base(ent.cls_1mx, 0)
-                    cls_1px = None if ent.cls_1px is None else \
-                        window.from_base(ent.cls_1px, 0)
-                yield ScanEntry((s, sc) + ent.key + (e,), cls_x,
-                                cls_1mx, cls_1px, lift(ent, e))
+    """Block s of a Laurent table: x*t^0 for each entry x of base block s,
+    with its key and its classes given 0 in the top slot."""
+    for ent in scan_index(window.base_window(), s).blocks[s]:
+        yield ScanEntry(ent.key, *(
+            None if cls is None else window.from_base(cls, 0)
+            for cls in (ent.cls_x, ent.cls_1mx, ent.cls_1px)),
+            lambda e=ent: window.model.elt((((0, e.element().data),), None)))

@@ -28,12 +28,15 @@ from valdetect.fields import (
     Window,
     _place_residue,
     enumerate_blocks,
+    laurent_exponents,
     residue_field_of_place,
 )
 from valdetect import detect
 from valdetect.rigid import PAIR_HEIGHT_CAP, MultSubgroup, valuative_test
 from valdetect.scans import (
     ELEMENT_RATFUNC_CAP,
+    RATFUNC_DEGREE_CAP,
+    ScanEntry,
     exhaustive_classes,
     scan_index,
     wedge_of,
@@ -424,3 +427,43 @@ def maximal_ideal_scan_by_elements(units, height):
             out.append(x)
             sample.samples += 1
     return out, sample
+
+
+# ---------------------------------------------------------------------------
+# the full Laurent lift: every base entry at every exponent |e| <= s, as the
+# Laurent tables were built before they kept only the t^0 lifts; patch both
+# into valdetect.scans, on a fresh index cache, to build such tables
+# ---------------------------------------------------------------------------
+
+def effective_height(model, height):
+    if model.kind == "ratfunc":
+        return min(height, RATFUNC_DEGREE_CAP)
+    return height
+
+
+def _laurent_block_entries(window, s):
+    model = window.model
+    mod = window.level.modulus
+    res_height = effective_height(model.base, s)
+    res_index = scan_index(window.base_window(), res_height)
+
+    def lift(ent, e):
+        return lambda: model.elt((((e, ent.element().data),), None))
+
+    # residue classes and triples grouped by first-occurrence block
+    for sc in range(min(s, res_height) + 1):
+        es = laurent_exponents(s, sc)
+        for ent in res_index.blocks[sc]:
+            for e in es:
+                cls_x = window.from_base(ent.cls_x, e % mod)
+                if e > 0:
+                    cls_1mx = cls_1px = window.zero_class()
+                elif e < 0:
+                    cls_1mx = cls_1px = cls_x
+                else:
+                    cls_1mx = None if ent.cls_1mx is None else \
+                        window.from_base(ent.cls_1mx, 0)
+                    cls_1px = None if ent.cls_1px is None else \
+                        window.from_base(ent.cls_1px, 0)
+                yield ScanEntry((s, sc) + ent.key + (e,), cls_x,
+                                cls_1mx, cls_1px, lift(ent, e))

@@ -8,7 +8,7 @@ from decimal import Decimal
 
 import pytest
 
-from valdetect.cli import main
+from valdetect.cli import MAX_HEIGHT, main
 from valdetect.coeffmod import level_bound
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -297,6 +297,13 @@ def test_negative_height(capsys):
     assert err["code"] == "precondition-violated"
 
 
+def test_height_limit_is_accepted(capsys):
+    assert main(["canonical-valuation", "--field", "laurent(gf:7,t)",
+                 "--window", "{ell=3,n=1,gens=[t,const]}", "--chars", "t",
+                 "--height", str(MAX_HEIGHT)]) == 0
+    assert json.loads(capsys.readouterr().out)["height"] == MAX_HEIGHT
+
+
 _WINDOW_ARGS = ("--window", "{ell=3,n=1,gens=[const]}")
 _EVAL_ARGS = ("eval", "--field", "ratfunc(gf:7,u)",
               "--window", "{ell=3,n=1,gens=[u]}", "--char", "u")
@@ -339,6 +346,9 @@ _LONG = "9" * 5000
      "precondition-violated"),
     (("levels", "--ell", "3", "--n", "99999999999999999999"),
      "precondition-violated"),
+    (("canonical-valuation", "--field", "laurent(laurent(gf:7,s),t)",
+      "--window", "{ell=3,n=1,gens=[t,s,const]}", "--chars", "0,0,0",
+      "--height", str(MAX_HEIGHT + 1)), "precondition-violated"),
     (_EVAL_ARGS + ("--element", "u^99999999999"), "precondition-violated"),
     (("eval", "--field", "laurent(gf:7,t,prec=99999999999)",
       "--window", "{ell=3,n=1,gens=[t,const]}", "--element", "1/(1-t)",

@@ -454,10 +454,41 @@ def test_classify_sum_bounded_series(F7t, F7st, w_t_c, w_tsc):
     assert w_tsc.classify_sum(g, -F7st.one()) == w_tsc.classify(g - 1)
     with pytest.raises(PrecisionExhausted):
         w_tsc.classify_sum(g + parse_element(F7st, "t"), -g)
-    # the t^1 coefficient of the sum is O(s^24): building the sum raises,
-    # but the leading term 1 is known
+    # the t^1 coefficient of the sum is O(s^24): the built sum keeps it, and
+    # the leading term 1 is known either way
     a = parse_element(F7st, "1+t/(1-s)")
     b = parse_element(F7st, "-t/(1-s)")
-    with pytest.raises(PrecisionExhausted):
-        a + b
-    assert w_tsc.classify_sum(a, b) == w_tsc.zero_class()
+    assert (a + b).data == (((0, F7st.base.one().data), (1, ((), 24))), None)
+    assert w_tsc.classify(a + b) == w_tsc.classify_sum(a, b) == \
+        w_tsc.zero_class()
+    # a leading coefficient known only as O(s^24) decides no valuation
+    c = a + b - 1
+    for undecided in (c.laurent_lead, c.inverse, lambda: w_tsc.classify(c),
+                      lambda: value_of(ValuationHandle.from_steps(F7st, ["t"]),
+                                       c + parse_element(F7st, "t^2"))):
+        with pytest.raises(PrecisionExhausted):
+            undecided()
+
+
+def _known_part(x):
+    """The coefficients of a series known to be nonzero, at every level, by
+    exponent tuple (top level first)."""
+    if x.model.kind != "laurent":
+        return {(): x} if not x.is_zero() else {}
+    base = x.model.base
+    return {(e, *k): c for e, data in x.data[0]
+            for k, c in _known_part(base.elt(data)).items()}
+
+
+def test_three_level_unit_inverts():
+    # the series inverse multiplies base series whose coefficients can be
+    # known only as O(r^6); they are kept, and x * (1/x) is 1 up to the
+    # bounds
+    model = parse_field("laurent(laurent(laurent(gf:7,r,prec=6),s,prec=6),"
+                        "t,prec=6)")
+    x = parse_element(model, "1-r-s-t")
+    y = x.inverse()
+    assert _known_part(x * y) == {(0, 0, 0): model.bottom().one()}
+    assert _known_part(y)[2, 1, 0] == model.bottom().from_int(3)
+    w = parse_window(model, "{ell=3,n=1,gens=[t,s,r,const]}")
+    assert w.classify(y) == (0, 0, 0, 0)

@@ -1,6 +1,7 @@
 """The README's CLI examples, the scripts under `scripts/`, a few
-valuative-subgroup commands and one command per C-pair and C-group verdict
-shape print the same bytes as when their hashes were pinned.
+valuative-subgroup commands, one command per C-pair and C-group verdict
+shape and commands that read Laurent class tables print the same bytes as
+when their hashes were pinned.
 
 Each `valdetect ...` command of the README's `sh` blocks runs through
 `cli.main` in-process; each script's `main()` runs the same way.  The sha256
@@ -106,6 +107,54 @@ VERDICT_DIGESTS = [
 ]
 
 
+def _f7ut(gens):
+    return ["--field", F7UT, "--window", f"{{ell=3,n=1,gens=[{gens}]}}"]
+
+
+# (argv, sha256 of stdout) of commands that read Laurent class tables on
+# F7(u)((t)) at heights 1, 2 and 3, below and at l^n = 3, and on
+# F7((s))((t)) with the top uniformizer omitted
+LAURENT_TABLE_DIGESTS = [
+    (["valuative", *_f7ut("t,u,u-3,const"), "--chars", "u-3;const",
+      "--height", "1"],
+     "ed777bcb5a446dbc15a4154630f2fe5cdf47cb0dbaf713770f00b9323680970d"),
+    (["valuative", *_f7ut("t,u,u-3,const"), "--chars", "u-3;const",
+      "--height", "2"],
+     "d9a53198ed73d12821167da7004c93b40cdf0e47f4ff599568d3134865a80fc0"),
+    (["valuative", *_f7ut("t,u,u-3,const"), "--chars", "u-3;const",
+      "--height", "3"],
+     "d98e5afc7a7b9670b2924eefbc5fcc28141dbb3b9cb954c12e7170b37cbf7663"),
+    (["ccenter", *_f7ut("t,u,u-3,const"), "--height", "1"],
+     "d336516bfc7c38a648b0bae521ac3b1869b6b0aa2979e089ad2dbd0473abe04a"),
+    (["ccenter", *_f7ut("t,u,u-3,const"), "--height", "2"],
+     "d11ffd46c688949c0bc6db21dcf66d412d50dede9113638f437a99f3e649661a"),
+    (["ccenter", *_f7ut("t,u,u-3,const"), "--height", "3"],
+     "cf2b6bc7c734e4022b49c46e5cd59c7beb74a4059d248bf1ce143f62c4f7c9ea"),
+    (["cgroup", *_f7ut("t,u,const"), "--gens", "t;const", "--height", "1"],
+     "0f2f228b31b212f6f34d13cb2a0eebafe1a93837ff8660b21f913eff645779de"),
+    (["cgroup", *_f7ut("t,u,const"), "--gens", "t;const", "--height", "2"],
+     "3dac52736397a9215968bda727b5e625028f1c520761fb97c1397f9462d3ee7d"),
+    (["cgroup", *_f7ut("t,u,const"), "--gens", "t;const", "--height", "3"],
+     "8604214f6de0654f2551b7198f524eae0d1165b33297170cd6af0f5d3bf1295b"),
+    (["k2", *_f7ut("u,u-3"), "--floor", "--height", "1"],
+     "5aed00f29ed0cd37012f59c55ef9f75eb02f5f8856698b4db007c08af691beb3"),
+    (["k2", *_f7ut("u,u-3"), "--floor", "--height", "2"],
+     "65ef0688489f7daecea28b661205ffb1fba32e96b76bf096493c3a0c7c6780c5"),
+    (["k2", *_f7ut("u,u-3"), "--floor", "--height", "3"],
+     "777d00f6af3e061fbf0f0de5539cac21c4f7a34b03146ef6e97e99b492ceb276"),
+    (["k2", *_f7ut("t,u"), "--floor", "--height", "3"],
+     "e96e930c22588a374266de12a5d47ae4dd79ae4a478ba8ef8376bd837b7fc65e"),
+    (["valuative", "--field", "laurent(laurent(gf:7,s),t)",
+      "--window", "{ell=3,n=1,gens=[s,const]}", "--chars", "s;const",
+      "--height", "4"],
+     "e3f4a8b10f0e33ff956dff8b3c9e8ab97e9be80ce9328b1aa44492eb66bb6809"),
+    (["valuative", "--field", "laurent(laurent(gf:7,s),t)",
+      "--window", "{ell=3,n=1,gens=[s,const]}", "--chars", "s",
+      "--height", "4"],
+     "0a275a5a2ae83954adafc2235da9a2e5e480ea8608f40f90e1e7671f0ca3ce80"),
+]
+
+
 def readme_commands():
     """argv of every `valdetect ...` line of the README's sh blocks, with
     backslash continuations joined."""
@@ -162,5 +211,13 @@ def test_subgroup_command_output_is_pinned(capsys, argv, digest):
                          ids=[f"{i}-{argv[0]}" for i, (argv, _)
                               in enumerate(VERDICT_DIGESTS)])
 def test_verdict_command_output_is_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("argv,digest", LAURENT_TABLE_DIGESTS,
+                         ids=[f"{i}-{argv[0]}" for i, (argv, _)
+                              in enumerate(LAURENT_TABLE_DIGESTS)])
+def test_laurent_table_command_output_is_pinned(capsys, argv, digest):
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == digest

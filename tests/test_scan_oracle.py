@@ -1,9 +1,14 @@
 """Brute-force oracles for the class-triple tables.
 
-The scan layer never walks raw streams on towers; it derives the distinct
-(cls x, cls 1-x, cls 1+x) triples per block from residue data.  These tests
-recompute the triples the slow way, with plain element arithmetic over the
-very streams the tables claim to summarize, and compare sets."""
+The scan layer never walks raw streams on towers.  A Laurent table is its
+base table at t^0: x*t^0 for each base entry x.  A stream element
+c*t^e with e > 0 has the triple (cls x, cls 1-x, cls 1+x) = (X, 0, 0),
+and one with e < 0 has (X, X, X), since principal units are l^n-th powers
+and windows kill -1; every scanned predicate passes at both shapes.  These
+tests recompute the triples the slow way, with plain element arithmetic
+over the very streams the tables claim to summarize, and check the table
+against them; the Laurent verdicts are checked against tables that hold
+every exponent (`oracles._laurent_block_entries`)."""
 
 import itertools
 import math
@@ -13,31 +18,36 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from valdetect.errors import WitnessMismatch
+import oracles
+import valdetect.scans as scans
+from valdetect.characters import CharacterGroup
+from valdetect.cpairs import c_center, c_pair_direct
+from valdetect.errors import ValdetectError, WitnessMismatch
 from valdetect.fields import (
     PLACE,
     enumerate_elements,
-    parse_element,
+    format_element,
     parse_field,
     parse_window,
     random_element,
 )
-from valdetect.scans import scan_index
+from valdetect.milnor import steinberg_scan
+from valdetect.rigid import comparable, rigid_complement, \
+    valuative_members_mask
+from valdetect.scans import effective_height, scan_index
+
+
+def brute_triple(window, x):
+    one = window.model.one()
+    om = one - x
+    op = one + x
+    return (window.classify(x),
+            None if om.is_zero() else window.classify(om),
+            None if op.is_zero() else window.classify(op))
 
 
 def brute_triples(window, stream):
-    one = window.model.one()
-    out = set()
-    for x in stream:
-        if x.is_zero():
-            continue
-        cls_x = window.classify(x)
-        om = one - x
-        op = one + x
-        out.add((cls_x,
-                 None if om.is_zero() else window.classify(om),
-                 None if op.is_zero() else window.classify(op)))
-    return out
+    return {brute_triple(window, x) for x in stream if not x.is_zero()}
 
 
 def index_triples(window, height):
@@ -63,72 +73,147 @@ def test_oracle_ratfunc_heights():
         assert brute < index_triples(w, h) == product_triples(w), h
 
 
-def test_oracle_laurent_over_finite():
-    w = parse_window(parse_field("laurent(gf:7,t)"),
-                     "{ell=3,n=1,gens=[t,const]}")
-    for h in (0, 1, 3, 5):
-        assert index_triples(w, h) == brute_triples(
-            w, enumerate_elements(w.model, h)), h
-
-
-def test_oracle_laurent_tower():
-    w = parse_window(parse_field("laurent(laurent(gf:7,s),t)"),
-                     "{ell=3,n=1,gens=[t,s,const]}")
-    for h in (0, 2, 4):
-        assert index_triples(w, h) == brute_triples(
-            w, enumerate_elements(w.model, h)), h
-
-
-def test_oracle_laurent_over_ratfunc():
-    # the residue table closes at height 1, so from there on the Laurent
-    # table holds every triple of the stream and more; each of its triples
-    # is realized (test_representatives_realize_their_triples)
-    w = parse_window(parse_field("laurent(ratfunc(gf:7,u),t)"),
-                     "{ell=3,n=1,gens=[t,u,u-3]}")
-    assert index_triples(w, 0) == brute_triples(
-        w, enumerate_elements(w.model, 0))
-    for h in (1, 2):
-        assert brute_triples(w, enumerate_elements(w.model, h)) < \
-            index_triples(w, h), h
-    # exhaustive once the exponents sweep every residue mod l^n = 3
-    import valdetect.scans as scans
-    assert scans.exhaustive_classes(w, 3)
-    assert not scans.exhaustive_classes(w, 2)
-
-
-# windows that omit the top uniformizer or list it away from the front: the
-# Laurent table puts residue classes back around the top slot
-TOP_LAYOUT_WINDOWS = [
-    ("laurent(laurent(gf:7,s),t)", "s,const", (0, 2, 4)),
-    ("laurent(laurent(gf:7,s),t)", "const,s,t", (0, 2, 4)),
-    ("laurent(laurent(gf:7,s),t)", "s,t", (0, 2, 4)),
-    ("laurent(ratfunc(gf:7,u),t)", "u,t,u-3", (0, 1)),
-    ("laurent(ratfunc(gf:7,u),t)", "u-3,u", (0, 1)),
+# Laurent windows of the table contract, with the heights of the brute
+# force: over a finite field, a tower, a rational-function base, windows
+# that omit the top uniformizer or list it away from the front, F19((t))
+# at n = 2, and a tower at l = 2, n = 2
+LAURENT_WINDOWS = [
+    ("laurent(gf:7,t)", "t,const", 3, 1, (0, 1, 3, 5)),
+    ("laurent(laurent(gf:7,s),t)", "t,s,const", 3, 1, (0, 2, 4)),
+    ("laurent(ratfunc(gf:7,u),t)", "t,u,u-3", 3, 1, (0, 1, 2)),
+    ("laurent(laurent(gf:7,s),t)", "s,const", 3, 1, (0, 2, 4)),
+    ("laurent(laurent(gf:7,s),t)", "const,s,t", 3, 1, (0, 2, 4)),
+    ("laurent(laurent(gf:7,s),t)", "s,t", 3, 1, (0, 2, 4)),
+    ("laurent(ratfunc(gf:7,u),t)", "u,t,u-3", 3, 1, (0, 1)),
+    ("laurent(ratfunc(gf:7,u),t)", "u-3,u", 3, 1, (0, 1)),
+    ("laurent(gf:19,t)", "t,const", 3, 2, (4,)),
+    ("laurent(laurent(gf:5,s),t)", "t,s,const", 2, 2, (0, 2)),
 ]
+LAURENT_IDS = [f"{f}-[{g}]-l{ell}n{n}" for f, g, ell, n, _ in LAURENT_WINDOWS]
 
 
-@pytest.mark.parametrize("fspec,gens,heights", TOP_LAYOUT_WINDOWS)
-def test_oracle_top_uniformizer_omitted_or_reordered(fspec, gens, heights):
-    # over a rational-function base the table holds more than the stream
-    # from height 1 on, and every stored representative replays
-    w = parse_window(parse_field(fspec), f"{{ell=3,n=1,gens=[{gens}]}}")
-    closed = fspec.startswith("laurent(ratfunc")
+def _laurent_window(fspec, gens, ell, n):
+    return parse_window(parse_field(fspec),
+                        f"{{ell={ell},n={n},gens=[{gens}]}}")
+
+
+def _level_exponents(x):
+    """The exponent of a stream monomial at each Laurent level, top first."""
+    out = []
+    while x.model.kind == "laurent":
+        e, x = x.laurent_lead()
+        out.append(e)
+    return out
+
+
+def _at_t0(window, trip):
+    return tuple(None if cls is None else window.from_base(cls, 0)
+                 for cls in trip)
+
+
+@pytest.mark.parametrize("fspec,gens,ell,n,heights", LAURENT_WINDOWS,
+                         ids=LAURENT_IDS)
+def test_laurent_table_is_the_base_table_at_t0(fspec, gens, ell, n, heights):
+    # the table is x*t^0 for the base table's entries x, key for key; a
+    # stream element with e != 0 at some level whose triple is not tabled
+    # has (X, 0, 0) or (X, X, X), and every triple with e = 0 at every
+    # level is tabled
+    w = _laurent_window(fspec, gens, ell, n)
+    base = w.base_window()
+    zero = w.zero_class()
     for h in heights:
-        brute = brute_triples(w, enumerate_elements(w.model, h))
-        if closed and h > 0:
-            assert brute < index_triples(w, h), h
-            assert brute_triples(w, (e.element() for e in
-                                     scan_index(w, h).entries(h))) == \
-                index_triples(w, h)
-        else:
-            assert index_triples(w, h) == brute, h
+        bh = effective_height(base.model, h)
+        assert [(e.key, *_at_t0(w, (e.cls_x, e.cls_1mx, e.cls_1px)),
+                 ((0, e.element().data),))
+                for e in scan_index(base, bh).entries(bh)] == \
+            [(e.key, e.cls_x, e.cls_1mx, e.cls_1px, e.element().data[0])
+             for e in scan_index(w, h).entries(h)], h
+        table = index_triples(w, h)
+        for x in enumerate_elements(w.model, h):
+            if x.is_zero():
+                continue
+            trip = brute_triple(w, x)
+            if not any(_level_exponents(x)):
+                assert trip in table, (h, x)
+            elif trip not in table:
+                cls_x, cls_1mx, cls_1px = trip
+                assert cls_1mx == cls_1px in (zero, cls_x), (h, x)
 
 
-def test_oracle_level_two_laurent():
-    w = parse_window(parse_field("laurent(gf:19,t)"),
-                     "{ell=3,n=2,gens=[t,const]}")
-    assert index_triples(w, 4) == brute_triples(
-        w, enumerate_elements(w.model, 4))
+def test_laurent_tables_keep_one_block():
+    # a Laurent table reads its bottom level's blocks, so no height adds
+    # work on a finite field or a tower over one
+    for fspec, gens in (("gf:7", "const"), ("laurent(gf:7,t)", "t,const"),
+                        ("laurent(laurent(gf:7,s),t)", "t,s,const")):
+        w = parse_window(parse_field(fspec), f"{{ell=3,n=1,gens=[{gens}]}}")
+        assert len(scan_index(w, 10**9).blocks) == 1, fspec
+
+
+def _quasi_basis_pairs(full, height):
+    """Ordered pairs of a quasi-basis of the full character group and of
+    its valuative members."""
+    mask = valuative_members_mask(full.elements(), height)
+    valuative = CharacterGroup(full.window, tuple(
+        f for f, ok in zip(full.elements(), mask) if ok))
+    return [pair for group in (full, valuative)
+            for pair in itertools.product(
+                [f for f, _ in group.member_quasi_basis()], repeat=2)]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValdetectError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _table_payloads(w, height):
+    """What the table predicates return on w at `height`, as plain data."""
+    full = CharacterGroup.full(w)
+    chars = full.elements()
+    pairs = _quasi_basis_pairs(full, height)
+
+    def complement(f, g):
+        rc = rigid_complement(f, g, height)
+        return rc.span, [h.values for h in rc.subgroup.group.elements()]
+
+    def scan(floor):
+        sp = steinberg_scan(w, height, stop_at_floor=floor)
+        return [(format_element(e.element()), e.wedge)
+                for e in sp.witnesses], sp.exhaustive
+
+    return {
+        "c_pair_direct": [c_pair_direct(f, g, height).payload()
+                          for f in chars for g in chars],
+        "valuative_members_mask": valuative_members_mask(chars, height),
+        "comparable": [_outcome(lambda: comparable(f, g, height).payload())
+                       for f, g in pairs],
+        "rigid_complement": [_outcome(lambda: complement(f, g))
+                             for f, g in pairs],
+        "c_center": sorted(f.values for f in c_center(full, height)
+                           .elements()),
+        "steinberg_scan": scan(False),
+        "steinberg_scan_floor": scan(True),
+    }
+
+
+@pytest.mark.parametrize("fspec,gens,ell,n,heights", LAURENT_WINDOWS,
+                         ids=LAURENT_IDS)
+def test_t0_tables_give_the_full_lift_verdicts(monkeypatch, fspec, gens,
+                                               ell, n, heights):
+    # the tables with every base entry at every exponent |e| <= s, built
+    # on a fresh index cache, give the same verdicts and witnesses at
+    # every height through l^n
+    w = _laurent_window(fspec, gens, ell, n)
+    heights = range(w.level.modulus + 1)
+    monkeypatch.setattr(scans, "_INDEX_CACHE", {})
+    monkeypatch.setattr(scans, "_laurent_block_entries",
+                        oracles._laurent_block_entries)
+    monkeypatch.setattr(scans, "effective_height", oracles.effective_height)
+    full_lift = [_table_payloads(w, h) for h in heights]
+    assert len(scans.index_of(w).blocks) == w.level.modulus + 1
+    monkeypatch.undo()
+    assert [_table_payloads(w, h) for h in heights] == full_lift
 
 
 def test_representatives_realize_their_triples():
