@@ -53,7 +53,7 @@ from .errors import (
     WrongLevel,
 )
 from .characters import Character
-from .fields import CONST, Window
+from .fields import CONST, Window, lift_constant
 
 
 @dataclass(frozen=True)
@@ -372,8 +372,7 @@ def canonical_omega(window: Window):
     # x has order l^n, so x^k is primitive exactly when l does not divide k
     x = ff.pow(ff.generator(), (ff.q - 1) // mod)
     best = min(ff.pow(x, k) for k in range(1, mod) if k % window.level.ell)
-    from .fields import _lift_constant
-    return _lift_constant(window.model, best)
+    return lift_constant(window.model, best)
 
 
 def frame_from_k2(window: Window, sp, omega=None) -> CentralFrame:

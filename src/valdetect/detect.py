@@ -10,12 +10,14 @@ says whether a cap stopped it.  The three pipelines end in one call that
 reads the window, level, inertia labels and quotient orders off the detected
 pair I <= D and runs both sample checks.
 
-Both samples walk `ScanIndex.stream`, the one element stream of the
-window, which the unit table of the found valuation and the l = 2 pair
-clause also read: each position comes with cls x and cls 1+x, and its
-element is built only when `is_unit` is asked of it or a sample keeps it.
-A unit lies in H, so `is_unit` is asked only of an element whose class
-lies in H; the ideal scan asks it of the leading monomial of 1 + x
+Both samples come from one walk of `ScanIndex.stream`, the one element
+stream of the window, which the unit table of the found valuation and the
+l = 2 pair clause also read (`_verification_walk`): each position comes
+with cls x and cls 1+x, asks `is_unit` of x at most once and feeds both
+samples, and each sample stops at its own caps.  An element is built only
+when `is_unit` is asked of it or the ideal sample keeps it.  A unit lies
+in H, so `is_unit` is asked only of an element whose class lies in H; the
+ideal sample asks it of the leading monomial of 1 + x
 (`ScanIndex.one_plus`), which has the verdict of 1 + x.
 """
 
@@ -67,19 +69,17 @@ class VerificationSample:
     samples_capped: bool = False
     scanned_capped: bool = False
 
-    def stream(self, index, height):
-        """`ScanIndex.stream` rows ((cls x, cls 1+x), src), counted, up to
-        the first cap that is hit; the caller counts the samples it
-        takes."""
-        for row in index.stream(height):
-            if self.scanned == self.max_scanned:
-                self.scanned_capped = True
-                return
-            if self.samples == self.max_samples:
-                self.samples_capped = True
-                return
-            self.scanned += 1
-            yield row
+    def takes(self):
+        """Whether the sample scans the next stream position, counted; once
+        a cap is hit it is marked and the sample takes no more."""
+        if self.scanned == self.max_scanned:
+            self.scanned_capped = True
+            return False
+        if self.samples == self.max_samples:
+            self.samples_capped = True
+            return False
+        self.scanned += 1
+        return True
 
 
 @dataclass
@@ -140,59 +140,48 @@ def _intermediate_level(n, N, notes):
     return M
 
 
-def _maximal_ideal_scan(units: UnitGroupApprox, height):
-    """Scanned elements of the maximal ideal of the detected valuation:
-    non-units x whose 1+x is a unit, each as (x, cls 1+x), and the
-    VerificationSample of the scan over the stream of the window of
-    units.H.  Capped; the caps bound the verification sample, not the
-    detection itself.
-
-    A unit lies in H, so is_unit is asked only of an h whose class lies in
-    H."""
+def _verification_walk(units: UnitGroupApprox, height, chars,
+                       group: CharacterGroup):
+    """One walk of the stream of the window of units.H that takes both
+    samples of a report: the ideal sample checks that every character of
+    `chars` kills 1+x for the x of the maximal ideal, the non-units x whose
+    1+x is a unit, and the inertia sample that every member of `group`
+    kills the units.  Each stops at its own caps, the inertia sample also
+    at its first failure; no chars means no ideal sample.  Returns the
+    (verdict, VerificationSample) of each, and the sampled ideal elements
+    as (x, cls 1+x)."""
     H = units.H
     index = index_of(H.window)
-    out = []
-    sample = VerificationSample(IDEAL_SAMPLES, MAX_SCANNED)
-    for (cls_x, cls_opx), src in sample.stream(index, height):
-        # skip x = 0, x = -1 (1+x = 0), the x with 1+x outside H (no unit)
-        # and the units x
-        if cls_x is None or cls_opx is None or not H.contains_class(cls_opx):
+    members = [Character(group.window, r) for r in group.howell()]
+    ideal_sample = (VerificationSample(IDEAL_SAMPLES, MAX_SCANNED) if chars
+                    else VerificationSample(0, 0))
+    unit_sample = VerificationSample(INERTIA_SAMPLES, MAX_SCANNED)
+    ideal, ideal_ok, units_ok = [], True, True
+    ideal_open, units_open = bool(chars), True
+    for (cls_x, cls_opx), src in index.stream(height):
+        ideal_open = ideal_open and ideal_sample.takes()
+        units_open = units_open and unit_sample.takes()
+        if not (ideal_open or units_open):
+            break
+        if cls_x is None:
             continue
-        if H.contains_class(cls_x) and \
-                units.is_unit(index.element(src), cls_x):
-            continue
-        if units.is_unit(index.one_plus(src), cls_opx):
-            out.append((index.element(src), cls_opx))
-            sample.samples += 1
-    return out, sample
-
-
-def _verify_decomposition(chars, units, height):
-    """All characters kill 1+x for scanned x in the maximal ideal; returns
-    the verdict and the VerificationSample."""
-    ideal, sample = _maximal_ideal_scan(units, height)
-    for _, cls in ideal:
-        for ch in chars:
-            if ch.evaluate_class(cls) != 0:
-                return False, sample
-    return True, sample
-
-
-def _verify_inertia(group: CharacterGroup, units, height):
-    """All members kill scanned units; returns the verdict and the
-    VerificationSample."""
-    w = group.window
-    members = [Character(w, r) for r in group.howell()]
-    index = index_of(w)
-    sample = VerificationSample(INERTIA_SAMPLES, MAX_SCANNED)
-    for (cls, _), src in sample.stream(index, height):
-        if cls is None or not units.H.contains_class(cls) \
-                or not units.is_unit(index.element(src), cls):
-            continue
-        if not all(f.evaluate_class(cls) == 0 for f in members):
-            return False, sample
-        sample.samples += 1
-    return True, sample
+        # x = -1 (1+x = 0) and the x with 1+x outside H are not in the ideal
+        ideal_asks = ideal_open and cls_opx is not None and \
+            H.contains_class(cls_opx)
+        unit = H.contains_class(cls_x) and (units_open or ideal_asks) and \
+            units.is_unit(index.element(src), cls_x)
+        if unit and units_open:
+            if any(f.evaluate_class(cls_x) for f in members):
+                units_ok = units_open = False
+            else:
+                unit_sample.samples += 1
+        if not unit and ideal_asks and \
+                units.is_unit(index.one_plus(src), cls_opx):
+            ideal.append((index.element(src), cls_opx))
+            ideal_sample.samples += 1
+            ideal_ok = ideal_ok and not any(
+                ch.evaluate_class(cls_opx) for ch in chars)
+    return (ideal_ok, ideal_sample), (units_ok, unit_sample), ideal
 
 
 def _report(mode, inputs, D, I, units, N, height, notes, what, chars,
@@ -208,10 +197,8 @@ def _report(mode, inputs, D, I, units, N, height, notes, what, chars,
         inputs=inputs, inertia_labels=I.labels(), quotient_orders=orders,
         quotient_cyclic=len(orders) <= 1, branch=branch, notes=notes,
         units=units, detected_group=I)
-    checks = {what: _verify_decomposition(chars, units, height)
-              if chars else (True, VerificationSample(0, 0)),
-              "I in I_v": _verify_inertia(I, units, height)}
-    for key, (ok, sample) in checks.items():
+    decomposition, inertia, _ = _verification_walk(units, height, chars, I)
+    for key, (ok, sample) in ((what, decomposition), ("I in I_v", inertia)):
         report.containments[key], report.verification[key] = ok, sample
     return report
 
@@ -344,9 +331,9 @@ class ClassMembershipReport:
         }
 
 
-# caps of the verification samples: elements of the maximal ideal checked
-# by `_maximal_ideal_scan`, units checked by `_verify_inertia`, and stream
-# elements either one scans
+# caps of the verification samples that `_verification_walk` takes:
+# elements of the maximal ideal checked, units checked, and stream elements
+# either sample scans
 IDEAL_SAMPLES = 120
 INERTIA_SAMPLES = 60
 MAX_SCANNED = 4000

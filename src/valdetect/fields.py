@@ -180,9 +180,11 @@ class LaurentModel(FieldModel):
         return self.elt(((), None))
 
     def from_int(self, c):
-        cc = self.base.from_int(c)
-        coeffs = () if cc.is_zero() else ((0, cc.data),)
-        return self.elt((coeffs, None))
+        return self.monomial(0, self.base.from_int(c))
+
+    def monomial(self, e, c):
+        """The exact series c*t^e, for a base element c."""
+        return monomial(self, (e,), c)
 
     def from_terms(self, terms, bound=None):
         """Series from {exponent: base element}; bound None means exact."""
@@ -217,6 +219,17 @@ def _bmin(a, b):
     return min(a, b)
 
 
+def _known_nonzero(m, data):
+    """Whether the element of m with this data has a stored coefficient, at
+    some depth, known to be nonzero: a nonzero finite-field code or
+    numerator; a kept O(..) coefficient is not known to be."""
+    if m.kind == "finite":
+        return data != 0
+    if m.kind == "ratfunc":
+        return bool(data[0])
+    return any(_known_nonzero(m.base, c) for _, c in data[0])
+
+
 class Elt:
     """An exact element of one of the backends; immutable value object.
     Laurent arithmetic keeps a coefficient known only as O(..) and drops
@@ -230,19 +243,26 @@ class Elt:
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self):
+        """Whether the element is zero; a Laurent series none of whose
+        stored coefficients, at any depth, is known to be nonzero raises
+        PrecisionExhausted unless it is exactly zero."""
         m = self.model
         if m.kind == "finite":
             return self.data == 0
         if m.kind == "ratfunc":
             return not self.data[0]
-        coeffs, bound = self.data
-        if coeffs:
+        if _known_nonzero(m, self.data):
             return False
-        if bound is None:
+        if self.data == ((), None):
             return True
+        coeffs, bound = self.data
+        if not coeffs:
+            raise PrecisionExhausted(
+                f"element known only as O({m.var}^{bound}); cannot decide "
+                "zero")
         raise PrecisionExhausted(
-            f"element known only as O({m.var}^{bound}); cannot decide zero"
-        )
+            f"every coefficient of {format_element(self)} is known only to "
+            "a bound; cannot decide zero")
 
     def __eq__(self, other):
         return (isinstance(other, Elt) and other.model == self.model
@@ -350,7 +370,7 @@ class Elt:
         li = lead.inverse()
         if len(coeffs) == 1 and bound is None:
             # exact monomial: exact inverse
-            return m.elt((((-v, li.data),), None))
+            return m.monomial(-v, li)
         # x = lead * t^v * (1 + r); 1/(1+r) = sum (-r)^k, truncated
         digits = m.prec if bound is None else bound - v
         neg_r = {}
@@ -774,7 +794,7 @@ class Window:
         g = self.gens[i]
         if g[0] == CONST:
             gen = self.model.constant_field().generator()
-            return _lift_constant(self.model, gen)
+            return lift_constant(self.model, gen)
         if g[0] == UNIF:
             return _lift_from(self.model, g[1])
         bottom = self.model.bottom()
@@ -887,33 +907,57 @@ class Window:
         return vec[:i] + (top_value,) + vec[i:]
 
 
-def _lift_constant(model, ffcode):
-    if model.kind == "finite":
-        return model.elt(ffcode)
-    if model.kind == "ratfunc":
-        return model.elt((((ffcode,) if ffcode else ()), (model.ff.one,)))
-    inner = _lift_constant(model.base, ffcode)
-    coeffs = () if inner.is_zero() else ((0, inner.data),)
-    return model.elt((coeffs, None))
+def monomial(model, vec, bottom):
+    """The exact element bottom * prod t_i^vec[i] of the tower `model`, for
+    exponents vec of its top len(vec) Laurent levels, top first, and an
+    element `bottom` of the field below them."""
+    if not vec:
+        return bottom
+    if bottom.is_zero():
+        return model.zero()
+    data = bottom.data
+    for e in reversed(vec):
+        data = (((e, data),), None)
+    return model.elt(data)
+
+
+def leading_term(x):
+    """(exponent vector, bottom element) of the leading term of x down its
+    Laurent tower, top level first, the exponents `decompose` peels; None
+    when the leading coefficient of some level is not known below its
+    bound.  monomial(x.model, *leading_term(x)) is that term."""
+    model, data, vec = x.model, x.data, []
+    while model.kind == "laurent":
+        coeffs, bound = data
+        if not coeffs or (bound is not None and coeffs[0][0] >= bound):
+            return None
+        e, data = coeffs[0]
+        vec.append(e)
+        model = model.base
+    return tuple(vec), model.elt(data)
+
+
+def lift_constant(model, ffcode):
+    """The constant-field element with code ffcode, as an element of the
+    tower."""
+    bottom = model.bottom()
+    if bottom.kind == "ratfunc":
+        ffcode = ((ffcode,) if ffcode else (), (bottom.ff.one,))
+    return _lift_bottom(model, bottom.elt(ffcode))
 
 
 def _lift_from(model, var):
     """The uniformizer `var` as an element of the full tower."""
-    if model.kind != "laurent":
+    lvars = model.laurent_vars()
+    if var not in lvars:
         raise PreconditionViolated(f"no variable {var} here")
-    if model.var == var:
-        return model.elt((((1, model.base.one().data),), None))
-    inner = _lift_from(model.base, var)
-    return model.elt((((0, inner.data),), None))
+    return monomial(model, tuple(int(v == var) for v in lvars),
+                    model.bottom().one())
 
 
 def _lift_bottom(model, x):
-    if model.kind != "laurent":
-        return x
-    inner = _lift_bottom(model.base, x)
-    if inner.is_zero():
-        return model.zero()
-    return model.elt((((0, inner.data),), None))
+    """The element x of the bottom as an element of the full tower."""
+    return monomial(model, (0,) * len(model.laurent_vars()), x)
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +987,7 @@ def enumerate_blocks(model, height, ratfunc_cap=None):
             es = laurent_exponents(s, sc)
             for c in cblk:
                 if not c.is_zero():
-                    out.extend(model.elt((((e, c.data),), None)) for e in es)
+                    out.extend(model.monomial(e, c) for e in es)
         yield out
 
 
@@ -1228,8 +1272,8 @@ def _named_element(model, name):
         return _lift_bottom(model, bottom.elt(((0, bottom.ff.one), (bottom.ff.one,))))
     cf = model.constant_field()
     if cf.base is not None and name == cf.symbol:
-        return _lift_constant(model, cf.from_digits((0, cf.base.one) +
-                                                    (0,) * (cf.degree - 2)))
+        return lift_constant(model, cf.from_digits((0, cf.base.one) +
+                                                   (0,) * (cf.degree - 2)))
     raise ParseError(f"unknown name {name!r} in this field")
 
 

@@ -11,10 +11,13 @@ witness x, or a witness pair (x, y) for the l = 2 two-variable condition.
 
 The tests are class-level: membership in H depends only on the class in the
 window, and each H memoises its verdict per class.  Every element walk (the
-unit table of `UnitGroupApprox`, the l = 2 pair clause, and both
-verification samples of `detect`) reads `ScanIndex.stream`, the window's
-class list with a source per position, and builds an element only where
-it keeps or tests one.  The pair clause's cls(1 + x_i(1 + x_j)) comes from
+unit table of `UnitGroupApprox`, the l = 2 pair clause, and the one walk
+that takes both verification samples of `detect`) reads
+`ScanIndex.stream`, the window's class list with a source (exponent
+vector, bottom element) per position, and builds an element only where it
+keeps or tests one.  The unit table reads a row's exponent vector off its
+source, and the unit test the leading term of h (`fields.leading_term`).
+The pair clause's cls(1 + x_i(1 + x_j)) comes from
 exponents (`ScanIndex.pair_class`) and is kept per position pair.  Other
 sums, such as h + x, are classified by `Window.classify_sum`, which reads
 the leading term of the sum without building it.  On a Laurent window the
@@ -46,7 +49,7 @@ from .coeffmod import (
 )
 from .errors import LevelMismatch, MainClaimViolated, NotValuative
 from .characters import Character, CharacterGroup
-from .fields import Window
+from .fields import Window, leading_term, monomial
 from .scans import Verdict, exhaustive_classes, index_of, scan_index
 
 
@@ -211,40 +214,6 @@ def valuative_members_mask(chars, height: int) -> list:
     return [ok[key] for key in keys]
 
 
-def _exponents(model, src):
-    """The exponent vector, top level first, of the stream element with
-    `ScanIndex` source src: (e, src of c) for c*t^e on each Laurent level."""
-    vec = []
-    while model.kind == "laurent":
-        e, src = src
-        vec.append(e)
-        model = model.base
-    return tuple(vec)
-
-
-def _lead(h):
-    """(exponent vector, bottom coefficient data) of the leading term of h
-    down its Laurent tower, the exponents `decompose` peels, or None when
-    the leading coefficient of some level is not known below its bound."""
-    model, data, vec = h.model, h.data, []
-    while model.kind == "laurent":
-        coeffs, bound = data
-        if not coeffs or (bound is not None and coeffs[0][0] >= bound):
-            return None
-        e, data = coeffs[0]
-        vec.append(e)
-        model = model.base
-    return tuple(vec), data
-
-
-def _monomial(model, vec, bot):
-    """The element bot * prod t_i^vec[i] over the Laurent tower `model`."""
-    if not vec:
-        return model.elt(bot)
-    inner = _monomial(model.base, vec[1:], bot)
-    return model.elt((((vec[0], inner.data),), None))
-
-
 class UnitGroupApprox:
     """Membership test for the units of the coarsest valuation below H.
 
@@ -281,7 +250,7 @@ class UnitGroupApprox:
         self.height = height
         self._tab = None
         self._capped = False
-        # verdict per leading term (vector, bottom data) of an h the
+        # verdict per leading term (vector, bottom element) of an h the
         # interval decides, and per h.data of any other h; a vector holds
         # exponents and a coefficient list pairs, so the keys never meet
         self._memo = {}
@@ -306,7 +275,7 @@ class UnitGroupApprox:
                     break
                 rows.append((src, cls_opx))
                 if laurent:
-                    v = _exponents(w.model, src)
+                    v = src[0]
                     ties.setdefault(v, []).append(rows[-1])
                     if v < lo and not H.contains_class(
                             w.class_sub(cls_opx, cls_x)):
@@ -323,7 +292,8 @@ class UnitGroupApprox:
     def is_unit(self, h, cls_h=None) -> bool:
         """Whether h passes the unit test; `cls_h`, the window class of a
         nonzero h when the caller has read it, spares classifying h."""
-        lead = _lead(h) if self.H.window.model.kind == "laurent" else None
+        lead = (leading_term(h) if self.H.window.model.kind == "laurent"
+                else None)
         key = h.data if lead is None else lead
         got = self._memo.get(key)
         if got is None:
@@ -338,7 +308,7 @@ class UnitGroupApprox:
         must be nonzero, lie in H and pass every row."""
         w = self.H.window
         if lead is not None:
-            h = _monomial(w.model, *lead)
+            h = monomial(w.model, *lead)
         if h.is_zero() or not (self.H.contains(h) if cls_h is None
                                else self.H.contains_class(cls_h)):
             return False

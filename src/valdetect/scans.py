@@ -51,12 +51,15 @@ and cls 1+x as matrices, read by the valuative and comparability scans),
 and cls x and cls 1+x per position of the element stream that the rigid
 and detect walks read (`ScanIndex.stream`).  A bottom window classifies
 its elements; a Laurent window derives its list from its base window's by
-the rule of `_lift_rows`, with no element built.  A walk builds an
-element only where it keeps one (`ScanIndex.element`), and the l = 2 probe
-cls(1 + x(1 + y)) also comes from exponents.  Every class comes from the
-index's Window (`Window.fraction_class`), which memoises per-polynomial
-class data.  The indexes live for the process in one dict keyed by window,
-so later commands reuse the tables and that memo.
+the rule of `_lift_rows`, with no element built.  Each position comes with
+a source (exponent vector, bottom element), top level first, and a walk
+builds the element only where it keeps one (`ScanIndex.element`, one
+`fields.monomial` call); the l = 2 probe cls(1 + x(1 + y)) also comes from
+exponents.  This module neither builds nor reads element data itself:
+`fields` alone knows the layout of a Laurent series.  Every class comes
+from the index's Window (`Window.fraction_class`), which memoises
+per-polynomial class data.  The indexes live for the process in one dict
+keyed by window, so later commands reuse the tables and that memo.
 """
 
 import itertools
@@ -74,6 +77,7 @@ from .fields import (
     bottom_block,
     format_element,
     laurent_exponents,
+    monomial,
     ratfunc_denominators,
     ratfunc_numerators,
 )
@@ -136,51 +140,38 @@ class ScanIndex:
             self._base = index_of(self.window.base_window())
         return self._base
 
-    def clear_stream(self):
-        """Drop the stream classes and pair classes here and on every base
-        window below, so the next walk derives them from position 0."""
-        self.stream_blocks.clear()
-        self.pair_classes.clear()
-        if self.window.model.kind == "laurent":
-            self._base_index().clear_stream()
-
     def stream(self, height):
         """((cls x, cls 1+x), src) for each element x of the capped element
         stream through `height`, in stream order; cls x is None for x = 0,
-        cls 1+x for x = -1, and element(src) builds x.  The stream at a
-        height is a prefix of the stream at every larger one, so the class
-        list serves walks at every height."""
+        cls 1+x for x = -1.  The source src of x is (exponent vector, bottom
+        element): x is the monomial of `fields.monomial`, which
+        element(src) builds.  The stream at a height is a prefix of the
+        stream at every larger one, so the class list serves walks at every
+        height."""
         for segments in self._stream_blocks(height):
             for rows, srcs in segments:
                 yield from zip(rows, srcs)
 
     def element(self, src):
-        """The stream element that `stream` yields with source src: the
-        element itself on a bottom window, and on a Laurent window (e, src
-        of c) for c*t^e, or None for 0."""
-        model = self.window.model
-        if model.kind != "laurent":
-            return src
-        if src is None:
-            return model.zero()
-        e, c = src
-        return model.elt((((e, self._base_index().element(c).data),), None))
+        """The stream element that `stream` yields with source src."""
+        return monomial(self.window.model, *src)
 
     def one_plus(self, src):
         """1 + x for the stream element x = element(src) other than -1.  On
-        a Laurent window it is the monomial of the leading term of 1 + x,
-        which has the class and the UnitGroupApprox.is_unit verdict of
-        1 + x: 1 for e > 0, x for e < 0 and (1 + c)*t^0 for e = 0."""
+        a Laurent window x = c*t^e, for e the top exponent of src, and 1 + x
+        is given as the monomial of its leading term, which has the class
+        and the UnitGroupApprox.is_unit verdict of 1 + x: 1 for e > 0, x for
+        e < 0 and (1 + c)*t^0 for e = 0."""
         model = self.window.model
+        vec, bottom = src
         if model.kind != "laurent":
-            return model.one() + src
-        e, c = src
-        if e > 0:
+            return model.one() + bottom
+        if vec[0] > 0:
             return model.one()
-        if e < 0:
+        if vec[0] < 0:
             return self.element(src)
-        c = self._base_index().element(c)
-        return model.elt((((0, (c.model.one() + c).data),), None))
+        c = monomial(model.base, vec[1:], bottom)
+        return model.monomial(0, c.model.one() + c)
 
     def _stream_blocks(self, height):
         """Per stream block s through `height`, its segments (class rows,
@@ -194,7 +185,7 @@ class ScanIndex:
                 xs = bottom_block(w.model, s, ELEMENT_RATFUNC_CAP)
                 if len(rows) < len(xs):
                     rows.extend([self._bottom_row(x) for x in xs])
-                yield ((rows, xs),)
+                yield ((rows, [((), x) for x in xs]),)
             return
         res = []    # per base block, (cls c, cls 1+c, src of c) for c != 0
         for segments in self._base_index()._stream_blocks(height):
@@ -220,14 +211,18 @@ class ScanIndex:
         if s == 0:
             if not rows:
                 rows.append((None, self._intern(w.zero_class())))
-            yield rows[:1], (None,)
+            model = w.model
+            yield rows[:1], (((0,) * len(model.laurent_vars()),
+                              model.bottom().zero()),)
             k = 1
         for sc, base_rows in enumerate(res):
             es = laurent_exponents(s, sc)
             if k == len(rows):
                 rows.extend(self._lift_rows(base_rows, es))
             n = len(base_rows) * len(es)
-            yield rows[k:k + n], ((e, c) for _, _, c in base_rows for e in es)
+            yield rows[k:k + n], (((e, *vec), bottom)
+                                  for _, _, (vec, bottom) in base_rows
+                                  for e in es)
             k += n
 
     def _lift_rows(self, base_rows, es):
@@ -267,13 +262,12 @@ class ScanIndex:
         w = self.window
         model = w.model
         if model.kind == "laurent":
-            (e, c), = x.data[0]
-            (f, d), = y.data[0]
+            e, c = x.laurent_lead()
+            f, d = y.laurent_lead()
             g = e + min(f, 0)
             if g != 0:
                 return w.zero_class() if g > 0 else w.class_add(cls_x, cls_1py)
-            base = model.base
-            one, c, d = base.one(), base.elt(c), base.elt(d)
+            one = model.base.one()
             b = one if f > 0 else d if f < 0 else one + d
             cls = w.base_window().classify_sum(one, c * b)
             if cls is not None:
@@ -738,4 +732,4 @@ def _laurent_block_entries(window, s):
         yield ScanEntry(ent.key, *(
             None if cls is None else window.from_base(cls, 0)
             for cls in (ent.cls_x, ent.cls_1mx, ent.cls_1px)),
-            lambda e=ent: window.model.elt((((0, e.element().data),), None)))
+            lambda e=ent: window.model.monomial(0, e.element()))

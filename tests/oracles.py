@@ -38,6 +38,7 @@ from valdetect.scans import (
     RATFUNC_DEGREE_CAP,
     ScanEntry,
     exhaustive_classes,
+    index_of,
     scan_index,
     wedge_of,
 )
@@ -427,6 +428,83 @@ def maximal_ideal_scan_by_elements(units, height):
             out.append(x)
             sample.samples += 1
     return out, sample
+
+
+# ---------------------------------------------------------------------------
+# the two verification walks of a detection report, one per containment, as
+# they ran before one walk took both samples; the caps are read off
+# valdetect.detect at the call, so a patched cap applies here too
+# ---------------------------------------------------------------------------
+
+def maximal_ideal_scan(units, height):
+    """Scanned elements of the maximal ideal of the detected valuation:
+    non-units x whose 1+x is a unit, each as (x, cls 1+x), and the
+    VerificationSample of the scan over the stream of the window of
+    units.H.  Capped; the caps bound the verification sample, not the
+    detection itself.
+
+    A unit lies in H, so is_unit is asked only of an h whose class lies in
+    H."""
+    H = units.H
+    index = index_of(H.window)
+    out = []
+    sample = detect.VerificationSample(detect.IDEAL_SAMPLES,
+                                       detect.MAX_SCANNED)
+    for (cls_x, cls_opx), src in index.stream(height):
+        if sample.scanned == sample.max_scanned:
+            sample.scanned_capped = True
+            break
+        if sample.samples == sample.max_samples:
+            sample.samples_capped = True
+            break
+        sample.scanned += 1
+        # skip x = 0, x = -1 (1+x = 0), the x with 1+x outside H (no unit)
+        # and the units x
+        if cls_x is None or cls_opx is None or not H.contains_class(cls_opx):
+            continue
+        if H.contains_class(cls_x) and \
+                units.is_unit(index.element(src), cls_x):
+            continue
+        if units.is_unit(index.one_plus(src), cls_opx):
+            out.append((index.element(src), cls_opx))
+            sample.samples += 1
+    return out, sample
+
+
+def verify_decomposition(chars, units, height):
+    """All characters kill 1+x for scanned x in the maximal ideal; returns
+    the verdict and the VerificationSample."""
+    ideal, sample = maximal_ideal_scan(units, height)
+    for _, cls in ideal:
+        for ch in chars:
+            if ch.evaluate_class(cls) != 0:
+                return False, sample
+    return True, sample
+
+
+def verify_inertia(group, units, height):
+    """All members kill scanned units; returns the verdict and the
+    VerificationSample."""
+    w = group.window
+    members = [Character(w, r) for r in group.howell()]
+    index = index_of(w)
+    sample = detect.VerificationSample(detect.INERTIA_SAMPLES,
+                                       detect.MAX_SCANNED)
+    for (cls, _), src in index.stream(height):
+        if sample.scanned == sample.max_scanned:
+            sample.scanned_capped = True
+            break
+        if sample.samples == sample.max_samples:
+            sample.samples_capped = True
+            break
+        sample.scanned += 1
+        if cls is None or not units.H.contains_class(cls) \
+                or not units.is_unit(index.element(src), cls):
+            continue
+        if not all(f.evaluate_class(cls) == 0 for f in members):
+            return False, sample
+        sample.samples += 1
+    return True, sample
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -20,8 +21,7 @@ from valdetect.characters import (
 from valdetect import detect
 from valdetect.cpairs import c_center, c_group, c_pair_direct
 from valdetect.detect import (
-    _maximal_ideal_scan,
-    _verify_inertia,
+    _verification_walk,
     class_membership,
     detect_from_cgroup,
     detect_from_cpair,
@@ -35,6 +35,7 @@ from valdetect.fields import (
     parse_window,
     value_of,
 )
+import oracles
 from oracles import rigid_qualifying
 
 
@@ -330,24 +331,116 @@ def _capped(monkeypatch, scan, *args, **caps):
 def test_verification_caps_report_whether_hit(w_tsc, monkeypatch):
     rep = detect_from_cgroup(CharacterGroup.full(w_tsc), 1, 8)
     units, I = rep.units, rep.detected_group
-    _, sample = _capped(monkeypatch, _maximal_ideal_scan, units, 4,
-                        IDEAL_SAMPLES=3)
+    full = CharacterGroup.full(w_tsc)
+    chars = [c for c, _ in full.member_quasi_basis()]
+    args = (units, 4, chars, I)
+    (_, sample), _, _ = _capped(monkeypatch, _verification_walk, *args,
+                                IDEAL_SAMPLES=3)
     assert (sample.samples, sample.samples_capped) == (3, True)
     assert not sample.scanned_capped
-    _, sample = _capped(monkeypatch, _maximal_ideal_scan, units, 4,
-                        MAX_SCANNED=10)
+    (_, sample), _, _ = _capped(monkeypatch, _verification_walk, *args,
+                                MAX_SCANNED=10)
     assert (sample.scanned, sample.scanned_capped) == (10, True)
     assert not sample.samples_capped
-    ideal, sample = _capped(monkeypatch, _maximal_ideal_scan, units, 4,
-                            IDEAL_SAMPLES=10_000, MAX_SCANNED=10_000)
+    (_, sample), _, ideal = _capped(monkeypatch, _verification_walk, *args,
+                                    IDEAL_SAMPLES=10_000, MAX_SCANNED=10_000)
     assert not sample.samples_capped and not sample.scanned_capped
     assert sample.samples == len(ideal) > 0
-    ok, sample = _capped(monkeypatch, _verify_inertia, I, units, 4,
-                         INERTIA_SAMPLES=2)
+    (_, ideal_sample), (ok, sample), _ = _capped(
+        monkeypatch, _verification_walk, *args, INERTIA_SAMPLES=2)
     assert ok and (sample.samples, sample.samples_capped) == (2, True)
-    ok, sample = _capped(monkeypatch, _verify_inertia, I, units, 4,
-                         MAX_SCANNED=5)
+    # the inertia sample stopped; the ideal sample walked on
+    assert ideal_sample.scanned > sample.scanned
+    _, (ok, sample), _ = _capped(monkeypatch, _verification_walk, *args,
+                                 MAX_SCANNED=5)
     assert ok and (sample.scanned, sample.scanned_capped) == (5, True)
-    ok, sample = _capped(monkeypatch, _verify_inertia, I, units, 4,
-                         INERTIA_SAMPLES=10_000, MAX_SCANNED=10_000)
+    _, (ok, sample), _ = _capped(monkeypatch, _verification_walk, *args,
+                                 INERTIA_SAMPLES=10_000, MAX_SCANNED=10_000)
     assert ok and not sample.samples_capped and not sample.scanned_capped
+    # no chars: no ideal sample
+    (ok, sample), inertia, _ = _verification_walk(units, 4, (), I)
+    assert ok and asdict(sample) == asdict(detect.VerificationSample(0, 0))
+    assert inertia[0] and inertia[1].samples > 0
+    # the full group does not kill the units: the inertia sample ends at
+    # its first failure, and the ideal sample is the one of I
+    (ok, sample), (bad, failed), _ = _verification_walk(units, 4, chars,
+                                                        full)
+    assert not bad and failed.samples < failed.scanned
+    assert not (failed.samples_capped or failed.scanned_capped)
+    assert (ok, asdict(sample)) == (True, asdict(_verification_walk(
+        units, 4, chars, I)[0][1]))
+
+
+def _verification_cases():
+    """(name, detection) of the README, demo and laurent-detect bench
+    detections: the library calls behind them, at their heights."""
+    def window(field, spec):
+        return parse_window(parse_field(field), spec)
+
+    wl = window("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}")
+    ws = window("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}")
+    cases = [
+        ("cpair F7((t))", lambda: detect_from_cpair(
+            Character.dual_by_label(wl, "t"),
+            Character.dual_by_label(wl, "const"), 1, 8)),
+        ("cgroup F7((s))((t))", lambda: detect_from_cgroup(
+            CharacterGroup.full(ws), 1, 8)),
+    ]
+    for a, height in ((3, 4), (1, 3), (5, 3)):
+        wm = window("laurent(ratfunc(gf:7,u),t)",
+                    f"{{ell=3,n=1,gens=[t,u,u-{a}]}}")
+        cases.append((f"inertia F7(u)((t)) u-{a}", lambda wm=wm, h=height:
+                      detect_inertia(
+                          CharacterGroup(wm, (Character.dual_by_label(
+                              wm, "t"),)), CharacterGroup.full(wm), 1, h)))
+    for field, spec, steps, n, height in (
+            ("laurent(gf:7,t)", "{ell=3,n=1,gens=[t,const]}", ["t"], 1, 8),
+            ("laurent(laurent(gf:7,s),t)", "{ell=3,n=1,gens=[t,s,const]}",
+             ["t", "s"], 1, 8),
+            ("laurent(gf:19,t)", "{ell=3,n=2,gens=[t,const]}", ["t"], 2, 9),
+            ("laurent(laurent(gf:19,s),t)", "{ell=3,n=2,gens=[t,s,const]}",
+             ["t", "s"], 2, 9),
+            ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}",
+             ["t", "s"], 1, 8)):
+        w = window(field, spec)
+        v = ValuationHandle.from_steps(w.model, steps)
+        cases.append((f"aggressive {field} {spec}", lambda w=w, v=v, n=n,
+                      h=height: detect_from_cgroup(
+                          decomp_chars(v, w, h)[0], n, h, aggressive=True)))
+    return cases
+
+
+VERIFICATION_CASES = _verification_cases()
+
+
+@pytest.mark.parametrize("name,run", VERIFICATION_CASES,
+                         ids=[name for name, _ in VERIFICATION_CASES])
+def test_one_walk_gives_both_samples_of_the_two_walks(name, run,
+                                                      monkeypatch):
+    """The walk that takes both samples at once against the two walks it
+    replaced (`oracles.verify_decomposition`, `oracles.verify_inertia`),
+    on the arguments of the detection's own call, at the default caps and
+    with each cap set to 1, 2, 3, 5 and 10."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return walk(*args)
+
+    walk = detect._verification_walk
+    monkeypatch.setattr(detect, "_verification_walk", recorded)
+    run()
+    (units, height, chars, I), = calls
+    settings = [{}] + [{cap: k} for cap in ("IDEAL_SAMPLES", "INERTIA_SAMPLES",
+                                           "MAX_SCANNED")
+                       for k in (1, 2, 3, 5, 10)]
+    for caps in settings:
+        with monkeypatch.context() as m:
+            for cap, k in caps.items():
+                m.setattr(detect, cap, k)
+            got_d, got_i, _ = walk(units, height, chars, I)
+            want_d = (oracles.verify_decomposition(chars, units, height)
+                      if chars else (True, detect.VerificationSample(0, 0)))
+            want_i = oracles.verify_inertia(I, units, height)
+        assert [(ok, asdict(s)) for ok, s in (got_d, got_i)] == \
+            [(ok, asdict(s)) for ok, s in (want_d, want_i)], caps

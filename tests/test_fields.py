@@ -470,6 +470,24 @@ def test_classify_sum_bounded_series(F7t, F7st, w_t_c, w_tsc):
             undecided()
 
 
+def test_is_zero_reads_known_coefficients():
+    m = parse_field("laurent(laurent(gf:7,s),t)")
+    a = parse_element(m, "1+t/(1-s)")
+    b = parse_element(m, "-t/(1-s)")
+    # every stored coefficient is a kept O(..): zero is not decided
+    c = a + b - 1
+    assert format_element(c) == "(O(s^24))*t"
+    with pytest.raises(PrecisionExhausted):
+        c.is_zero()
+    # a known coefficient beside a kept O(..) one: not zero
+    assert format_element(a + b) == "1+(O(s^24))*t"
+    assert not (a + b).is_zero()
+    assert not (c + parse_element(m, "t^2")).is_zero()
+    # an exact zero
+    assert parse_element(m, "(1+s*t)-(1+s*t)").is_zero()
+    assert m.zero().is_zero()
+
+
 def _known_part(x):
     """The coefficients of a series known to be nonzero, at every level, by
     exponent tuple (top level first)."""

@@ -13,6 +13,11 @@ Every name a module of src/valdetect imports is used in that module, as a
 name or inside a string constant (an annotation or an __all__ entry), every
 local name a function there assigns is read in that function, and every
 function the bench tracer wraps by name still exists.
+
+Outside fields.py, no module of src/valdetect builds or reads element data
+by its layout: no `.elt(` call takes a tuple literal and no `.data` is
+subscripted.  Laurent monomials are built by `fields.monomial` and read by
+`fields.leading_term` or `Elt.laurent_lead`.
 """
 
 import ast
@@ -182,3 +187,29 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def element_layout_sites():
+    """file:line of every `.elt(` call with a tuple literal argument and
+    every subscript of a `.data` attribute in src/valdetect outside
+    fields.py."""
+    out = []
+    for path in sorted((ROOT / "src" / "valdetect").glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            builds = (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "elt"
+                      and any(isinstance(a, ast.Tuple) for a in node.args))
+            reads = (isinstance(node, ast.Subscript)
+                     and isinstance(node.value, ast.Attribute)
+                     and node.value.attr == "data")
+            if builds or reads:
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_only_fields_knows_the_element_layout():
+    assert element_layout_sites() == []

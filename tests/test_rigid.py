@@ -533,7 +533,7 @@ def test_is_unit_cancel_row_as_reference(w_t_c, w_tsc):
         ref = [_outcome(lambda h: _is_unit_by_elements(units, h), h)
                for h in hs]
         assert got == ref == [False] * len(hs)
-        assert all(units._memo[_vector(h), decompose(h)[1].data] is False
+        assert all(units._memo[_vector(h), decompose(h)[1]] is False
                    for h in hs)
 
 

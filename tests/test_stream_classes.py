@@ -9,10 +9,15 @@ from dataclasses import asdict
 
 import pytest
 
-from valdetect import detect, fields
+from valdetect import detect, fields, scans
 from valdetect.characters import Character, CharacterGroup
-from valdetect.detect import _maximal_ideal_scan, detect_from_cgroup
-from valdetect.fields import format_element, parse_field, parse_window
+from valdetect.detect import _verification_walk, detect_from_cgroup
+from valdetect.fields import (
+    format_element,
+    leading_term,
+    parse_field,
+    parse_window,
+)
 from valdetect.rigid import (
     PAIR_HEIGHT_CAP,
     MultSubgroup,
@@ -28,20 +33,20 @@ from oracles import (
 )
 
 
-def _cold(w):
-    """Drop the stream classes and pair classes of the window and of the
-    windows below it, so the next walk derives them from position 0."""
-    index = index_of(w)
-    index.clear_stream()
-    return index
+def _cold(monkeypatch, w):
+    """A fresh index of the window, on a fresh index cache, so that it and
+    the indexes of the windows below it derive their stream classes and
+    pair classes from position 0."""
+    monkeypatch.setattr(scans, "_INDEX_CACHE", {})
+    return index_of(w)
 
 
 def _fmt(pair):
     return None if pair is None else [format_element(e) for e in pair]
 
 
-def test_pair_failure_matches_product_oracle(w5_tsc):
-    index = _cold(w5_tsc)
+def test_pair_failure_matches_product_oracle(w5_tsc, monkeypatch):
+    index = _cold(monkeypatch, w5_tsc)
     members = [f for f in CharacterGroup.full(w5_tsc).elements()
                if not f.is_zero()]
     groups = [(f,) for f in members] + list(itertools.combinations(members, 2))
@@ -79,9 +84,10 @@ def _window(fspec, wspec):
 
 
 @pytest.mark.parametrize("fspec,wspec,height,stride", STREAM_CASES)
-def test_derived_rows_match_classify(fspec, wspec, height, stride):
+def test_derived_rows_match_classify(fspec, wspec, height, stride,
+                                    monkeypatch):
     w = _window(fspec, wspec)
-    index = _cold(w)
+    index = _cold(monkeypatch, w)
     one = w.model.one()
     # a low walk, then a high one that extends the list past its end
     for h in (1, height):
@@ -93,20 +99,23 @@ def test_derived_rows_match_classify(fspec, wspec, height, stride):
             if x.is_zero():
                 assert (cls_x, cls_opx) == (None, w.zero_class())
             else:
+                # a source is the (exponent vector, bottom element) of x
+                assert leading_term(x) == src
                 assert cls_x == w.classify(x)
                 assert cls_opx == w.classify_sum(one, x)
     assert sum(map(len, index.stream_blocks)) == len(rows)
 
 
 @pytest.mark.parametrize("fspec,wspec,height,stride", STREAM_CASES)
-def test_pair_probes_match_products(fspec, wspec, height, stride):
+def test_pair_probes_match_products(fspec, wspec, height, stride,
+                                    monkeypatch):
     """cls(1 + x(1 + y)) by exponents against the built product, for every
     x != 0 and every y != 0, -1 of the pair walk's stream (every `stride`-th
     on the large one): a superset of the qualifying pairs of every
     subgroup.  Some pairs have g = 0 with a cancelling t^0 coefficient,
     where the probe falls back to the product."""
     w = _window(fspec, wspec)
-    index = _cold(w)
+    index = _cold(monkeypatch, w)
     one = w.model.one()
     rows = [(i, index.element(src), cls_x, cls_opx) for i, ((cls_x, cls_opx),
             src) in enumerate(index.stream(PAIR_HEIGHT_CAP))][::stride]
@@ -122,13 +131,11 @@ def test_pair_probes_match_products(fspec, wspec, height, stride):
         cancelling += prod.data[0][0][0] == 0 and (
             sum_.is_zero() or sum_.data[0][0][0] != 0)
     assert cancelling > 0
-    index.clear_stream()
 
 
-def test_walk_stopped_early_derives_one_block_ahead(w_tsc):
-    index = _cold(w_tsc)
-    through_4 = len(list(index.stream(4)))
-    index.clear_stream()
+def test_walk_stopped_early_derives_one_block_ahead(w_tsc, monkeypatch):
+    through_4 = len(list(_cold(monkeypatch, w_tsc).stream(4)))
+    index = _cold(monkeypatch, w_tsc)
     # stop at the first element of block 5
     list(itertools.islice(index.stream(8), through_4 + 1))
     derived = sum(map(len, index.stream_blocks))
@@ -139,7 +146,11 @@ def test_walk_stopped_early_derives_one_block_ahead(w_tsc):
 
 
 def _ideal_scans_agree(units, height):
-    ideal, sample = _maximal_ideal_scan(units, height)
+    # the walk takes an ideal sample when some character is to kill 1+x
+    group = units.H.group
+    chars = [Character(group.window, r) for r in group.howell()] or \
+        CharacterGroup.full(group.window).elements()[:1]
+    (_, sample), _, ideal = _verification_walk(units, height, chars, group)
     want, want_sample = maximal_ideal_scan_by_elements(units, height)
     assert [format_element(x) for x, _ in ideal] == \
         [format_element(x) for x in want]
@@ -182,7 +193,7 @@ def test_laurent_detection_classifies_nothing_on_its_window(w_tsc,
                                                             monkeypatch):
     # every class of the walks comes from the bottom window F7 or from
     # exponents; the top window w_tsc classifies no element of the stream
-    _cold(w_tsc)
+    _cold(monkeypatch, w_tsc)
     calls = []
     classify = fields.Window.classify
 
