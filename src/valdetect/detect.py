@@ -18,7 +18,8 @@ samples, and each sample stops at its own caps.  An element is built only
 when `is_unit` is asked of it or the ideal sample keeps it.  A unit lies
 in H, so `is_unit` is asked only of an element whose class lies in H; the
 ideal sample asks it of the leading monomial of 1 + x
-(`ScanIndex.one_plus`), which has the verdict of 1 + x.
+(`ScanIndex.one_plus`, read off the exponents of x with no Laurent sum
+formed), which has the verdict of 1 + x.
 """
 
 from dataclasses import asdict, dataclass, field

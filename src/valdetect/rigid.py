@@ -18,7 +18,7 @@ vector, bottom element) per position, and builds an element only where it
 keeps or tests one.  The unit table reads a row's exponent vector off its
 source, and the unit test the leading term of h (`fields.leading_term`).
 The pair clause's cls(1 + x_i(1 + x_j)) comes from
-exponents (`ScanIndex.pair_class`) and is kept per position pair.  Other
+source exponents (`ScanIndex.pair_class`), kept per position pair.  Other
 sums, such as h + x, are classified by `Window.classify_sum`, which reads
 the leading term of the sum without building it.  On a Laurent window the
 unit test decides an h in H by one interval of exponent vectors down the
@@ -33,7 +33,8 @@ matrices of the table (`ScanIndex.class_arrays`), shared by a single
 subgroup (`valuative_test`) and by the cyclic groups <f> of many members f
 at once (`valuative_members_mask`), once per group <f>, since u*f has the
 kernel of f for every unit u.  Comparability reads Psi(x) and Psi(1-x) of
-every entry from one product and tests each distinct pair once.
+every entry from one product and tests each distinct pair once; the rigid
+complement reads Psi(x) and Psi(1+x) from one product.
 """
 
 import math
@@ -149,19 +150,19 @@ def _pair_failure(H: MultSubgroup, height: int):
 
     The class of 1+x_i(1+x_j) does not depend on H, so the window's
     ScanIndex keeps it per position pair (i, j) for every subgroup of the
-    window (`ScanIndex.pair_class`)."""
+    window (`ScanIndex.pair_class`); only the pair returned is built."""
     w = H.window
     index = index_of(w)
-    qualifying = [(i, index.element(src), cls_x, cls_opx)
+    qualifying = [(i, src, cls_x, cls_opx)
                   for i, ((cls_x, cls_opx), src) in enumerate(
                       index.stream(min(height, PAIR_HEIGHT_CAP)))
                   if cls_x is not None and not H.contains_class(cls_x)
                   and cls_opx is not None and H.contains_class(cls_opx)]
-    for i, x, cls_x, _ in qualifying:
-        for j, y, _, cls_opy in qualifying:
-            cls_probe = index.pair_class(i, j, x, cls_x, y, cls_opy)
+    for i, src_x, cls_x, _ in qualifying:
+        for j, src_y, _, cls_opy in qualifying:
+            cls_probe = index.pair_class(i, j, src_x, cls_x, src_y, cls_opy)
             if cls_probe is not None and not H.contains_class(cls_probe):
-                return x, y
+                return index.element(src_x), index.element(src_y)
     return None
 
 
@@ -359,8 +360,8 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
     Psi(1+x) distinct from Psi(1) and Psi(x); asserts H/T cyclic.
 
     H = {x : Psi(x) in S}, for the span S of the qualifying Psi-images, is
-    the kernel of I = {a*f + b*g : (a, b) orthogonal to S}.  Only the
-    classes of the table entries are read, never their elements.
+    the kernel of I = {a*f + b*g : (a, b) orthogonal to S}.  Psi(x) and
+    Psi(1+x) come from one product with `ScanIndex.class_arrays`.
 
     A non-cyclic H/T falsifies the preconditions (the pair did not come from
     a C-pair at the required lifted level) and raises MainClaimViolated.
@@ -369,14 +370,13 @@ def rigid_complement(f: Character, g: Character, height: int) -> RigidComplement
         raise LevelMismatch("characters on different windows")
     w = f.window
     ell, n = w.level.ell, w.level.n
+    _, cls_x, _, cls_1px = scan_index(w, height).class_arrays(height)
+    psi = np.array([f.values, g.values], dtype=cls_x.dtype)
+    values = np.concatenate([psi @ cls_x, psi @ cls_1px]) % w.level.modulus
     vectors = {}    # distinct qualifying images, in table order
-    for ent in scan_index(w, height).entries(height):
-        img = (f.evaluate_class(ent.cls_x), g.evaluate_class(ent.cls_x))
-        if not any(img):
-            continue
-        q = (f.evaluate_class(ent.cls_1px), g.evaluate_class(ent.cls_1px))
-        if any(q) and q != img:
-            vectors[img] = None
+    for a, b, c, d in zip(*values.tolist()):
+        if (a or b) and (c or d) and (c, d) != (a, b):
+            vectors[a, b] = None
     span = howell_form(list(vectors), ell, n, 2)
     if len(span_quasi_basis(span, ell, n)) > 1:
         raise MainClaimViolated(

@@ -36,30 +36,32 @@ Predicates that see x only through the Steinberg wedge cls x ^ cls 1-x,
 such as the bilinear C-pair identity and the K2 relation span, need even
 less.  The index computes each tabled entry's wedge once, when the entry
 enters the table, and stores it on the entry (None when x = 1); the K2
-presentation's Steinberg witnesses are these entries.  The index also
-keeps, in stream order, the first entry of each distinct nonzero wedge.
-A window has few distinct wedges (26 against 1,136 triples on F7(u) with
-[u, u-1, const], and none on F19((t)) with l^n = 9 and [t, const] at
-height 9), so those scans run over the wedge list.  The index reduces each
-wedge coordinate e_ij modulo min(o_i, o_j) from triples (i, j, min) made
-once per window, and keeps per height the pair kernel of the C-pair scan
-and the C-center: the tuple of wedge entries and the exhaustiveness flag.
+presentation's Steinberg witnesses are these entries.  A window has few
+distinct wedges (26 against 1,136 triples on F7(u) with [u, u-1, const],
+and none on F19((t)) with l^n = 9 and [t, const] at height 9), so those
+scans run over the first entry of each distinct nonzero wedge, in stream
+order, which the index takes from the table once per height: the pair
+kernel of the C-pair scan and the C-center, with the exhaustiveness flag.
+The index reduces each wedge coordinate e_ij modulo min(o_i, o_j) from
+triples (i, j, min) made once per window.
 
-A window's ScanIndex owns its memos: the triple table, the wedge list, the
-pair kernels, the class arrays per height (the entries' cls x, cls 1-x
+A window's ScanIndex owns its memos, each built once: the triple table,
+the pair kernels, the class arrays per height (the entries' cls x, cls 1-x
 and cls 1+x as matrices, read by the valuative and comparability scans),
 and cls x and cls 1+x per position of the element stream that the rigid
-and detect walks read (`ScanIndex.stream`).  A bottom window classifies
-its elements; a Laurent window derives its list from its base window's by
-the rule of `_lift_rows`, with no element built.  Each position comes with
-a source (exponent vector, bottom element), top level first, and a walk
-builds the element only where it keeps one (`ScanIndex.element`, one
-`fields.monomial` call); the l = 2 probe cls(1 + x(1 + y)) also comes from
-exponents.  This module neither builds nor reads element data itself:
-`fields` alone knows the layout of a Laurent series.  Every class comes
-from the index's Window (`Window.fraction_class`), which memoises
-per-polynomial class data.  The indexes live for the process in one dict
-keyed by window, so later commands reuse the tables and that memo.
+and detect walks read (`ScanIndex.stream`).  A bottom window keeps each
+block's elements next to its class rows; a Laurent window keeps the
+nonzero rows of each base block and derives its own from them, segment by
+segment, by the rule of `_lift_rows`, with no element built.  Each
+position comes with a source (exponent vector, bottom element), top level
+first, and a walk builds the element only where it keeps one
+(`ScanIndex.element`, one `fields.monomial` call); the l = 2 probe
+cls(1 + x(1 + y)) reads the exponents of two sources.  This module neither
+builds nor reads element data itself: `fields` alone knows the layout of a
+Laurent series.  Every class comes from the index's Window
+(`Window.fraction_class`), which memoises per-polynomial class data.  The
+indexes live for the process in one dict keyed by window, so later
+commands reuse the tables and that memo.
 """
 
 import itertools
@@ -98,8 +100,8 @@ class ScanEntry:
 
 class ScanIndex:
     """Per-window table of distinct (cls x, cls 1-x, cls 1+x) triples, each
-    entry carrying its Steinberg wedge cls x ^ cls 1-x, and the first entry
-    of each distinct nonzero wedge.
+    entry carrying its Steinberg wedge cls x ^ cls 1-x, and the class list
+    of the element stream.
 
     On a rational-function window of odd characteristic, `bound` is the
     number of triples that an x other than 0 and +-1 can have at all (the
@@ -110,18 +112,20 @@ class ScanIndex:
     def __init__(self, window: Window):
         self.window = window
         self.blocks = []          # blocks[s] = new entries at height s
-        self.wedge_blocks = []    # wedge_blocks[s] = (wedge, entry), new at s
         self._seen = set()
-        self._wedges = set()
         self.local_sets = local_triple_sets(window)
         self.bound = (None if self.local_sets is None
                       else math.prod(map(len, self.local_sets)))
         self.closes = self.bound is not None and self.bound <= CLOSING_LIMIT
-        # the element stream of the rigid and detect walks, classes only:
-        # stream_blocks[s] holds (cls x, cls 1+x) per position of stream
-        # block s, and pair_classes cls(1 + x_i(1 + x_j)) per position pair
-        # (i, j) of the l = 2 clause; each class is one interned tuple
+        # the element stream of the rigid and detect walks: stream_blocks[s]
+        # holds (cls x, cls 1+x) per position of block s (block_sources[s]
+        # its sources on a bottom window, base_rows[s] (cls c, cls 1+c, src)
+        # per c != 0 of base block s on a Laurent one), and pair_classes
+        # cls(1 + x_i(1 + x_j)) per position pair (i, j) of the l = 2
+        # clause; each class is one interned tuple
         self.stream_blocks = []
+        self.block_sources = []
+        self.base_rows = []
         self.pair_classes = {}
         self._interned = {}
         self._base = None         # base_window()'s index, once read
@@ -157,41 +161,40 @@ class ScanIndex:
         return monomial(self.window.model, *src)
 
     def one_plus(self, src):
-        """1 + x for the stream element x = element(src) other than -1.  On
-        a Laurent window x = c*t^e, for e the top exponent of src, and 1 + x
-        is given as the monomial of its leading term, which has the class
-        and the UnitGroupApprox.is_unit verdict of 1 + x: 1 for e > 0, x for
-        e < 0 and (1 + c)*t^0 for e = 0."""
-        model = self.window.model
+        """1 + x for the stream element x = element(src) other than -1, as
+        the monomial of its leading term, which has the class and the
+        UnitGroupApprox.is_unit verdict of 1 + x: by the first nonzero
+        exponent of src, top level first, 1 if it is positive and x if it
+        is negative, and (1 + b)*t^0 for the bottom element b if none is."""
         vec, bottom = src
-        if model.kind != "laurent":
-            return model.one() + bottom
-        if vec[0] > 0:
-            return model.one()
-        if vec[0] < 0:
-            return self.element(src)
-        c = monomial(model.base, vec[1:], bottom)
-        return model.monomial(0, c.model.one() + c)
+        for e in vec:
+            if e:
+                return self.window.model.one() if e > 0 else self.element(src)
+        return monomial(self.window.model, vec, bottom.model.one() + bottom)
 
     def _stream_blocks(self, height):
         """Per stream block s through `height`, its segments (class rows,
-        sources), each classified or derived when a walk first reaches it.
-        A Laurent block reads the base blocks 0..s, listed once per walk."""
+        sources), each listed, classified or derived once, when a walk
+        first reaches it; a Laurent block reads base_rows[:s + 1]."""
         w = self.window
         blocks = self.stream_blocks
         blocks.extend([] for _ in range(len(blocks), height + 1))
         if w.model.kind != "laurent":
+            sources = self.block_sources
             for s, rows in enumerate(blocks[:height + 1]):
-                xs = bottom_block(w.model, s, ELEMENT_RATFUNC_CAP)
-                if len(rows) < len(xs):
-                    rows.extend([self._bottom_row(x) for x in xs])
-                yield ((rows, [((), x) for x in xs]),)
+                if s == len(sources):
+                    sources.append([((), x) for x in bottom_block(
+                        w.model, s, ELEMENT_RATFUNC_CAP)])
+                    rows.extend([self._bottom_row(x) for _, x in sources[s]])
+                yield ((rows, sources[s]),)
             return
-        res = []    # per base block, (cls c, cls 1+c, src of c) for c != 0
-        for segments in self._base_index()._stream_blocks(height):
-            res.append([(*row, c) for rows, srcs in segments
-                        for row, c in zip(rows, srcs) if row[0] is not None])
-            yield self._laurent_segments(len(res) - 1, res)
+        res, base = self.base_rows, self._base_index()
+        for s, segments in enumerate(base._stream_blocks(height)):
+            if s == len(res):
+                res.append([(*row, src) for rows, srcs in segments
+                            for row, src in zip(rows, srcs)
+                            if row[0] is not None])
+            yield self._laurent_segments(s, res)
 
     def _bottom_row(self, x):
         w = self.window
@@ -215,7 +218,7 @@ class ScanIndex:
             yield rows[:1], (((0,) * len(model.laurent_vars()),
                               model.bottom().zero()),)
             k = 1
-        for sc, base_rows in enumerate(res):
+        for sc, base_rows in enumerate(res[:s + 1]):
             es = laurent_exponents(s, sc)
             if k == len(rows):
                 rows.extend(self._lift_rows(base_rows, es))
@@ -242,43 +245,45 @@ class ScanIndex:
                     yield cls_x, (None if cls_1pc is None else
                                   intern(w.from_base(cls_1pc, 0)))
 
-    def pair_class(self, i, j, x, cls_x, y, cls_1py):
-        """cls(1 + x(1 + y)) of the stream elements x and y at positions i
-        and j, given cls x and cls 1+y != None, or None when the sum is
-        zero; kept per position pair."""
+    def pair_class(self, i, j, src_x, cls_x, src_y, cls_1py):
+        """cls(1 + x(1 + y)) of the stream elements x and y with sources
+        src_x and src_y at positions i and j, given cls x and cls 1+y !=
+        None, or None when the sum is zero; kept per position pair."""
         probes = self.pair_classes
         if (i, j) not in probes:
             probes[i, j] = self._intern(
-                self._pair_probe(x, cls_x, y, cls_1py))
+                self._pair_probe(src_x, cls_x, src_y, cls_1py))
         return probes[i, j]
 
-    def _pair_probe(self, x, cls_x, y, cls_1py):
-        """On a Laurent window x = c*t^e and y = d*t^f, so 1 + y leads with
-        b*t^min(f, 0), b = 1, d or 1 + d as f > 0, f < 0 or f = 0, and
-        x(1 + y) with cb*t^g, g = e + min(f, 0).  1 + x(1 + y) then leads
-        with 1 for g > 0, with cb*t^g for g < 0, of class cls x + cls 1+y,
-        and with (1 + cb)*t^0 for g = 0 unless 1 + cb = 0.  Only then, and
-        off a Laurent window, is the product built."""
+    def _pair_probe(self, src_x, cls_x, src_y, cls_1py):
+        """On a Laurent window x = c*t^e and y = d*t^f, e and f read off the
+        sources, so 1 + y leads with b*t^min(f, 0), b = 1, d or 1 + d as
+        f > 0, f < 0 or f = 0, and x(1 + y) with cb*t^g, g = e + min(f, 0).
+        1 + x(1 + y) then leads with 1 for g > 0, with cb*t^g for g < 0, of
+        class cls x + cls 1+y, and with (1 + cb)*t^0 for g = 0 (c and d
+        built) unless 1 + cb = 0.  Only then, and off a Laurent window, are
+        x, y and the product built."""
         w = self.window
         model = w.model
         if model.kind == "laurent":
-            e, c = x.laurent_lead()
-            f, d = y.laurent_lead()
+            e, f = src_x[0][0], src_y[0][0]
             g = e + min(f, 0)
             if g != 0:
                 return w.zero_class() if g > 0 else w.class_add(cls_x, cls_1py)
-            one = model.base.one()
+            base = model.base
+            c, d = (monomial(base, vec[1:], bot) for vec, bot in (src_x, src_y))
+            one = base.one()
             b = one if f > 0 else d if f < 0 else one + d
             cls = w.base_window().classify_sum(one, c * b)
             if cls is not None:
                 return w.from_base(cls, 0)
-        one = model.one()
+        x, y, one = self.element(src_x), self.element(src_y), model.one()
         return w.classify_sum(one, x * (one + y))
 
     def ensure(self, height):
         while len(self.blocks) <= height:
             s = len(self.blocks)
-            new, new_wedges = [], []
+            new = []
             for ent in _block_entries(self, s):
                 trip = (ent.cls_x, ent.cls_1mx, ent.cls_1px)
                 if trip in self._seen:
@@ -286,33 +291,30 @@ class ScanIndex:
                 self._seen.add(trip)
                 new.append(ent)
                 if ent.cls_1mx is not None:
-                    wedge = self.wedge(ent.cls_x, ent.cls_1mx)
-                    object.__setattr__(ent, "wedge", wedge)
-                    if any(wedge) and wedge not in self._wedges:
-                        self._wedges.add(wedge)
-                        new_wedges.append((wedge, ent))
+                    object.__setattr__(
+                        ent, "wedge", self.wedge(ent.cls_x, ent.cls_1mx))
             self.blocks.append(new)
-            self.wedge_blocks.append(new_wedges)
         return self
 
     def entries(self, height):
         """Table entries through `height`, in stream order."""
-        return self._through(self.blocks, height)
-
-    def wedge_entries(self, height):
-        """(wedge, entry) for the first entry of each distinct nonzero wedge
-        through `height`, in stream order: a subsequence of entries()."""
-        return self._through(self.wedge_blocks, height)
+        height = effective_height(self.window.model, height)
+        self.ensure(height)
+        return itertools.chain.from_iterable(self.blocks[:height + 1])
 
     def pair_kernel(self, height):
-        """(wedges, exhaustive): the tuple of wedge_entries(height) and
+        """(wedges, exhaustive): (wedge, entry) for the first entry of each
+        distinct nonzero wedge through `height`, in stream order, and
         exhaustive_classes(window, height), made once per height; all that
         the C-pair scan and the C-center read of the table."""
         kernel = self._kernels.get(height)
         if kernel is None:
+            first = {}
+            for ent in self.entries(height):
+                if ent.wedge is not None and any(ent.wedge):
+                    first.setdefault(ent.wedge, ent)
             kernel = self._kernels[height] = (
-                tuple(self.wedge_entries(height)),
-                exhaustive_classes(self.window, height))
+                tuple(first.items()), exhaustive_classes(self.window, height))
         return kernel
 
     def class_arrays(self, height):
@@ -338,11 +340,6 @@ class ScanIndex:
                 for cls in ([e.cls_x for e in ents], [e.cls_1mx for e in ents],
                             [e.cls_1px for e in ents])))
         return got
-
-    def _through(self, blocks, height):
-        height = effective_height(self.window.model, height)
-        self.ensure(height)
-        return itertools.chain.from_iterable(blocks[:height + 1])
 
     def wedge(self, cls_a, cls_b):
         """Coordinates of (class a) ^ (class b) on the e_ij basis (i < j),

@@ -117,7 +117,7 @@ def test_wedge_entries_are_first_occurrences(field, window, heights):
             if any(wedge) and wedge not in seen:
                 seen.add(wedge)
                 expected.append((wedge, ent))
-        got = list(index.wedge_entries(h))
+        got = list(index.pair_kernel(h)[0])
         assert [wd for wd, _ in got] == [wd for wd, _ in expected]
         assert all(a is b for (_, a), (_, b) in zip(got, expected))
         keys = [ent.key for _, ent in got]

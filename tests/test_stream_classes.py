@@ -4,6 +4,7 @@ list of its base window; these tests hold that list, the rebuilt elements,
 the pair probes and the ideal scan to the elements of the reference stream,
 classified one by one."""
 
+import collections
 import itertools
 from dataclasses import asdict
 
@@ -11,7 +12,11 @@ import pytest
 
 from valdetect import detect, fields, scans
 from valdetect.characters import Character, CharacterGroup
-from valdetect.detect import _verification_walk, detect_from_cgroup
+from valdetect.detect import (
+    _verification_walk,
+    detect_from_cgroup,
+    detect_inertia,
+)
 from valdetect.fields import (
     format_element,
     leading_term,
@@ -67,6 +72,70 @@ def test_pair_failure_matches_product_oracle(w5_tsc, monkeypatch):
         assert cls == w5_tsc.classify_sum(one, xs[i] * (one + xs[j]))
 
 
+def _cancels(x, y):
+    """Whether the t^0 leading terms of 1 and x(1 + y) cancel."""
+    one = x.model.one()
+    prod = x * (one + y)
+    sum_ = one + prod
+    return prod.data[0][0][0] == 0 and (
+        sum_.is_zero() or sum_.data[0][0][0] != 0)
+
+
+def test_pair_failure_builds_only_the_pair_it_returns(w5_tsc, monkeypatch):
+    """The clause reads exponents off the sources: it builds x and y for
+    the pair it returns and for a probe whose t^0 terms cancel, and no
+    other element of the window."""
+    index = _cold(monkeypatch, w5_tsc)
+    built = []
+    element = scans.ScanIndex.element
+
+    def counted(self, src):
+        built.append(src)
+        return element(self, src)
+
+    monkeypatch.setattr(scans.ScanIndex, "element", counted)
+    xs = list(capped_stream(w5_tsc.model, PAIR_HEIGHT_CAP))
+    members = [f for f in CharacterGroup.full(w5_tsc).elements()
+               if not f.is_zero()]
+    groups = [(f,) for f in members] + list(itertools.combinations(members, 2))
+    probes = failing = silent = 0
+    for height in (3, 1, 2):
+        for chars in groups:
+            H = MultSubgroup(CharacterGroup(w5_tsc, chars))
+            before = set(index.pair_classes)
+            built.clear()
+            got = _pair_failure(H, height)
+            new = [ij for ij in index.pair_classes if ij not in before]
+            assert len(built) == 2 * (got is not None) + 2 * sum(
+                _cancels(xs[i], xs[j]) for i, j in new)
+            probes += len(new)
+            failing += got is not None
+            silent += bool(new) and not built
+    assert probes and failing and silent
+
+
+def test_bottom_blocks_are_listed_once(monkeypatch):
+    """Repeated walks and a detection on a cold Laurent index list each
+    block of the bottom stream once."""
+    w = parse_window(parse_field("laurent(ratfunc(gf:7,u),t)"),
+                     "{ell=3,n=1,gens=[t,u,u-3]}")
+    index = _cold(monkeypatch, w)
+    calls = collections.Counter()
+    bottom_block = scans.bottom_block
+
+    def counted(model, s, ratfunc_cap=None):
+        calls[model.spec(), s] += 1
+        return bottom_block(model, s, ratfunc_cap)
+
+    monkeypatch.setattr(scans, "bottom_block", counted)
+    for h in (1, 3, 2, 3):
+        list(index.stream(h))
+    detect_inertia(CharacterGroup(w, (Character.dual_by_label(w, "t"),)),
+                   CharacterGroup.full(w), 1, 3)
+    assert sorted(s for _, s in calls) == [0, 1, 2, 3]
+    assert set(calls.values()) == {1}
+
+
 # (field, window, height of the row check, stride of the pair sample at
 # PAIR_HEIGHT_CAP)
 STREAM_CASES = [
@@ -117,19 +186,19 @@ def test_pair_probes_match_products(fspec, wspec, height, stride,
     w = _window(fspec, wspec)
     index = _cold(monkeypatch, w)
     one = w.model.one()
-    rows = [(i, index.element(src), cls_x, cls_opx) for i, ((cls_x, cls_opx),
-            src) in enumerate(index.stream(PAIR_HEIGHT_CAP))][::stride]
-    xs = [(i, x, cls_x) for i, x, cls_x, _ in rows if cls_x is not None]
-    ys = [(j, y, cls_opy) for j, y, cls_y, cls_opy in rows
+    rows = [(i, src, index.element(src), cls_x, cls_opx)
+            for i, ((cls_x, cls_opx), src)
+            in enumerate(index.stream(PAIR_HEIGHT_CAP))][::stride]
+    xs = [(i, src, x, cls_x) for i, src, x, cls_x, _ in rows
+          if cls_x is not None]
+    ys = [(j, src, y, cls_opy) for j, src, y, cls_y, cls_opy in rows
           if cls_y is not None and cls_opy is not None]
     cancelling = 0
-    for (i, x, cls_x), (j, y, cls_opy) in itertools.product(xs, ys):
-        prod = x * (one + y)
-        assert index.pair_class(i, j, x, cls_x, y, cls_opy) == \
-            w.classify_sum(one, prod)
-        sum_ = one + prod
-        cancelling += prod.data[0][0][0] == 0 and (
-            sum_.is_zero() or sum_.data[0][0][0] != 0)
+    for (i, src_x, x, cls_x), (j, src_y, y, cls_opy) in \
+            itertools.product(xs, ys):
+        assert index.pair_class(i, j, src_x, cls_x, src_y, cls_opy) == \
+            w.classify_sum(one, x * (one + y))
+        cancelling += _cancels(x, y)
     assert cancelling > 0
 
 
