@@ -11,6 +11,11 @@ truncated Laurent series carrying an explicit precision bound.  Laurent
 operations track worst-case precision and raise PrecisionExhausted instead of
 guessing; a series with bound None is exactly known.
 
+A nonzero element is read through its leading term (`leading_term`): the
+exponent vector down the Laurent tower, top level first (() on a finite or
+rational-function model), and the bottom element; a coefficient stored at
+its level's bound leads nothing.
+
 A ValuationHandle is a chain of native places (uniformizers of successive
 Laurent levels, optionally ending in a monic-irreducible place of a rational
 function bottom); its value group is Z^k ordered lexicographically, which
@@ -23,6 +28,8 @@ A Window fixes a level (l, n) and a finite list of generators (uniformizer
 classes, place classes, and optionally the constant-field generator class);
 the kernel T contains -1, all l^n-th powers, and every unlisted place class,
 so K^x/T is a finite Z/l^n-module with the listed generators as quasi-basis.
+The class of x is that of its leading term: the exponent of each listed
+uniformizer's level, and the place and const coordinates of the bottom.
 """
 
 import itertools
@@ -222,12 +229,15 @@ def _bmin(a, b):
 def _known_nonzero(m, data):
     """Whether the element of m with this data has a stored coefficient, at
     some depth, known to be nonzero: a nonzero finite-field code or
-    numerator; a kept O(..) coefficient is not known to be."""
+    numerator; a kept O(..) coefficient, or one stored at its own bound,
+    is not known to be."""
     if m.kind == "finite":
         return data != 0
     if m.kind == "ratfunc":
         return bool(data[0])
-    return any(_known_nonzero(m.base, c) for _, c in data[0])
+    coeffs, bound = data
+    return any(_known_nonzero(m.base, c) for e, c in coeffs
+               if bound is None or e < bound)
 
 
 class Elt:
@@ -424,59 +434,60 @@ class Elt:
 
     # -- structure ------------------------------------------------------------
     def laurent_lead(self):
-        """(valuation, unit leading coefficient as base element) of a Laurent elt."""
-        m = self.model
-        coeffs, bound = self.data
-        if not coeffs:
-            if bound is None:
-                raise ZeroElement("valuation of zero")
-            raise PrecisionExhausted(
-                f"no known coefficient below O({m.var}^{bound})")
-        e, c = coeffs[0]
-        base, lead = m.base, c  # a kept O(..) coefficient leads nothing
-        while base.kind == "laurent":
-            if not lead[0]:
-                raise PrecisionExhausted(
-                    f"coefficient of {m.var}^{e} not known to be nonzero")
-            base, lead = base.base, lead[0][0][1]
-        return e, m.base.elt(c)
+        """(valuation, leading coefficient as a base element) of a Laurent
+        element; raises as `leading_term` does."""
+        vec, _ = leading_term(self)
+        return vec[0], self.model.base.elt(self.data[0][0][1])
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.model.spec()}>"
 
 
 # ---------------------------------------------------------------------------
-# canonical multiplicative decomposition
+# leading terms
 # ---------------------------------------------------------------------------
 
-def decompose(x: Elt):
-    """Peel Laurent levels: ({var: exponent}, bottom element).
+def leading_term(x: Elt):
+    """(exponent vector, bottom element) of the leading term of a nonzero x
+    down its Laurent tower, top level first: x is that term times (1 +
+    higher order terms at each level), and only it is visible to windows.
+    monomial(x.model, *leading_term(x)) is the term.
 
-    Every nonzero x factors as prod(t_i^e_i) * (bottom unit) * (1 + higher
-    order terms at each level); only the data visible to windows is returned.
-    """
-    exps = {}
-    cur = x
-    while cur.model.kind == "laurent":
-        v, lead = cur.laurent_lead()
-        exps[cur.model.var] = v
-        cur = lead
-    if cur.is_zero():
-        raise ZeroElement("decompose of zero")
-    return exps, cur
+    Raises ZeroElement for x = 0, and PrecisionExhausted when the leading
+    coefficient of some level is not known below that level's bound; a
+    coefficient stored at its own bound is not known."""
+    model, data, vec = x.model, x.data, []
+    while model.kind == "laurent":
+        coeffs, bound = data
+        if not coeffs or (bound is not None and coeffs[0][0] >= bound):
+            if vec:
+                raise PrecisionExhausted(
+                    f"coefficient of {var}^{vec[-1]} not known to be nonzero")
+            if bound is None:
+                raise ZeroElement("leading term of zero")
+            raise PrecisionExhausted(
+                f"no known coefficient below O({model.var}^{bound})")
+        e, data = coeffs[0]
+        vec.append(e)
+        var, model = model.var, model.base
+    bottom = model.elt(data)
+    if bottom.is_zero():
+        raise ZeroElement("leading term of zero")
+    return tuple(vec), bottom
 
 
 def _sum_lead(m, a, b):
-    """decompose() of the element with data a + b, from the leading terms
-    alone; None when the sum is exactly zero.  A rational-function bottom
-    comes back as the unreduced fraction (n_a d_b + n_b d_a) / (d_a d_b)."""
+    """leading_term() of the element with data a + b, read from the
+    leading terms alone; None when the sum is exactly zero.  A
+    rational-function bottom comes back as the unreduced fraction
+    (n_a d_b + n_b d_a) / (d_a d_b)."""
     if m.kind == "finite":
         s = m.ff.add(a, b)
-        return ({}, m.elt(s)) if s else None
+        return ((), m.elt(s)) if s else None
     if m.kind == "ratfunc":
         ff = m.ff
         num = ff.poly_add(ff.poly_mul(a[0], b[1]), ff.poly_mul(b[0], a[1]))
-        return ({}, m.elt((num, ff.poly_mul(a[1], b[1])))) if num else None
+        return ((), m.elt((num, ff.poly_mul(a[1], b[1])))) if num else None
     (ca, ba), (cb, bb) = a, b
     bound = _bmin(ba, bb)
     i = j = 0
@@ -493,9 +504,8 @@ def _sum_lead(m, a, b):
                 j += 1
                 continue
         else:
-            lead = decompose(m.base.elt(ca[i][1] if ea < eb else cb[j][1]))
-        lead[0][m.var] = e
-        return lead
+            lead = leading_term(m.base.elt(ca[i][1] if ea < eb else cb[j][1]))
+        return (e, *lead[0]), lead[1]
     if bound is None:
         return None
     raise PrecisionExhausted(
@@ -733,10 +743,14 @@ class Window:
         object.__setattr__(self, "_ff", bottom.ff)
         object.__setattr__(self, "_one", (bottom.ff.one,))
         object.__setattr__(self, "_poly_memo", {})  # poly -> _poly_class
-        # read by from_base on every Laurent table entry
-        top = (UNIF, self.model.var) if self.model.kind == "laurent" else None
+        # read by fraction_class on every class: the Laurent level, top
+        # first, of each uniformizer generator, None for the others; and by
+        # from_base on every Laurent table entry: the slot of level 0
+        levels = tuple(self.model.laurent_vars().index(g[1]) if g[0] == UNIF
+                       else None for g in self.gens)
+        object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_top_slot",
-                           self.gens.index(top) if top in self.gens else None)
+                           levels.index(0) if 0 in levels else None)
         object.__setattr__(self, "_base", None)  # base_window(), once made
         # the dataclass hash, taken once: windows key the scan-index cache
         object.__setattr__(self, "_hash",
@@ -801,11 +815,11 @@ class Window:
         return _lift_bottom(self.model, bottom.elt((g[1], (bottom.ff.one,))))
 
     def classify(self, x: Elt):
-        """Class vector of x in K^x/T on the window quasi-basis."""
+        """Class vector of x in K^x/T on the window quasi-basis: the class
+        of its leading term (raises as `leading_term` does)."""
         if x.model is not self.model and x.model != self.model:
             raise PreconditionViolated("element not in the window's field")
-        exps, bot = decompose(x)  # raises ZeroElement / PrecisionExhausted
-        return self.classify_decomposed(exps, bot)
+        return self.classify_term(*leading_term(x))
 
     def classify_sum(self, a: Elt, b: Elt):
         """classify(a + b) without building the sum; None when a + b is
@@ -824,22 +838,26 @@ class Window:
         lead = _sum_lead(m, a.data, b.data)
         if lead is None:
             return None
-        return self.classify_decomposed(*lead)
+        return self.classify_term(*lead)
 
-    def classify_decomposed(self, exps, bot):
-        """Class of prod(t^exps[t]) * bot for a nonzero bottom element bot."""
+    def classify_term(self, vec, bot):
+        """Class of the term bot * prod t_i^vec[i], for an exponent vector
+        vec of the Laurent levels, top first, and a nonzero bottom element
+        bot."""
         if bot.model.kind == "finite":
-            return self.fraction_class((bot.data,), self._one, exps)
-        return self.fraction_class(*bot.data, exps)
+            return self.fraction_class((bot.data,), self._one, vec)
+        return self.fraction_class(*bot.data, vec)
 
-    def fraction_class(self, num, den, exps):
-        """Class of (num / den) * prod(t^exps[t]) for nonzero polynomials
-        num, den over the bottom; they need not be coprime or monic.
+    def fraction_class(self, num, den, vec=()):
+        """Class of (num / den) * prod t_i^vec[i] for nonzero polynomials
+        num, den over the bottom, which need not be coprime or monic, and
+        an exponent vector vec of the Laurent levels, top first (() on a
+        window that lists no uniformizer).
 
         A place coordinate is the multiplicity of the place in num minus
         that in den, the const coordinate is dlog lc(num) - dlog lc(den),
-        and a uniformizer coordinate is its exponent in `exps` (0 when
-        absent).  The per-polynomial data is memoised on the window."""
+        and a uniformizer coordinate is the exponent of its level in vec.
+        The per-polynomial data is memoised on the window."""
         memo = self._poly_memo
         dn, dd = memo.get(num), memo.get(den)
         if dn is None:
@@ -848,12 +866,12 @@ class Window:
             dd = self._poly_class(den)
         out = []
         i = 0
-        for g, order in zip(self.gens, self._orders):
-            if g[0] == UNIF:
-                out.append(exps.get(g[1], 0) % order)
-            else:
+        for level, order in zip(self._levels, self._orders):
+            if level is None:
                 out.append((dn[i] - dd[i]) % order)
                 i += 1
+            else:
+                out.append(vec[level] % order)
         return tuple(out)
 
     def _poly_class(self, poly):
@@ -919,22 +937,6 @@ def monomial(model, vec, bottom):
     for e in reversed(vec):
         data = (((e, data),), None)
     return model.elt(data)
-
-
-def leading_term(x):
-    """(exponent vector, bottom element) of the leading term of x down its
-    Laurent tower, top level first, the exponents `decompose` peels; None
-    when the leading coefficient of some level is not known below its
-    bound.  monomial(x.model, *leading_term(x)) is that term."""
-    model, data, vec = x.model, x.data, []
-    while model.kind == "laurent":
-        coeffs, bound = data
-        if not coeffs or (bound is not None and coeffs[0][0] >= bound):
-            return None
-        e, data = coeffs[0]
-        vec.append(e)
-        model = model.base
-    return tuple(vec), model.elt(data)
 
 
 def lift_constant(model, ffcode):

@@ -20,12 +20,13 @@ source, and the unit test the leading term of h (`fields.leading_term`).
 The pair clause's cls(1 + x_i(1 + x_j)) comes from
 source exponents (`ScanIndex.pair_class`), kept per position pair.  Other
 sums, such as h + x, are classified by `Window.classify_sum`, which reads
-the leading term of the sum without building it.  On a Laurent window the
-unit test decides an h in H by one interval of exponent vectors down the
-tower, compared lexicographically (`UnitGroupApprox`): a row x below the
-vector of h makes h + x lead with x, a row above makes it lead with h,
-since 1 + x/h then leads with 1 on every level and has class 0, and only
-rows with the vector of h are classified.
+the leading term of the sum without building it.  The unit test decides an
+h in H by one interval of exponent vectors down the tower, compared
+lexicographically (`UnitGroupApprox`): a row x below the vector of h makes
+h + x lead with x, a row above makes it lead with h, since 1 + x/h then
+leads with 1 on every level and has class 0, and only rows with the vector
+of h are classified.  On a finite or rational-function window every
+vector is (), so every row is classified.
 
 Each scan decides once per value its verdict depends on.  The one-variable
 valuative condition is one matrix product of kernel rows with the class
@@ -48,7 +49,8 @@ from .coeffmod import (
     span_quasi_basis,
     vectors_cyclic,
 )
-from .errors import LevelMismatch, MainClaimViolated, NotValuative
+from .errors import (LevelMismatch, MainClaimViolated, NotValuative,
+                     ZeroElement)
 from .characters import Character, CharacterGroup
 from .fields import Window, leading_term, monomial
 from .scans import Verdict, exhaustive_classes, index_of, scan_index
@@ -224,24 +226,24 @@ class UnitGroupApprox:
 
     The test is class-level.  The first MAX_NONMEMBERS nonmembers x of the
     window's stream are tabled once, in stream order, as rows (src of x,
-    cls 1+x).  On a Laurent window each row is an exact monomial, with an
-    exponent vector v(x) down the tower, and an h in H whose leading term
-    is known at every level, with vector e, passes every row with v(x) != e
-    iff hi <= e <= lo in lexicographic order, where lo is the least v(x)
-    with (1+x)/x outside H and hi the greatest v(x) with 1+x outside H:
+    cls 1+x).  Each row is an exact monomial, with an exponent vector v(x)
+    down the Laurent tower, and an h in H with leading term c*t^e, e its
+    exponent vector, passes every row with v(x) != e iff hi <= e <= lo in
+    lexicographic order, where lo is the least v(x) with (1+x)/x outside H
+    and hi the greatest v(x) with 1+x outside H:
     - for v(x) < e, h + x leads with x, so the row asks (1+x)/x in H;
     - for v(x) > e, h + x = h(1 + x/h) leads with h, whose class lies in H,
       since 1 + x/h leads with 1 on every level and has class 0; so the row
       asks 1+x in H.
     A tie v(x) = e gives h + x the leading term of h0 + x, for the monomial
-    h0 of the leading term of h, so the verdict is one per leading term,
-    and only the ties are classified, against h0.  No tie cancels the lead
-    of an h in H: windows kill -1, so such an x has the class of -h, which
-    is that of h, and lies in H.  This is exact, because a class reads only
-    leading terms.  Every other h, off a Laurent window or with a leading
-    coefficient not known, classifies h + x for every row in stream order,
-    so its verdict and the exception it may raise are those of the
-    definition.  A row's element is built only when a sum reads it.
+    h0 = c*t^e, so the verdict is one per leading term, and only the ties
+    are classified, against h0.  No tie cancels the lead of an h in H:
+    windows kill -1, so such an x has the class of -h, which is that of h,
+    and lies in H.  This is exact, because a class reads only leading
+    terms.  A finite or rational-function window is the case of the empty
+    vector: every row ties, the interval is vacuous, and every row is
+    classified against h, as the definition reads.  A row's element is
+    built only when a sum reads it.
     """
 
     MAX_NONMEMBERS = 400
@@ -251,23 +253,19 @@ class UnitGroupApprox:
         self.height = height
         self._tab = None
         self._capped = False
-        # verdict per leading term (vector, bottom element) of an h the
-        # interval decides, and per h.data of any other h; a vector holds
-        # exponents and a coefficient list pairs, so the keys never meet
-        self._memo = {}
+        self._memo = {}     # verdict per leading term (vector, bottom)
 
     def _table(self):
         """(rows, hi, lo, ties): the scanned nonmembers x of H in stream
         order, up to MAX_NONMEMBERS of them, as rows (src of x, cls 1+x),
-        and on a Laurent window the bounds hi and lo, as exponent vectors,
-        and the rows per exponent vector v(x); off it, hi and lo stay
-        infinite and ties empty.  The zero class lies in H, so x = -1 is
-        never a row."""
+        the bounds hi and lo, as exponent vectors, and the rows per
+        exponent vector v(x).  hi starts at (), the least vector, and lo
+        at (inf,), above every vector.  The zero class lies in H, so
+        x = -1 is never a row."""
         if self._tab is None:
             H, w = self.H, self.H.window
-            laurent = w.model.kind == "laurent"
             rows, ties = [], {}
-            hi, lo = (-math.inf,), (math.inf,)
+            hi, lo = (), (math.inf,)
             for (cls_x, cls_opx), src in index_of(w).stream(self.height):
                 if cls_x is None or H.contains_class(cls_x):
                     continue
@@ -275,56 +273,48 @@ class UnitGroupApprox:
                     self._capped = True  # this nonmember is left out
                     break
                 rows.append((src, cls_opx))
-                if laurent:
-                    v = src[0]
-                    ties.setdefault(v, []).append(rows[-1])
-                    if v < lo and not H.contains_class(
-                            w.class_sub(cls_opx, cls_x)):
-                        lo = v
-                    if v > hi and not H.contains_class(cls_opx):
-                        hi = v
+                v = src[0]
+                ties.setdefault(v, []).append(rows[-1])
+                if v < lo and not H.contains_class(
+                        w.class_sub(cls_opx, cls_x)):
+                    lo = v
+                if v > hi and not H.contains_class(cls_opx):
+                    hi = v
             self._tab = rows, hi, lo, ties
         return self._tab
 
-    def _elements(self, rows):
-        element = index_of(self.H.window).element
-        return [(element(src), cls_opx) for src, cls_opx in rows]
-
     def is_unit(self, h, cls_h=None) -> bool:
         """Whether h passes the unit test; `cls_h`, the window class of a
-        nonzero h when the caller has read it, spares classifying h."""
-        lead = (leading_term(h) if self.H.window.model.kind == "laurent"
-                else None)
-        key = h.data if lead is None else lead
-        got = self._memo.get(key)
+        nonzero h when the caller has read it, spares classifying h.
+        Raises as `leading_term` does when the leading term of h is not
+        known."""
+        try:
+            lead = leading_term(h)
+        except ZeroElement:
+            return False
+        got = self._memo.get(lead)
         if got is None:
-            got = self._memo[key] = self._verdict(h, lead, cls_h)
+            got = self._memo[lead] = self._verdict(lead, cls_h)
         return got
 
-    def _verdict(self, h, lead, cls_h) -> bool:
-        """Whether h is a unit.  With a leading term (e, c), e the exponent
-        vector, the monomial h0 = c*t^e stands in for h, as it has the class
-        of h and the leading term of each sum with a row: it must lie in H,
-        e in [hi, lo], and the rows v(x) = e must pass.  Without one, h
-        must be nonzero, lie in H and pass every row."""
-        w = self.H.window
-        if lead is not None:
-            h = monomial(w.model, *lead)
-        if h.is_zero() or not (self.H.contains(h) if cls_h is None
-                               else self.H.contains_class(cls_h)):
+    def _verdict(self, lead, cls_h) -> bool:
+        """Whether the h with leading term (e, c), e the exponent vector, is
+        a unit.  The monomial h0 = c*t^e stands in for h, as it has the
+        class of h and the leading term of each sum with a row: it must lie
+        in H, e in [hi, lo], and the rows v(x) = e must pass."""
+        H, w = self.H, self.H.window
+        h = monomial(w.model, *lead)
+        if not (H.contains(h) if cls_h is None else H.contains_class(cls_h)):
             return False
-        rows, hi, lo, ties = self._table()
-        if lead is None:
-            rows = self._elements(rows)
-        else:
-            e = lead[0]
-            if not hi <= e <= lo:
-                return False
-            rows = self._elements(ties.get(e, ()))
+        _, hi, lo, ties = self._table()
+        e = lead[0]
+        if not hi <= e <= lo:
+            return False
+        element = index_of(w).element
         # 1+x = h+x mod H, tested on classes (quotients never materialize)
-        return all(self.H.contains_class(
-                       w.class_sub(cls_opx, w.classify_sum(h, x)))
-                   for x, cls_opx in rows)
+        return all(H.contains_class(
+                       w.class_sub(cls_opx, w.classify_sum(h, element(src))))
+                   for src, cls_opx in ties.get(e, ()))
 
     def payload(self):
         """`nonmembers_capped`: the stream at this height holds more than

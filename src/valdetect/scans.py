@@ -58,10 +58,13 @@ first, and a walk builds the element only where it keeps one
 (`ScanIndex.element`, one `fields.monomial` call); the l = 2 probe
 cls(1 + x(1 + y)) reads the exponents of two sources.  This module neither
 builds nor reads element data itself: `fields` alone knows the layout of a
-Laurent series.  Every class comes from the index's Window
-(`Window.fraction_class`), which memoises per-polynomial class data.  The
-indexes live for the process in one dict keyed by window, so later
-commands reuse the tables and that memo.
+Laurent series.  Every class comes from the index's Window, which
+memoises per-polynomial class data: a rational-function pair (num, den)
+through `Window.fraction_class`, with no exponent vector, and an element
+through the class of its leading term.  Every entry holds its element as
+a zero-argument factory, which `ScanEntry.element` calls.  The indexes
+live for the process in one dict keyed by window, so later commands reuse
+the tables and that memo.
 """
 
 import itertools
@@ -91,11 +94,11 @@ class ScanEntry:
     cls_x: tuple
     cls_1mx: tuple    # None when x = 1
     cls_1px: tuple    # None when x = -1
-    rep: object       # element factory closure or Elt
+    rep: object       # zero-argument factory of the element x
     wedge: tuple = None  # cls x ^ cls 1-x, set by ScanIndex; None when x = 1
 
     def element(self):
-        return self.rep() if callable(self.rep) else self.rep
+        return self.rep()
 
 
 class ScanIndex:
@@ -526,7 +529,8 @@ def _finite_block(window, s):
         op = ff.add(ff.one, code)
         cls_1mx = window.classify(model.elt(om)) if om else None
         cls_1px = window.classify(model.elt(op)) if op else None
-        yield ScanEntry((0, i), cls_x, cls_1mx, cls_1px, x)
+        yield ScanEntry((0, i), cls_x, cls_1mx, cls_1px,
+                        partial(model.elt, code))
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +554,9 @@ def fraction_triple(window, num, den):
     """(cls x, cls 1-x, cls 1+x) of x = num/den, None for a zero 1 -+ x."""
     ff = window.model.ff
     diff, sm = ff.poly_sub(den, num), ff.poly_add(den, num)
-    return (window.fraction_class(num, den, {}),
-            window.fraction_class(diff, den, {}) if diff else None,
-            window.fraction_class(sm, den, {}) if sm else None)
+    return (window.fraction_class(num, den),
+            window.fraction_class(diff, den) if diff else None,
+            window.fraction_class(sm, den) if sm else None)
 
 
 def _closing_entries(index):

@@ -198,7 +198,7 @@ def decomp_place_classes(window, place, h):
                     num = ff.poly_add(b, pa)
                     if not num:
                         continue
-                    out.add(window.fraction_class(num, b, {}))
+                    out.add(window.fraction_class(num, b))
     return out
 
 

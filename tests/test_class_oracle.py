@@ -5,8 +5,8 @@ bottom numerator and denominator (`FiniteField.factor`), the Laurent
 leading exponents, and the discrete log of lc(num)/lc(den) in the cyclic
 group F_q^x / (+-1, l^n-th powers), whose order is counted here by brute
 force.  None of it goes through `place_multiplicity` or the window's own
-orders, so it checks `Window.classify`, `classify_sum` and
-`fraction_class` from outside.
+orders, so it checks `Window.classify`, `classify_sum`,
+`fraction_class` and the leading terms of `leading_term` from outside.
 """
 
 import random
@@ -18,12 +18,18 @@ from valdetect.fields import (
     CONST,
     PLACE,
     UNIF,
+    leading_term,
+    monomial,
+    parse_element,
     parse_field,
     parse_window,
     random_element,
 )
 
+from oracles import capped_stream
+
 ORACLE_WINDOWS = [
+    ("gf:7", "{ell=3,n=1,gens=[const]}"),
     ("ratfunc(gf:7,u)", "{ell=3,n=2,gens=[u,u-3,const]}"),
     ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u^2+1]}"),
     ("ratfunc(gf:9,u)", "{ell=2,n=2,gens=[u,u+1,const]}"),
@@ -119,5 +125,42 @@ def test_fraction_class_of_unreduced_pairs(fspec, wspec):
         if model.bottom().kind == "finite":
             num, den = num[-1:], den[-1:]  # a finite bottom has constants
         exps = {v: rng.randrange(-5, 6) for v in lvars}
-        assert w.fraction_class(num, den, exps) == \
+        vec = tuple(exps[v] for v in lvars)
+        assert w.fraction_class(num, den, vec) == \
             expected_fraction_class(w, num, den, exps)
+
+
+def _class_or_zero(window, x):
+    """expected_class(window, x), or ZeroElement when x = 0."""
+    try:
+        return expected_class(window, x)
+    except ZeroElement:
+        return ZeroElement
+
+
+@pytest.mark.parametrize("fspec,wspec", ORACLE_WINDOWS)
+def test_leading_term_has_the_class_of_its_element(fspec, wspec):
+    # stream elements x, the binomials 1 + x, and products of x with a
+    # series known only to a bound at each Laurent level: the monomial of
+    # leading_term(x) has the class of x.  Only 0 has no leading term, and
+    # on every model kind leading_term raises ZeroElement there
+    model = parse_field(fspec)
+    w = parse_window(model, wspec)
+    stream = list(capped_stream(model, 1))
+    series = [parse_element(model, f"1/(1-{v})")
+              for v in model.laurent_vars()]
+    xs = (stream + [model.one() + x for x in stream]
+          + [b * x for b in series for x in stream[1:]])
+    zeros = 0
+    for x in xs:
+        want = _class_or_zero(w, x)
+        if want is ZeroElement:
+            zeros += 1
+            with pytest.raises(ZeroElement):
+                leading_term(x)
+            continue
+        vec, bottom = leading_term(x)
+        assert len(vec) == len(model.laurent_vars())
+        assert expected_class(w, monomial(model, vec, bottom)) == want
+    assert zeros == 2       # x = 0 and 1 + x for x = -1
+

@@ -19,6 +19,7 @@ from valdetect.fields import (
     enumerate_blocks,
     enumerate_elements,
     format_element,
+    leading_term,
     parse_element,
     parse_field,
     parse_window,
@@ -486,6 +487,28 @@ def test_is_zero_reads_known_coefficients():
     # an exact zero
     assert parse_element(m, "(1+s*t)-(1+s*t)").is_zero()
     assert m.zero().is_zero()
+
+
+def test_coefficient_at_its_own_bound_leads_nothing(F7t, w_t_c, F7st,
+                                                    w_tsc):
+    # 1+O(t^0) over F7((t)) stores its t^0 coefficient at the bound 0, and
+    # 3*s^5+O(s^5), the t^0 coefficient of an element of F7((s))((t)),
+    # stores its s^5 coefficient at the bound 5: neither leading
+    # coefficient is known.  Only hand-built data holds such a
+    # coefficient; arithmetic drops it
+    one_o = F7t.elt((((0, 1),), 0))
+    assert (F7t.one() + F7t.from_terms({}, 0)).data == ((), 0)
+    assert F7t.from_terms({0: F7t.base.one()}, 0).data == ((), 0)
+    handle = ValuationHandle.from_steps(F7t, ["t"])
+    lead_s5 = F7st.elt((((0, (((5, 3),), 5)),), None))
+    for undecided in (one_o.laurent_lead, lambda: leading_term(one_o),
+                      lambda: w_t_c.classify(one_o),
+                      lambda: value_of(handle, one_o), one_o.is_zero,
+                      one_o.inverse, lead_s5.laurent_lead,
+                      lambda: leading_term(lead_s5),
+                      lambda: w_tsc.classify(lead_s5), lead_s5.is_zero):
+        with pytest.raises(PrecisionExhausted):
+            undecided()
 
 
 def _known_part(x):

@@ -24,9 +24,9 @@ from valdetect.cpairs import c_pair_direct
 from valdetect.fields import (
     ValuationHandle,
     Window,
-    decompose,
     enumerate_elements,
     format_element,
+    leading_term,
     parse_element,
     parse_field,
     parse_window,
@@ -278,7 +278,7 @@ def _row_elements(units):
 def _vector(x):
     """The exponents of the leading term of x down its Laurent tower, top
     level first."""
-    return tuple(decompose(x)[0].values())
+    return leading_term(x)[0]
 
 
 def _is_unit_by_elements(units, h):
@@ -408,7 +408,7 @@ def _interval_edges(units):
     cs = [format_element(c) for c in capped_stream(m.bottom(), 1)
           if not c.is_zero()]
     vecs = set()
-    for edge in {hi, lo} - {(math.inf,), (-math.inf,)}:
+    for edge in {hi, lo} - {(math.inf,), ()}:
         for i in {0, len(edge) - 1}:
             for d in (-1, 0, 1):
                 vecs.add(edge[:i] + (edge[i] + d,) + edge[i + 1:])
@@ -445,8 +445,12 @@ LEAD_CASES = [
      ["1/(1-t)"], (60, 4), True),
     ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}",
      ["t", "s"], 2, ["1/(1-s)", "t^2/(1+s*t)"], (80, 30), False),
+    # bottom windows: every row and every h have the exponent vector ()
     ("ratfunc(gf:7,u)", "{ell=3,n=1,gens=[u,u-3,const]}", ["u"], 2,
-     [], (120, 0), False),
+     [], (120, 0), True),
+    ("ratfunc(gf:4,u)", "{ell=3,n=1,gens=[u,u+1,const]}", ["u"], 2,
+     [], (120, 0), True),
+    ("gf:7", "{ell=3,n=1,gens=[const]}", ["const"], 0, [], (20, 0), True),
     # some members of H one step outside the interval, which alone rejects
     # them
     ("laurent(laurent(gf:5,s),t)", "{ell=2,n=1,gens=[t,s,const]}", ["s"], 1,
@@ -483,14 +487,17 @@ def test_is_unit_leading_exponent_rule_matches_reference(
     assert w.classify(-m.one()) == w.zero_class()
     rows = _row_elements(units)
     assert all(w.classify(-x) == w.classify(x) for x in rows)
+    _, hi, lo, row_ties = units._table()
     if m.kind != "laurent":
+        # the empty vector: every row ties with every h, and the interval
+        # rejects none
+        assert ties and list(row_ties) == [()] and hi <= () <= lo
         return
     # the sample takes every branch of the rule: x leads, h leads, a tie,
     # and h known only to a precision bound; the interval's edges are the
     # vectors of rows
     vecs = [_vector(x) for x in rows]
-    _, hi, lo, _ = units._table()
-    assert {hi, lo} <= {*vecs, (math.inf,), (-math.inf,)}
+    assert {hi, lo} <= {*vecs, (math.inf,), ()}
     seen = set()
     for h in hs:
         if h.is_zero() or not H.contains(h):
@@ -533,8 +540,7 @@ def test_is_unit_cancel_row_as_reference(w_t_c, w_tsc):
         ref = [_outcome(lambda h: _is_unit_by_elements(units, h), h)
                for h in hs]
         assert got == ref == [False] * len(hs)
-        assert all(units._memo[_vector(h), decompose(h)[1]] is False
-                   for h in hs)
+        assert all(units._memo[leading_term(h)] is False for h in hs)
 
 
 def test_is_unit_walks_ties_once_per_leading_term(w_tsc, monkeypatch):
