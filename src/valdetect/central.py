@@ -18,7 +18,8 @@ caches (coeffmod.FinMod.quotient_matrix).  beta = 2 pi is linear in sigma for
 every l, since 2 C(l^n, 2) = l^n (l^n - 1) vanishes mod l^n, and the
 commutator is bilinear.  So for a fixed sigma both q[sigma, tau] and
 q(tau^beta), carried on to Q / <q sigma^beta>, are linear in tau: the frame
-keeps their two matrices per sigma (CentralFrame.sigma_maps).  The quotient
+keeps their two matrices per sigma (CentralFrame.sigma_maps), column-major,
+so that each image coordinate is one dot product with tau.  The quotient
 of Q by the one vector q(sigma^beta) has a closed form
 (coeffmod.cyclic_quotient), so no sigma takes a Smith form of its own: the
 module's one Smith form is the only one the CL queries take.  cl_pair is
@@ -62,10 +63,10 @@ class CentralFrame:
     relation submodule R in that basis.
 
     The frame memoises, per coefficient tuple sigma, the two matrices of
-    sigma_maps; there are at most l^(n rank) of them, and they live and die
-    with the frame.  They come from the module's quotient map and the
-    closed-form quotient by one vector, so they take no Smith form beyond
-    the module's one."""
+    sigma_maps, and once the beta rows they share; there are at most
+    l^(n rank) of them, and they live and die with the frame.  They come
+    from the module's quotient map and the closed-form quotient by one
+    vector, so they take no Smith form beyond the module's one."""
 
     level: Level
     gen_labels: tuple
@@ -126,10 +127,19 @@ class CentralFrame:
     def _sigma_maps(self):
         return {}
 
+    @cached_property
+    def _beta_rows(self):
+        """q(gamma_r^beta) = 2 q[pi_r] per generator r, for sigma_maps."""
+        m = self.level.modulus
+        q = self.module.quotient_matrix
+        return [tuple(2 * x % m for x in q[self.pi_index(r)])
+                for r in range(self.rank)]
+
     def sigma_maps(self, sigma):
         """(M_sigma, P_sigma): the rank x k' matrices, over exact ints, that
         take tau to the images of q[sigma, tau] and of q(tau^beta) in
-        Q / <q sigma^beta> = (Z/l^n)^k'.
+        Q / <q sigma^beta> = (Z/l^n)^k', stored as their k' columns, so
+        that coordinate c of an image is tau dotted with column c.
 
         q[sigma, tau] = sum (sigma_a tau_b - sigma_b tau_a) q[a,b] over the
         pairs a < b, so its row for tau_b gains sigma_a q[a,b] and its row
@@ -141,21 +151,17 @@ class CentralFrame:
         if maps is not None:
             return maps
         m = self.level.modulus
-        module = self.module
-        k = module.quotient_width
-        q = module.quotient_matrix
-        npairs = len(self.pairs)
-        beta = [tuple(2 * x % m for x in q[npairs + r])
-                for r in range(self.rank)]
-        bracket = [[0] * k for _ in range(self.rank)]
+        q = self.module.quotient_matrix
+        beta = self._beta_rows
+        bracket = [[0] * self.module.quotient_width for _ in range(self.rank)]
         for p, (a, b) in enumerate(self.pairs):
             for c, x in enumerate(q[p]):
                 bracket[b][c] += sigma[a] * x
                 bracket[a][c] -= sigma[b] * x
-        image = tuple(sum(s * row[c] for s, row in zip(sigma, beta)) % m
-                      for c in range(k))
+        image = [sum(map(operator.mul, sigma, col)) % m for col in zip(*beta)]
         quotient = cyclic_quotient(image, self.level.ell, self.level.n)
-        maps = (tuple(map(quotient, bracket)), tuple(map(quotient, beta)))
+        maps = (tuple(zip(*map(quotient, bracket))),
+                tuple(zip(*map(quotient, beta))))
         self._sigma_maps[sigma] = maps
         return maps
 
@@ -208,7 +214,8 @@ class AbelianElement:
 
     @staticmethod
     def from_character(frame, char: Character):
-        if frame.window is None or char.window != frame.window:
+        w = frame.window
+        if char.window is not w and (w is None or char.window != w):
             raise FrameMismatch("character does not match the frame window")
         if not frame.fits_window:
             return AbelianElement(frame, char.values)
@@ -269,19 +276,20 @@ def cl_pair(sigma: AbelianElement, tau: AbelianElement) -> bool:
     matrices of frame.sigma_maps(sigma), and the cyclic test is exact
     (coeffmod.cyclic_contains).  [tau, sigma] = -[sigma, tau], so the
     verdict is symmetric, and tau's maps serve when only they are cached."""
-    if sigma.frame != tau.frame:
-        raise FrameMismatch("elements of different frames")
     frame = sigma.frame
+    if tau.frame is not frame and tau.frame != frame:
+        raise FrameMismatch("elements of different frames")
+    s, t = sigma.coeffs, tau.coeffs
     cached = frame._sigma_maps
-    if sigma.coeffs not in cached and tau.coeffs in cached:
-        sigma, tau = tau, sigma
-    bracket, beta = frame.sigma_maps(sigma.coeffs)
-    ell, n, m = frame.level.ell, frame.level.n, frame.level.modulus
-    t = tau.coeffs
+    if s not in cached and t in cached:
+        s, t = t, s
+    bracket, beta = frame.sigma_maps(s)
+    level = frame.level
+    m = level.modulus
     return cyclic_contains(
-        [sum(map(operator.mul, t, col)) % m for col in zip(*beta)],
-        [sum(map(operator.mul, t, col)) % m for col in zip(*bracket)],
-        ell, n)
+        [sum(map(operator.mul, t, col)) % m for col in beta],
+        [sum(map(operator.mul, t, col)) % m for col in bracket],
+        level.ell, level.n)
 
 
 # rows of the center summed against the whole center per closure step, so
@@ -324,10 +332,12 @@ def _cl_center_mask(frame, vecs):
     m = frame.level.modulus
     exponent = m // math.gcd(m, *(int(x) for x in vecs.ravel()))
     scalars = np.arange(exponent).astype(vecs.dtype)[:, None, None]
+    width = frame.rank
     keep = np.zeros(len(vecs), dtype=bool)
     for idx, sigma in enumerate(vecs.tolist()):
-        bracket, beta = (np.array(mat, dtype=vecs.dtype)
-                         for mat in frame.sigma_maps(tuple(sigma)))
+        # the stored columns, as the rank x k' matrices; k' may be 0
+        bracket, beta = (np.array(cols, dtype=vecs.dtype).reshape(-1, width).T
+                         for cols in frame.sigma_maps(tuple(sigma)))
         z = vecs @ bracket % m
         w = vecs @ beta % m
         keep[idx] = (scalars * w % m == z).all(axis=2).any(axis=0).all()

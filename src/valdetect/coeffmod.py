@@ -29,7 +29,7 @@ bounds grow like l^(3n), so Coeff values are plain Python integers).
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import LevelMismatch, PreconditionViolated
 
@@ -528,6 +528,7 @@ def quotient_span(module: FinMod, gens):
 # the exterior square
 # ---------------------------------------------------------------------------
 
+@cache  # read on every wedge; the tuple is immutable, so it is shared
 def wedge_pairs(rank: int):
     """The basis e_ij of the exterior square, i < j, row by row."""
     return tuple(itertools.combinations(range(rank), 2))
@@ -536,7 +537,7 @@ def wedge_pairs(rank: int):
 def wedge(a, b):
     """Coordinates a_i b_j - a_j b_i of a ^ b on wedge_pairs(len(a)),
     unreduced."""
-    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in wedge_pairs(len(a)))
+    return tuple([a[i] * b[j] - a[j] * b[i] for i, j in wedge_pairs(len(a))])
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +598,17 @@ def cyclic_contains(v, x, ell: int, n: int) -> bool:
     low = math.gcd(m, *v)
     if low == m:
         return not any(a % m for a in x)
-    i = next(j for j, a in enumerate(v) if a % (low * ell))
+    unit = low * ell
+    for i, a in enumerate(v):  # plain loops: this runs once per CL query
+        if a % unit:
+            break
     if x[i] % low:
         return False
-    c = x[i] // low * pow(v[i] // low, -1, m)
-    return not any((c * a - b) % m for a, b in zip(v, x))
+    c = x[i] // low * pow(a // low, -1, m)
+    for a, b in zip(v, x):
+        if (c * a - b) % m:
+            return False
+    return True
 
 
 def cyclic_quotient(v, ell: int, n: int):

@@ -10,10 +10,11 @@ min(o_i, o_j).  So the scan pairs f ^ g with the few distinct wedges of the
 scan table, each represented by its first entry in stream order, and the
 witness is the same stream-minimal x a scan of every entry would find.
 The table's per-height pair kernel (ScanIndex.pair_kernel) holds those
-wedges and the exhaustiveness flag.  A pair does only the work its verdict
-needs: with f ^ g = 0 mod l^n the table is not read, and cyclicity of the
-pair is tested only when the scan passed on a table that is not exhaustive,
-the one case where it decides the verdict (exact or up to the bound).
+wedges, the exhaustiveness flag and, per f ^ g mod l^n, the first wedge
+that pairs nonzero with it.  A pair does only the work its verdict needs:
+with f ^ g = 0 mod l^n the table is not read, and cyclicity of the pair is
+tested only when the scan passed on a table that is not exhaustive, the
+one case where it decides the verdict (exact or up to the bound).
 By the same bilinearity the C-center of a group A is linear algebra: the
 members of A that kill one row per quasi-basis element and distinct wedge.
 
@@ -29,6 +30,7 @@ identity; `exact` says whether a verdict that holds covers all of K.
 """
 
 import operator
+from functools import cache
 
 from .coeffmod import index_m, val_mod, vectors_cyclic, wedge, wedge_pairs
 from .errors import (
@@ -52,28 +54,35 @@ def c_pair_direct(f: Character, g: Character, height: int) -> Verdict:
     verdict depends only on its wedge and the scan pairs f ^ g with the
     first entry of each distinct wedge (ScanIndex.pair_kernel).  Those come
     in stream order, so the first one that pairs nonzero is the first
-    violating entry of the table.  With f ^ g = 0 mod l^n nothing pairs
-    nonzero and the table is not read.  A cyclic pair has f ^ g = 0, so
-    cyclicity only matters once the scan has passed on a table that is not
-    exhaustive: it makes that verdict exact.
+    violating entry of the table (ScanIndex.first_violation).  With
+    f ^ g = 0 mod l^n nothing pairs nonzero and the table is not read.  A
+    cyclic pair has f ^ g = 0, so cyclicity only matters once the scan has
+    passed on a table that is not exhaustive: it makes that verdict exact.
+    Passing pairs share one frozen verdict per height and exactness.
     """
-    if f.window != g.window:
-        raise LevelMismatch("characters on different windows")
     w = f.window
+    if g.window is not w and g.window != w:
+        raise LevelMismatch("characters on different windows")
     mod = w.level.modulus
-    fg = wedge(f.values, g.values)
-    if any(c % mod for c in fg):
-        wedges, exhaustive = scan_index(w, height).pair_kernel(height)
-        for x, ent in wedges:
-            if sum(map(operator.mul, fg, x)) % mod:
-                return Verdict(NOT_CPAIR, height, witness=ent.element(),
-                               method="direct", exact=True)
+    fg = tuple([c % mod for c in wedge(f.values, g.values)])
+    if any(fg):
+        ent, exhaustive = scan_index(w, height).first_violation(height, fg)
+        if ent is not None:
+            return Verdict(NOT_CPAIR, height, witness=ent.element(),
+                           method="direct", exact=True)
     else:
         exhaustive = exhaustive_classes(w, height)
-    if exhaustive or vectors_cyclic(f.values, g.values, w.level.ell,
-                                    w.level.n):
-        return Verdict(CPAIR, height, method="direct", exact=True)
-    return Verdict(CPAIR_UP_TO, height, method="direct", exact=False)
+    exact = exhaustive or vectors_cyclic(f.values, g.values, w.level.ell,
+                                         w.level.n)
+    return _passed(height)[exact]
+
+
+@cache
+def _passed(height):
+    """The frozen verdicts that the passing pairs at `height` share, the
+    bounded one first, so that exactness indexes them."""
+    return (Verdict(CPAIR_UP_TO, height, method="direct", exact=False),
+            Verdict(CPAIR, height, method="direct", exact=True))
 
 
 def order_drop(f: Character) -> int:

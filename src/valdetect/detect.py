@@ -150,7 +150,9 @@ def _verification_walk(units: UnitGroupApprox, height, chars,
     kills the units.  Each stops at its own caps, the inertia sample also
     at its first failure; no chars means no ideal sample.  Returns the
     (verdict, VerificationSample) of each, and the sampled ideal elements
-    as (x, cls 1+x)."""
+    as (x, cls 1+x).  is_unit is asked only of an x with class in H; every
+    pipeline passes the group whose kernel H is, so the inertia sample
+    cannot fail and only counts the units it meets."""
     H = units.H
     index = index_of(H.window)
     members = [Character(group.window, r) for r in group.howell()]

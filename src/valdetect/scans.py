@@ -41,7 +41,8 @@ distinct wedges (26 against 1,136 triples on F7(u) with [u, u-1, const],
 and none on F19((t)) with l^n = 9 and [t, const] at height 9), so those
 scans run over the first entry of each distinct nonzero wedge, in stream
 order, which the index takes from the table once per height: the pair
-kernel of the C-pair scan and the C-center, with the exhaustiveness flag.
+kernel of the C-pair scan and the C-center, with the exhaustiveness flag
+and, per f ^ g, the first of those wedges that pairs nonzero with it.
 The index reduces each wedge coordinate e_ij modulo min(o_i, o_j) from
 triples (i, j, min) made once per window.
 
@@ -69,6 +70,7 @@ the tables and that memo.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -306,10 +308,11 @@ class ScanIndex:
         return itertools.chain.from_iterable(self.blocks[:height + 1])
 
     def pair_kernel(self, height):
-        """(wedges, exhaustive): (wedge, entry) for the first entry of each
-        distinct nonzero wedge through `height`, in stream order, and
-        exhaustive_classes(window, height), made once per height; all that
-        the C-pair scan and the C-center read of the table."""
+        """(wedges, exhaustive, violations): (wedge, entry) for the first
+        entry of each distinct nonzero wedge through `height`, in stream
+        order, exhaustive_classes(window, height), and the memo of
+        first_violation, made once per height; all that the C-pair scan and
+        the C-center read of the table."""
         kernel = self._kernels.get(height)
         if kernel is None:
             first = {}
@@ -317,8 +320,21 @@ class ScanIndex:
                 if ent.wedge is not None and any(ent.wedge):
                     first.setdefault(ent.wedge, ent)
             kernel = self._kernels[height] = (
-                tuple(first.items()), exhaustive_classes(self.window, height))
+                tuple(first.items()), exhaustive_classes(self.window, height),
+                {})
         return kernel
+
+    def first_violation(self, height, fg):
+        """(entry, exhaustive): the first entry of pair_kernel(height) whose
+        wedge pairs nonzero with fg, a wedge vector mod l^n, or None, and
+        the exhaustive flag; kept in the kernel per fg."""
+        wedges, exhaustive, violations = self.pair_kernel(height)
+        if fg not in violations:
+            mod = self.window.level.modulus
+            violations[fg] = (next((ent for x, ent in wedges
+                                    if sum(map(operator.mul, fg, x)) % mod),
+                                   None), exhaustive)
+        return violations[fg]
 
     def class_arrays(self, height):
         """(entries, cls x, cls 1-x, cls 1+x): the tuple of entries(height)

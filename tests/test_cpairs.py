@@ -1,4 +1,7 @@
+import dataclasses
+import importlib.util
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -187,6 +190,58 @@ def test_direct_asks_for_cyclicity_only_after_a_bounded_pass(
         assert (len(asked) > before) == (not exhaustive and got.holds())
         kinds.add(got.kind)
     assert NOT_CPAIR in kinds or field.startswith("laurent")
+
+
+def _cl_check_tower_pairs(seed):
+    """The tower pairs of the cl-check benchmark workload at `seed`, drawn
+    by bench/inputs.py itself."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.make_inputs("cl-check", seed)["tower_pairs"]
+
+
+CL_TOWER = ("laurent(laurent(gf:19,s),t)", "{ell=3,n=2,gens=[t,s,const]}")
+# the REORDER_WINDOWS at their height and at one more: 0 on the rational
+# function windows, whose block 0 lacks every first violation of height 1,
+# and 9 on the Laurent one, where its table becomes exhaustive; and the
+# cl-check tower
+MEMO_ORDER_WINDOWS = [
+    (field, window, (height, other)) for (field, window, height), other
+    in zip(REORDER_WINDOWS, (0, 0, 9))] + [(*CL_TOWER, (2, 9))]
+
+
+@pytest.mark.parametrize("field, window, heights", MEMO_ORDER_WINDOWS,
+                         ids=REORDER_IDS + ["F19st-cl-check"])
+def test_direct_verdicts_do_not_depend_on_query_order(field, window,
+                                                      heights):
+    # the pair kernel keeps the first violation per f ^ g, and passing
+    # pairs share one verdict per height and exactness: answering the pairs
+    # forward, then reversed, on a warm index gives every pair the full
+    # scan's payload both times, and a shared verdict cannot be altered;
+    # each height comes back after the other, so no height reads another's
+    # memo unseen
+    w = parse_window(parse_field(field), window)
+    if (field, window) == CL_TOWER:
+        pairs = [(Character(w, tuple(f)), Character(w, tuple(g)))
+                 for f, g in _cl_check_tower_pairs(1)]
+    else:
+        pairs = random.Random(25).sample(list(
+            itertools.combinations_with_replacement(
+                CharacterGroup.full(w).elements(), 2)), 300)
+    for h in heights + heights[::-1]:
+        refs = [_c_pair_by_scan(f, g, h).payload() for f, g in pairs]
+        shared = {}
+        for order in (1, -1):
+            for (f, g), ref in list(zip(pairs, refs))[::order]:
+                got = c_pair_direct(f, g, h)
+                assert got.payload() == ref, (f.values, g.values, h, order)
+                if got.holds():
+                    assert shared.setdefault(got.kind, got) is got
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        got.kind = NOT_CPAIR
+        assert shared
 
 
 def test_direct_trivial_and_laurent(w_t_c):

@@ -61,3 +61,14 @@ def test_report_derives_from_d_and_i(run):
         [what, "I in I_v"]
     assert all(rep.containments.values())
     assert rep.units is not None
+
+
+@pytest.mark.parametrize("run", [_cpair, _cgroup, _inertia],
+                         ids=["cpair", "cgroup", "inertia"])
+def test_inertia_sample_units_are_those_of_the_detected_group(run):
+    # the "I in I_v" sample meets only units with class in H = ker I, and
+    # H is the kernel of the detected group itself, so no member of I can
+    # fail on one: the sample confirms I in I_v on every window
+    rep, _, _ = run()
+    assert rep.units.H.group == rep.detected_group
+    assert rep.containments["I in I_v"] is True
