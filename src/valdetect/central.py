@@ -6,7 +6,10 @@ on generators mirroring a window quasi-basis: the free module on the basis
 [i,j] (i < j) and pi_r, together with a relation submodule R.  Field-derived
 frames obtain R from the presented K2-quotient through the normal-form
 pairing, with the Bockstein columns coupled through the window class of a
-fixed root of unity omega.
+fixed root of unity omega.  The presentation enters only through the span
+of its Steinberg wedges, so a frame built from the span prefix
+(`milnor.steinberg_scan` at height >= 1 where `scans.wedge_span` holds) is
+the frame of the whole table: the Howell form of the same module.
 
 The only formula the construction needs beyond bilinearity is the power
 identity for products in a class-2 group; it is validated against brute

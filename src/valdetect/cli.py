@@ -309,13 +309,40 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+class _Pending:
+    """The add_argument calls of one subcommand, made on its parser only
+    when that command is first parsed: a process pays for the arguments of
+    the subcommands it runs, not of all of them."""
+
+    def __init__(self, parser):
+        self.parser, self.calls = parser, []
+
+    def add_argument(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+
+    def replay(self):
+        for args, kwargs in self.calls:
+            self.parser.add_argument(*args, **kwargs)
+
+
 @functools.cache  # one parser per process: building it takes milliseconds
 def build_parser():
+    """The parser with every subcommand's name and help registered; the
+    arguments of each subcommand wait in `pending` until `parse` first
+    meets its command.  Help texts and argument errors read as from a
+    parser with every argument added."""
     ap = _Parser(
         prog="valdetect",
         description="Exact mod-l^n character, K2 and valuation-detection "
                     "computations over explicit small fields.")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.pending = {}
+
+    def add_parser(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        pending = ap.pending[name] = _Pending(p)
+        return pending
 
     def common(p, height=True):
         p.add_argument("--field", required=True)
@@ -324,48 +351,42 @@ def build_parser():
             p.add_argument("--height", type=int, default=4)
         p.add_argument("--output", default=None)
 
-    p = sub.add_parser("levels", help="index bounds for a level")
+    p = add_parser("levels", cmd_levels, help="index bounds for a level")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_levels)
 
-    p = sub.add_parser("eval", help="window class and character values")
+    p = add_parser("eval", cmd_eval, help="window class and character values")
     common(p, height=False)
     p.add_argument("--element", required=True)
     p.add_argument("--char", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("window", help="window structure report")
+    p = add_parser("window", cmd_window, help="window structure report")
     common(p, height=False)
-    p.set_defaults(func=cmd_window)
 
-    p = sub.add_parser("cpair", help="C-pair verdicts")
+    p = add_parser("cpair", cmd_cpair, help="C-pair verdicts")
     common(p)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--method", choices=("direct", "ktheory", "both"),
                    default="direct")
-    p.set_defaults(func=cmd_cpair)
 
-    p = sub.add_parser("cgroup", help="C-group verdict for a subgroup")
+    p = add_parser("cgroup", cmd_cgroup,
+                   help="C-group verdict for a subgroup")
     common(p)
     p.add_argument("--gens", required=True,
                    help="semicolon-separated character specs")
-    p.set_defaults(func=cmd_cgroup)
 
-    p = sub.add_parser("ccenter", help="C-center of a subgroup")
+    p = add_parser("ccenter", cmd_ccenter, help="C-center of a subgroup")
     common(p)
     p.add_argument("--gens", default=None)
-    p.set_defaults(func=cmd_ccenter)
 
-    p = sub.add_parser("k2", help="K2 mod the window kernel")
+    p = add_parser("k2", cmd_k2, help="K2 mod the window kernel")
     common(p)
     p.add_argument("--floor", action="store_true",
                    help="stop the Steinberg scan once the quotient is trivial")
-    p.set_defaults(func=cmd_k2)
 
-    p = sub.add_parser("tame", help="tame symbol at a place")
+    p = add_parser("tame", cmd_tame, help="tame symbol at a place")
     p.add_argument("--field", required=True)
     p.add_argument("--place", required=True)
     p.add_argument("--f", required=True)
@@ -373,21 +394,19 @@ def build_parser():
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_tame)
 
-    p = sub.add_parser("valuative", help="valuative test for a kernel")
+    p = add_parser("valuative", cmd_valuative,
+                   help="valuative test for a kernel")
     common(p)
     p.add_argument("--chars", required=True)
-    p.set_defaults(func=cmd_valuative)
 
-    p = sub.add_parser("canonical-valuation",
-                       help="unit predicate of the canonical valuation")
+    p = add_parser("canonical-valuation", cmd_canonical_valuation,
+                   help="unit predicate of the canonical valuation")
     common(p)
     p.add_argument("--chars", required=True)
     p.add_argument("--test-elements", default=None)
-    p.set_defaults(func=cmd_canonical_valuation)
 
-    p = sub.add_parser("detect", help="detection pipelines")
+    p = add_parser("detect", cmd_detect, help="detection pipelines")
     common(p)
     p.add_argument("--mode", required=True,
                    choices=("cpair", "cgroup", "inertia", "classify"))
@@ -400,20 +419,30 @@ def build_parser():
     p.add_argument("--valuation", default=None)
     p.add_argument("--aggressive", action="store_true",
                    help="experimental: skip the lifting-level bound")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("cl-check",
-                       help="CL vs C agreement over a whole window group")
+    p = add_parser("cl-check", cmd_cl_check,
+                   help="CL vs C agreement over a whole window group")
     common(p)
-    p.set_defaults(func=cmd_cl_check)
 
     return ap
+
+
+def parse(argv):
+    """Parse argv, first adding the arguments of the subcommand it names:
+    its first token that is not an option, since the top-level parser
+    takes no option with a value."""
+    ap = build_parser()
+    command = next((a for a in argv if not a.startswith("-")), None)
+    pending = ap.pending.pop(command, None)
+    if pending is not None:
+        pending.replay()
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
     code, output = 0, None
     try:
-        args = build_parser().parse_args(argv)
+        args = parse(sys.argv[1:] if argv is None else argv)
         output = args.output
         if not 0 <= getattr(args, "height", 0) <= MAX_HEIGHT:
             raise PreconditionViolated(f"--height must be in 0..{MAX_HEIGHT}")

@@ -1,22 +1,26 @@
 """C-pair and C-group testing, by direct scan and by the K-theoretic bound.
 
 The direct method scans the enumeration stream for a witness x with
-f(1-x)g(x) != f(x)g(1-x); it is exact on backends whose class triples are
-exhausted at the height (finite fields and Laurent towers over them) and a
-semi-decision elsewhere.  The identity is bilinear: its two sides differ by
-the pairing of f ^ g with the Steinberg wedge cls x ^ cls 1-x, which the
+f(1-x)g(x) != f(x)g(1-x).  The identity is bilinear: its two sides differ
+by the pairing of f ^ g with the Steinberg wedge cls x ^ cls 1-x, which the
 character values make well defined on the wedge coordinates modulo
-min(o_i, o_j).  So the scan pairs f ^ g with the few distinct wedges of the
-scan table, each represented by its first entry in stream order, and the
-witness is the same stream-minimal x a scan of every entry would find.
-The table's per-height pair kernel (ScanIndex.pair_kernel) holds those
-wedges, the exhaustiveness flag and, per f ^ g mod l^n, the first wedge
-that pairs nonzero with it.  A pair does only the work its verdict needs:
-with f ^ g = 0 mod l^n the table is not read, and cyclicity of the pair is
-tested only when the scan passed on a table that is not exhaustive, the
-one case where it decides the verdict (exact or up to the bound).
-By the same bilinearity the C-center of a group A is linear algebra: the
-members of A that kill one row per quasi-basis element and distinct wedge.
+min(o_i, o_j).  So the scan pairs f ^ g with the few distinct wedges of
+what the linear verdicts read (ScanIndex.linear_entries), each represented
+by its first entry in order, and the witness is the same stream-minimal x
+a scan of every entry would find.  At height >= 1 on rational-function
+windows of odd characteristic and Laurent towers over them, that is the
+span prefix, the shortest stream prefix whose wedges span all that the
+wedges of K span, and every verdict is exact; elsewhere it is the class
+table, exact where its triples are exhausted at the height (finite fields
+and Laurent towers over them) and a semi-decision otherwise.  The per-height
+pair kernel (ScanIndex.pair_kernel) holds those wedges, the exactness flag
+and, per f ^ g mod l^n, the first wedge that pairs nonzero with it.  A pair
+does only the work its verdict needs: with f ^ g = 0 mod l^n nothing is
+read, and cyclicity of the pair is tested only when the scan passed on a
+table that is not exhaustive, the one case where it decides the verdict
+(exact or up to the bound).  By the same bilinearity the C-center of a
+group A is linear algebra: the members of A that kill one row per
+quasi-basis element and distinct wedge.
 
 The K-theoretic method compares the order drop c of the wedge generator in
 the presented K_2-quotient against the order drops a, b of the two
@@ -40,7 +44,7 @@ from .errors import (
     RankNotTwo,
 )
 from .characters import Character, CharacterGroup
-from .scans import Verdict, exhaustive_classes, scan_index
+from .scans import Verdict, index_of
 
 CPAIR = "CPair"
 NOT_CPAIR = "NotCPair"
@@ -52,26 +56,30 @@ def c_pair_direct(f: Character, g: Character, height: int) -> Verdict:
 
     f(1-x)g(x) - f(x)g(1-x) = -<f ^ g, cls x ^ cls 1-x>, so an entry's
     verdict depends only on its wedge and the scan pairs f ^ g with the
-    first entry of each distinct wedge (ScanIndex.pair_kernel).  Those come
-    in stream order, so the first one that pairs nonzero is the first
-    violating entry of the table (ScanIndex.first_violation).  With
-    f ^ g = 0 mod l^n nothing pairs nonzero and the table is not read.  A
-    cyclic pair has f ^ g = 0, so cyclicity only matters once the scan has
-    passed on a table that is not exhaustive: it makes that verdict exact.
-    Passing pairs share one frozen verdict per height and exactness.
+    first entry of each distinct wedge (ScanIndex.pair_kernel): of the span
+    prefix where it serves, which decides every pair exactly, else of the
+    table.  Those come in stream order, so the first one that pairs
+    nonzero is the first violating entry of the table
+    (ScanIndex.first_violation), or a fallback entry of the prefix where
+    the degree-1 sweep does not span.  With f ^ g = 0 mod l^n nothing pairs
+    nonzero and nothing is read.  A cyclic pair has f ^ g = 0, so
+    cyclicity only matters once the scan has passed on a table that is not
+    exhaustive: it makes that verdict exact.  Passing pairs share one
+    frozen verdict per height and exactness.
     """
     w = f.window
     if g.window is not w and g.window != w:
         raise LevelMismatch("characters on different windows")
     mod = w.level.modulus
     fg = tuple([c % mod for c in wedge(f.values, g.values)])
+    index = index_of(w)
     if any(fg):
-        ent, exhaustive = scan_index(w, height).first_violation(height, fg)
+        ent, exhaustive = index.first_violation(height, fg)
         if ent is not None:
             return Verdict(NOT_CPAIR, height, witness=ent.element(),
                            method="direct", exact=True)
     else:
-        exhaustive = exhaustive_classes(w, height)
+        exhaustive = index.linear_exact(height)
     exact = exhaustive or vectors_cyclic(f.values, g.values, w.level.ell,
                                          w.level.n)
     return _passed(height)[exact]
@@ -158,13 +166,14 @@ def c_center(group: CharacterGroup, height: int) -> CharacterGroup:
 
     <f ^ g, x> = sum_k f_k <e_k ^ g, x>, so f forms a C-pair with g at this
     height iff f kills the row (<e_k ^ g, x>)_k of every distinct nonzero
-    Steinberg wedge x of the scan table (cyclic pairs have f ^ g = 0 and
-    pass too).  The center is A intersected with the kernel of all those
-    rows: a subgroup by construction, found without listing A.
+    Steinberg wedge x of the pair kernel, the span prefix's or the scan
+    table's (cyclic pairs have f ^ g = 0 and pass too).  The center is A
+    intersected with the kernel of all those rows: a subgroup by
+    construction, found without listing A.
     """
     w = group.window
     mod = w.level.modulus
-    wedges = [x for x, _ in scan_index(w, height).pair_kernel(height)[0]]
+    wedges = [x for x, _ in index_of(w).pair_kernel(height)[0]]
     unit_vectors = [tuple(int(i == k) for i in range(w.rank))
                     for k in range(w.rank)]
     rows = []

@@ -7,16 +7,20 @@ windows listing the top uniformizer, the tame symbol at that place descends
 to the residue window exactly and yields an unconditional lower bound; when
 the two bounds meet the order is certified.
 
-The Steinberg relations come straight from the scan table: each ScanEntry
-carries its wedge cls x ^ cls 1-x, computed once when the table is built, and
-the witnesses of a presentation are the entries whose wedge is nonzero.
-`wedge_of` is re-exported here for callers that replay a witness.
+The Steinberg relations come straight from the scan entries that linear
+verdicts read (`ScanIndex.linear_entries`): each ScanEntry carries its wedge
+cls x ^ cls 1-x, computed once, and the witnesses of a presentation are the
+entries whose wedge is nonzero.  At height >= 1 on a window where
+`scans.wedge_span` holds, those are the span prefix's, whose relations span
+all that the wedges of K span, so the presentation is exhaustive and lists
+the floor prefix; elsewhere they are the table's.  `wedge_of` is
+re-exported here for callers that replay a witness.
 """
 
 import math
 from dataclasses import dataclass
 
-from .coeffmod import howell_form, span_contains, val_mod, wedge_pairs
+from .coeffmod import val_mod
 from .errors import (
     LevelMismatch,
     RankNotTwo,
@@ -32,7 +36,7 @@ from .fields import (
     residue_of,
     value_of,
 )
-from .scans import exhaustive_classes, scan_index, wedge_of
+from .scans import WedgeSpan, index_of, wedge_of
 
 __all__ = [
     "SymbolPresentation", "TameClass", "k2_cyclic_order",
@@ -54,34 +58,28 @@ class SymbolPresentation:
 
 def steinberg_scan(window: Window, height: int,
                    stop_at_floor: bool = False) -> SymbolPresentation:
-    """Collect z ^ (1-z) over the stream; deterministic, monotone in height.
+    """Collect z ^ (1-z) over the entries that linear verdicts read
+    (`ScanIndex.linear_entries`); deterministic, monotone in height.
 
-    With stop_at_floor the scan returns as soon as the relations span the
-    whole wedge (the presented quotient cannot shrink further); the witness
-    list is then a prefix of the full scan's.
+    At height >= 1 on a window where `scans.wedge_span` holds, those are
+    the witnesses of the span prefix: the relations then span all that the
+    wedges of K span, so the presentation is exhaustive and the witness
+    list is the floor's.  Elsewhere they are the table's, and with
+    stop_at_floor the scan returns as soon as the relations span the whole
+    wedge (the presented quotient cannot shrink further); the witness list
+    is then a prefix of the full scan's.
     """
-    # e_ij has order min(o_i, o_j); scaling by l^n / min(o_i, o_j) embeds
-    # the wedge coordinates into (Z/l^n)^pairs for span computations
-    o = window.orders
-    mod = window.level.modulus
-    scales = [mod // min(o[i], o[j]) for i, j in wedge_pairs(window.rank)]
-    wedge_full = [tuple(s if k == c else 0 for k in range(len(scales)))
-                  for c, s in enumerate(scales)]
+    index = index_of(window)
+    span = WedgeSpan(index)
     witnesses = []
-    span_rows = []
-    ell, n = window.level.ell, window.level.n
-    for ent in scan_index(window, height).entries(height):
+    for ent in index.linear_entries(height):
         if ent.wedge is None or not any(ent.wedge):
             continue
         witnesses.append(ent)
-        span_rows.append(tuple(v * s for v, s in zip(ent.wedge, scales)))
-        if stop_at_floor:
-            form = howell_form(span_rows, ell, n, len(scales))
-            if all(span_contains(form, row, ell, n) for row in wedge_full):
-                break
-    return SymbolPresentation(
-        window, height, tuple(witnesses),
-        exhaustive=exhaustive_classes(window, height))
+        if stop_at_floor and span.add(ent.wedge) and span.full:
+            break
+    return SymbolPresentation(window, height, tuple(witnesses),
+                              exhaustive=index.linear_exact(height))
 
 
 def k2_cyclic_order(sp: SymbolPresentation):

@@ -25,7 +25,9 @@ through degree 1, 0.15 s for degree 2, 7.7 s for degree 3), while a closing
 entry takes its classes from its components; its witness is built only
 when read, once, and replayed through `Window.fraction_class` first.
 Windows in characteristic 2 and windows with a larger product keep the
-sweep, capped at RATFUNC_DEGREE_CAP, and bounded verdicts.
+sweep, capped at RATFUNC_DEGREE_CAP, and bounded verdicts for the
+predicates that read the table (the linear ones read the span prefix
+below on the latter).
 
 A Laurent table is its base table at t^0, block for block.  For
 x = c*t^e*(1+m), 1 + m is an l^n-th power and windows kill -1, so e > 0
@@ -33,18 +35,31 @@ gives the triple (X, 0, 0) and e < 0 gives (X, X, X); every predicate that
 reads a table passes at both, so no entry with e != 0 is kept.
 
 Predicates that see x only through the Steinberg wedge cls x ^ cls 1-x,
-such as the bilinear C-pair identity and the K2 relation span, need even
-less.  The index computes each tabled entry's wedge once, when the entry
-enters the table, and stores it on the entry (None when x = 1); the K2
-presentation's Steinberg witnesses are these entries.  A window has few
-distinct wedges (26 against 1,136 triples on F7(u) with [u, u-1, const],
-and none on F19((t)) with l^n = 9 and [t, const] at height 9), so those
-scans run over the first entry of each distinct nonzero wedge, in stream
-order, which the index takes from the table once per height: the pair
-kernel of the C-pair scan and the C-center, with the exhaustiveness flag
-and, per f ^ g, the first of those wedges that pairs nonzero with it.
-The index reduces each wedge coordinate e_ij modulo min(o_i, o_j) from
-triples (i, j, min) made once per window.
+such as the bilinear C-pair identity, the C-center and the K2 relation
+span, are linear in it and need even less.  The index computes each tabled
+entry's wedge once, when the entry enters the table, and stores it on the
+entry (None when x = 1).  Where the span of the wedges of all of K is known
+(`wedge_span`: the whole wedge module on a rational-function window of odd
+characteristic, by the approximation theorem, and its t^0 image on a
+Laurent tower over one), an x past a prefix whose wedges already span it
+cannot change a linear verdict.  At every height >= 1 those verdicts then
+read only the shortest such stream prefix (`ScanIndex.span_prefix`), and
+they are exact: block 0, then the degree-1 sweep, classified only as far as
+it is read (55 of the 1,124 entries of blocks 0 and 1 on F19(u) with
+[u, u-1, u-2, const] at n = 2).  Those entries are the head of table block
+1, which a later `ensure` continues.  Where the sweep ends first, fallback
+entries complete the span: x = P and x = 1 - P for listed places P, then
+two-slot CRT points.  A first violating entry of the table lies inside
+every prefix that the sweep fills, so the witnesses are the table's.
+Elsewhere (height 0, finite fields and towers over them, characteristic 2)
+the linear verdicts read the table.  Either way they run over the first
+entry of each distinct nonzero wedge, in order (26 distinct wedges against
+1,136 triples on F7(u) with [u, u-1, const], and none on F19((t)) with
+l^n = 9 and [t, const] at height 9), which the index collects once per
+height: the pair kernel of the C-pair scan and the C-center, with the
+exactness flag and, per f ^ g, the first of those wedges that pairs
+nonzero with it.  The index reduces each wedge coordinate e_ij modulo
+min(o_i, o_j) from triples (i, j, min) made once per window.
 
 A window's ScanIndex owns its memos, each built once: the triple table,
 the pair kernels, the class arrays per height (the entries' cls x, cls 1-x
@@ -63,7 +78,8 @@ Laurent series.  Every class comes from the index's Window, which
 memoises per-polynomial class data: a rational-function pair (num, den)
 through `Window.fraction_class`, with no exponent vector, and an element
 through the class of its leading term.  Every entry holds its element as
-a zero-argument factory, which `ScanEntry.element` calls.  The indexes
+a zero-argument factory, which `ScanEntry.element` calls once, keeping the
+element for later reads.  The indexes
 live for the process in one dict keyed by window, so later commands reuse
 the tables and that memo.
 """
@@ -71,12 +87,12 @@ the tables and that memo.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .coeffmod import wedge_pairs
+from .coeffmod import howell_form, span_contains, wedge_pairs
 from .errors import PreconditionViolated, WitnessMismatch
 from .fields import (
     CONST,
@@ -98,9 +114,16 @@ class ScanEntry:
     cls_1px: tuple    # None when x = -1
     rep: object       # zero-argument factory of the element x
     wedge: tuple = None  # cls x ^ cls 1-x, set by ScanIndex; None when x = 1
+    built: object = field(default=None, compare=False, repr=False)
 
     def element(self):
-        return self.rep()
+        """x, made by `rep` on the first call and kept (Elt is immutable),
+        so a witness read by many verdicts is built once."""
+        x = self.built
+        if x is None:
+            x = self.rep()
+            object.__setattr__(self, "built", x)
+        return x
 
 
 class ScanIndex:
@@ -138,7 +161,10 @@ class ScanIndex:
         o = window.orders
         self.wedge_moduli = tuple((i, j, min(o[i], o[j]))
                                   for i, j in wedge_pairs(window.rank))
-        self._kernels = {}        # height -> pair_kernel(height)
+        self.spans = wedge_span(window)
+        self._rest = None         # the open last block's unread stream
+        self._prefix = None       # span_prefix(), once made
+        self._kernels = {}        # height, or 1 for the prefix -> kernel
         self._arrays = {}         # height -> class_arrays(height)
 
     def _intern(self, cls):
@@ -286,20 +312,41 @@ class ScanIndex:
         return w.classify_sum(one, x * (one + y))
 
     def ensure(self, height):
-        while len(self.blocks) <= height:
-            s = len(self.blocks)
-            new = []
-            for ent in _block_entries(self, s):
-                trip = (ent.cls_x, ent.cls_1mx, ent.cls_1px)
-                if trip in self._seen:
-                    continue
-                self._seen.add(trip)
-                new.append(ent)
-                if ent.cls_1mx is not None:
-                    object.__setattr__(
-                        ent, "wedge", self.wedge(ent.cls_x, ent.cls_1mx))
-            self.blocks.append(new)
+        """Tables every block through `height`, finishing first the block
+        that span_prefix left open."""
+        blocks = self.blocks
+        while len(blocks) <= height or (self._rest is not None
+                                        and len(blocks) <= height + 1):
+            if self._rest is None:
+                self._open(len(blocks))
+            for _ in self._take():
+                pass
         return self
+
+    def _open(self, s):
+        self.blocks.append([])
+        self._rest = iter(_block_entries(self, s))
+
+    def _take(self):
+        """The open block's unread stream, tabled as it is read: each new
+        triple's entry gets its wedge, joins the block and is yielded, and
+        the block closes when the stream ends.  A reader that stops leaves
+        the block open where it stopped."""
+        block, seen = self.blocks[-1], self._seen
+        for ent in self._rest:
+            trip = (ent.cls_x, ent.cls_1mx, ent.cls_1px)
+            if trip in seen:
+                continue
+            seen.add(trip)
+            block.append(self._with_wedge(ent))
+            yield ent
+        self._rest = None
+
+    def _with_wedge(self, ent):
+        if ent.cls_1mx is not None:
+            object.__setattr__(ent, "wedge",
+                               self.wedge(ent.cls_x, ent.cls_1mx))
+        return ent
 
     def entries(self, height):
         """Table entries through `height`, in stream order."""
@@ -307,22 +354,113 @@ class ScanIndex:
         self.ensure(height)
         return itertools.chain.from_iterable(self.blocks[:height + 1])
 
+    def span_prefix(self):
+        """The Steinberg witnesses (entries with a nonzero wedge) of the
+        shortest stream prefix whose wedges span what the wedges of all of
+        K span, on a window where `wedge_span` holds; made once.
+
+        On a rational-function window that is block 0 and then block 1's
+        degree-1 sweep, read (and so classified) only until the span is
+        full: the entries are the table's own, and a later `ensure` goes
+        on from the last one.  If the sweep ends first, fallback entries
+        complete the span (`_fallbacks`).  A Laurent window lifts its base
+        window's prefix to t^0, as its table lifts the base table."""
+        if self._prefix is None:
+            if self.window.model.kind == "laurent":
+                self._prefix = tuple(
+                    self._with_wedge(_lift(self.window, ent))
+                    for ent in self._base_index().span_prefix())
+            else:
+                self._prefix = self._sweep_prefix()
+        return self._prefix
+
+    def _sweep_prefix(self):
+        span = WedgeSpan(self)
+        out = []
+        scan_index(self.window, 0)
+        if len(self.blocks) == 1:
+            self._open(1)
+            block1 = self._take()
+        else:
+            block1 = self.blocks[1]
+        closing = _closing_head(self.window)
+        if not span.full:
+            for ent in itertools.chain(self.blocks[0], block1):
+                if ent.key[:2] == closing:
+                    break
+                if ent.wedge is not None and any(ent.wedge):
+                    out.append(ent)
+                    if span.add(ent.wedge) and span.full:
+                        return tuple(out)
+        return tuple(out) + self._fallbacks(span)
+
+    def _fallbacks(self, span):
+        """Entries past the sweep that complete `span`, tried in order:
+        x = P and x = 1 - P for each listed place P, then, for each
+        coordinate e_ij the span still misses, the two-slot point of
+        `local_witness` with (1, 0, 0) in slot i, (0, 1, *) in slot j and
+        (0, 0, 0) elsewhere, whose wedge is e_ij.  Each is kept only when
+        the wedge of its classes, replayed through Window.fraction_class,
+        adds to the span; they are keyed after the closing block's head."""
+        w = self.window
+        ff = w.model.ff
+        one = (ff.one,)
+        cands = [(num, one) for g in w.gens if g[0] != CONST
+                 for num in (g[1], ff.poly_sub(one, g[1]))]
+        out = []
+
+        def keep(num, den, trip):
+            if span.add(self.wedge(trip[0], trip[1])):
+                out.append(self._with_wedge(ScanEntry(
+                    (1, ff.q + 2, len(out)), *trip,
+                    partial(w.model.from_poly, num, den))))
+
+        for num, den in cands:
+            if span.full:
+                return tuple(out)
+            keep(num, den, fraction_triple(w, num, den))
+        sets = self.local_sets
+        for c, (i, j, _) in enumerate(self.wedge_moduli):
+            if span.missing(c):
+                comps = [(0, 0, 0)] * w.rank
+                comps[i] = (1, 0, 0)
+                comps[j] = min(t for t in sets[j] if t[:2] == (0, 1))
+                trip = tuple(zip(*comps))
+                keep(*_replayed(w, comps, trip), trip)
+        return tuple(out)
+
     def pair_kernel(self, height):
         """(wedges, exhaustive, violations): (wedge, entry) for the first
-        entry of each distinct nonzero wedge through `height`, in stream
-        order, exhaustive_classes(window, height), and the memo of
-        first_violation, made once per height; all that the C-pair scan and
-        the C-center read of the table."""
-        kernel = self._kernels.get(height)
+        entry of each distinct nonzero wedge that the linear verdicts at
+        `height` read (`linear_entries`), in order, linear_exact(height),
+        and the memo of first_violation; all that the C-pair scan and the
+        C-center read.  Made once per height, and once for every height
+        >= 1 where the span prefix serves them all."""
+        key = min(height, 1) if self.spans else height
+        kernel = self._kernels.get(key)
         if kernel is None:
             first = {}
-            for ent in self.entries(height):
+            for ent in self.linear_entries(height):
                 if ent.wedge is not None and any(ent.wedge):
                     first.setdefault(ent.wedge, ent)
-            kernel = self._kernels[height] = (
-                tuple(first.items()), exhaustive_classes(self.window, height),
-                {})
+            kernel = self._kernels[key] = (
+                tuple(first.items()), self.linear_exact(height), {})
         return kernel
+
+    def linear_entries(self, height):
+        """The entries that the linear verdicts at `height` read: the span
+        prefix at height >= 1 where `wedge_span` holds, else the table
+        through `height`."""
+        if height >= 1 and self.spans:
+            return self.span_prefix()
+        return scan_index(self.window, height).entries(height)
+
+    def linear_exact(self, height):
+        """Whether those entries settle every linear verdict for all of K:
+        always on the span prefix, since no x adds to a full span; on the
+        table where exhaustive_classes says so."""
+        return (height >= 1 and self.spans) or \
+            exhaustive_classes(self.window, height)
 
     def first_violation(self, height, fg):
         """(entry, exhaustive): the first entry of pair_kernel(height) whose
@@ -373,6 +511,65 @@ def wedge_of(window, cls_a, cls_b):
     return index_of(window).wedge(cls_a, cls_b)
 
 
+class WedgeSpan:
+    """The span of wedge vectors, grown one wedge at a time: each
+    coordinate e_ij scaled by l^n / min(o_i, o_j) into (Z/l^n)^pairs, and
+    the Howell form of the rows that added to it."""
+
+    def __init__(self, index):
+        w = index.window
+        self.ell, self.n = w.level.ell, w.level.n
+        self.scales = [w.level.modulus // o for _, _, o in index.wedge_moduli]
+        self.rows, self.form = [], []
+
+    def _contains(self, row):
+        return span_contains(self.form, row, self.ell, self.n)
+
+    def missing(self, c):
+        """Whether the span lacks the coordinate vector e_c."""
+        return not self._contains(tuple(s if d == c else 0
+                                        for d, s in enumerate(self.scales)))
+
+    @property
+    def full(self):
+        return not any(map(self.missing, range(len(self.scales))))
+
+    def add(self, wedge):
+        """Adds a wedge; whether the span grew."""
+        row = tuple(v * s for v, s in zip(wedge, self.scales))
+        if self._contains(row):
+            return False
+        self.rows.append(row)
+        self.form = howell_form(self.rows, self.ell, self.n, len(row))
+        return True
+
+
+def wedge_span(window) -> bool:
+    """Whether the wedges cls x ^ cls 1-x of all x in K span a module
+    known in closed form, so that a stream prefix spanning it settles every
+    linear verdict (`ScanIndex.span_prefix`).
+
+    Yes on a rational-function window of odd characteristic, where the
+    span is the whole wedge module, the direct sum of Z/min(o_i, o_j) over
+    i < j.  The coordinate e_ij of the wedge reads only slots i and j:
+    with (p0, p1, p2) the component of x in slot i and (q0, q1, q2) in
+    slot j, it is p0 q1 - p1 q0.  Every product of local components occurs
+    in K (`local_triple_sets`, `local_witness`: the approximation theorem),
+    and every slot set holds (0, 0, 0) and (1, 0, 0), and (0, 1, 0) at a
+    place or (0, 1, dl 2) at const.  So the x with (1, 0, 0) in slot i,
+    (0, 1, *) in slot j and (0, 0, 0) elsewhere has wedge e_ij.  (Milnor,
+    Invent. Math. 9, 1970: the tame symbols of F(u) are onto, which
+    agrees.)  On a Laurent level over such a base, yes as well: the span
+    is the base span with zero coordinates at the uniformizer slots, since
+    its table is the base table at t^0 and the untabled x have zero
+    wedge.  No on finite fields, towers over them and in characteristic 2.
+    """
+    model = window.model
+    if model.kind == "laurent":
+        return wedge_span(window.base_window())
+    return model.kind == "ratfunc" and model.ff.p != 2
+
+
 _INDEX_CACHE = {}
 
 # rational-function tables close at height 1 when the product of the local
@@ -421,16 +618,15 @@ def exhaustive_classes(window, height) -> bool:
     closes is full from height 1 on.  A Laurent table is its residue
     table at t^0; every scanned predicate holds at the untabled triples,
     those with e != 0 and those of zero class (the +-(1+m) cosets), so it
-    settles them wherever the residue level does.  The condition
-    height >= l^n is therefore conservative; it keeps verdicts below l^n
-    bounded.
+    settles them wherever the residue level does, at every height.  The
+    linear verdicts ask `ScanIndex.linear_exact`, which is also true where
+    the span prefix serves them.
     """
     kind = window.model.kind
     if kind == "finite":
         return True
     if kind == "laurent":
-        return (height >= window.level.modulus
-                and exhaustive_classes(window.base_window(), height))
+        return exhaustive_classes(window.base_window(), height)
     return height >= 1 and index_of(window).closes
 
 
@@ -575,12 +771,18 @@ def fraction_triple(window, num, den):
             window.fraction_class(sm, den) if sm else None)
 
 
+def _closing_head(window):
+    """The key head of the closing block: after the q + 1 denominators of
+    block 1."""
+    return (1, window.model.bottom().ff.q + 1)
+
+
 def _closing_entries(index):
     """The product triples that the degree-1 sweep missed, in sorted
     component order, keyed after the q + 1 denominators of block 1."""
     window = index.window
     seen = index._seen
-    head = (1, window.model.ff.q + 1)
+    head = _closing_head(window)
     k = 0
     for comps in itertools.product(*map(sorted, index.local_sets)):
         trip = tuple(zip(*comps))
@@ -591,20 +793,19 @@ def _closing_entries(index):
 
 
 def _witness_rep(window, comps, trip):
-    """Factory of local_witness(window, comps) as an element, built once
-    and only after it replays to `trip` through Window.fraction_class."""
-    built = []
+    """Factory of local_witness(window, comps) as an element, built only
+    after it replays to `trip`."""
+    return lambda: window.model.from_poly(*_replayed(window, comps, trip))
 
-    def make():
-        if not built:
-            num, den = local_witness(window, comps)
-            if fraction_triple(window, num, den) != trip:
-                raise WitnessMismatch(
-                    f"CRT witness for {comps} on {window.spec()} does not "
-                    "replay")
-            built.append(window.model.from_poly(num, den))
-        return built[0]
-    return make
+
+def _replayed(window, comps, trip):
+    """(num, den) of local_witness(window, comps), once its triple, read
+    through Window.fraction_class, is `trip`; else WitnessMismatch."""
+    num, den = local_witness(window, comps)
+    if fraction_triple(window, num, den) != trip:
+        raise WitnessMismatch(
+            f"CRT witness for {comps} on {window.spec()} does not replay")
+    return num, den
 
 
 def local_witness(window, comps):
@@ -743,10 +944,16 @@ def _raise_top(ff, num, modulus, deg, top):
 # ---------------------------------------------------------------------------
 
 def _laurent_block_entries(window, s):
-    """Block s of a Laurent table: x*t^0 for each entry x of base block s,
-    with its key and its classes given 0 in the top slot."""
+    """Block s of a Laurent table: x*t^0 for each entry x of base block s
+    (`_lift`)."""
     for ent in scan_index(window.base_window(), s).blocks[s]:
-        yield ScanEntry(ent.key, *(
-            None if cls is None else window.from_base(cls, 0)
-            for cls in (ent.cls_x, ent.cls_1mx, ent.cls_1px)),
-            lambda e=ent: window.model.monomial(0, e.element()))
+        yield _lift(window, ent)
+
+
+def _lift(window, ent):
+    """x*t^0 for an entry x of the base window's table, with its key and
+    its classes given 0 in the top slot."""
+    return ScanEntry(ent.key, *(
+        None if cls is None else window.from_base(cls, 0)
+        for cls in (ent.cls_x, ent.cls_1mx, ent.cls_1px)),
+        lambda: window.model.monomial(0, ent.element()))

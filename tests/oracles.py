@@ -1,6 +1,8 @@
 """Reference algorithms that the library no longer runs, kept as referees
 for the fast paths that replaced them."""
 
+import functools
+
 from valdetect.characters import (
     Character,
     CharacterGroup,
@@ -12,6 +14,7 @@ from valdetect.coeffmod import (
     span_contains,
     span_quasi_basis,
     vectors_cyclic,
+    wedge,
     wedge_pairs,
 )
 from valdetect.errors import (
@@ -32,11 +35,13 @@ from valdetect.fields import (
     residue_field_of_place,
 )
 from valdetect import detect
+from valdetect.milnor import SymbolPresentation
 from valdetect.rigid import PAIR_HEIGHT_CAP, MultSubgroup, valuative_test
 from valdetect.scans import (
     ELEMENT_RATFUNC_CAP,
     RATFUNC_DEGREE_CAP,
     ScanEntry,
+    Verdict,
     exhaustive_classes,
     index_of,
     scan_index,
@@ -230,16 +235,18 @@ def residue_window_by_walk(handle, window):
 # carried their wedge and before the order rule
 # ---------------------------------------------------------------------------
 
-def steinberg_witnesses_by_wedge_of(window, height, stop_at_floor=False):
+def steinberg_witnesses_by_wedge_of(window, height, stop_at_floor=False,
+                                    stop_at_span=False):
     """(cls z, cls 1-z, wedge, element) of each witness: the scan entries
     through `height` whose wedge, computed afresh by wedge_of, is nonzero,
-    stopping once the relations span the whole wedge when stop_at_floor."""
-    o = window.orders
+    stopping once the relations span the whole wedge when stop_at_floor,
+    and once they span what all the table's wedges span when
+    stop_at_span."""
     ell, n = window.level.ell, window.level.n
-    mod = window.level.modulus
-    scales = [mod // min(o[i], o[j]) for i, j in wedge_pairs(window.rank)]
+    scales = wedge_scales(window)
     wedge_full = [tuple(s if k == c else 0 for k in range(len(scales)))
                   for c, s in enumerate(scales)]
+    table_span = table_wedge_span(window, height) if stop_at_span else None
     out, span_rows = [], []
     for ent in scan_index(window, height).entries(height):
         if ent.cls_1mx is None:
@@ -249,11 +256,111 @@ def steinberg_witnesses_by_wedge_of(window, height, stop_at_floor=False):
             continue
         out.append((ent.cls_x, ent.cls_1mx, vec, ent.element()))
         span_rows.append(tuple(v * s for v, s in zip(vec, scales)))
-        if stop_at_floor:
-            form = howell_form(span_rows, ell, n, len(scales))
-            if all(span_contains(form, row, ell, n) for row in wedge_full):
-                break
+        if not (stop_at_floor or stop_at_span):
+            continue
+        form = howell_form(span_rows, ell, n, len(scales))
+        if stop_at_floor and all(span_contains(form, row, ell, n)
+                                 for row in wedge_full):
+            break
+        if form == table_span:
+            break
     return out
+
+
+def wedge_scales(window):
+    """l^n / min(o_i, o_j) per wedge coordinate e_ij: the factors that
+    embed wedge vectors into (Z/l^n)^pairs."""
+    o = window.orders
+    mod = window.level.modulus
+    return [mod // min(o[i], o[j]) for i, j in wedge_pairs(window.rank)]
+
+
+def wedge_span_form(window, wedges):
+    """The Howell form of the span of wedge vectors, embedded by
+    wedge_scales."""
+    scales = wedge_scales(window)
+    return howell_form([tuple(v * s for v, s in zip(x, scales))
+                        for x in wedges],
+                       window.level.ell, window.level.n, len(scales))
+
+
+def table_wedge_span(window, height):
+    """wedge_span_form of every wedge of the table through `height`."""
+    return wedge_span_form(window, [
+        wedge_of(window, ent.cls_x, ent.cls_1mx)
+        for ent in scan_index(window, height).entries(height)
+        if ent.cls_1mx is not None])
+
+
+# ---------------------------------------------------------------------------
+# linear verdicts read off every wedge of the class table, as they were
+# read before a stream prefix whose wedges span the wedge module replaced
+# the table wherever that span is known to be full
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def table_kernel(window, height):
+    """(wedge, entry) for the first entry of each distinct nonzero wedge of
+    the table through `height`, in stream order; kept per window and
+    height, as the tables are."""
+    first = {}
+    for ent in scan_index(window, height).entries(height):
+        if ent.cls_1mx is not None:
+            vec = wedge_of(window, ent.cls_x, ent.cls_1mx)
+            if any(vec):
+                first.setdefault(vec, ent)
+    return tuple(first.items())
+
+
+def c_pair_by_table(f, g, height):
+    """The C-pair verdict of the table: the first distinct wedge in stream
+    order that pairs nonzero with f ^ g gives the witness; a pass is exact
+    when the table is exhaustive or the pair cyclic."""
+    w = f.window
+    mod = w.level.modulus
+    fg = tuple(c % mod for c in wedge(f.values, g.values))
+    for x, ent in table_kernel(w, height):
+        if sum(a * b for a, b in zip(fg, x)) % mod:
+            return Verdict("NotCPair", height, witness=ent.element(),
+                           method="direct", exact=True)
+    if exhaustive_classes(w, height) or vectors_cyclic(
+            f.values, g.values, w.level.ell, w.level.n):
+        return Verdict("CPair", height, method="direct", exact=True)
+    return Verdict("CPairUpToBound", height, method="direct", exact=False)
+
+
+def c_group_by_table(group, height):
+    """The C-group verdict of the table, pair by pair of a quasi-basis."""
+    basis = [c for c, _ in group.member_quasi_basis()]
+    exact = True
+    for i, j in wedge_pairs(len(basis)):
+        v = c_pair_by_table(basis[i], basis[j], height)
+        if not v.holds():
+            return Verdict("NotCGroup", height, witness=v.witness,
+                           exact=True, pair=(basis[i], basis[j]))
+        exact = exact and v.exact
+    return Verdict("CGroup" if exact else "CGroupUpToBound", height,
+                   exact=exact)
+
+
+def c_center_by_table(group, height):
+    """The members of the group that form a C-pair with every quasi-basis
+    element at this height, by the table's verdicts."""
+    basis = [c for c, _ in group.member_quasi_basis()]
+    return CharacterGroup(group.window, tuple(
+        f for f in group.elements()
+        if all(c_pair_by_table(f, g, height).holds() for g in basis)))
+
+
+def steinberg_by_table(window, height):
+    """The K2 presentation whose witnesses are every table entry with a
+    nonzero wedge, exhaustive where the table is."""
+    return SymbolPresentation(
+        window, height,
+        tuple(ent for ent in scan_index(window, height).entries(height)
+              if ent.cls_1mx is not None
+              and any(wedge_of(window, ent.cls_x, ent.cls_1mx))),
+        exhaustive=exhaustive_classes(window, height))
 
 
 def canonical_omega_code_by_order_loop(ff, ell, n):

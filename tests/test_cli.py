@@ -8,8 +8,10 @@ from decimal import Decimal
 
 import pytest
 
+import valdetect.cli as cli
 from valdetect.cli import MAX_HEIGHT, main
 from valdetect.coeffmod import level_bound
+from valdetect.errors import ParseError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -286,6 +288,34 @@ def test_help_still_exits_zero(capsys):
         main(["levels", "--help"])
     assert exc.value.code == 0
     assert "--ell" in capsys.readouterr().out
+
+
+def _printed(parse, argv, capsys):
+    """What a parse of argv prints and raises: help text, or the error
+    payload of a bad argument."""
+    try:
+        parse(argv)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    except ParseError as exc:
+        return "error", str(exc)
+    return "parsed", capsys.readouterr().out
+
+
+def test_arguments_added_on_first_parse_read_as_all_at_once(capsys):
+    # the process parser adds a subcommand's arguments when argv first
+    # names it; help texts and argument errors equal those of a parser
+    # with every argument added, whichever commands were parsed before
+    cli.build_parser.cache_clear()      # a process parser with none added
+    eager = cli.build_parser.__wrapped__()
+    for pending in eager.pending.values():
+        pending.replay()
+    names = list(eager.pending)
+    cases = [["--help"], []] + [[name, "--help"] for name in names] + \
+        [[name, "--bogus"] for name in names] + [["bogus"], ["cpair"]]
+    for argv in cases + cases[::-1]:
+        assert _printed(cli.parse, argv, capsys) == \
+            _printed(eager.parse_args, argv, capsys), argv
 
 
 def test_negative_height(capsys):

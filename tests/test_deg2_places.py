@@ -59,14 +59,18 @@ def test_duals_not_cpair_on_quadratic_window(F7u, w_quad):
     f = Character.dual_by_label(w_quad, "u")
     g = Character.dual_by_label(w_quad, "u^2+1")
     d = c_pair_direct(f, g, 2)
-    assert d.kind == "NotCPair"
-    # the first violation is a closing entry of the table, whose witness
-    # replays: f(1-x)g(x) != f(x)g(1-x)
-    x = d.witness
-    assert format_element(x) == "6*u^5+5*u^3+u^2+6*u+1"
-    cx, cm = w_quad.classify(x), w_quad.classify(F7u.one() - x)
-    assert (f.evaluate_class(cm) * g.evaluate_class(cx)
-            - f.evaluate_class(cx) * g.evaluate_class(cm)) % 3
+    assert d.kind == "NotCPair" and d.exact
+    # the degree-1 sweep does not span the wedge module here, so the first
+    # violation is a fallback entry past the sweep: x = P for the place
+    # P = u^2+1, of degree 2 (the closing block's CRT witness had degree
+    # 5); x = 1 - P = 6*u^2 breaks the pair too, and both replay:
+    # f(1-x)g(x) != f(x)g(1-x)
+    assert format_element(d.witness) == "u^2+1"
+    for x in (d.witness, parse_element(F7u, "6*u^2")):
+        assert all(F7u.ff.poly_deg(poly) <= 2 for poly in x.data)
+        cx, cm = w_quad.classify(x), w_quad.classify(F7u.one() - x)
+        assert (f.evaluate_class(cm) * g.evaluate_class(cx)
+                - f.evaluate_class(cx) * g.evaluate_class(cm)) % 3
     sp = steinberg_scan(w_quad, 2, stop_at_floor=True)
     assert k2_cyclic_order(sp)[0] == 1
     assert c_pair_ktheory(f, g, sp).kind == "NotCPair"

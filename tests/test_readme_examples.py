@@ -48,7 +48,7 @@ SCRIPT_DIGESTS = [
     ("aggressive_probe.py",
      "bcd2d10ae239c3c5c25c47c7b548c4d13f4aa799ebd116abd290b6794d3d9b85"),
     ("k2_survey.py",
-     "3f840909274698ed7a76500b6821aae87fd9a85d766c80489572b2e27823fdad"),
+     "6eec18d751482f609afd23abbf1ab4045c972b21888a0070e0e9ad5d0022f7ea"),
 ]
 
 F7T = ["--field", "laurent(gf:7,t)", "--window", "{ell=3,n=1,gens=[t,const]}"]
@@ -74,14 +74,15 @@ SUBGROUP_DIGESTS = [
 
 F7UT = "laurent(ratfunc(gf:7,u),t)"
 
-# (argv, sha256 of stdout) of one command per verdict payload shape:
-# CPairUpToBound ("exact": false; on F7(u)((t)) below height l^n = 3) and
-# exact CPairs from both methods, a K-theoretic NotCPair with its witness,
-# CGroupUpToBound, NotCGroup with its pair and witness, and exact CGroups
+# (argv, sha256 of stdout) of one command per verdict payload shape: exact
+# CPairs from both methods (on F7(u)((t)) below height l^n = 3 too, where
+# the span prefix settles them), a K-theoretic NotCPair with its witness,
+# NotCGroup with its pair and witness, exact CGroups, and CPairUpToBound
+# and CGroupUpToBound ("exact": false) from the constants of height 0
 VERDICT_DIGESTS = [
     (["cpair", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u]}",
       "--f", "t", "--g", "u", "--height", "2", "--method", "both"],
-     "dc86362a1dceb5e7d3e50d9aaf03c651752f5cde216e433d42c134d10d746f2f"),
+     "64bcd24f220951656eb73cedde2ac644f0481bcefced3eefa4c64850e68c85a1"),
     (["cpair", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u]}",
       "--f", "t", "--g", "u", "--height", "3", "--method", "both"],
      "96ff9523561122ee84bddd44cdef08edc03e8459f1070a93f397066b64a77199"),
@@ -94,7 +95,7 @@ VERDICT_DIGESTS = [
      "1d3897a97dcfc59e1fae2c535a369c7ca94304bf5890fbe37d2c75dafbb57c55"),
     (["cgroup", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u,u-3]}",
       "--gens", "t;u", "--height", "2"],
-     "a14ef7fa2efcdf80b9b645f807e32571e9fea71b96994663528a77ca24b9b31b"),
+     "7404e238ae376303e45a0e698f44b56166faeb308308b3151e1655d116bfe913"),
     (["cgroup", "--field", F7UT, "--window", "{ell=3,n=1,gens=[t,u,u-3]}",
       "--gens", "t;u", "--height", "3"],
      "c2a32343f92a0b9350a3d3fe26839a16640ea8e766094b08a4ac6bd96d58f4b1"),
@@ -104,6 +105,14 @@ VERDICT_DIGESTS = [
      "a101d06935204d3c6bc9eb3481b9514989080a661c2c9b35a06cab7ad33a9605"),
     (["cgroup", *F7ST, "--gens", "t;s;const", "--height", "8"],
      "6aee6f531ada0cd355bf848c58ede7c41e1c2d3355f218c21cdaef6cdea6280f"),
+    (["cpair", "--field", "ratfunc(gf:7,u)",
+      "--window", "{ell=3,n=1,gens=[u,u-3]}", "--f", "u", "--g", "u-3",
+      "--height", "0", "--method", "both"],
+     "eeaef52cab5cf6312039e7f15de590c792a352a7502d2db3515bc3984dd8d36f"),
+    (["cgroup", "--field", "ratfunc(gf:7,u)",
+      "--window", "{ell=3,n=1,gens=[u,u-3,const]}", "--gens", "u;u-3",
+      "--height", "0"],
+     "a2ae2718360a400b65e944d6d19d98e8f6c28b2611fe5f1e6c637a5eea9cc0c9"),
 ]
 
 
@@ -131,15 +140,15 @@ LAURENT_TABLE_DIGESTS = [
     (["ccenter", *_f7ut("t,u,u-3,const"), "--height", "3"],
      "cf2b6bc7c734e4022b49c46e5cd59c7beb74a4059d248bf1ce143f62c4f7c9ea"),
     (["cgroup", *_f7ut("t,u,const"), "--gens", "t;const", "--height", "1"],
-     "0f2f228b31b212f6f34d13cb2a0eebafe1a93837ff8660b21f913eff645779de"),
+     "0ef0929ba96fa01c2cdc39870c2c974771d32c9a5a97d2165525e9f4a639d8a9"),
     (["cgroup", *_f7ut("t,u,const"), "--gens", "t;const", "--height", "2"],
-     "3dac52736397a9215968bda727b5e625028f1c520761fb97c1397f9462d3ee7d"),
+     "3e9fecdb00bd19ccd2fcac3cdc271748e6815f86a951bb88b106b77059d02d8e"),
     (["cgroup", *_f7ut("t,u,const"), "--gens", "t;const", "--height", "3"],
      "8604214f6de0654f2551b7198f524eae0d1165b33297170cd6af0f5d3bf1295b"),
     (["k2", *_f7ut("u,u-3"), "--floor", "--height", "1"],
-     "5aed00f29ed0cd37012f59c55ef9f75eb02f5f8856698b4db007c08af691beb3"),
+     "90b954c0ef8c91a62db7355c10b61e893dbe4eabe008a8796e1c64f70f84490f"),
     (["k2", *_f7ut("u,u-3"), "--floor", "--height", "2"],
-     "65ef0688489f7daecea28b661205ffb1fba32e96b76bf096493c3a0c7c6780c5"),
+     "4b036bc729acaccf106cc18322ff10391555663f6ab9aa35684b97e7b7782c1c"),
     (["k2", *_f7ut("u,u-3"), "--floor", "--height", "3"],
      "777d00f6af3e061fbf0f0de5539cac21c4f7a34b03146ef6e97e99b492ceb276"),
     (["k2", *_f7ut("t,u"), "--floor", "--height", "3"],

@@ -4,13 +4,16 @@ witnesses are those entries.
 Every tabled entry's `wedge` must equal `wedge_of(cls x, cls 1-x)` and be
 None exactly when x = 1; `steinberg_scan` must return the witnesses the
 reference loop finds by computing each wedge afresh, in the same order.
+Where the span prefix serves (height >= 1 and `wedge_span`), those are
+the table's witnesses up to the first one at which they span all that the
+table's wedges span, with or without stop_at_floor.
 """
 
 import pytest
 
 from valdetect.fields import parse_field, parse_window
 from valdetect.milnor import steinberg_scan
-from valdetect.scans import scan_index, wedge_of
+from valdetect.scans import scan_index, wedge_of, wedge_span
 
 from oracles import steinberg_witnesses_by_wedge_of
 
@@ -49,7 +52,8 @@ def test_steinberg_scan_matches_the_wedge_of_loop(fspec, wspec,
         sp = steinberg_scan(w, h, stop_at_floor=stop_at_floor)
         got = [(e.cls_x, e.cls_1mx, e.wedge, e.element())
                for e in sp.witnesses]
-        want = steinberg_witnesses_by_wedge_of(w, h, stop_at_floor)
+        want = steinberg_witnesses_by_wedge_of(
+            w, h, stop_at_floor, stop_at_span=h >= 1 and wedge_span(w))
         assert [r[:3] for r in got] == [r[:3] for r in want]
         assert [(x.model, x.data) for *_, x in got] == \
             [(x.model, x.data) for *_, x in want]
